@@ -156,7 +156,7 @@ def run_seed(seed: int) -> dict:
     if attempts.count("ok") < 3 and "quarantined" not in attempts:
         raise AssertionError(f"seed {seed}: local client starved: {attempts}")
     for pid, ctx in node.driver.processes.items():
-        if ctx.pending:
+        if ctx.rings.outstanding:
             raise AssertionError(f"seed {seed}: pid {pid} left pending work")
     health = card_report(node.driver)["health"]
     if health["card"] not in ("healthy", "degraded", "quarantined"):

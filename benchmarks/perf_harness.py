@@ -321,8 +321,10 @@ def bench_engine_events(quick: bool) -> Dict[str, Any]:
 #: attributed to the submitting client process (SimProfiler): per-call
 #: submission resumes the client once per request, batched doorbells
 #: once per drain — this is the ABI cost the ring removes, so the bound
-#: is aggressive.
-RING_EVENTS_RATIO_BOUND = 0.98
+#: is aggressive.  An ``invoke`` is itself a batch of one through the
+#: same issue routine, so all the ring saves in total is the per-request
+#: completion event and client wakeup: 0.985 of ~53 events/request.
+RING_EVENTS_RATIO_BOUND = 0.99
 RING_SUBMIT_EVENTS_RATIO_BOUND = 0.5
 
 

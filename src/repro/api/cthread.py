@@ -17,7 +17,6 @@ from typing import Generator, Iterable, List, Optional
 
 from ..core.interfaces import (
     CompletionEntry,
-    Descriptor,
     LocalSg,
     Oper,
     RdmaSg,
@@ -26,7 +25,14 @@ from ..core.interfaces import (
 )
 from ..driver.driver import Driver, ProcessContext
 from ..driver.errors import RingFullError
-from ..driver.ringbuf import DEFAULT_RING_SLOTS, MemoryRegion, RingOp, RingState
+from ..driver.ringbuf import (
+    DEFAULT_RING_SLOTS,
+    CompletionBatch,
+    MemoryRegion,
+    RingOp,
+    RingOpcode,
+    RingState,
+)
 from ..health.errors import DecoupledError, QuarantinedError
 from ..mem.allocator import Allocation, AllocType
 from ..sim.engine import AnyOf, Environment
@@ -39,7 +45,15 @@ CSR_READ_NS = 900.0
 #: Completion-polling interval when writeback is disabled.
 POLL_INTERVAL_NS = 1_000.0
 
-_wr_ids = itertools.count(1)
+#: Work-request ids of RDMA verbs (the QP's namespace; local operations
+#: draw theirs from the driver's counter).
+_rdma_wr_ids = itertools.count(1)
+#: The local operations ``invoke`` submits through the driver.
+_LOCAL_OPCODES = {
+    Oper.LOCAL_READ: RingOpcode.READ,
+    Oper.LOCAL_WRITE: RingOpcode.WRITE,
+    Oper.LOCAL_TRANSFER: RingOpcode.TRANSFER,
+}
 
 
 class CThread:
@@ -146,9 +160,10 @@ class CThread:
         each doorbell is **one** CSR write regardless of how many slots
         it drains, and each drained batch completes with **one** event
         carrying all its completion entries — this is where the ring
-        path beats ``invoke()``'s per-call ioctl on sim events per
-        request.  A full ring forces an early doorbell for the slots so
-        far (a ``ring.full_stalls`` occurrence), then posting resumes.
+        path beats ``invoke()``, a batch of one per call with one
+        completion event each, on sim events per request.  A full ring
+        forces an early doorbell for the slots so far (a
+        ``ring.full_stalls`` occurrence), then posting resumes.
         Returns every completion entry in post order.
         """
         batches = []
@@ -206,12 +221,9 @@ class CThread:
             raise QuarantinedError(self.vfpga_id)
         if region.decoupled:
             raise DecoupledError(self.vfpga_id)
-        if oper is Oper.LOCAL_TRANSFER:
-            return (yield from self._local_transfer(sg.local, timeout_ns))
-        elif oper is Oper.LOCAL_READ:
-            return (yield from self._local_read(sg.local, timeout_ns))
-        elif oper is Oper.LOCAL_WRITE:
-            return (yield from self._local_write(sg.local, timeout_ns))
+        opcode = _LOCAL_OPCODES.get(oper)
+        if opcode is not None:
+            return (yield from self._local(opcode, sg.local, timeout_ns))
         elif oper is Oper.LOCAL_OFFLOAD:
             yield self.env.process(
                 self.driver.offload(self.pid, sg.local.src_addr, sg.local.src_len)
@@ -235,23 +247,11 @@ class CThread:
 
     # -------------------------------------------------------------- internals
 
-    def _descriptor(self, vaddr: int, length: int, stream: StreamType, dest: int, wr_id: int) -> Descriptor:
-        return Descriptor(
-            vfpga_id=self.vfpga_id,
-            pid=self.pid,
-            vaddr=vaddr,
-            length=length,
-            stream=stream,
-            dest=dest,
-            wr_id=wr_id,
-        )
-
     def _writeback_enabled(self) -> bool:
         return self.driver.shell.config.services.mover.writeback
 
-    def _timeout_entry(self, write: bool, wr_id: int, stream: StreamType) -> CompletionEntry:
-        """Give up on a completion: deregister it and report the error."""
-        self.ctx.forget(write, wr_id)
+    def _timeout_entry(self, wr_id: int, stream: StreamType) -> CompletionEntry:
+        """Give up on a completion and report the error."""
         self.driver.invoke_timeouts += 1
         return CompletionEntry(
             vfpga_id=self.vfpga_id,
@@ -264,82 +264,68 @@ class CThread:
             status="timeout",
         )
 
+    def _local(
+        self, opcode: RingOpcode, sg: LocalSg, timeout_ns: Optional[float] = None
+    ) -> Generator:
+        """Issue one local operation as a batch of one and wait for it.
+
+        ``READ`` moves src into the kernel, ``WRITE`` collects kernel
+        output into dst, ``TRANSFER`` does both.  The submit is untimed:
+        no ring slot is filled and no doorbell CSR is written.
+        """
+        dest = self.stream_dest
+        if opcode is RingOpcode.WRITE:
+            op = RingOp(
+                opcode, mr_key=None, length=sg.dst_len,
+                stream=sg.dst_stream, dest=sg.dst_dest or dest,
+            )
+            slot = (op, sg.dst_addr, None)
+        else:
+            op = RingOp(
+                opcode, mr_key=None, length=sg.src_len,
+                stream=sg.src_stream, dest=sg.src_dest or dest,
+                dst_length=sg.dst_len, dst_stream=sg.dst_stream,
+                dst_dest=sg.dst_dest or dest,
+            )
+            slot = (op, sg.src_addr, sg.dst_addr)
+        batch = self.driver._issue(self.ctx, [slot])
+        stream = sg.src_stream if opcode is RingOpcode.READ else sg.dst_stream
+        return (yield from self._await_completion(batch, stream, timeout_ns))
+
     def _await_completion(
         self,
-        event,
-        write: bool,
-        wr_id: int,
+        batch: CompletionBatch,
         stream: StreamType,
         timeout_ns: Optional[float] = None,
     ) -> Generator:
-        """Writeback mode: sleep until the driver resolves the completion
+        """Writeback mode: sleep until the driver resolves the batch's
         event.  Polling mode: spin on MMIO until it resolved.  Either way
-        a ``timeout_ns`` deadline yields an error completion, not a hang."""
+        a ``timeout_ns`` deadline yields an error completion, not a hang,
+        and the table absorbs the completion if it still arrives."""
+        event = batch.event
         if self._writeback_enabled():
             if timeout_ns is None:
-                entry = yield event
-                return entry
+                return (yield event)[0]
             yield AnyOf(self.env, [event, self.env.timeout(timeout_ns)])
-            if event.triggered:
-                return event.value
-            return self._timeout_entry(write, wr_id, stream)
-        deadline = None if timeout_ns is None else self.env.now + timeout_ns
-        while not event.triggered:
-            if deadline is not None and self.env.now >= deadline:
-                return self._timeout_entry(write, wr_id, stream)
-            yield self.env.timeout(POLL_INTERVAL_NS + CSR_READ_NS)
+        else:
+            deadline = None if timeout_ns is None else self.env.now + timeout_ns
+            while not event.triggered and (
+                deadline is None or self.env.now < deadline
+            ):
+                yield self.env.timeout(POLL_INTERVAL_NS + CSR_READ_NS)
+        if not event.triggered:
+            self.ctx.rings.abandon(batch)
+            return self._timeout_entry(batch.keys[0][1], stream)
         if not event.ok:
             raise event.value  # e.g. RecoveredError from a region reset
-        return event.value
-
-    def _local_transfer(self, sg: LocalSg, timeout_ns: Optional[float] = None) -> Generator:
-        """Read src into the kernel, collect kernel output into dst."""
-        wr_id = next(_wr_ids)
-        done = self.ctx.expect(self.env, write=True, wr_id=wr_id)
-        self.driver.post_descriptor(
-            self._descriptor(sg.src_addr, sg.src_len, sg.src_stream,
-                             sg.src_dest or self.stream_dest, wr_id),
-            write=False,
-        )
-        self.driver.post_descriptor(
-            self._descriptor(sg.dst_addr, sg.dst_len, sg.dst_stream,
-                             sg.dst_dest or self.stream_dest, wr_id),
-            write=True,
-        )
-        return (yield from self._await_completion(
-            done, True, wr_id, sg.dst_stream, timeout_ns
-        ))
-
-    def _local_read(self, sg: LocalSg, timeout_ns: Optional[float] = None) -> Generator:
-        wr_id = next(_wr_ids)
-        done = self.ctx.expect(self.env, write=False, wr_id=wr_id)
-        self.driver.post_descriptor(
-            self._descriptor(sg.src_addr, sg.src_len, sg.src_stream,
-                             sg.src_dest or self.stream_dest, wr_id),
-            write=False,
-        )
-        return (yield from self._await_completion(
-            done, False, wr_id, sg.src_stream, timeout_ns
-        ))
-
-    def _local_write(self, sg: LocalSg, timeout_ns: Optional[float] = None) -> Generator:
-        wr_id = next(_wr_ids)
-        done = self.ctx.expect(self.env, write=True, wr_id=wr_id)
-        self.driver.post_descriptor(
-            self._descriptor(sg.dst_addr, sg.dst_len, sg.dst_stream,
-                             sg.dst_dest or self.stream_dest, wr_id),
-            write=True,
-        )
-        return (yield from self._await_completion(
-            done, True, wr_id, sg.dst_stream, timeout_ns
-        ))
+        return event.value[0]
 
     def _rdma(self, sg: RdmaSg, write: bool, timeout_ns: Optional[float] = None) -> Generator:
         stack = self.driver.shell.dynamic.rdma
         if stack is None:
             raise ValueError("shell has no RDMA service")
         verb = stack.rdma_write if write else stack.rdma_read
-        wr_id = next(_wr_ids)
+        wr_id = next(_rdma_wr_ids)
         proc = self.env.process(
             verb(sg.qpn, sg.local_addr, sg.remote_addr, sg.len, wr_id=wr_id)
         )
@@ -352,7 +338,7 @@ class CThread:
             # propagates out of the simulation as an unhandled failure.
             proc.defuse()
             proc.interrupt("invoke timeout")
-            return self._timeout_entry(write, wr_id, StreamType.NET)
+            return self._timeout_entry(wr_id, StreamType.NET)
         return None
 
     # ----------------------------------------------------------------- RDMA
@@ -371,10 +357,10 @@ class CThread:
     def close(self) -> None:
         """Release the driver context.
 
-        Closing mid-batch is safe: the driver fails every pending
-        completion and in-flight ring batch with a typed
+        Closing mid-batch is safe: the driver fails every in-flight
+        batch with a typed
         :class:`~repro.driver.errors.ProcessClosedError` before tearing
-        the mappings down, so concurrent invokes/post_many callers see an
-        error instead of parking forever.
+        the mappings down, so concurrent invoke/post_many callers see
+        an error instead of parking forever.
         """
         self.driver.close(self.pid)

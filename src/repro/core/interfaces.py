@@ -60,7 +60,7 @@ class Descriptor:
     wr_id: int = 0
     last: bool = True  # signal completion when done
     #: Memory-region key the vaddr was resolved from, when the request
-    #: came through the ring path (None for legacy raw-vaddr ioctls).
+    #: came through a ring slot (None for the raw-vaddr ops ``invoke`` issues).
     mr_key: Optional[int] = None
 
     def __post_init__(self) -> None:

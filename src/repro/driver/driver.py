@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Generator, List, Optional, Tuple
+from typing import Callable, Dict, Generator, List, Optional
 
 from ..core.bitstream import Bitstream, BitstreamKind
-from ..core.interfaces import CompletionEntry, Descriptor, StreamType
+from ..core.interfaces import CompletionEntry, Descriptor
 from ..core.reconfig import IcapController, IcapCrcError, ReconfigError
 from ..core.shell import Shell
 from ..core.vfpga import UserApp
@@ -43,6 +43,7 @@ from .errors import (
 from .ringbuf import (
     DEFAULT_RING_SLOTS,
     CommandRing,
+    CompletionBatch,
     MemoryRegion,
     MrTable,
     RingOp,
@@ -62,10 +63,6 @@ PAGE_FAULT_OVERHEAD_NS = 12_000.0
 #: How long the driver waits for RECONFIG_DONE before falling back to
 #: polling the ICAP status register (lost-interrupt recovery).
 RECONFIG_IRQ_TIMEOUT_NS = 50_000.0
-#: Ring work-request ids live above this base so they can never collide
-#: with the cThread-allocated ids of the legacy ioctl path.
-RING_WR_ID_BASE = 1 << 20
-
 #: Host physical address regions per page size, so frames never collide.
 _HOST_REGION_4K = (0x0000_0000, 8 << 30)
 _HOST_REGION_2M = (8 << 30, 24 << 30)
@@ -80,37 +77,13 @@ class ProcessContext:
     vfpga_id: int
     page_table: PageTable
     valloc: VirtualAllocator
-    completions_rd: Store
-    completions_wr: Store
     interrupts: Store  # eventfd analogue
+    #: The in-flight table every submit registers in (invoke and ring
+    #: alike), plus the command ring once ``Driver.setup_rings`` armed it.
+    rings: RingState
     allocations: List[Allocation] = field(default_factory=list)
-    #: Completion events registered by wr_id, so concurrent invokes from
-    #: the same thread never steal each other's completions.
-    pending: Dict[Tuple[bool, int], object] = field(default_factory=dict)
-    #: Registration timestamps of ``pending`` keys; the per-cThread
-    #: watchdog ages these to spot one stuck lane on a busy region.
-    pending_since: Dict[Tuple[bool, int], float] = field(default_factory=dict)
-    #: The one-slot command ring the legacy per-call ioctl rides on
-    #: (every ``post_descriptor`` is a one-descriptor doorbell).
-    ioctl_ring: Optional[CommandRing] = None
-    #: Batched command/completion rings, armed by ``Driver.setup_rings``.
-    rings: Optional[RingState] = None
     #: Registered memory regions (the MTT shadow for ring descriptors).
     mrs: Optional[MrTable] = None
-
-    def expect(self, env: Environment, write: bool, wr_id: int):
-        """Register interest in a completion before posting descriptors."""
-        from ..sim.engine import Event
-
-        event = Event(env)
-        self.pending[(write, wr_id)] = event
-        self.pending_since[(write, wr_id)] = env.now
-        return event
-
-    def forget(self, write: bool, wr_id: int):
-        """Deregister a pending completion (timeout/abort paths)."""
-        self.pending_since.pop((write, wr_id), None)
-        return self.pending.pop((write, wr_id), None)
 
 
 class Driver:
@@ -160,7 +133,7 @@ class Driver:
         self.ring_full_stalls = 0
         self.mrs_registered = 0
         self.mrs_deregistered = 0
-        self._ring_wr_ids = itertools.count(RING_WR_ID_BASE)
+        self._wr_ids = itertools.count(1)
         #: AppSchedulers driving this card's regions; they register
         #: themselves so card_report() can harvest their telemetry.
         self.schedulers: List = []
@@ -238,18 +211,8 @@ class Driver:
                 self.completions_delivered.get(entry.vfpga_id, 0) + 1
             )
             ctx = self.processes.get(entry.pid)
-            if ctx is None:
-                continue  # completion for an exited process
-            if ctx.rings is not None and ctx.rings.on_completion(write, entry):
-                # A ring batch consumed it; the batch event is the single
-                # writeback for the whole drained doorbell.
-                continue
-            waiter = ctx.forget(write, entry.wr_id)
-            if waiter is not None:
-                waiter.succeed(entry)
-                continue
-            target = ctx.completions_wr if write else ctx.completions_rd
-            yield target.put(entry)
+            if ctx is not None:  # else: completion for an exited process
+                ctx.rings.on_completion(write, entry)
 
     def _on_reconfig_done(self, value: int) -> None:
         waiters, self._reconfig_done_waiters = self._reconfig_done_waiters, []
@@ -283,10 +246,8 @@ class Driver:
             vfpga_id=vfpga_id,
             page_table=PageTable(pid, page),
             valloc=VirtualAllocator(),
-            completions_rd=Store(self.env),
-            completions_wr=Store(self.env),
             interrupts=Store(self.env),
-            ioctl_ring=CommandRing(slots=1),
+            rings=RingState(self.env),
             mrs=MrTable(pid),
         )
         self.processes[pid] = ctx
@@ -295,8 +256,8 @@ class Driver:
     def close(self, pid: int, reason: str = "closed") -> None:
         """Tear down a process context.
 
-        Closing mid-flight must not strand waiters: every pending
-        completion and every in-flight ring batch fails with a typed
+        Closing mid-flight must not strand waiters: every in-flight
+        batch (an invoke's or a doorbell's) fails with a typed
         :class:`ProcessClosedError` before the pages go away, so a
         cThread closed mid-batch flushes instead of parking forever.
         Registered MRs are dropped (unpinning their TLB entries) and all
@@ -305,23 +266,10 @@ class Driver:
         ctx = self.processes.pop(pid, None)
         if ctx is None:
             raise DriverError(f"pid {pid} not registered")
-        exc = ProcessClosedError(pid, reason)
-        for event in ctx.pending.values():
-            if not event.triggered:
-                event.defuse().fail(exc)
-        ctx.pending.clear()
-        ctx.pending_since.clear()
-        if ctx.rings is not None:
-            ctx.rings.fail_batches(exc)
-        mmu = self.shell.dynamic.mmus.get(ctx.vfpga_id)
+        ctx.rings.fail_all(ProcessClosedError(pid, reason))
         if ctx.mrs is not None:
-            page = ctx.page_table.page_size
             for mr in sorted(ctx.mrs, key=lambda m: m.key):
-                if mmu is not None:
-                    start = mr.vaddr - (mr.vaddr % page)
-                    while start < mr.end:
-                        mmu.unpin(start)
-                        start += page
+                self._unpin(ctx, self._mr_pages(ctx, mr))
                 self.mrs_deregistered += 1
         for alloc in ctx.allocations:
             self._free_pages(ctx, alloc)
@@ -690,15 +638,14 @@ class Driver:
     # --------------------------------------------------------------- ioctls
 
     def post_descriptor(self, desc: Descriptor, write: bool) -> None:
-        """Legacy per-call ioctl: a one-descriptor doorbell.
+        """Admit one descriptor and hand it to the shell: a doorbell for
+        a single descriptor, with no ring slot behind it.
 
         Enforces process/vFPGA isolation: a pid may only drive the vFPGA
         it opened, so one tenant cannot queue work (or read completions)
-        on another tenant's region.  The descriptor rides the process's
-        one-slot :class:`~repro.driver.ringbuf.CommandRing`: every call
-        posts one slot and immediately drains it, so the per-call path
-        shares the ring submit machinery (and its telemetry) while
-        keeping its synchronous semantics.
+        on another tenant's region.  ``invoke`` issues each of its
+        descriptors through here; a ring doorbell is admitted once for
+        the whole drain instead.
         """
         ctx = self._ctx(desc.pid)
         if desc.length <= 0:
@@ -711,14 +658,12 @@ class Driver:
                 f"length {desc.length}; nothing to transfer"
             )
         self._check_submit(ctx, desc.vfpga_id)
-        ctx.ioctl_ring.post((desc, write))
         self.ring_doorbells += 1
-        for queued, queued_write in ctx.ioctl_ring.drain():
-            self.ring_descriptors += 1
-            self.shell.post_descriptor(queued, queued_write)
+        self.ring_descriptors += 1
+        self.shell.post_descriptor(desc, write)
 
     def _check_submit(self, ctx: ProcessContext, vfpga_id: int) -> None:
-        """Shared isolation/health gate for both submit paths."""
+        """The isolation/health gate every doorbell passes."""
         if ctx.vfpga_id != vfpga_id:
             raise DriverError(
                 f"pid {ctx.pid} is bound to vFPGA {ctx.vfpga_id}, "
@@ -744,15 +689,13 @@ class Driver:
         or batches are in flight is refused — the rings are the ABI, not
         a resize-anytime buffer.
         """
-        ctx = self._ctx(pid)
-        if ctx.rings is not None and (
-            ctx.rings.cmd.occupancy or ctx.rings.outstanding
-        ):
+        rings = self._ctx(pid).rings
+        if (rings.cmd is not None and rings.cmd.occupancy) or rings.outstanding:
             raise RingError(
                 f"pid {pid}: cannot re-arm rings with work in flight"
             )
-        ctx.rings = RingState(self.env, slots)
-        return ctx.rings
+        rings.cmd = CommandRing(slots)
+        return rings
 
     def register_mr(
         self, pid: int, vaddr: int, length: int, writable: bool = True
@@ -776,38 +719,42 @@ class Driver:
         rolling the entry back on an unmapped page; charges the per-page
         registration ioctl latency."""
         mmu = self.shell.dynamic.mmus[ctx.vfpga_id]
-        page = ctx.page_table.page_size
         pinned = []
-        start = mr.vaddr - (mr.vaddr % page)
         try:
-            while start < mr.end:
-                entry = ctx.page_table.walk(start)
+            for vaddr in self._mr_pages(ctx, mr):
+                entry = ctx.page_table.walk(vaddr)
                 mmu.prefill(
-                    start, entry.paddr_in(entry.location), entry.location
+                    vaddr, entry.paddr_in(entry.location), entry.location
                 )
-                mmu.pin(start)
-                pinned.append(start)
-                start += page
+                mmu.pin(vaddr)
+                pinned.append(vaddr)
         except SegmentationFault:
-            for addr in pinned:
-                mmu.unpin(addr)
+            self._unpin(ctx, pinned)
             ctx.mrs.deregister(mr.key)
             raise
         mr.num_pages = len(pinned)
         self.mrs_registered += 1
         yield self.env.timeout(MR_REGISTER_LATENCY_PER_PAGE_NS * len(pinned))
 
+    @staticmethod
+    def _mr_pages(ctx: ProcessContext, mr: MemoryRegion) -> range:
+        """Base vaddr of every page ``mr`` touches."""
+        page = ctx.page_table.page_size
+        return range(mr.vaddr - (mr.vaddr % page), mr.end, page)
+
+    def _unpin(self, ctx: ProcessContext, pages) -> None:
+        """Unpin ``pages`` in the process's vFPGA TLB (a shell swap may
+        have dropped the MMU; then there is nothing left to unpin)."""
+        mmu = self.shell.dynamic.mmus.get(ctx.vfpga_id)
+        if mmu is not None:
+            for vaddr in pages:
+                mmu.unpin(vaddr)
+
     def deregister_mr(self, pid: int, key: int) -> MemoryRegion:
         """Drop an MR: unpin its pages and retire the MTT entry (untimed)."""
         ctx = self._ctx(pid)
         mr = ctx.mrs.deregister(key)
-        mmu = self.shell.dynamic.mmus.get(ctx.vfpga_id)
-        if mmu is not None:
-            page = ctx.page_table.page_size
-            start = mr.vaddr - (mr.vaddr % page)
-            while start < mr.end:
-                mmu.unpin(start)
-                start += page
+        self._unpin(ctx, self._mr_pages(ctx, mr))
         self.mrs_deregistered += 1
         return mr
 
@@ -858,12 +805,12 @@ class Driver:
         yield from self._pin_mr_pages(ctx, mr)
         return mr
 
-    def _rings(self, ctx: ProcessContext) -> RingState:
-        if ctx.rings is None:
+    def _ring(self, ctx: ProcessContext) -> CommandRing:
+        if ctx.rings.cmd is None:
             raise RingError(
                 f"pid {ctx.pid}: rings not armed; call setup_rings() first"
             )
-        return ctx.rings
+        return ctx.rings.cmd
 
     def ring_post(self, pid: int, op: RingOp) -> int:
         """Fill the next cmdReqQ slot (a host-memory store — untimed).
@@ -876,25 +823,24 @@ class Driver:
         ``ring.full_stalls``); the doorbell frees the slots.
         """
         ctx = self._ctx(pid)
-        rings = self._rings(ctx)
-        length = op.length
-        dst_length = op.dst_length if op.dst_length is not None else op.length
-        if length <= 0 or (op.opcode is RingOpcode.TRANSFER and dst_length <= 0):
+        ring = self._ring(ctx)
+        transfer = op.opcode is RingOpcode.TRANSFER
+        dst_key, dst_length = op.dst
+        if op.length <= 0 or (transfer and dst_length <= 0):
             raise ZeroLengthDescriptorError(
                 f"pid {pid}: ring {op.opcode.value} op has nothing to "
-                f"transfer (length={length}, dst_length={dst_length})"
+                f"transfer (length={op.length}, dst_length={dst_length})"
             )
-        src_vaddr = ctx.mrs.resolve(
-            op.mr_key, op.offset, length, write=op.opcode is RingOpcode.WRITE
+        vaddr = ctx.mrs.resolve(
+            op.mr_key, op.offset, op.length, write=op.opcode is RingOpcode.WRITE
         )
         dst_vaddr = None
-        if op.opcode is RingOpcode.TRANSFER:
-            dst_key = op.dst_mr_key if op.dst_mr_key is not None else op.mr_key
+        if transfer:
             dst_vaddr = ctx.mrs.resolve(
                 dst_key, op.dst_offset, dst_length, write=True
             )
         try:
-            return rings.cmd.post((op, src_vaddr, dst_vaddr))
+            return ring.post((op, vaddr, dst_vaddr))
         except RingFullError:
             self.ring_full_stalls += 1
             raise
@@ -904,117 +850,91 @@ class Driver:
 
         Every slot posted since the last doorbell is fetched and issued
         to the shell *in this one call* — the caller pays a single CSR
-        write, not one ioctl per descriptor.  Returns the batch's
-        completion :class:`~repro.sim.engine.Event` (value: the
-        completion entries in post order — the batched cmdRespQ
-        writeback), or ``None`` when the ``ring.doorbell_drop`` fault
-        swallowed the MMIO write; the slots then stay pending until
-        software rings again.
+        write, not one per descriptor.  Returns the batch's completion
+        :class:`~repro.sim.engine.Event` (value: the completion entries
+        in post order — the batched cmdRespQ writeback), or ``None``
+        when the ``ring.doorbell_drop`` fault swallowed the MMIO write;
+        the slots then stay pending until software rings again.
         """
         ctx = self._ctx(pid)
-        rings = self._rings(ctx)
+        ring = self._ring(ctx)
         self._check_submit(ctx, ctx.vfpga_id)
         self.ring_doorbells += 1
         injector = self.shell.static.xdma.faults
         if injector is not None and injector.fires(RING_DOORBELL_DROP, pid):
             self.ring_doorbells_lost += 1
             return None
-        batch = rings.open_batch()
-        slots = rings.cmd.drain()
+        slots = ring.drain()
         if not slots:
-            batch.event.succeed([])
-            return batch.event
-        for op, src_vaddr, dst_vaddr in slots:
-            wr_id = next(self._ring_wr_ids)
-            if op.opcode is RingOpcode.READ:
-                rings.gate(batch, (False, wr_id))
-                self.shell.post_descriptor(
-                    self._ring_descriptor(
-                        ctx, src_vaddr, op.length, op.stream, op.dest,
-                        wr_id, op.mr_key,
-                    ),
-                    write=False,
-                )
-            elif op.opcode is RingOpcode.WRITE:
-                rings.gate(batch, (True, wr_id))
-                self.shell.post_descriptor(
-                    self._ring_descriptor(
-                        ctx, src_vaddr, op.length, op.stream, op.dest,
-                        wr_id, op.mr_key,
-                    ),
-                    write=True,
-                )
-            else:  # TRANSFER: read + write through the kernel, one wr_id
-                dst_length = (
-                    op.dst_length if op.dst_length is not None else op.length
-                )
-                dst_key = op.dst_mr_key if op.dst_mr_key is not None else op.mr_key
-                rings.gate(batch, (True, wr_id))
-                rings.absorb(batch, (False, wr_id))
-                self.shell.post_descriptor(
-                    self._ring_descriptor(
-                        ctx, src_vaddr, op.length, op.stream, op.dest,
-                        wr_id, op.mr_key,
-                    ),
-                    write=False,
-                )
-                self.shell.post_descriptor(
-                    self._ring_descriptor(
-                        ctx, dst_vaddr, dst_length, op.dst_stream,
-                        op.dst_dest, wr_id, dst_key,
-                    ),
-                    write=True,
-                )
+            return ctx.rings.open_batch().event.succeed([])
         self.ring_descriptors += len(slots)
         self.ring_batches += 1
-        return batch.event
+        return self._issue(ctx, slots, admitted=True).event
 
-    def _ring_descriptor(
-        self,
-        ctx: ProcessContext,
-        vaddr: int,
-        length: int,
-        stream: StreamType,
-        dest: int,
-        wr_id: int,
-        mr_key: int,
-    ) -> Descriptor:
-        return Descriptor(
-            vfpga_id=ctx.vfpga_id,
-            pid=ctx.pid,
-            vaddr=vaddr,
-            length=length,
-            stream=stream,
-            dest=dest,
-            wr_id=wr_id,
-            mr_key=mr_key,
-        )
+    def _issue(
+        self, ctx: ProcessContext, ops, admitted: bool = False
+    ) -> CompletionBatch:
+        """The one submit routine: turn resolved ops into descriptors.
+
+        ``ops`` are ``(RingOp, vaddr, dst_vaddr)`` triples whose slices
+        are already resolved to virtual addresses — drained ring slots,
+        or the single raw-vaddr op of an ``invoke``.  Each op draws one
+        ``wr_id``; a ``TRANSFER`` is a read and a write descriptor under
+        that one id, gated on the write and absorbing the read
+        completion.  ``admitted`` says the caller's doorbell already
+        passed :meth:`_check_submit` for the whole batch; otherwise every
+        descriptor is admitted on its own through
+        :meth:`post_descriptor`.  Gates are registered only once an op's
+        descriptors are with the shell, so a rejected op leaves nothing
+        behind in the table.
+        """
+        post = self.shell.post_descriptor if admitted else self.post_descriptor
+        batch = ctx.rings.open_batch()
+
+        def post_half(write, wr_id, vaddr, length, stream, dest, mr_key):
+            desc = Descriptor(
+                vfpga_id=ctx.vfpga_id,
+                pid=ctx.pid,
+                vaddr=vaddr,
+                length=length,
+                stream=stream,
+                dest=dest,
+                wr_id=wr_id,
+                mr_key=mr_key,
+            )
+            post(desc, write)
+
+        for op, vaddr, dst_vaddr in ops:
+            wr_id = next(self._wr_ids)
+            write = op.opcode is RingOpcode.WRITE
+            post_half(
+                write, wr_id, vaddr, op.length, op.stream, op.dest, op.mr_key
+            )
+            if op.opcode is RingOpcode.TRANSFER:
+                dst_key, dst_length = op.dst
+                post_half(
+                    True, wr_id, dst_vaddr, dst_length, op.dst_stream,
+                    op.dst_dest, dst_key,
+                )
+                ctx.rings.absorb((False, wr_id))
+                write = True
+            ctx.rings.gate(batch, (write, wr_id))
+        return batch
 
     # ------------------------------------------------------ health / recovery
 
     def fail_pending(self, vfpga_id: int, exc: Exception) -> int:
-        """Fail every pending completion event bound to a region.
+        """Fail every in-flight batch bound to a region.
 
         Part of the decouple step of recovery: software waiting on work
         the reset wiped gets a typed error instead of hanging forever.
-        Events are pre-defused because a polling-mode cThread may have no
-        waiter attached yet.
+        Returns the number of work requests failed.
         """
-        failed = 0
-        for ctx in self.processes.values():
-            if ctx.vfpga_id != vfpga_id:
-                continue
-            for event in ctx.pending.values():
-                if not event.triggered:
-                    event.defuse().fail(exc)
-                    failed += 1
-            ctx.pending.clear()
-            ctx.pending_since.clear()
-            if ctx.rings is not None:
-                # Ring batches gate on completions the reset wiped too;
-                # fail each in-flight batch once (its waiters all see exc).
-                failed += ctx.rings.fail_batches(exc)
-        return failed
+        return sum(
+            ctx.rings.fail_all(exc)
+            for ctx in self.processes.values()
+            if ctx.vfpga_id == vfpga_id
+        )
 
     def recover(self, vfpga_id: int, reason: str = "manual") -> Generator:
         """Quiesce, hot-reset, and reprogram one region (the recovery

@@ -4,16 +4,21 @@ Coyote v2's shell is driven the way modern NICs are: software writes
 work descriptors into fixed-slot rings living in host memory, then rings
 a doorbell CSR; the shell DMA-fetches every new slot in one burst and
 writes completions back in batches (blue-rdma's ``Ringbuf`` /
-``WorkQueueRingbuf`` layering is the reference implementation).  The
-per-call ioctl of :meth:`repro.driver.Driver.post_descriptor` survives on
-top of a one-slot ring, so the ring is the *only* submit path.
+``WorkQueueRingbuf`` layering is the reference implementation).
+
+There is one submit path.  A drained doorbell and a ``CThread.invoke``
+both end in the driver's issue routine, which draws work-request ids
+from one counter and registers every request in the process's
+:class:`RingState` in-flight table; an invoke is a batch of one that
+skips the ring slots and the doorbell write.  The completion demux,
+the health watchdogs, checkpointing and teardown read that one table.
 
 The model here keeps the ring mechanics honest but foreshortens one
 thing: slots are recycled when the doorbell drains them, not when their
 completions retire (a real ring frees slots at the consumer index).
 Draining at the doorbell keeps head/tail arithmetic observable while
 letting the completion side live in :class:`CompletionBatch` — the
-batched cmdRespQ writeback that fires **one** event per drained doorbell
+batched cmdRespQ writeback that fires **one** event per issued batch
 instead of one interrupt per work request.
 
 Ring descriptors never carry raw virtual addresses.  Software first
@@ -30,7 +35,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..core.interfaces import StreamType
 from ..sim.engine import Environment, Event
@@ -74,11 +79,13 @@ class RingOp:
     ``mr_key``/``offset``/``length`` name the source slice for ``READ``
     and ``TRANSFER`` and the destination slice for ``WRITE``; a
     ``TRANSFER`` additionally names its destination with the ``dst_*``
-    fields (``dst_length`` defaults to ``length``).
+    fields (``dst_length`` defaults to ``length``, ``dst_mr_key`` to
+    ``mr_key``).  ``mr_key`` is ``None`` only for the raw-vaddr ops
+    ``invoke`` issues, which never sit in a ring slot.
     """
 
     opcode: RingOpcode
-    mr_key: int
+    mr_key: Optional[int]
     offset: int = 0
     length: int = 0
     stream: StreamType = StreamType.HOST
@@ -88,6 +95,15 @@ class RingOp:
     dst_length: Optional[int] = None
     dst_stream: StreamType = StreamType.HOST
     dst_dest: int = 0
+
+    @property
+    def dst(self) -> Tuple[Optional[int], int]:
+        """A ``TRANSFER``'s destination ``(mr_key, length)``, defaults
+        applied."""
+        return (
+            self.mr_key if self.dst_mr_key is None else self.dst_mr_key,
+            self.length if self.dst_length is None else self.dst_length,
+        )
 
 
 @dataclass
@@ -260,92 +276,109 @@ class CommandRing:
 
 
 class CompletionBatch:
-    """The cmdRespQ writeback for one drained doorbell.
+    """The cmdRespQ writeback for one issued batch of work requests.
 
-    Each work request the drain produced registers a *gate* key; the
-    batch's event fires exactly once — when the last gate completes —
-    with the list of :class:`~repro.core.interfaces.CompletionEntry`
-    values in gate-registration order.  That single event is the "one
-    interrupt or poll per drain" of the ring ABI.  ``TRANSFER`` slots
-    also register an *absorb* key for their read half: that completion
-    is consumed silently instead of leaking into the legacy per-process
-    completion stores.
+    Each work request registers a *gate* key; the batch's event fires
+    exactly once — when the last gate completes — with the list of
+    :class:`~repro.core.interfaces.CompletionEntry` values in
+    gate-registration order.  That single event is the "one interrupt or
+    poll per drain" of the ring ABI; ``invoke`` waits on a batch of one.
     """
 
-    def __init__(self, event: Event):
+    def __init__(self, event: Event, issued_ns: float):
         self.event = event
-        self._order: List[Tuple[bool, int]] = []
+        #: When the batch was issued; every gate of a batch shares it
+        #: (the per-cThread watchdog ages gates by this stamp).
+        self.issued_ns = issued_ns
+        #: Gate keys ``(write, wr_id)`` in registration order.
+        self.keys: List[Tuple[bool, int]] = []
         self._entries: Dict[Tuple[bool, int], object] = {}
-        self._expected = 0
-
-    def expect(self, key: Tuple[bool, int]) -> None:
-        self._order.append(key)
-        self._expected += 1
 
     def collect(self, key: Tuple[bool, int], entry) -> bool:
         """Record one gate completion; True once the batch is complete."""
         self._entries[key] = entry
-        return len(self._entries) >= self._expected
+        return len(self._entries) >= len(self.keys)
 
     def results(self) -> List:
-        return [self._entries[key] for key in self._order]
-
-    @property
-    def outstanding(self) -> int:
-        return self._expected - len(self._entries)
+        return [self._entries[key] for key in self.keys]
 
 
 class RingState:
-    """One process's command ring plus its in-flight completion batches."""
+    """One process's submit state: the in-flight table, plus the command
+    ring once ``Driver.setup_rings`` mapped it.
 
-    def __init__(self, env: Environment, slots: int = DEFAULT_RING_SLOTS):
+    The table is the *only* record of work the hardware owes this
+    process.  A *gate* key is a work request software waits on; an
+    *absorb* key is a completion to consume silently (a ``TRANSFER``'s
+    read half, or the late completion of a batch its waiter gave up on).
+    Both submit paths — a drained doorbell and an ``invoke`` — register
+    here, so the completion demux, the watchdogs, checkpointing and
+    teardown read one structure.
+    """
+
+    def __init__(self, env: Environment):
         self.env = env
-        self.cmd = CommandRing(slots)
+        #: The cmdReqQ; ``None`` until ``Driver.setup_rings`` arms it.
+        self.cmd: Optional[CommandRing] = None
         self._gates: Dict[Tuple[bool, int], CompletionBatch] = {}
-        self._absorbed: Dict[Tuple[bool, int], CompletionBatch] = {}
-        self.batches_opened = 0
-        self.batches_completed = 0
+        self._absorbed: Set[Tuple[bool, int]] = set()
 
     def open_batch(self) -> CompletionBatch:
-        self.batches_opened += 1
-        return CompletionBatch(Event(self.env))
+        return CompletionBatch(Event(self.env), self.env.now)
 
     def gate(self, batch: CompletionBatch, key: Tuple[bool, int]) -> None:
-        batch.expect(key)
+        batch.keys.append(key)
         self._gates[key] = batch
 
-    def absorb(self, batch: CompletionBatch, key: Tuple[bool, int]) -> None:
-        self._absorbed[key] = batch
+    def absorb(self, key: Tuple[bool, int]) -> None:
+        self._absorbed.add(key)
+
+    def abandon(self, batch: CompletionBatch) -> None:
+        """The waiter gave up on ``batch`` (invoke timeout): its late
+        completions are absorbed instead of delivered."""
+        for key in batch.keys:
+            if self._gates.pop(key, None) is not None:
+                self._absorbed.add(key)
 
     @property
     def outstanding(self) -> int:
+        """Work requests software is still waiting on."""
         return len(self._gates)
 
-    def on_completion(self, write: bool, entry) -> bool:
-        """Route one hardware completion; True if the ring consumed it."""
-        key = (write, entry.wr_id)
-        if self._absorbed.pop(key, None) is not None:
-            return True
-        batch = self._gates.pop(key, None)
-        if batch is None:
-            return False
-        if batch.collect(key, entry):
-            self.batches_completed += 1
-            batch.event.succeed(batch.results())
-        return True
+    def __len__(self) -> int:
+        """Every completion the table still expects, absorbs included."""
+        return len(self._gates) + len(self._absorbed)
 
-    def fail_batches(self, exc: Exception) -> int:
+    def keys(self) -> List[Tuple[bool, int]]:
+        """The awaited ``(write, wr_id)`` keys, sorted."""
+        return sorted(self._gates)
+
+    def oldest_issue_ns(self) -> Optional[float]:
+        """Issue time of the longest-waiting gate (``None`` when idle)."""
+        return min(
+            (batch.issued_ns for batch in self._gates.values()), default=None
+        )
+
+    def on_completion(self, write: bool, entry) -> None:
+        """Route one hardware completion to its batch; a completion
+        nobody registered for is dropped."""
+        key = (write, entry.wr_id)
+        if key in self._absorbed:
+            self._absorbed.discard(key)
+            return
+        batch = self._gates.pop(key, None)
+        if batch is not None and batch.collect(key, entry):
+            batch.event.succeed(batch.results())
+
+    def fail_all(self, exc: Exception) -> int:
         """Fail every in-flight batch (region recovery / teardown).
 
-        Returns the number of *work requests* that will never complete,
-        mirroring :meth:`repro.driver.Driver.fail_pending` accounting.
+        Events are pre-defused because a polling-mode cThread may have no
+        waiter attached yet.  Returns the number of *work requests* that
+        will never complete.
         """
         failed = len(self._gates)
-        seen: List[CompletionBatch] = []
         for batch in self._gates.values():
-            if any(batch is b for b in seen):
-                continue
-            seen.append(batch)
             if not batch.event.triggered:
                 batch.event.defuse().fail(exc)
         self._gates.clear()

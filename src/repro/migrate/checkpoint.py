@@ -246,7 +246,6 @@ def snapshot_tenant(
     """
     ctx = driver._ctx(pid)
     vfpga = driver.shell.vfpgas[ctx.vfpga_id]
-    page = ctx.page_table.page_size
 
     credits = {}
     for stream in sorted(vfpga.rd_credits, key=lambda s: s.value):
@@ -262,7 +261,7 @@ def snapshot_tenant(
         kernel=kernel,
         csrs=vfpga.ctrl.snapshot(),
         credits=credits,
-        inflight_wrs=sorted([int(write), wr_id] for write, wr_id in ctx.pending),
+        inflight_wrs=[[int(write), wr_id] for write, wr_id in ctx.rings.keys()],
         memory=memory if memory is not None else memory_image(driver, pid),
     )
 
@@ -287,14 +286,11 @@ def snapshot_tenant(
                     "num_pages": mr.num_pages,
                 }
             )
-            start = mr.vaddr - (mr.vaddr % page)
-            while start < mr.end:
-                pinned.add(start)
-                start += page
+            pinned.update(driver._mr_pages(ctx, mr))
     ckpt.pinned_pages = sorted(pinned)
 
-    if ctx.rings is not None:
-        ring = ctx.rings.cmd
+    ring = ctx.rings.cmd
+    if ring is not None:
         ckpt.ring_slots = ring.slots
         ckpt.ring_head = ring.head
         ckpt.ring_tail = ring.tail

@@ -21,6 +21,7 @@ from repro import (
 )
 from repro.api import AppScheduler
 from repro.apps import HllApp, PassThroughApp
+from repro.driver import RingOp, RingOpcode
 from repro.driver.report import card_report
 from repro.faults import (
     APP_HANG,
@@ -54,6 +55,23 @@ def transfer_sg(src, dst, length):
     return SgEntry(
         local=LocalSg(src_addr=src, src_len=length, dst_addr=dst, dst_len=length)
     )
+
+
+def submit_transfer(ct, submit, src, dst, length):
+    """One src -> dst transfer through either door into the shell."""
+    if submit == "invoke":
+        return (yield from ct.invoke(
+            Oper.LOCAL_TRANSFER, transfer_sg(src.vaddr, dst.vaddr, length)))
+    ct.setup_rings()
+    src_mr = yield from ct.register_mr(src.vaddr, length, writable=False)
+    dst_mr = yield from ct.register_mr(dst.vaddr, length)
+    return (yield from ct.post_many([
+        RingOp(RingOpcode.TRANSFER, src_mr.key, length=length,
+               dst_mr_key=dst_mr.key)
+    ]))
+
+
+SUBMIT_PATHS = pytest.mark.parametrize("submit", ["invoke", "post_many"])
 
 
 def hang_rule(vfpga_id=0, **kwargs):
@@ -94,8 +112,9 @@ def test_watchdog_rejects_bad_deadline():
 # --------------------------------------- hang detection + recovery pipeline
 
 
-def _two_tenant_run(inject: bool):
+def _two_tenant_run(inject: bool, submit: str = "invoke"):
     """One tenant hangs (or not); the other runs a fixed workload.
+    ``submit`` picks the door the victim's transfer goes through.
 
     Returns (env, driver, outcome) after the simulation fully drains.
     """
@@ -115,8 +134,7 @@ def _two_tenant_run(inject: bool):
         src = yield from ct.get_mem(1 << 14)
         dst = yield from ct.get_mem(1 << 14)
         try:
-            yield from ct.invoke(Oper.LOCAL_TRANSFER,
-                                 transfer_sg(src.vaddr, dst.vaddr, 1 << 14))
+            yield from submit_transfer(ct, submit, src, dst, 1 << 14)
             outcome["victim"] = "ok"
         except RecoveredError:
             outcome["victim"] = "recovered"
@@ -154,7 +172,7 @@ def test_hung_tenant_is_recovered_and_isolated():
     assert states[1] == "healthy"
     assert report["card"] == "degraded"
     # Nothing unresolved: every pending completion was failed or delivered.
-    assert all(not ctx.pending for ctx in driver.processes.values())
+    assert all(not ctx.rings.outstanding for ctx in driver.processes.values())
     # The healthy tenant is isolated from the recovery storm next door.
     assert outcome["bystander_ns"] == pytest.approx(
         baseline["bystander_ns"], rel=0.10
@@ -163,6 +181,70 @@ def test_hung_tenant_is_recovered_and_isolated():
     telemetry = card_report(driver)["telemetry"]
     assert telemetry["health"]["recoveries"] == 1
     assert telemetry["health"]["hung_verdicts"] >= 1
+
+
+@SUBMIT_PATHS
+def test_kernel_hang_is_recovered_on_either_submit_path(submit):
+    """A hang is a hang whichever API the tenant used: the region
+    watchdog sees the in-flight work, trips once, and the waiter gets a
+    typed error instead of parking forever."""
+    env, driver, outcome = _two_tenant_run(inject=True, submit=submit)
+    assert outcome["victim"] == "recovered"
+    assert driver.health.hung_verdicts == 1
+    assert driver.recovery.total_recoveries() == 1
+    # Recovery flushed the table; the wiped work's completions never come.
+    assert all(len(ctx.rings) == 0 for ctx in driver.processes.values())
+
+
+@SUBMIT_PATHS
+def test_stuck_lane_trips_the_cthread_watchdog_on_either_submit_path(submit):
+    """The per-cThread watchdog ages every in-flight work request by its
+    issue time, so one wedged lane is named in ``stuck_pids`` — and
+    counted as a verdict — long before the region deadline."""
+    env = Environment()
+    shell = Shell(env, ShellConfig(num_vfpgas=1))
+    driver = Driver(env, shell)
+    config = HealthConfig(
+        poll_interval_ns=5_000.0,
+        deadline_ns=10_000_000.0,  # the region watchdog stays out of it
+        cthread_deadline_ns=40_000.0,
+        drain_ns=10_000.0,
+        auto_recover=False,
+    )
+    monitor = HealthMonitor(driver, config)
+    plan = FaultPlan(seed=11, rules=[hang_rule(0, at_events=(0,))])
+    FaultInjector(plan).arm(shell=shell)
+    shell.load_app(0, PassThroughApp())
+    ct = CThread(driver, 0, pid=1)
+    seen = {}
+
+    def victim():
+        src = yield from ct.get_mem(1 << 14)
+        dst = yield from ct.get_mem(1 << 14)
+        seen["submitted_ns"] = env.now
+        try:
+            yield from submit_transfer(ct, submit, src, dst, 1 << 14)
+        except RecoveredError:
+            seen["victim"] = "recovered"
+
+    def operator():
+        while "submitted_ns" not in seen:
+            yield env.timeout(5_000.0)
+        yield env.timeout(20_000.0)
+        seen["early"] = monitor.report().regions[0].stuck_pids
+        yield env.timeout(60_000.0)
+        seen["late"] = monitor.report().regions[0].stuck_pids
+        seen["verdicts"] = monitor.hung_verdicts
+        yield env.process(driver.recover(0, reason="operator"))
+
+    env.process(victim())
+    env.run(env.process(operator()))
+    env.run()
+    assert seen["early"] == ()  # in flight, but younger than the deadline
+    assert seen["late"] == (1,)
+    assert seen["verdicts"] >= 1
+    assert seen["victim"] == "recovered"
+    assert monitor.report().regions[0].stuck_pids == ()
 
 
 def test_decoupled_region_rejects_new_work():

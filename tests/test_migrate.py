@@ -13,7 +13,7 @@ import hashlib
 
 import pytest
 
-from repro import CThread, Environment, ServiceConfig
+from repro import CThread, Environment, LocalSg, Oper, ServiceConfig, SgEntry
 from repro.api import AppScheduler
 from repro.apps import AesEcbApp, PassThroughApp
 from repro.cluster import FpgaCluster
@@ -95,6 +95,36 @@ def test_checkpoint_roundtrip_preserves_payload():
     assert clone.csrs[40] == 0xDEAD and clone.csrs[41] == 0xBEEF
     assert len(clone.mrs) == 1 and clone.mrs[0]["num_pages"] == 2
     assert len(clone.memory) == 2  # two 4K pages imaged
+
+
+def test_snapshot_lists_ring_and_invoke_work_in_flight():
+    """``inflight_wrs`` comes from the one in-flight table, so work a
+    doorbell issued is captured exactly like an invoke's."""
+    env = Environment()
+    cluster = make_cluster(env)
+    thread, buf, mr = seed_tenant(env, cluster)
+    driver = cluster[0].driver
+    driver.shell.load_app(0, PassThroughApp())
+    assert snapshot_tenant(driver, 7).inflight_wrs == []  # posted, not rung
+
+    # The seeded READ is drained and issued; an invoke(LOCAL_WRITE)
+    # joins it in flight before either completes.
+    batch = driver.ring_doorbell(7)
+    env.process(thread.invoke(
+        Oper.LOCAL_WRITE,
+        SgEntry(local=LocalSg(dst_addr=buf.vaddr + PAGE_4K, dst_len=PAGE_4K)),
+    ))
+    env.run(until=env.now + 1.0)
+    ckpt = snapshot_tenant(driver, 7)
+    assert ckpt.inflight_wrs == [[0, 1], [1, 2]]  # ring READ, invoke WRITE
+    assert ckpt.ring_tail == ckpt.ring_head  # drained: no undrained ops left
+    clone = VfpgaCheckpoint.from_bytes(ckpt.to_bytes())
+    assert clone.inflight_wrs == ckpt.inflight_wrs
+    assert clone.version == CHECKPOINT_VERSION == 1
+
+    env.run(batch)
+    env.run()
+    assert snapshot_tenant(driver, 7).inflight_wrs == []
 
 
 def test_checkpoint_rejects_corrupt_checksum_and_magic():
@@ -242,8 +272,10 @@ def test_close_fails_pending_waiters_and_unpins_mr_pages():
         thread = CThread(driver, 0, pid=4)
         buf = yield from thread.get_mem(PAGE_4K, alloc_type=AllocType.REG)
         yield from thread.register_mr(buf.vaddr, PAGE_4K)
-        ctx = driver.processes[4]
-        event = ctx.expect(env, False, 99)
+        rings = driver.processes[4].rings
+        batch = rings.open_batch()
+        rings.gate(batch, (False, 99))
+        event = batch.event
         driver.close(4)
         try:
             yield event

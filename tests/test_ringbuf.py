@@ -12,9 +12,19 @@ import hashlib
 
 import pytest
 
-from repro import CThread, Driver, Environment, Shell, ShellConfig
+from repro import (
+    CThread,
+    Driver,
+    Environment,
+    LocalSg,
+    Oper,
+    ServiceConfig,
+    SgEntry,
+    Shell,
+    ShellConfig,
+)
 from repro.apps import PassThroughApp
-from repro.core import Descriptor
+from repro.core import Descriptor, MoverConfig
 from repro.driver import (
     CommandRing,
     DriverError,
@@ -249,14 +259,10 @@ def test_post_many_end_to_end_single_doorbell():
     assert driver.ring_batches == 1
     assert driver.ring_descriptors == requests
     assert driver.ring_full_stalls == 0
+    # Every gate retired and every TRANSFER read half was absorbed: the
+    # in-flight table holds nothing.
     rings = driver.processes[1].rings
-    assert rings.batches_completed == rings.batches_opened == 1
-    assert rings.outstanding == 0
-    # TRANSFER read halves were absorbed by the batch, not leaked to the
-    # legacy per-process completion stores.
-    ctx = driver.processes[1]
-    assert not ctx.completions_rd.items and not ctx.completions_wr.items
-    assert not ctx.pending
+    assert rings.outstanding == 0 and len(rings) == 0
 
 
 def test_post_many_full_ring_stalls_and_re_rings():
@@ -303,6 +309,85 @@ def test_post_descriptor_zero_length_rejected():
         driver.post_descriptor(desc, write=False)
     assert isinstance(excinfo.value, DriverError)  # typed, catchable as both
     assert driver.ring_descriptors == 0  # rejected before the ring
+
+
+# ------------------------------------- one submit path leaves no residue
+
+
+def run_invoke_transfers(count, length=1 << 16, timeout_ns=None, **shell_kw):
+    """``count`` x ``invoke(LOCAL_TRANSFER)``, then drain the sim."""
+    env, shell, driver, thread = make_thread(**shell_kw)
+    payload = bytes(i % 251 for i in range(length))
+    out = {"entries": []}
+
+    def main():
+        src = yield from thread.get_mem(length)
+        dst = yield from thread.get_mem(length)
+        thread.write_buffer(src.vaddr, payload)
+        sg = SgEntry(local=LocalSg(src_addr=src.vaddr, src_len=length,
+                                   dst_addr=dst.vaddr, dst_len=length))
+        for _ in range(count):
+            out["entries"].append((yield from thread.invoke(
+                Oper.LOCAL_TRANSFER, sg, timeout_ns=timeout_ns)))
+        out["dst"] = dst
+
+    env.run(env.process(main()))
+    env.run()  # trailing writebacks and late completions
+    out["data_ok"] = thread.read_buffer(out["dst"].vaddr, length) == payload
+    return env, shell, driver, out
+
+
+def assert_no_completion_state(shell, driver):
+    rings = driver.processes[1].rings
+    assert rings.outstanding == 0 and len(rings) == 0
+    vfpga = shell.vfpgas[0]
+    assert not vfpga.cq_rd.items and not vfpga.cq_wr.items
+
+
+def test_invoke_transfers_leave_no_completion_state_behind():
+    """A TRANSFER's read-half completion is consumed, not parked: the
+    process holds no completion state once its invokes returned."""
+    count = 10
+    env, shell, driver, out = run_invoke_transfers(count)
+    assert [e.status for e in out["entries"]] == ["success"] * count
+    assert out["data_ok"]
+    assert_no_completion_state(shell, driver)
+    # One doorbell and one descriptor per invoke descriptor, as before.
+    assert driver.ring_doorbells == driver.ring_descriptors == 2 * count
+    assert driver.ring_batches == 0  # no ring was drained
+
+
+@pytest.mark.parametrize("writeback", [True, False])
+def test_timed_out_invoke_absorbs_its_late_completion(writeback):
+    """The caller gave up, the hardware did not: the completion that
+    still arrives is consumed by the in-flight table, not parked."""
+    services = ServiceConfig(mover=MoverConfig(writeback=writeback))
+    env, shell, driver, out = run_invoke_transfers(
+        1, timeout_ns=500.0, services=services
+    )
+    (entry,) = out["entries"]
+    assert entry.status == "timeout" and entry.pid == 1
+    assert driver.invoke_timeouts == 1
+    assert out["data_ok"]  # the transfer itself ran to completion
+    assert_no_completion_state(shell, driver)
+
+
+def test_invoke_and_ring_share_one_wr_id_counter():
+    env, shell, driver, thread = make_thread()
+    seen = []
+
+    def main():
+        alloc = yield from thread.get_mem(4096)
+        thread.setup_rings(slots=4)
+        mr = yield from thread.register_mr(alloc.vaddr, 4096)
+        read = SgEntry(local=LocalSg(src_addr=alloc.vaddr, src_len=64))
+        seen.append((yield from thread.invoke(Oper.LOCAL_READ, read)).wr_id)
+        op = RingOp(opcode=RingOpcode.READ, mr_key=mr.key, length=64)
+        seen.extend(e.wr_id for e in (yield from thread.post_many([op, op])))
+        seen.append((yield from thread.invoke(Oper.LOCAL_READ, read)).wr_id)
+
+    env.run(env.process(main()))
+    assert seen == [1, 2, 3, 4]
 
 
 def test_setup_rings_refuses_rearm_with_work_in_flight():
