@@ -280,9 +280,13 @@ def bench_scheduler_churn(quick: bool) -> Dict[str, Any]:
 def bench_engine_events(quick: bool) -> Dict[str, Any]:
     """Raw DES-core throughput: dispatched events per host second.
 
-    A pure timer/relay stress with no hardware models attached, so the
-    number isolates the engine fast path (slots heap entries, relay
-    free-list, ``run_batch`` drain) from workload logic.
+    A pure timer stress with no hardware models attached — 64 tickers
+    on pooled ``env.sleep`` delays, so nearly every event goes through
+    the timed heap and the relay free-list.  It runs the same dispatch
+    loop every workload runs (all run forms share it), under an
+    attached profiler; it isolates that loop's heap side from workload
+    logic and says little about zero-delay hand-offs, which are most
+    events in the shell workloads (``bench_e2e`` measures those).
     """
     n_procs = 64
     steps = 400 if quick else 2_000

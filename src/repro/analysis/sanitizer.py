@@ -182,7 +182,7 @@ class SimSanitizer:
         across identically seeded runs.  Daemon waiters (a Store.get
         feeding an idle mover) legitimately appear here — it is
         :meth:`check_stuck_at_drain`, not this query, that asserts."""
-        scheduled = {id(event) for event in env._queue}
+        scheduled = {id(event) for event in env.scheduled()}
         entries = []
         for process in self._processes:
             if process.env is not env or not process.is_alive:

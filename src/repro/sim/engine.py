@@ -9,27 +9,37 @@ advances a priority queue of scheduled events.
 Simulated time is a float in **nanoseconds**.  All hardware models in
 ``repro`` agree on this unit; see :mod:`repro.sim.clock` for cycle helpers.
 
-Fast-path design (pinned by ``tests/test_engine_conformance.py``):
+Fast-path design (pinned by ``tests/test_engine_conformance.py``; the
+full account is DESIGN.md "Event engine internals"):
 
-* Events **are** their own heap entries: the ``(time, priority, seq)``
-  schedule key lives in ``__slots__`` on the event and ``__lt__`` compares
-  it, so scheduling allocates no key tuples and ``step()`` unpacks none.
+* Every scheduled event carries its ``(time, priority, seq)`` key in
+  ``__slots__``; dispatch order is ascending in that key, always.
+* Most events are **zero-delay hand-offs** (``succeed``/``fail``, relays,
+  process kick-off, ``sleep(0)``): their time is ``env.now``.  They are
+  appended to one of two FIFO **lanes** (URGENT, NORMAL) and never touch
+  the heap.  ``seq`` is monotone, so a lane is already sorted by key.
+  The heap holds only events whose time differs from ``now`` — future
+  timeouts — and orders them through ``Event.__lt__``.
+* **One dispatch loop** (:meth:`Environment._dispatch`) takes the least
+  of (lane head, heap top) and runs its callbacks.  ``step``,
+  ``run_batch`` and all three forms of ``run`` are thin callers of it;
+  the ``env.profiler``/``env.sanitizer`` hooks are re-read on every
+  event, so attaching one mid-run takes effect from the next event in
+  every form.
 * Internal one-shot relays (process kick-off, resume-after-processed,
   interrupts, :meth:`Environment.sleep`) come from a per-environment
   **free list** and are recycled right after dispatch.  Only events that
   are never exposed to user code are pooled; anything a process can hold
   a reference to (timeouts it composed into conditions, completion
   events, processes) is never recycled.
-* :meth:`Environment.run` drains through :meth:`Environment.run_batch`,
-  which inlines the step body and checks ``until`` conditions per batch
-  entry only where semantics require it.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from heapq import heappop, heappush
-from typing import Any, Callable, Generator, Iterable, List, Optional
+from typing import Any, Callable, Deque, Generator, Iterable, Iterator, List, Optional
 
 __all__ = [
     "Environment",
@@ -134,9 +144,10 @@ class Event:
         #: right after dispatch; never set on user-visible events.
         self._recycle = False
 
-    # The heap holds events directly: the schedule key lives in slots
-    # (written by ``Environment._schedule``) and ``heapq`` orders via
-    # ``__lt__`` — no per-entry key tuple is ever allocated.
+    # The schedule key lives in slots (written by
+    # ``Environment._schedule``), so lanes and heap hold events directly
+    # and no per-entry key tuple is ever allocated.  ``heapq`` orders the
+    # heap through ``__lt__``; the lanes are in key order by construction.
 
     def __lt__(self, other: "Event") -> bool:
         if self._time != other._time:
@@ -170,7 +181,7 @@ class Event:
             raise SimulationError("event already triggered")
         self._ok = True
         self._value = value
-        self.env._schedule(self, delay=0.0, priority=priority)
+        self.env._schedule(self, 0.0, priority)
         return self
 
     def fail(self, exception: BaseException, priority: int = NORMAL) -> "Event":
@@ -180,7 +191,7 @@ class Event:
             raise SimulationError("fail() needs an exception instance")
         self._ok = False
         self._value = exception
-        self.env._schedule(self, delay=0.0, priority=priority)
+        self.env._schedule(self, 0.0, priority)
         return self
 
     def defuse(self) -> "Event":
@@ -207,7 +218,7 @@ class Timeout(Event):
     A timeout is scheduled at construction but — unlike the historical
     behaviour of presetting ``_ok`` — it does not report ``triggered``
     until its delay actually elapsed: the engine flips it to triggered
-    at dispatch time (the ``_ok is None`` branch in the step loop).
+    at dispatch time (the ``_ok is None`` branch in the dispatch loop).
     """
 
     __slots__ = ("delay",)
@@ -218,7 +229,7 @@ class Timeout(Event):
         super().__init__(env)
         self._value = value
         self.delay = delay
-        env._schedule(self, delay=delay, priority=NORMAL)
+        env._schedule(self, delay, NORMAL)
 
     def succeed(self, value: Any = None, priority: int = NORMAL) -> "Event":
         raise SimulationError("a Timeout triggers by itself when its delay elapses")
@@ -262,45 +273,53 @@ class Process(Event):
         )
 
     def _resume(self, event: Event) -> None:
-        if not self.is_alive:
-            return
+        if self._ok is not None:
+            return  # finished while this wakeup was in flight
         # Detach from the event we were waiting for (interrupt case) and
         # mark it abandoned so queue-like resources (Store, Resource,
         # Container) skip it instead of delivering into a dead process.
-        if self._target is not None and self._target is not event:
-            if self._target.callbacks is not None:
+        waited = self._target
+        if waited is not None and waited is not event:
+            if waited.callbacks is not None:
                 try:
-                    self._target.callbacks.remove(self._resume)
+                    waited.callbacks.remove(self._resume)
                 except ValueError:
                     pass
-                if not self._target.callbacks:
-                    self._target._abandoned = True
+                if not waited.callbacks:
+                    waited._abandoned = True
         self._target = None
-        try:
-            if event._ok:
-                target = self._generator.send(event._value)
-            else:
-                event._defused = True
-                target = self._generator.throw(event._value)
-        except StopIteration as stop:
-            self.succeed(stop.value)
-            return
-        except BaseException as exc:
-            self.fail(exc)
-            return
-        if not isinstance(target, Event):
-            self._generator.throw(
-                SimulationError(f"process yielded non-event {target!r}")
-            )
-            return
+        generator = self._generator
+        ok, value = event._ok, event._value
+        if not ok:
+            event._defused = True
+        while True:
+            try:
+                if ok:
+                    target = generator.send(value)
+                else:
+                    target = generator.throw(value)
+            except StopIteration as stop:
+                self.succeed(stop.value)
+                return
+            except BaseException as exc:
+                self.fail(exc)
+                return
+            if isinstance(target, Event):
+                break
+            # Not an event: tell the generator, and treat whatever it
+            # does next (yield again, return, let it propagate) like any
+            # other resume.
+            ok = False
+            value = SimulationError(f"process yielded non-event {target!r}")
         if target.env is not self.env:
             raise SimulationError("event belongs to a different environment")
         self._target = target
-        if target.callbacks is None:
+        callbacks = target.callbacks
+        if callbacks is None:
             # Already processed: resume immediately (next loop iteration).
             self.env._relay(target._ok, target._value, self._resume, URGENT)
         else:
-            target.callbacks.append(self._resume)
+            callbacks.append(self._resume)
 
 
 class _Condition(Event):
@@ -364,18 +383,34 @@ class AnyOf(_Condition):
         self.succeed(self._collect())
 
 
+_INF = float("inf")
+
+
 class Environment:
-    """The event loop: a heap of events ordered by (time, priority, seq)."""
+    """The event loop: events dispatch in ``(time, priority, seq)`` order.
+
+    Pending events live in three containers, each already sorted by that
+    key: two FIFO lanes for events due at ``now`` (URGENT, NORMAL) and a
+    heap for everything else.  ``pending``, ``scheduled()`` and
+    ``peek_event()`` are the only supported views of "what is
+    scheduled"; nothing outside this module indexes the containers.
+    """
 
     def __init__(self, initial_time: float = 0.0):
         self.now = float(initial_time)
+        #: Events whose time differs from ``now`` (future timeouts).
         self._queue: List[Event] = []
+        #: Zero-delay lanes.  Invariant: every entry's ``_time`` equals
+        #: ``now``, so URGENT entries precede NORMAL ones and, ``seq``
+        #: being monotone, each lane is in key order.
+        self._urgent: Deque[Event] = deque()
+        self._normal: Deque[Event] = deque()
         self._seq = itertools.count()
         self._active = True
         #: Free list of recyclable internal relay events (see Event).
         self._relay_pool: List[Event] = []
-        #: Telemetry: events dispatched and deepest queue seen.  Plain
-        #: ints so the hot loop pays one increment / one compare.
+        #: Telemetry: events dispatched and most events pending at once.
+        #: Plain ints so the hot loop pays one increment / one compare.
         self.events_processed = 0
         self.queue_high_water = 0
         #: Optional :class:`repro.telemetry.SimProfiler`; when attached it
@@ -384,7 +419,7 @@ class Environment:
         #: Optional :class:`repro.analysis.SimSanitizer`.  Auto-attached
         #: process-wide under ``REPRO_SANITIZE=1``; observes only (never
         #: perturbs event order), and costs one ``is None`` branch per
-        #: step when detached — same pattern as ``profiler``.
+        #: event when detached — same pattern as ``profiler``.
         self.sanitizer = _default_sanitizer()
 
     # -- scheduling ------------------------------------------------------
@@ -395,13 +430,22 @@ class Environment:
         if self.sanitizer is not None:
             self.sanitizer.on_schedule(self, delay)
         event._scheduled = True
-        event._time = self.now + delay
+        now = self.now
+        event._time = when = now + delay
         event._prio = priority
-        event._seq = next(self._seq)
-        queue = self._queue
-        heappush(queue, event)
-        if len(queue) > self.queue_high_water:
-            self.queue_high_water = len(queue)
+        event._seq = seq = next(self._seq)
+        if when == now:
+            if priority == URGENT:
+                self._urgent.append(event)
+            else:
+                self._normal.append(event)
+        else:
+            heappush(self._queue, event)
+        # Every scheduled event is dispatched exactly once, so the
+        # number pending is (scheduled so far) - (dispatched so far).
+        pending = seq + 1 - self.events_processed
+        if pending > self.queue_high_water:
+            self.queue_high_water = pending
 
     def _relay(
         self,
@@ -428,18 +472,32 @@ class Environment:
         self._schedule(event, 0.0, priority)
         return event
 
-    def _reclaim(self, event: Event) -> None:
-        """Reset a dispatched relay and return it to the free list."""
-        event.callbacks = []
-        event._value = None
-        event._ok = None
-        event._scheduled = False
-        event._abandoned = False
-        event._defused = False
-        event._recycle = False
-        pool = self._relay_pool
-        if len(pool) < _POOL_LIMIT:
-            pool.append(event)
+    # -- what is scheduled -------------------------------------------------
+
+    @property
+    def pending(self) -> int:
+        """How many events are scheduled and not yet dispatched."""
+        return len(self._urgent) + len(self._normal) + len(self._queue)
+
+    def scheduled(self) -> Iterator[Event]:
+        """Every pending event, lanes and heap, in no particular order."""
+        return itertools.chain(self._urgent, self._normal, self._queue)
+
+    def peek_event(self) -> Optional[Event]:
+        """The event the next :meth:`step` dispatches, or ``None``."""
+        lane = self._urgent or self._normal
+        queue = self._queue
+        if not lane:
+            return queue[0] if queue else None
+        if queue and queue[0] < lane[0]:
+            return queue[0]
+        return lane[0]
+
+    @property
+    def peek(self) -> float:
+        """Time of the next scheduled event, or +inf if none."""
+        event = self.peek_event()
+        return event._time if event is not None else _INF
 
     # -- public factory helpers -----------------------------------------
 
@@ -479,71 +537,103 @@ class Environment:
 
     # -- execution -------------------------------------------------------
 
-    def step(self) -> None:
-        """Process the next scheduled event."""
-        queue = self._queue
-        if not queue:
-            raise SimulationError("no more events")
-        event = heappop(queue)
-        when = event._time
-        if self.sanitizer is not None:
-            self.sanitizer.on_step(self, when)
-        self.now = when
-        self.events_processed += 1
-        if event._ok is None:
-            event._ok = True  # a Timeout/sleep triggers as it dispatches
-        callbacks, event.callbacks = event.callbacks, None
-        if self.profiler is not None:
-            self.profiler.run_callbacks(event, callbacks)
-        else:
-            for callback in callbacks:
-                callback(event)
-        if event._ok is False and not event._defused:
-            # An unhandled failure propagates out of the simulation.
-            raise event._value
-        if event._recycle:
-            self._reclaim(event)
+    def _dispatch(
+        self, budget: int, sentinel: Optional[Event], horizon: float
+    ) -> int:
+        """The one dispatch loop; returns the number of events processed.
 
-    def run_batch(self, max_events: Optional[int] = None) -> int:
-        """Drain up to ``max_events`` events (all, when ``None``).
-
-        This is the engine's bulk fast path: the step body is inlined in
-        one loop with the queue, profiler and sanitizer bound to locals,
-        so a long drain pays no per-event method dispatch and no
-        ``until`` re-checks.  Returns the number of events processed.
-        Semantics are step-for-step identical to calling :meth:`step` in
-        a loop (the conformance suite pins this).
+        Runs until ``budget`` events were dispatched (negative: no
+        limit), ``sentinel`` was dispatched, the next event lies beyond
+        ``horizon``, or nothing is pending.  Each turn takes the least
+        ``(time, priority, seq)`` among the lane heads and the heap top.
         """
+        urgent = self._urgent
+        normal = self._normal
         queue = self._queue
-        sanitizer = self.sanitizer
-        profiler = self.profiler
-        budget = max_events if max_events is not None else -1
+        pool = self._relay_pool
         processed = 0
-        while queue and budget != 0:
-            event = heappop(queue)
-            when = event._time
+        while processed != budget:
+            lane = urgent or normal
+            if lane:
+                event = lane.popleft()
+                when = event._time
+                # The heap top precedes a lane head only when it fell due
+                # at this very instant with an older key (or was forced
+                # into the past by a negative ``_schedule`` delay).
+                if queue and queue[0]._time <= when and queue[0] < event:
+                    lane.appendleft(event)
+                    event = heappop(queue)
+                    when = event._time
+            elif queue:
+                event = queue[0]
+                when = event._time
+                if when > horizon:
+                    break
+                heappop(queue)
+            else:
+                break
+            sanitizer = self.sanitizer
             if sanitizer is not None:
                 sanitizer.on_step(self, when)
-            self.now = when
+            now = self.now
+            if when != now:
+                if when < now:
+                    self._spill_lanes()
+                self.now = when
             # Kept per-event (not batched at the end) so callbacks that
             # read the counter mid-drain — card_report from inside a
             # process, watchdog fingerprints — never see a stale value.
             self.events_processed += 1
             processed += 1
-            budget -= 1
             if event._ok is None:
-                event._ok = True
+                event._ok = True  # a Timeout/sleep triggers as it dispatches
             callbacks, event.callbacks = event.callbacks, None
+            profiler = self.profiler
             if profiler is not None:
                 profiler.run_callbacks(event, callbacks)
             else:
                 for callback in callbacks:
                     callback(event)
             if event._ok is False and not event._defused:
+                # An unhandled failure propagates out of the simulation.
                 raise event._value
             if event._recycle:
-                self._reclaim(event)
+                # Reset the dispatched relay and return it to the free list.
+                event.callbacks = []
+                event._value = None
+                event._ok = None
+                event._scheduled = False
+                event._abandoned = False
+                event._defused = False
+                event._recycle = False
+                if len(pool) < _POOL_LIMIT:
+                    pool.append(event)
+            if event is sentinel:
+                break
         return processed
+
+    def _spill_lanes(self) -> None:
+        """Move the lane entries to the heap: the clock is being forced
+        backwards (a negative ``_schedule`` delay, which the sanitizer
+        reports), so they are no longer due "now" and events scheduled
+        at the earlier time must be able to overtake them."""
+        for lane in (self._urgent, self._normal):
+            while lane:
+                heappush(self._queue, lane.popleft())
+
+    def step(self) -> None:
+        """Process the next scheduled event."""
+        if not self._dispatch(1, None, _INF):
+            raise SimulationError("no more events")
+
+    def run_batch(self, max_events: Optional[int] = None) -> int:
+        """Drain up to ``max_events`` events (all, when ``None``).
+
+        Returns the number of events processed.  Step-for-step identical
+        to calling :meth:`step` in a loop (the conformance suite pins
+        this).
+        """
+        return self._dispatch(-1 if max_events is None else max_events, None, _INF)
 
     def run(self, until: Optional[Any] = None) -> Any:
         """Run until the given time, event, or queue exhaustion.
@@ -553,32 +643,23 @@ class Environment:
         return its value).
         """
         if until is None:
-            self.run_batch()
+            self._dispatch(-1, None, _INF)
             return None
         if isinstance(until, Event):
             sentinel = until
-            step = self.step
-            while sentinel.callbacks is not None:
-                if not self._queue:
+            if sentinel.callbacks is not None:
+                self._dispatch(-1, sentinel, _INF)
+                if sentinel.callbacks is not None:
                     raise SimulationError(
                         "simulation ran out of events before the awaited "
                         f"event triggered ({sentinel!r}); likely deadlock"
                     )
-                step()
             if sentinel._ok is False:
                 raise sentinel._value
             return sentinel._value
         horizon = float(until)
         if horizon < self.now:
             raise SimulationError("cannot run into the past")
-        queue = self._queue
-        step = self.step
-        while queue and queue[0]._time <= horizon:
-            step()
+        self._dispatch(-1, None, horizon)
         self.now = horizon
         return None
-
-    @property
-    def peek(self) -> float:
-        """Time of the next scheduled event, or +inf if none."""
-        return self._queue[0]._time if self._queue else float("inf")

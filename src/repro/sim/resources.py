@@ -100,7 +100,7 @@ class Store:
 
     def put(self, item: Any) -> Event:
         event = Event(self.env)
-        getter = self._next_getter()
+        getter = self._next_getter() if self._getters else None
         if getter is not None:
             # Hand the item straight to the oldest waiting getter.
             getter.succeed(item)
@@ -117,13 +117,13 @@ class Store:
         if self.items:
             event.succeed(self.items.popleft())
             # A slot freed up: admit a blocked putter, if any.
-            entry = self._next_putter()
+            entry = self._next_putter() if self._putters else None
             if entry is not None:
                 put_event, item = entry
                 self.items.append(item)
                 put_event.succeed()
         else:
-            entry = self._next_putter()
+            entry = self._next_putter() if self._putters else None
             if entry is not None:
                 put_event, item = entry
                 put_event.succeed()
@@ -182,8 +182,15 @@ class Container:
         if amount <= 0:
             raise SimulationError("put amount must be positive")
         event = Event(self.env)
-        self._putters.append((event, amount))
-        self._settle()
+        if self._putters or self._getters:
+            self._putters.append((event, amount))
+            self._settle()
+        elif self.level + amount <= self.capacity:
+            # Nobody queued: the outcome _settle() would reach, directly.
+            self.level += amount
+            event.succeed()
+        else:
+            self._putters.append((event, amount))
         return event
 
     def get(self, amount: float) -> Event:
@@ -192,8 +199,14 @@ class Container:
         if amount > self.capacity:
             raise SimulationError("get amount exceeds capacity")
         event = Event(self.env)
-        self._getters.append((event, amount))
-        self._settle()
+        if self._putters or self._getters:
+            self._getters.append((event, amount))
+            self._settle()
+        elif self.level >= amount:
+            self.level -= amount
+            event.succeed()
+        else:
+            self._getters.append((event, amount))
         return event
 
     def _settle(self) -> None:

@@ -33,7 +33,7 @@ def collect_card_metrics(driver, registry: MetricsRegistry = None) -> MetricsReg
     # -- sim: the engine itself ------------------------------------------
     _set_counter(reg, "sim.events_processed", env.events_processed)
     queue = reg.gauge("sim.event_queue")
-    queue.set(len(env._queue))
+    queue.set(env.pending)
     queue.high_water = max(queue.high_water, env.queue_high_water)
     requests_served = sum(s.requests_served for s in driver.schedulers)
     if requests_served:

@@ -30,9 +30,16 @@ that pin:
 * Hypothesis property tests check double-run determinism, time
   monotonicity and seq uniqueness over fresh random seeds, and one test
   repeats the double-run digest check with the SimSanitizer active.
+* A **reference-model order test** drives random schedules through the
+  engine (zero-delay lanes + timed heap) and through a single
+  ``(time, prio, seq)`` heap a few lines long, and requires identical
+  dispatch sequences in every run form; a second one holds
+  ``Container``'s no-waiter fast paths to its generic settle loop.
 """
 
 import hashlib
+import heapq
+import itertools
 import json
 import os
 import random
@@ -54,8 +61,20 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 )
 
+from repro.analysis import SimSanitizer
 from repro.analysis import sanitizer as sanitizer_mod
-from repro.sim import AllOf, AnyOf, Environment, Event, Interrupt
+from repro.core.credit import Crediter
+from repro.sim import (
+    AllOf,
+    AnyOf,
+    Container,
+    Environment,
+    Event,
+    Interrupt,
+    SimulationError,
+    Timeout,
+)
+from repro.sim.engine import NORMAL, URGENT
 
 FIXTURE_PATH = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "fixtures", "engine_golden_traces.json"
@@ -177,8 +196,8 @@ def record_trace(seed):
     log = []
     _build_scenario(env, rng, log)
     trace = []
-    while env._queue:
-        trace.append(_heap_key(env._queue[0]))
+    while env.pending:
+        trace.append(_heap_key(env.peek_event()))
         env.step()
     return trace, log, env
 
@@ -301,6 +320,243 @@ def test_sanitized_run_observes_every_step():
         sanitizer_mod.activate(previous) if previous is not None else (
             sanitizer_mod.deactivate()
         )
+
+
+# ------------------------------------------------ reference-model order
+
+
+class _HeapModel:
+    """The whole scheduling contract: one heap keyed (time, prio, seq)."""
+
+    def __init__(self, now):
+        self.now = now
+        self.heap = []
+        self.seq = itertools.count()
+        self.high_water = 0
+        self.past_dispatches = 0
+
+    def schedule(self, _kind, prio, delay, fire):
+        heapq.heappush(self.heap, (self.now + delay, prio, next(self.seq), fire))
+        self.high_water = max(self.high_water, len(self.heap))
+
+    def run(self):
+        while self.heap:
+            when, prio, seq, fire = heapq.heappop(self.heap)
+            if when + 1e-9 < self.now:
+                self.past_dispatches += 1
+            self.now = when
+            fire((when, prio, seq))
+
+
+class _EngineBackend:
+    """The model's ``schedule``, through the engine's own entry points."""
+
+    def __init__(self, now):
+        self.env = Environment(now)
+        # Private instance: negative delays are violations by design here.
+        self.env.sanitizer = SimSanitizer()
+
+    def schedule(self, kind, prio, delay, fire):
+        env = self.env
+
+        def callback(event):
+            fire((env.now, event._prio, event._seq))
+
+        if kind == "relay":
+            env._relay(True, None, callback, prio)
+            return
+        if kind == "timeout":
+            event = Timeout(env, delay)
+        elif kind == "sleep":
+            event = env.sleep(delay)
+        else:
+            event = Event(env)
+        event.callbacks.append(callback)
+        if kind == "succeed":
+            event.succeed(priority=prio)
+        elif kind == "raw":
+            event._ok = True
+            env._schedule(event, delay, prio)
+
+
+#: Delays a node may ask for.  ``1e-9`` is a true delay at t=0 and is
+#: absorbed by float rounding at t=1e9 (the event is due "now").
+_DELAYS = [0.0, 1e-9, 0.5, 1.0, 2.0, 3.5]
+_MAX_SCHEDULED = 120
+
+_node = st.tuples(
+    st.sampled_from(["succeed", "relay", "timeout", "sleep", "raw"]),
+    st.sampled_from([URGENT, NORMAL]),
+    st.sampled_from(_DELAYS + [-1.0, -2.5]),
+    st.lists(st.integers(min_value=0, max_value=9), max_size=3),
+)
+
+
+def _play(backend, nodes, roots):
+    """Schedule ``roots``; each dispatched node schedules its children.
+    Returns the dispatch sequence and how many delays were negative."""
+    dispatched = []
+    counts = {"scheduled": 0, "negative": 0}
+
+    def spawn(index):
+        if counts["scheduled"] == _MAX_SCHEDULED:
+            return
+        counts["scheduled"] += 1
+        kind, prio, delay, children = nodes[index % len(nodes)]
+        if kind in ("succeed", "relay"):
+            delay = 0.0
+        elif kind in ("timeout", "sleep"):
+            # Always NORMAL, and the constructors reject negative delays.
+            prio, delay = NORMAL, abs(delay)
+        elif delay < 0:
+            counts["negative"] += 1
+
+        def fire(key):
+            dispatched.append(key + (index,))
+            for child in children:
+                spawn(child)
+
+        backend.schedule(kind, prio, delay, fire)
+
+    for root in roots:
+        spawn(root)
+    return dispatched, counts
+
+
+def _drive_step(env):
+    while env.pending:
+        head = env.peek_event()
+        key = (head._time, head._prio, head._seq)
+        before = env.events_processed
+        env.step()
+        assert env.events_processed == before + 1
+        yield key
+
+
+def _drive(env, form):
+    if form == "run":
+        env.run()
+    elif form == "run_batch":
+        while env.run_batch(3):
+            pass
+    elif form == "run_until_time":
+        horizon = env.now
+        while env.pending:
+            horizon = max(horizon, env.now) + 0.75
+            env.run(until=horizon)
+    else:
+        # Nothing triggers the awaited event: the loop drains everything
+        # and then reports the deadlock.
+        with pytest.raises(SimulationError, match="deadlock"):
+            env.run(until=Event(env))
+
+
+@settings(max_examples=MAX_EXAMPLES)
+@given(
+    nodes=st.lists(_node, min_size=1, max_size=10),
+    roots=st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=6),
+    start=st.sampled_from([0.0, 1e9]),
+    form=st.sampled_from(
+        ["step", "run", "run_batch", "run_until_time", "run_until_event"]
+    ),
+)
+def test_dispatch_order_matches_single_heap_model(nodes, roots, start, form):
+    model = _HeapModel(start)
+    expected, _ = _play(model, nodes, roots)
+    model.run()
+
+    engine = _EngineBackend(start)
+    env = engine.env
+    got, counts = _play(engine, nodes, roots)
+    if form == "step":
+        peeked = list(_drive_step(env))
+        assert peeked == [row[:3] for row in got], "peek_event() lied"
+    else:
+        _drive(env, form)
+
+    assert got == expected
+    assert env.pending == 0 and env.peek_event() is None
+    assert env.events_processed == len(expected)
+    assert env.queue_high_water == model.high_water
+    kinds = [v.kind for v in env.sanitizer.violations]
+    assert kinds == ["monotonicity"] * (counts["negative"] + model.past_dispatches)
+
+
+# ------------------------------------------- Container fast-path guard
+
+
+class _SettleOnlyContainer(Container):
+    """Reference: every get/put queues and runs the generic settle loop."""
+
+    def put(self, amount):
+        event = Event(self.env)
+        self._putters.append((event, amount))
+        self._settle()
+        return event
+
+    def get(self, amount):
+        event = Event(self.env)
+        self._getters.append((event, amount))
+        self._settle()
+        return event
+
+
+_container_op = st.one_of(
+    st.tuples(st.sampled_from(["get", "put"]), st.integers(1, 4)),
+    st.tuples(st.just("abandon"), st.integers(0, 30)),
+    st.tuples(st.just("refill"), st.just(0)),
+)
+
+
+@settings(max_examples=MAX_EXAMPLES)
+@given(ops=st.lists(_container_op, max_size=30), init=st.integers(0, 4))
+def test_container_fast_paths_match_the_settle_loop(ops, init):
+    """With no waiter queued ``get``/``put`` skip ``_settle``; with one
+    queued — live, abandoned, or stranded by a level reset — they must
+    not.  Same grants, same level, same events scheduled, op by op."""
+    envs = [Environment(), Environment()]
+    pools = [
+        Container(envs[0], capacity=4, init=init),
+        _SettleOnlyContainer(envs[1], capacity=4, init=init),
+    ]
+    issued = [[], []]
+    for name, arg in ops:
+        for pool, events in zip(pools, issued):
+            if name == "abandon":
+                if events:
+                    events[arg % len(events)]._abandoned = True
+            elif name == "refill":
+                pool.level = float(pool.capacity)  # what Crediter.reset() does
+            else:
+                events.append(getattr(pool, name)(arg))
+        assert pools[0].level == pools[1].level
+        assert [e.triggered for e in issued[0]] == [e.triggered for e in issued[1]]
+        assert envs[0].pending == envs[1].pending
+
+
+def test_crediter_reset_keeps_queued_acquirers_ahead_of_new_ones():
+    """reset() refills the pool behind the back of queued acquirers; the
+    next pool operation must settle them first, not jump the queue."""
+    env = Environment()
+    crediter = Crediter(env, credits=1, name="guarded")
+    order = []
+
+    def taker(tag):
+        # repro: allow[RES001] the credits are deliberately never returned
+        yield from crediter.acquire()
+        order.append(tag)
+
+    env.process(taker("first"))
+    env.process(taker("queued"))
+    env.run()
+    assert order == ["first"] and crediter.stalls == 1
+    assert crediter.reset() == 1
+    env.process(taker("late"))
+    env.run()
+    assert order == ["first", "queued"]
+    crediter.release()
+    env.run()
+    assert order == ["first", "queued", "late"]
 
 
 # ------------------------------------------------------- regeneration

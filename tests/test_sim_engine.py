@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis import SimSanitizer
 from repro.sim import (
     AllOf,
     AnyOf,
@@ -354,3 +355,129 @@ def test_undefused_failure_still_propagates():
     Event(env).fail(RuntimeError("nobody listening"))
     with pytest.raises(RuntimeError, match="nobody listening"):
         env.run()
+
+
+# ------------------------------------------------- non-event yields
+
+
+def test_process_that_catches_the_non_event_error_keeps_running():
+    """The SimulationError thrown in for a non-event yield is a resume
+    like any other: the event the generator yields next is waited on."""
+    env = Environment()
+
+    def proc():
+        try:
+            yield 5
+        except SimulationError:
+            yield env.timeout(3)
+        return env.now
+
+    p = env.process(proc())
+    assert env.run(p) == 3
+    assert not p.is_alive
+
+
+def test_uncaught_non_event_yield_fails_the_process():
+    env = Environment()
+    seen = []
+
+    def bad():
+        yield 5
+
+    def joiner(target):
+        try:
+            yield target
+        except SimulationError as exc:
+            seen.append(str(exc))
+
+    p = env.process(bad())
+    env.process(joiner(p))
+    env.run()  # the failure reached the joiner, so it does not escape
+    assert not p.is_alive and not p.ok
+    assert len(seen) == 1 and "non-event" in seen[0]
+
+
+# --------------------------------------------- hooks attached mid-run
+
+
+class _CountingProfiler:
+    """The engine's profiler contract: run the callbacks, observed."""
+
+    def __init__(self):
+        self.events = 0
+
+    def run_callbacks(self, event, callbacks):
+        self.events += 1
+        for callback in callbacks:
+            callback(event)
+
+
+class _CountingSanitizer(SimSanitizer):
+    def __init__(self):
+        super().__init__()
+        self.steps = 0
+        self.delays = []
+
+    def on_step(self, env, when):
+        self.steps += 1
+        super().on_step(env, when)
+
+    def on_schedule(self, env, delay):
+        self.delays.append(delay)
+        super().on_schedule(env, delay)
+
+
+def _step_until_empty(env, _done):
+    while env.pending:
+        env.step()
+
+
+def _batches_until_empty(env, _done):
+    while env.run_batch(2):
+        pass
+
+
+RUN_FORMS = {
+    "step": _step_until_empty,
+    "run_batch": _batches_until_empty,
+    "run": lambda env, _done: env.run(),
+    "run_until_event": lambda env, done: env.run(done),
+    "run_until_time": lambda env, _done: env.run(until=100),
+}
+
+
+@pytest.mark.parametrize("form", sorted(RUN_FORMS))
+@pytest.mark.parametrize("slot", ["profiler", "sanitizer"])
+def test_hook_attached_inside_a_process_sees_the_next_event(form, slot):
+    """``env.profiler``/``env.sanitizer`` set from inside a callback take
+    effect from the next dispatched event, and stop after the event that
+    cleared them, however the loop is being driven."""
+    env = Environment()
+    hook = _CountingProfiler() if slot == "profiler" else _CountingSanitizer()
+    marks = []
+
+    def proc():
+        yield env.timeout(1)
+        yield env.timeout(1)
+        previous = getattr(env, slot)
+        setattr(env, slot, hook)
+        marks.append(env.events_processed)
+        yield env.timeout(1)  # heap
+        yield env.event().succeed()  # lane
+        yield env.timeout(1)
+        setattr(env, slot, previous)
+        marks.append(env.events_processed)
+        yield env.timeout(1)
+        yield env.event().succeed()
+
+    done = env.process(proc())
+    RUN_FORMS[form](env, done)
+    assert not done.is_alive
+    attached, detached = marks
+    assert detached - attached == 3
+    if slot == "profiler":
+        assert hook.events == 3
+    else:
+        assert hook.steps == 3
+        assert hook.delays == [1, 0.0, 1]  # heap and lane schedules alike
+        assert hook.violations == []
