@@ -201,64 +201,6 @@ class AppScheduler:
         result = yield request.done
         return result
 
-    def submit_many(self, kernel: str, bodies: List[Callable]) -> Generator:
-        """Batched submit: enqueue every body, fire **one** wakeup edge.
-
-        The scheduling-layer analogue of the ring doorbell: N requests
-        enter the queue together and cost a single idle->work wakeup
-        (``submit`` pays one per idle period anyway, but a batch also
-        skips the per-request bookkeeping interleaving).  Admission
-        slots are still acquired per request, so back-pressure semantics
-        match ``submit``; a rejected batch refunds the slots it already
-        held.  Returns the bodies' results in submission order once all
-        of them ran.
-        """
-        if kernel not in self._kernels:
-            raise SchedulerError(f"unknown kernel {kernel!r}")
-        bodies = list(bodies)
-        if not bodies:
-            return []
-        if self.quarantined:
-            raise QuarantinedError(self.vfpga_id)
-        if self.driver.node_down:
-            raise NodeDownError(
-                self.driver.node_index if self.driver.node_index is not None else -1
-            )
-        held = 0
-        try:
-            if self._slots is not None:
-                for _ in bodies:
-                    if self._slots.level < 1:
-                        if self.admission == "reject":
-                            self.rejected_submits += 1
-                            raise AdmissionError(self.vfpga_id, self.max_queue_depth)
-                        self.queue_full_stalls += 1
-                    yield self._slots.get(1)
-                    held += 1
-                    if self.quarantined:
-                        raise QuarantinedError(self.vfpga_id)
-        except (AdmissionError, QuarantinedError):
-            if self._slots is not None and held:
-                self._slots.put(held)
-            raise
-        requests = [
-            _Request(
-                kernel=kernel, body=body, done=Event(self.env),
-                submitted_at=self.env.now,
-            )
-            for body in bodies
-        ]
-        self._queue.extend(requests)
-        if len(self._queue) > self.queue_depth_high_water:
-            self.queue_depth_high_water = len(self._queue)
-        if self.driver.health is not None:
-            self.driver.health.notify_activity()
-        self._notify()
-        results = []
-        for request in requests:
-            results.append((yield request.done))
-        return results
-
     # ------------------------------------------------------------ scheduling
 
     def _notify(self) -> None:

@@ -52,15 +52,11 @@ class FpgaCluster:
         num_vfpgas: int = 1,
         vfpga: VFpgaConfig = VFpgaConfig(),
         device: str = "u55c",
-        fabric=None,
     ):
         if num_nodes < 1:
             raise ValueError("cluster needs at least one node")
         self.env = env
-        #: The fabric: a single :class:`Switch` by default, or any object
-        #: with the same surface — e.g. a pre-built
-        #: :class:`repro.net.topology.LeafSpineTopology`.
-        self.switch = fabric if fabric is not None else Switch(env)
+        self.switch = Switch(env)
         if services is None:
             services = ServiceConfig(en_memory=True, en_rdma=True)
         self.services = services

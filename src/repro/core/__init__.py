@@ -8,6 +8,7 @@ from .floorplan import DEVICES, Device, Floorplan, PrRegion
 from .interfaces import (
     CompletionEntry,
     Descriptor,
+    DescriptorError,
     LocalSg,
     Oper,
     RdmaSg,
@@ -43,6 +44,7 @@ __all__ = [
     "StreamType",
     "Oper",
     "Descriptor",
+    "DescriptorError",
     "CompletionEntry",
     "SgEntry",
     "LocalSg",

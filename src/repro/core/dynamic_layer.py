@@ -20,6 +20,7 @@ from ..net.rdma import RdmaConfig, RdmaStack
 from ..net.sniffer import TrafficSniffer
 from ..net.switch import Switch
 from ..sim.engine import Environment
+from .interfaces import StreamType
 from .movers import CardDataMover, HostDataMover, MoverConfig
 from .static_layer import StaticLayer
 
@@ -83,6 +84,11 @@ class DynamicLayer:
             self.card_mover = CardDataMover(env, static.xdma, self.hbm, config.mover)
         # Host path is always present (it is what the static layer links).
         self.host_mover = HostDataMover(env, static.xdma, config.mover)
+        #: The datapath behind each stream kind this shell serves, host
+        #: first; a kind with no entry has no service to carry it.
+        self.movers = {StreamType.HOST: self.host_mover}
+        if self.card_mover is not None:
+            self.movers[StreamType.CARD] = self.card_mover
         # Networking services: RDMA (BALBOA) and/or the TCP/IP offload
         # stack, sharing one CMAC through a protocol demux.
         self.cmac: Optional[Cmac] = None

@@ -18,6 +18,7 @@ __all__ = [
     "StreamType",
     "Oper",
     "Descriptor",
+    "DescriptorError",
     "CompletionEntry",
     "LocalSg",
     "RdmaSg",
@@ -68,6 +69,13 @@ class Descriptor:
             raise ValueError("descriptor length must be positive")
         if self.vaddr < 0:
             raise ValueError("descriptor vaddr must be non-negative")
+
+
+class DescriptorError(ValueError):
+    """A send-queue descriptor the shell cannot serve: its stream kind
+    has no datapath in this shell build, or ``dest`` is past the
+    region's parallel streams.  Raised at ``Shell.post_descriptor``, in
+    the submitter's own frame, before anything is queued."""
 
 
 @dataclass

@@ -46,36 +46,6 @@ class MoverConfig:
     carry_data: bool = True  # move real payload bytes (False: timing only)
 
 
-class _RegionResetMixin:
-    """Per-region quiesce/restart used by the health recovery pipeline.
-
-    Subclasses record each region's worker processes in
-    ``self._region_procs[vfpga_id]`` and its descriptor queues in
-    ``self._region_queues[vfpga_id]`` (re-created by ``_spawn_region``).
-    """
-
-    def quiesce_region(self, vfpga_id: int) -> None:
-        """Stop the region's request units so no new packets enter the
-        shared pipeline; packets already admitted drain normally."""
-        for proc in self._region_procs.get(vfpga_id, ()):
-            if proc.is_alive:
-                # Nothing awaits mover workers; defuse so the interrupt
-                # is a clean stop, not an unhandled simulation failure.
-                proc.defuse()
-                proc.interrupt("region reset")
-
-    def restart_region(self, vfpga_id: int) -> int:
-        """Respawn the region's units with empty queues (post hot-reset).
-
-        Returns the number of queued descriptors discarded with the old
-        queues.
-        """
-        vfpga, _mmu = self._vfpgas[vfpga_id]
-        dropped = sum(len(q) for q in self._region_queues.get(vfpga_id, ()))
-        self._spawn_region(vfpga)
-        return dropped
-
-
 class _FlitAssembler:
     """Reassembles a flit stream into arbitrary-sized byte chunks.
 
@@ -112,15 +82,88 @@ class _FlitAssembler:
         return None
 
 
-class _CompletionMixin:
-    """Shared completion bookkeeping: CQ entry + optional writeback."""
+class _DataMover:
+    """What the host and card datapaths share, per stream kind.
 
-    def _complete(
-        self,
-        vfpga: VFpga,
-        packet: Packet,
-        write: bool,
-    ) -> Generator:
+    Per region (vFPGA) and direction there is one dispatch queue — where
+    the shell's send-queue dispatch hands descriptors — a relay that
+    fans them out by ``dest``, and one unit per parallel stream.  The
+    subclasses supply the units (:meth:`_rd_unit` / :meth:`_wr_unit`);
+    registration, the relay, completion bookkeeping and the health
+    pipeline's quiesce/restart live here.
+    """
+
+    #: The stream kind served; names the region's processes.
+    stream: StreamType
+    #: Infix of a unit's process name (``v0-host-rd-req3`` / ``v0-card-rd3``).
+    unit_tag = ""
+
+    def __init__(self, env: Environment, xdma: Xdma, config: MoverConfig):
+        self.env = env
+        self.xdma = xdma  # the card path uses it for writeback only
+        self.config = config
+        self.packetizer = Packetizer(config.packet_bytes)
+        self._vfpgas: Dict[int, Tuple[VFpga, Mmu]] = {}
+        self._region_procs: Dict[int, List] = {}
+        #: vfpga_id -> ``(dispatch queue, per-stream queues)`` for reads
+        #: and for writes, indexed by ``write``.
+        self._region_queues: Dict[int, Tuple] = {}
+        self.bytes_read = 0
+        self.bytes_written = 0
+
+    def register(self, vfpga: VFpga, mmu: Mmu) -> None:
+        if vfpga.vfpga_id in self._vfpgas:
+            raise ValueError(f"vFPGA {vfpga.vfpga_id} already registered")
+        self._vfpgas[vfpga.vfpga_id] = (vfpga, mmu)
+        self._spawn_region(vfpga)
+
+    def _spawn_region(self, vfpga: VFpga) -> None:
+        """(Re)create the region's dispatch relays, queues and units.
+
+        Called at registration and again by :meth:`restart_region` after
+        a hot-reset; what the fabric shares (the host path's arbiter
+        ports) persists, everything tenant-side is rebuilt empty.  One
+        unit per parallel stream in each direction, so one thread's slow
+        message never blocks another's (cThread independence) and card
+        throughput scales with HBM channels.
+        """
+        prefix = f"v{vfpga.vfpga_id}-{self.stream.value}"
+        lanes, procs = [], []
+        for write, direction in enumerate(("rd", "wr")):
+            dispatch = Store(self.env)
+            queues = [Store(self.env) for _ in vfpga.streams(self.stream, bool(write))]
+            lanes.append((dispatch, queues))
+            procs.append(self.env.process(
+                self._by_dest(dispatch, queues), name=f"{prefix}-{direction}-disp"
+            ))
+        for direction, unit, (_dispatch, queues) in zip(
+            ("rd", "wr"), (self._rd_unit, self._wr_unit), lanes
+        ):
+            for dest, queue in enumerate(queues):
+                procs.append(self.env.process(
+                    unit(vfpga, dest, queue),
+                    name=f"{prefix}-{direction}{self.unit_tag}{dest}",
+                ))
+        self._region_procs[vfpga.vfpga_id] = procs
+        self._region_queues[vfpga.vfpga_id] = lanes
+
+    def num_streams(self, vfpga_id: int, write: bool) -> int:
+        """How many parallel streams serve one direction of a region."""
+        return len(self._region_queues[vfpga_id][write][1])
+
+    def dispatch_queue(self, vfpga_id: int, write: bool) -> Store:
+        """Where the shell hands a region's checked descriptors."""
+        return self._region_queues[vfpga_id][write][0]
+
+    @staticmethod
+    def _by_dest(source: Store, queues: List[Store]) -> Generator:
+        # ``dest`` was range-checked at Shell.post_descriptor.
+        while True:
+            desc = yield source.get()
+            yield queues[desc.dest].put(desc)
+
+    def _complete(self, vfpga: VFpga, packet: Packet, write: bool) -> Generator:
+        """Completion bookkeeping: CQ entry + optional writeback."""
         desc = packet.descriptor
         entry = CompletionEntry(
             vfpga_id=desc.vfpga_id,
@@ -137,9 +180,38 @@ class _CompletionMixin:
             direction = "wr" if write else "rd"
             yield from self.xdma.writeback(f"v{desc.vfpga_id}-{desc.stream.value}-{direction}")
 
+    # ------------------------------------- health recovery: quiesce/restart
 
-class HostDataMover(_CompletionMixin, _RegionResetMixin):
+    def quiesce_region(self, vfpga_id: int) -> None:
+        """Stop the region's request units so no new packets enter the
+        shared pipeline; packets already admitted drain normally."""
+        for proc in self._region_procs.get(vfpga_id, ()):
+            if proc.is_alive:
+                # Nothing awaits mover workers; defuse so the interrupt
+                # is a clean stop, not an unhandled simulation failure.
+                proc.defuse()
+                proc.interrupt("region reset")
+
+    def restart_region(self, vfpga_id: int) -> int:
+        """Respawn the region's units with empty queues (post hot-reset).
+
+        Returns the number of queued descriptors discarded with the old
+        queues.
+        """
+        vfpga, _mmu = self._vfpgas[vfpga_id]
+        dropped = sum(
+            len(dispatch) + sum(len(queue) for queue in queues)
+            for dispatch, queues in self._region_queues.get(vfpga_id, ())
+        )
+        self._spawn_region(vfpga)
+        return dropped
+
+
+class HostDataMover(_DataMover):
     """Fair, credited host-memory datapath over the XDMA streaming channel."""
+
+    stream = StreamType.HOST
+    unit_tag = "-req"
 
     def __init__(
         self,
@@ -147,19 +219,13 @@ class HostDataMover(_CompletionMixin, _RegionResetMixin):
         xdma: Xdma,
         config: MoverConfig = MoverConfig(),
     ):
-        self.env = env
-        self.xdma = xdma
-        self.config = config
-        self.packetizer = Packetizer(config.packet_bytes)
+        super().__init__(env, xdma, config)
         self.rd_arbiter = RoundRobinArbiter(env, "host-rd-arb")
         self.wr_arbiter = RoundRobinArbiter(env, "host-wr-arb")
         #: Optional GPU for peer-to-peer transfers to GPU-resident pages
         #: (set by Driver.attach_gpu).
         self.gpu = None
-        self._vfpgas: Dict[int, Tuple[VFpga, Mmu]] = {}
         self._region_ports: Dict[int, Tuple] = {}
-        self._region_procs: Dict[int, List] = {}
-        self._region_queues: Dict[int, List[Store]] = {}
         # Translate/DMA pipeline stages.
         self._rd_staged: Store = Store(env, capacity=4)
         self._wr_staged: Store = Store(env, capacity=4)
@@ -167,75 +233,21 @@ class HostDataMover(_CompletionMixin, _RegionResetMixin):
         env.process(self._rd_dma(), name="host-rd-dma")
         env.process(self._wr_translate(), name="host-wr-xlat")
         env.process(self._wr_dma(), name="host-wr-dma")
-        self.bytes_read = 0
-        self.bytes_written = 0
 
-    def register(self, vfpga: VFpga, mmu: Mmu) -> None:
-        if vfpga.vfpga_id in self._vfpgas:
-            raise ValueError(f"vFPGA {vfpga.vfpga_id} already registered")
-        self._vfpgas[vfpga.vfpga_id] = (vfpga, mmu)
-        self._region_ports[vfpga.vfpga_id] = (
-            self.rd_arbiter.add_port(),
-            self.wr_arbiter.add_port(),
-        )
-        self._spawn_region(vfpga)
-
-    def _spawn_region(self, vfpga: VFpga) -> None:
-        """(Re)create the region's dispatch/request units and queues.
-
-        Called at registration and again by :meth:`restart_region` after
-        a hot-reset; the arbiter ports persist (the fabric is shared),
-        everything tenant-side is rebuilt empty.
-        """
-        rd_port, wr_port = self._region_ports[vfpga.vfpga_id]
-        # Per-stream request engines: one worker per parallel host stream
-        # in each direction, so one thread's slow message never blocks
-        # another thread's (this is what makes cThreads independent).
-        vfpga._host_rd_dispatch = Store(self.env)
-        vfpga._host_wr_dispatch = Store(self.env)
-        rd_queues = [Store(self.env) for _ in vfpga.host_in]
-        wr_queues = [Store(self.env) for _ in vfpga.host_out]
-        procs = [
-            self.env.process(
-                self._by_dest(vfpga._host_rd_dispatch, rd_queues),
-                name=f"v{vfpga.vfpga_id}-host-rd-disp",
-            ),
-            self.env.process(
-                self._by_dest(vfpga._host_wr_dispatch, wr_queues),
-                name=f"v{vfpga.vfpga_id}-host-wr-disp",
-            ),
-        ]
-        for dest, queue in enumerate(rd_queues):
-            procs.append(self.env.process(
-                self._rd_request_unit(vfpga, queue, rd_port),
-                name=f"v{vfpga.vfpga_id}-host-rd-req{dest}",
-            ))
-        for dest, queue in enumerate(wr_queues):
-            procs.append(self.env.process(
-                self._wr_request_unit(vfpga, dest, queue, wr_port),
-                name=f"v{vfpga.vfpga_id}-host-wr-req{dest}",
-            ))
-        self._region_procs[vfpga.vfpga_id] = procs
-        self._region_queues[vfpga.vfpga_id] = [
-            vfpga._host_rd_dispatch, vfpga._host_wr_dispatch,
-            *rd_queues, *wr_queues,
-        ]
+    def _ports(self, vfpga_id: int) -> Tuple:
+        """The region's (read, write) arbiter ports, added on first use:
+        the fabric is shared, so they outlive a region restart."""
+        if vfpga_id not in self._region_ports:
+            self._region_ports[vfpga_id] = (
+                self.rd_arbiter.add_port(), self.wr_arbiter.add_port(),
+            )
+        return self._region_ports[vfpga_id]
 
     # ---------------------------------------------------- per-vFPGA units
 
-    @staticmethod
-    def _by_dest(source: Store, queues) -> Generator:
-        while True:
-            desc = yield source.get()
-            if desc.dest >= len(queues):
-                raise ValueError(
-                    f"descriptor targets host stream {desc.dest}, "
-                    f"but only {len(queues)} exist"
-                )
-            yield queues[desc.dest].put(desc)
-
-    def _rd_request_unit(self, vfpga: VFpga, queue: Store, port) -> Generator:
+    def _rd_unit(self, vfpga: VFpga, dest: int, queue: Store) -> Generator:
         """Packetize + credit host-read descriptors, then interleave."""
+        port = self._ports(vfpga.vfpga_id)[0]
         while True:
             desc = yield queue.get()
             for packet in self.packetizer.split(desc):
@@ -243,13 +255,14 @@ class HostDataMover(_CompletionMixin, _RegionResetMixin):
                 yield from vfpga.rd_credits[StreamType.HOST].acquire()
                 yield from port.put(packet)
 
-    def _wr_request_unit(self, vfpga: VFpga, dest: int, queue: Store, port) -> Generator:
+    def _wr_unit(self, vfpga: VFpga, dest: int, queue: Store) -> Generator:
         """Pull data from the vFPGA *before* propagating write packets.
 
         The kernel's output flits need not align with packet boundaries
         (e.g. the NN kernel emits one small flit per input chunk), so the
         unit reassembles the byte stream into packet-sized writes.
         """
+        port = self._ports(vfpga.vfpga_id)[1]
         staged = _FlitAssembler()
         while True:
             desc = yield queue.get()
@@ -264,25 +277,31 @@ class HostDataMover(_CompletionMixin, _RegionResetMixin):
 
     # ------------------------------------------------------ shared movers
 
+    def _locate(self, packet: Packet, writable: bool) -> Generator:
+        """Location-aware translation: GPU-resident pages are served
+        peer-to-peer; card-resident pages migrate to host first
+        (GPU-style fault), host pages go straight to the DMA.
+
+        Inlined (no throwaway Process per packet): the translate
+        generator runs inside the pipeline stage; its try/finally still
+        releases the walk grant if a reset interrupts it.
+        """
+        _vfpga, mmu = self._vfpgas[packet.vfpga_id]
+        pid = packet.descriptor.pid
+        location, paddr = yield from mmu.translate_any(pid, packet.vaddr, writable)
+        if location is MemLocation.CARD or (
+            location is MemLocation.GPU and self.gpu is None
+        ):
+            paddr = yield from mmu.translate(
+                pid, packet.vaddr, MemLocation.HOST, writable
+            )
+            location = MemLocation.HOST
+        return location, paddr
+
     def _rd_translate(self) -> Generator:
         while True:
             packet = yield from self.rd_arbiter.get()
-            vfpga, mmu = self._vfpgas[packet.vfpga_id]
-            pid = packet.descriptor.pid
-            # Location-aware translation: GPU-resident pages are served
-            # peer-to-peer; card-resident pages migrate to host first
-            # (GPU-style fault), host pages go straight to the DMA.
-            # Inlined (no throwaway Process per packet): the translate
-            # generator runs inside this pipeline stage; its try/finally
-            # still releases the walk grant if a reset interrupts it.
-            location, paddr = yield from mmu.translate_any(pid, packet.vaddr)
-            if location is MemLocation.CARD or (
-                location is MemLocation.GPU and self.gpu is None
-            ):
-                paddr = yield from mmu.translate(
-                    pid, packet.vaddr, MemLocation.HOST
-                )
-                location = MemLocation.HOST
+            location, paddr = yield from self._locate(packet, writable=False)
             yield self._rd_staged.put((packet, location, paddr))
 
     def _rd_dma(self) -> Generator:
@@ -315,18 +334,7 @@ class HostDataMover(_CompletionMixin, _RegionResetMixin):
     def _wr_translate(self) -> Generator:
         while True:
             packet, flit = yield from self.wr_arbiter.get()
-            _vfpga, mmu = self._vfpgas[packet.vfpga_id]
-            pid = packet.descriptor.pid
-            location, paddr = yield from mmu.translate_any(
-                pid, packet.vaddr, writable=True
-            )
-            if location is MemLocation.CARD or (
-                location is MemLocation.GPU and self.gpu is None
-            ):
-                paddr = yield from mmu.translate(
-                    pid, packet.vaddr, MemLocation.HOST, writable=True
-                )
-                location = MemLocation.HOST
+            location, paddr = yield from self._locate(packet, writable=True)
             yield self._wr_staged.put((packet, flit, location, paddr))
 
     def _wr_dma(self) -> Generator:
@@ -346,8 +354,10 @@ class HostDataMover(_CompletionMixin, _RegionResetMixin):
                 yield from self._complete(vfpga, packet, write=True)
 
 
-class CardDataMover(_CompletionMixin, _RegionResetMixin):
+class CardDataMover(_DataMover):
     """Dedicated (uninterleaved) per-stream HBM datapaths (paper §6.3)."""
+
+    stream = StreamType.CARD
 
     def __init__(
         self,
@@ -356,68 +366,11 @@ class CardDataMover(_CompletionMixin, _RegionResetMixin):
         hbm: HbmController,
         config: MoverConfig = MoverConfig(),
     ):
-        self.env = env
-        self.xdma = xdma  # only for writeback
+        super().__init__(env, xdma, config)
         self.hbm = hbm
-        self.config = config
-        self.packetizer = Packetizer(config.packet_bytes)
-        self._vfpgas: Dict[int, Tuple[VFpga, Mmu]] = {}
-        self._region_procs: Dict[int, List] = {}
-        self._region_queues: Dict[int, List[Store]] = {}
-        self.bytes_read = 0
-        self.bytes_written = 0
 
-    def register(self, vfpga: VFpga, mmu: Mmu) -> None:
-        if vfpga.vfpga_id in self._vfpgas:
-            raise ValueError(f"vFPGA {vfpga.vfpga_id} already registered")
-        self._vfpgas[vfpga.vfpga_id] = (vfpga, mmu)
-        self._spawn_region(vfpga)
-
-    def _spawn_region(self, vfpga: VFpga) -> None:
+    def _rd_unit(self, vfpga: VFpga, dest: int, queue: Store) -> Generator:
         _vfpga, mmu = self._vfpgas[vfpga.vfpga_id]
-        # One read and one write worker per parallel card stream: this is
-        # the parallelism that scales throughput with HBM channels.
-        rd_queues = [Store(self.env) for _ in vfpga.card_in]
-        wr_queues = [Store(self.env) for _ in vfpga.card_out]
-        vfpga._card_rd_dispatch = Store(self.env)
-        vfpga._card_wr_dispatch = Store(self.env)
-        procs = [
-            self.env.process(
-                self._dispatch(vfpga._card_rd_dispatch, rd_queues),
-                name=f"v{vfpga.vfpga_id}-card-rd-disp",
-            ),
-            self.env.process(
-                self._dispatch(vfpga._card_wr_dispatch, wr_queues),
-                name=f"v{vfpga.vfpga_id}-card-wr-disp",
-            ),
-        ]
-        for dest, queue in enumerate(rd_queues):
-            procs.append(self.env.process(
-                self._rd_worker(vfpga, mmu, queue),
-                name=f"v{vfpga.vfpga_id}-card-rd{dest}",
-            ))
-        for dest, queue in enumerate(wr_queues):
-            procs.append(self.env.process(
-                self._wr_worker(vfpga, mmu, queue),
-                name=f"v{vfpga.vfpga_id}-card-wr{dest}",
-            ))
-        self._region_procs[vfpga.vfpga_id] = procs
-        self._region_queues[vfpga.vfpga_id] = [
-            vfpga._card_rd_dispatch, vfpga._card_wr_dispatch,
-            *rd_queues, *wr_queues,
-        ]
-
-    def _dispatch(self, source: Store, queues) -> Generator:
-        while True:
-            desc = yield source.get()
-            if desc.dest >= len(queues):
-                raise ValueError(
-                    f"descriptor targets card stream {desc.dest}, "
-                    f"but only {len(queues)} exist"
-                )
-            yield queues[desc.dest].put(desc)
-
-    def _rd_worker(self, vfpga: VFpga, mmu: Mmu, queue: Store) -> Generator:
         while True:
             desc = yield queue.get()
             for packet in self.packetizer.split(desc):
@@ -440,7 +393,8 @@ class CardDataMover(_CompletionMixin, _RegionResetMixin):
                 if packet.last:
                     yield from self._complete(vfpga, packet, write=False)
 
-    def _wr_worker(self, vfpga: VFpga, mmu: Mmu, queue: Store) -> Generator:
+    def _wr_unit(self, vfpga: VFpga, dest: int, queue: Store) -> Generator:
+        _vfpga, mmu = self._vfpgas[vfpga.vfpga_id]
         staged = _FlitAssembler()
         guard = vfpga.wr_credits[StreamType.CARD].guard()
         while True:
@@ -449,7 +403,7 @@ class CardDataMover(_CompletionMixin, _RegionResetMixin):
                 yield from guard.acquire()
                 try:
                     while staged.available < packet.length:
-                        flit = yield from vfpga.card_out[desc.dest].recv()
+                        flit = yield from vfpga.card_out[dest].recv()
                         staged.push(flit)
                     payload = staged.take(packet.length)
                     paddr = yield from mmu.translate(

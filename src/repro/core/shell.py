@@ -13,17 +13,27 @@ from typing import Callable, Dict, Generator, List, Optional, Tuple
 
 from ..net.headers import MacAddress
 from ..net.switch import Switch
-from ..sim.engine import Environment
+from ..sim.engine import Environment, Event
 from ..sim.resources import Store
 from .bitstream import Bitstream, BitstreamKind
 from .dynamic_layer import DynamicLayer, ServiceConfig
 from .floorplan import DEVICES, Floorplan
-from .interfaces import Descriptor, StreamType
+from .interfaces import Descriptor, DescriptorError, StreamType
 from .reconfig import IcapCrcError, ReconfigError
 from .static_layer import StaticLayer
 from .vfpga import UserApp, VFpga, VFpgaConfig
 
 __all__ = ["Shell", "ShellConfig"]
+
+#: Why a stream kind with no mover behind it cannot be served.
+_NO_DATAPATH = {
+    StreamType.CARD: "card-memory request but the shell has no memory service",
+    StreamType.NET: (
+        "NET streams are not driven through the send queues: RDMA verbs "
+        "move network data, and inbound data lands in virtual memory via "
+        "the MMU"
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -71,8 +81,6 @@ class Shell:
             env, self.static, config.services, switch=switch, mac=mac, ip=ip
         )
         self.vfpgas: List[VFpga] = []
-        #: Outbound network bindings: (vfpga_id, stream dest) -> QP number.
-        self.net_bindings: Dict[Tuple[int, int], int] = {}
         for index in range(config.num_vfpgas):
             self._make_vfpga(index)
         self.shell_reconfigs = 0
@@ -100,11 +108,10 @@ class Shell:
 
     def _make_vfpga(self, index: int) -> VFpga:
         vfpga = VFpga(self.env, index, self.config.vfpga)
-        vfpga.bind_irq(self.static.raise_user_interrupt)
+        vfpga.bind_shell(self.static.raise_user_interrupt, self.post_descriptor)
         mmu = self.dynamic.mmu_for(index)
-        self.dynamic.host_mover.register(vfpga, mmu)
-        if self.dynamic.card_mover is not None:
-            self.dynamic.card_mover.register(vfpga, mmu)
+        for mover in self.dynamic.movers.values():
+            mover.register(vfpga, mmu)
         self.env.process(
             self._sq_dispatch(vfpga, vfpga.sq_rd, write=False),
             name=f"v{index}-sq-rd-dispatch",
@@ -117,64 +124,13 @@ class Shell:
         return vfpga
 
     def _sq_dispatch(self, vfpga: VFpga, queue: Store, write: bool) -> Generator:
-        """Route send-queue descriptors to the matching service datapath."""
+        """Route send-queue descriptors to the matching service datapath
+        (each was checked at :meth:`post_descriptor`)."""
+        vfpga_id = vfpga.vfpga_id
         while True:
             desc: Descriptor = yield queue.get()
-            if desc.stream is StreamType.HOST:
-                target = vfpga._host_wr_dispatch if write else vfpga._host_rd_dispatch
-                yield target.put(desc)
-            elif desc.stream is StreamType.CARD:
-                if self.dynamic.card_mover is None:
-                    raise ReconfigError(
-                        "card-memory request but the shell has no memory service"
-                    )
-                target = vfpga._card_wr_dispatch if write else vfpga._card_rd_dispatch
-                yield target.put(desc)
-            elif desc.stream is StreamType.NET:
-                if self.dynamic.rdma is None:
-                    raise ReconfigError("network request but the shell has no RDMA service")
-                if not write:
-                    raise ReconfigError(
-                        "NET read descriptors are not used: inbound RDMA lands "
-                        "directly in virtual memory via the MMU"
-                    )
-                self.env.process(self._net_write(vfpga, desc))
-            else:  # pragma: no cover - enum is exhaustive
-                raise ValueError(f"unknown stream {desc.stream}")
-
-    def _net_write(self, vfpga: VFpga, desc: Descriptor) -> Generator:
-        """Outbound hardware-issued RDMA: stream data -> remote memory."""
-        qpn = self.net_bindings.get((vfpga.vfpga_id, desc.dest))
-        if qpn is None:
-            raise ReconfigError(
-                f"vFPGA {vfpga.vfpga_id} net stream {desc.dest} has no bound QP"
-            )
-        collected = bytearray()
-        total = 0
-        while total < desc.length:
-            flit = yield from vfpga.net_out[desc.dest].recv()
-            total += flit.length
-            collected += flit.data if flit.data is not None else bytes(flit.length)
-        yield self.env.process(
-            self._send_staged(qpn, bytes(collected), desc)
-        )
-
-    def _send_staged(self, qpn: int, payload: bytes, desc: Descriptor) -> Generator:
-        stack = self.dynamic.rdma
-        # Stage through a scratch virtual buffer the stack reads back.
-        scratch = {"data": payload}
-
-        def read_scratch(vaddr, length):
-            yield self.env.timeout(0)
-            return scratch["data"][vaddr : vaddr + length]
-
-        stack.bind_qp_memory(qpn, read_scratch, stack._mem_write(qpn))
-        try:
-            yield self.env.process(
-                stack.rdma_write(qpn, 0, desc.vaddr, len(payload), wr_id=desc.wr_id)
-            )
-        finally:
-            stack.qp_memory.pop(qpn, None)
+            mover = self.dynamic.movers[desc.stream]
+            yield mover.dispatch_queue(vfpga_id, write).put(desc)
 
     # ------------------------------------------------------- identification
 
@@ -292,7 +248,6 @@ class Shell:
             switch=self._switch, mac=self._mac, ip=self._ip,
         )
         self.vfpgas = []
-        self.net_bindings.clear()
         self._last_good_app.clear()
         for index in range(self.config.num_vfpgas):
             self._make_vfpga(index)
@@ -325,8 +280,31 @@ class Shell:
 
     # ----------------------------------------------------------- host entry
 
-    def post_descriptor(self, desc: Descriptor, write: bool) -> None:
-        """Entry point used by the driver to queue software-issued work."""
+    def check_descriptor(self, desc: Descriptor, write: bool) -> None:
+        """Raise :class:`DescriptorError` unless this shell can serve
+        ``desc``: a datapath exists for its stream kind, and ``dest``
+        names one of the region's parallel streams."""
+        mover = self.dynamic.movers.get(desc.stream)
+        if mover is None:
+            raise DescriptorError(_NO_DATAPATH[desc.stream])
+        streams = mover.num_streams(desc.vfpga_id, write)
+        if not 0 <= desc.dest < streams:
+            raise DescriptorError(
+                f"descriptor targets {desc.stream.value} stream {desc.dest}, "
+                f"but vFPGA {desc.vfpga_id} has only {streams}"
+            )
+
+    def post_descriptor(self, desc: Descriptor, write: bool) -> Event:
+        """The one checked entry to the datapath, for software-issued
+        work (the driver) and hardware-issued work (``VFpga.read`` /
+        ``VFpga.write``) alike.
+
+        An unservable descriptor raises :class:`DescriptorError` here,
+        synchronously, in the submitter's own frame — nothing is queued,
+        so no relay process behind the door can die on it.  Returns the
+        send-queue put event.
+        """
+        self.check_descriptor(desc, write)
         vfpga = self.vfpgas[desc.vfpga_id]
         queue = vfpga.sq_wr if write else vfpga.sq_rd
-        queue.put(desc)
+        return queue.put(desc)

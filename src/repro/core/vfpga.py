@@ -71,6 +71,7 @@ class VFpga:
         # Control bus + interrupts.
         self.ctrl = RegisterFile(f"vfpga{vfpga_id}-csr", size=64)
         self._irq_fn: Optional[Callable[[int, int], None]] = None
+        self._post_fn: Optional[Callable[[Descriptor, bool], Event]] = None
         # Parallel data streams.  FIFO depths equal the credit capacity so
         # a held credit always guarantees deposit space (see credit.py).
         credits = config.credits
@@ -80,6 +81,11 @@ class VFpga:
         self.card_out = self._streams("v2c", config.num_card_streams, credits.card_credits)
         self.net_in = self._streams("n2v", config.num_net_streams, credits.net_credits)
         self.net_out = self._streams("v2n", config.num_net_streams, credits.net_credits)
+        self._by_kind = {
+            StreamType.HOST: (self.host_in, self.host_out),
+            StreamType.CARD: (self.card_in, self.card_out),
+            StreamType.NET: (self.net_in, self.net_out),
+        }
         # Send and completion queues.
         self.sq_rd: Store = Store(env)
         self.sq_wr: Store = Store(env)
@@ -183,8 +189,15 @@ class VFpga:
 
     # ------------------------------------------- hardware-facing interface
 
-    def bind_irq(self, irq_fn: Callable[[int, int], None]) -> None:
+    def bind_shell(
+        self,
+        irq_fn: Callable[[int, int], None],
+        post_fn: Callable[[Descriptor, bool], Event],
+    ) -> None:
+        """Wire the region to its shell: the interrupt line and the
+        checked door its send queues sit behind (``Shell.post_descriptor``)."""
         self._irq_fn = irq_fn
+        self._post_fn = post_fn
 
     def interrupt(self, value: int = 0) -> None:
         """Raise a user interrupt towards the host (paper §7.1)."""
@@ -201,14 +214,15 @@ class VFpga:
         stream: StreamType = StreamType.HOST,
         dest: int = 0,
         wr_id: int = 0,
-    ):
-        """Issue a hardware-side read request (memory -> stream ``dest``)."""
-        return self.sq_rd.put(
-            Descriptor(
-                vfpga_id=self.vfpga_id, pid=pid, vaddr=vaddr, length=length,
-                stream=stream, dest=dest, wr_id=wr_id,
-            )
-        )
+    ) -> Event:
+        """Issue a hardware-side read request (memory -> stream ``dest``).
+
+        Goes through the same checked door as software-issued work: a
+        request the shell cannot serve raises
+        :class:`~repro.core.interfaces.DescriptorError` here, in the
+        kernel's own frame.  Returns the send-queue put event.
+        """
+        return self._request(False, pid, vaddr, length, stream, dest, wr_id)
 
     def write(
         self,
@@ -218,28 +232,23 @@ class VFpga:
         stream: StreamType = StreamType.HOST,
         dest: int = 0,
         wr_id: int = 0,
-    ):
-        """Issue a hardware-side write request (stream ``dest`` -> memory)."""
-        return self.sq_wr.put(
-            Descriptor(
-                vfpga_id=self.vfpga_id, pid=pid, vaddr=vaddr, length=length,
-                stream=stream, dest=dest, wr_id=wr_id,
-            )
+    ) -> Event:
+        """Issue a hardware-side write request (stream ``dest`` -> memory);
+        checked like :meth:`read`."""
+        return self._request(True, pid, vaddr, length, stream, dest, wr_id)
+
+    def _request(self, write, pid, vaddr, length, stream, dest, wr_id) -> Event:
+        desc = Descriptor(
+            vfpga_id=self.vfpga_id, pid=pid, vaddr=vaddr, length=length,
+            stream=stream, dest=dest, wr_id=wr_id,
         )
+        return self._post_fn(desc, write)
 
-    def _in_streams(self, stream: StreamType) -> List[AxiStream]:
-        return {
-            StreamType.HOST: self.host_in,
-            StreamType.CARD: self.card_in,
-            StreamType.NET: self.net_in,
-        }[stream]
-
-    def _out_streams(self, stream: StreamType) -> List[AxiStream]:
-        return {
-            StreamType.HOST: self.host_out,
-            StreamType.CARD: self.card_out,
-            StreamType.NET: self.net_out,
-        }[stream]
+    def streams(self, stream: StreamType, write: bool) -> List[AxiStream]:
+        """The parallel streams of one kind in one direction: the
+        kernel's outputs for a write (stream -> memory), its inputs for
+        a read (memory -> stream)."""
+        return self._by_kind[stream][write]
 
     def recv(self, stream: StreamType = StreamType.HOST, dest: int = 0) -> Generator:
         """Consume one inbound flit; releases the read credit it held.
@@ -251,7 +260,7 @@ class VFpga:
         (until recovery wipes the region).  Both are invisible unless a
         :class:`repro.faults.FaultInjector` is armed.
         """
-        flit = yield from self._in_streams(stream)[dest].recv()
+        flit = yield from self.streams(stream, False)[dest].recv()
         faults = self.faults
         if faults is not None and faults.fires(APP_WEDGE_CREDIT, self):
             self.credits_wedged += 1
@@ -269,13 +278,7 @@ class VFpga:
 
     def send(self, flit: Flit, stream: StreamType = StreamType.HOST, dest: int = 0) -> Generator:
         """Produce one outbound flit onto stream ``dest``."""
-        yield from self._out_streams(stream)[dest].send(flit)
-
-    def pop_completion(self, write: bool = True) -> Generator:
-        """Await the next completion entry."""
-        queue = self.cq_wr if write else self.cq_rd
-        entry = yield queue.get()
-        return entry
+        yield from self.streams(stream, True)[dest].send(flit)
 
     # ---------------------------------------------- software-facing helpers
 

@@ -884,15 +884,16 @@ class Driver:
         completion.  ``admitted`` says the caller's doorbell already
         passed :meth:`_check_submit` for the whole batch; otherwise every
         descriptor is admitted on its own through
-        :meth:`post_descriptor`.  Gates are registered only once an op's
-        descriptors are with the shell, so a rejected op leaves nothing
-        behind in the table.
+        :meth:`post_descriptor`.  A descriptor the shell cannot serve
+        (:class:`~repro.core.interfaces.DescriptorError`) rejects the
+        whole batch before anything is posted, and gates are registered
+        only once the descriptors are with the shell, so a rejected
+        submit leaves nothing behind in the table.
         """
         post = self.shell.post_descriptor if admitted else self.post_descriptor
-        batch = ctx.rings.open_batch()
 
-        def post_half(write, wr_id, vaddr, length, stream, dest, mr_key):
-            desc = Descriptor(
+        def descriptor(wr_id, vaddr, length, stream, dest, mr_key):
+            return Descriptor(
                 vfpga_id=ctx.vfpga_id,
                 pid=ctx.pid,
                 vaddr=vaddr,
@@ -902,23 +903,40 @@ class Driver:
                 wr_id=wr_id,
                 mr_key=mr_key,
             )
-            post(desc, write)
 
+        # Build and check every descriptor before any is posted: one the
+        # shell cannot serve refuses the whole batch in the caller's
+        # frame, and a TRANSFER never runs as a read half alone.
+        descs, absorbed, gates = [], [], []
         for op, vaddr, dst_vaddr in ops:
             wr_id = next(self._wr_ids)
             write = op.opcode is RingOpcode.WRITE
-            post_half(
-                write, wr_id, vaddr, op.length, op.stream, op.dest, op.mr_key
-            )
+            descs.append((
+                descriptor(wr_id, vaddr, op.length, op.stream, op.dest, op.mr_key),
+                write,
+            ))
             if op.opcode is RingOpcode.TRANSFER:
                 dst_key, dst_length = op.dst
-                post_half(
-                    True, wr_id, dst_vaddr, dst_length, op.dst_stream,
-                    op.dst_dest, dst_key,
-                )
-                ctx.rings.absorb((False, wr_id))
+                descs.append((
+                    descriptor(
+                        wr_id, dst_vaddr, dst_length, op.dst_stream,
+                        op.dst_dest, dst_key,
+                    ),
+                    True,
+                ))
+                absorbed.append((False, wr_id))
                 write = True
-            ctx.rings.gate(batch, (write, wr_id))
+            gates.append((write, wr_id))
+        for desc, write in descs:
+            self.shell.check_descriptor(desc, write)
+
+        for desc, write in descs:
+            post(desc, write)
+        batch = ctx.rings.open_batch()
+        for key in absorbed:
+            ctx.rings.absorb(key)
+        for key in gates:
+            ctx.rings.gate(batch, key)
         return batch
 
     # ------------------------------------------------------ health / recovery

@@ -155,9 +155,7 @@ class RecoveryManager:
 
         # 2. Quiesce: stop the region's request units, then let packets
         # already in the shared pipeline retire.
-        movers = [shell.dynamic.host_mover]
-        if shell.dynamic.card_mover is not None:
-            movers.append(shell.dynamic.card_mover)
+        movers = list(shell.dynamic.movers.values())
         for mover in movers:
             mover.quiesce_region(vfpga_id)
         yield self.env.timeout(self.config.drain_ns)

@@ -111,16 +111,9 @@ class LiveMigrator:
                 return scheduler
         return None
 
-    @staticmethod
-    def _movers(node):
-        movers = [node.shell.dynamic.host_mover]
-        if node.shell.dynamic.card_mover is not None:
-            movers.append(node.shell.dynamic.card_mover)
-        return movers
-
     def _resume_source(self, node, vfpga_id: int, scheduler) -> None:
         """Fallback-to-source: restart the region and replay-or-reject."""
-        for mover in self._movers(node):
+        for mover in node.shell.dynamic.movers.values():
             mover.restart_region(vfpga_id)
         if scheduler is not None:
             scheduler.resume_after_recovery(quarantined=False)
@@ -187,7 +180,7 @@ class LiveMigrator:
         quiesce_exc = MigratedError(vfpga_id, f"pid {pid} migrating to node {dst}")
         if src_sched is not None:
             src_sched.quiesce(quiesce_exc)
-        for mover in self._movers(src_node):
+        for mover in src_node.shell.dynamic.movers.values():
             mover.quiesce_region(vfpga_id)
         yield self.env.timeout(self.config.drain_ns)
 
@@ -247,7 +240,7 @@ class LiveMigrator:
             self.replay_rejects += rejected
         elif src_sched is not None:
             src_sched.resume_after_recovery(quarantined=False)
-        for mover in self._movers(src_node):
+        for mover in src_node.shell.dynamic.movers.values():
             mover.restart_region(vfpga_id)
         src_node.driver.close(pid, reason=f"migrated to node {dst}")
         record.pause_ns = self.env.now - pause_start
@@ -324,7 +317,7 @@ class LiveMigrator:
         pause_start = self.env.now
         exc = MigratedError(vfpga_id, f"region {vfpga_id} draining to node {dst}")
         src_sched.quiesce(exc)
-        for mover in self._movers(src_node):
+        for mover in src_node.shell.dynamic.movers.values():
             mover.quiesce_region(vfpga_id)
         yield self.env.timeout(self.config.drain_ns)
         src_node.driver.fail_pending(vfpga_id, exc)
@@ -332,7 +325,7 @@ class LiveMigrator:
         self.queue_transplants += moved
         self.replays += replayed
         self.replay_rejects += rejected
-        for mover in self._movers(src_node):
+        for mover in src_node.shell.dynamic.movers.values():
             mover.restart_region(vfpga_id)
         self.pause_hist.observe(self.env.now - pause_start)
         return moved

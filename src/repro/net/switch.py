@@ -362,9 +362,6 @@ class Switch:
             raise ValueError(f"unknown trunk {trunk_key!r}")
         self._routes[mac] = trunk_key
 
-    def drop_route(self, mac: MacAddress) -> None:
-        self._routes.pop(mac, None)
-
     def egress_ports(self) -> List[Tuple[str, _EgressPort]]:
         """Deterministically ordered (label, port) pairs for telemetry."""
         return sorted(

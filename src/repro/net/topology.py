@@ -1,4 +1,4 @@
-"""Multi-switch fabrics: a 2-tier leaf/spine topology facade.
+"""Multi-switch fabrics: a 2-tier leaf/spine topology.
 
 A single :class:`~repro.net.switch.Switch` models one ToR.  Data-center
 RDMA runs across tiers, where congestion is *shared*: an incast at one
@@ -16,17 +16,13 @@ flows — behavior a single switch cannot exhibit.  This module wires
   host ports (an oversubscription of 4 gives each uplink a quarter of
   the edge bandwidth — the standard knob for provoking core congestion).
 
-The facade re-exposes the single-switch management surface (attach,
-kill/revive, partitions, counters, ``faults`` arming) by fanning out to
-every member switch, so :class:`repro.cluster.FpgaCluster` and
-:class:`repro.faults.FaultInjector` treat a fabric exactly like one
-switch.  Aggregate counters *sum* over switches: a frame crossing three
-hops counts three times in ``forwarded`` (hop count, not frame count).
+Counters, fault arming and port management stay per switch: reach
+them through ``leaves`` / ``spines``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .cmac import CMAC_BANDWIDTH, Cmac
 from .headers import MacAddress
@@ -36,7 +32,7 @@ __all__ = ["LeafSpineTopology"]
 
 
 class LeafSpineTopology:
-    """A 2-tier Clos of :class:`Switch` instances behind one facade."""
+    """A 2-tier Clos of :class:`Switch` instances."""
 
     def __init__(
         self,
@@ -71,13 +67,7 @@ class LeafSpineTopology:
                 self.trunks[(i, j)] = leaf.connect_trunk(
                     spine, line_rate=self.uplink_rate, ecmp_here=True
                 )
-        #: Host placement: mac -> owning leaf index.
-        self.leaf_of: Dict[MacAddress, int] = {}
         self._next_leaf = 0
-
-    @property
-    def switches(self) -> List[Switch]:
-        return self.leaves + self.spines
 
     # ------------------------------------------------------------ topology
 
@@ -88,122 +78,7 @@ class LeafSpineTopology:
         if leaf is None:
             self._next_leaf += 1
         self.leaves[index].attach(mac, cmac)
-        self.leaf_of[mac] = index
         for j, spine in enumerate(self.spines):
             _, spine_key = self.trunks[(index, j)]
             spine.add_route(mac, spine_key)
         return index
-
-    def detach(self, mac: MacAddress) -> None:
-        index = self.leaf_of.pop(mac, None)
-        if index is None:
-            raise ValueError(f"port {mac!r} is not attached")
-        self.leaves[index].detach(mac)
-        for spine in self.spines:
-            spine.drop_route(mac)
-
-    def egress_ports(self):
-        """Every egress queue in the fabric, deterministically ordered."""
-        ports = []
-        for switch in self.switches:
-            ports.extend(
-                (f"{switch.name}.{label}", port)
-                for label, port in switch.egress_ports()
-            )
-        return ports
-
-    # --------------------------------------------- single-switch interface
-    # (fan-out so FpgaCluster / FaultInjector treat the fabric as one)
-
-    @property
-    def faults(self):
-        return self.leaves[0].faults
-
-    @faults.setter
-    def faults(self, injector) -> None:
-        for switch in self.switches:
-            switch.faults = injector
-
-    @property
-    def on_node_crash(self):
-        return self.leaves[0].on_node_crash
-
-    @on_node_crash.setter
-    def on_node_crash(self, callback) -> None:
-        for switch in self.switches:
-            switch.on_node_crash = callback
-
-    @property
-    def on_pfc_storm(self):
-        return self.leaves[0].on_pfc_storm
-
-    @on_pfc_storm.setter
-    def on_pfc_storm(self, callback: Optional[Callable]) -> None:
-        for switch in self.switches:
-            switch.on_pfc_storm = callback
-
-    @property
-    def pfc_storm_errors(self):
-        errors = []
-        for switch in self.switches:
-            errors.extend(switch.pfc_storm_errors)
-        return errors
-
-    def kill_port(self, mac: MacAddress) -> None:
-        for switch in self.switches:
-            switch.kill_port(mac)
-
-    def revive_port(self, mac: MacAddress) -> None:
-        for switch in self.switches:
-            switch.revive_port(mac)
-
-    def is_dead(self, mac: MacAddress) -> bool:
-        return any(switch.is_dead(mac) for switch in self.switches)
-
-    def partition(self, a: MacAddress, b: MacAddress) -> None:
-        for switch in self.switches:
-            switch.partition(a, b)
-
-    def heal_partition(self, a: MacAddress, b: MacAddress) -> bool:
-        healed = False
-        for switch in self.switches:
-            healed = switch.heal_partition(a, b) or healed
-        return healed
-
-    def heal_all_partitions(self) -> int:
-        # Report pairs, not pair×switch entries: every switch holds the
-        # same partition set, so the max is the distinct-pair count.
-        return max(switch.heal_all_partitions() for switch in self.switches)
-
-    def is_partitioned(self, a: MacAddress, b: MacAddress) -> bool:
-        return any(switch.is_partitioned(a, b) for switch in self.switches)
-
-    def link_down(self, mac: MacAddress, duration_ns: Optional[float] = None) -> None:
-        index = self.leaf_of.get(mac)
-        targets = self.switches if index is None else [self.leaves[index]]
-        for switch in targets:
-            if duration_ns is None:
-                switch.link_down(mac)
-            else:
-                switch.link_down(mac, duration_ns)
-
-    def link_is_down(self, mac: MacAddress) -> bool:
-        return any(switch.link_is_down(mac) for switch in self.switches)
-
-    def counters(self) -> Dict[str, int]:
-        totals: Dict[str, int] = {}
-        for switch in self.switches:
-            for key, value in switch.counters().items():
-                totals[key] = totals.get(key, 0) + value
-        return totals
-
-    def __getattr__(self, name: str):
-        # Aggregate counter attributes (forwarded, dropped, ecn_marks, ...)
-        # sum across member switches, mirroring the Switch attribute
-        # surface telemetry and tests read directly.
-        if name.startswith("_"):
-            raise AttributeError(name)
-        members = self.__dict__.get("leaves", []) + self.__dict__.get("spines", [])
-        if members and isinstance(getattr(members[0], name, None), int):
-            return sum(getattr(switch, name) for switch in members)
-        raise AttributeError(name)
