@@ -57,7 +57,7 @@ from repro.net import (  # noqa: E402
     SwitchConfig,
 )
 from repro.net import RdmaConfig as NetRdmaConfig  # noqa: E402
-from repro.sim import AllOf, LatencyStats  # noqa: E402
+from repro.sim import AllOf, LatencyStats, Store  # noqa: E402
 from repro.synth import (  # noqa: E402
     BuildFlow,
     LockedShellCheckpoint,
@@ -277,16 +277,34 @@ def bench_scheduler_churn(quick: bool) -> Dict[str, Any]:
     )
 
 
+def _events_per_host_second(env: Environment) -> Dict[str, Any]:
+    """Drain ``env`` under an attached profiler; wall numbers, not gated."""
+    profiler = SimProfiler().attach(env)
+    t0 = time.perf_counter()
+    env.run()
+    wall = time.perf_counter() - t0
+    profiler.detach()
+    return {
+        "events_processed": env.events_processed,
+        "events_per_sec": profiler.events_per_sec,
+        "wall_time_s": wall,
+    }
+
+
 def bench_engine_events(quick: bool) -> Dict[str, Any]:
     """Raw DES-core throughput: dispatched events per host second.
 
-    A pure timer stress with no hardware models attached — 64 tickers
-    on pooled ``env.sleep`` delays, so nearly every event goes through
-    the timed heap and the relay free-list.  It runs the same dispatch
-    loop every workload runs (all run forms share it), under an
-    attached profiler; it isolates that loop's heap side from workload
-    logic and says little about zero-delay hand-offs, which are most
-    events in the shell workloads (``bench_e2e`` measures those).
+    Two arms with no hardware models attached, one per container the
+    dispatch loop takes events from (all run forms share that loop):
+
+    * **timers** (the headline ``ops_per_s``) -- 64 tickers on pooled
+      ``env.sleep`` delays, so nearly every event goes through the timed
+      heap and the relay free-list.
+    * **hand-offs** (``detail.handoff``) -- 64 producer/consumer pairs
+      over two-slot ``Store``s: every event is a zero-delay ``succeed``
+      on a lane, the clock never moves, and both blocking directions
+      (full store, empty store) occur.  Most events in the shell
+      workloads are of this kind (``bench_e2e`` measures them in situ).
     """
     n_procs = 64
     steps = 400 if quick else 2_000
@@ -299,21 +317,37 @@ def bench_engine_events(quick: bool) -> Dict[str, Any]:
 
     for pid in range(n_procs):
         env.process(ticker(pid), name=f"tick{pid}")
-    profiler = SimProfiler().attach(env)
-    t0 = time.perf_counter()
-    env.run()
-    wall = time.perf_counter() - t0
-    profiler.detach()
+    timers = _events_per_host_second(env)
+
+    handoff_env = Environment()
+
+    def producer(store):
+        for item in range(steps):
+            yield store.put(item)
+
+    def consumer(store):
+        for _ in range(steps):
+            yield store.get()
+
+    for pid in range(n_procs):
+        store = Store(handoff_env, capacity=2)
+        handoff_env.process(producer(store), name=f"put{pid}")
+        handoff_env.process(consumer(store), name=f"get{pid}")
+    handoff = _events_per_host_second(handoff_env)
+    handoff.update(pairs=n_procs, items_per_pair=steps)
+
+    wall = timers["wall_time_s"]
     return _workload(
         "engine_events",
-        ops_per_s=env.events_processed / wall if wall else 0.0,
+        ops_per_s=timers["events_processed"] / wall if wall else 0.0,
         sim_time_ns=env.now,
-        wall_time_s=wall,
+        wall_time_s=wall + handoff["wall_time_s"],
         detail={
             "processes": n_procs,
             "steps_per_process": steps,
-            "events_processed": env.events_processed,
-            "events_per_sec": profiler.events_per_sec,
+            "events_processed": timers["events_processed"],
+            "events_per_sec": timers["events_per_sec"],
+            "handoff": handoff,
         },
     )
 
@@ -747,9 +781,14 @@ def validate_results(results: Dict[str, Any]) -> List[str]:
                    f"{where}.detail.descriptors_per_doorbell must exceed 1.0 "
                    f"(batched doorbells)")
         if wl.get("name") == "engine_events" and isinstance(wl.get("detail"), dict):
-            eps = wl["detail"].get("events_per_sec")
-            expect(isinstance(eps, (int, float)) and eps > 0,
-                   f"{where}.detail.events_per_sec must be a positive number")
+            for label, arm in (("detail", wl["detail"]),
+                               ("detail.handoff", wl["detail"].get("handoff"))):
+                if not isinstance(arm, dict):
+                    errors.append(f"{where}.{label} must be an object")
+                    continue
+                for key in ("events_per_sec", "events_processed"):
+                    expect(isinstance(arm.get(key), (int, float)) and arm[key] > 0,
+                           f"{where}.{label}.{key} must be a positive number")
         if wl.get("name") == "net_incast" and isinstance(wl.get("detail"), dict):
             detail = wl["detail"]
             ratio = detail.get("collapse_ratio")

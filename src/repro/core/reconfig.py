@@ -190,10 +190,6 @@ class IcapController:
                 self.xdma.raise_msix(MsiVector.RECONFIG_DONE, value=self.programs)
             )
 
-    def kernel_latency_ns(self, bitstream: Bitstream) -> float:
-        """Pure reconfiguration time (Table 3's "Coyote kernel latency")."""
-        return self.port.program_time_ns(bitstream.size_bytes)
-
     @staticmethod
     def host_overhead_ns(bitstream: Bitstream) -> float:
         """Disk read + copy_to_kernel for the "Coyote total latency"."""

@@ -16,10 +16,20 @@ full account is DESIGN.md "Event engine internals"):
   ``__slots__``; dispatch order is ascending in that key, always.
 * Most events are **zero-delay hand-offs** (``succeed``/``fail``, relays,
   process kick-off, ``sleep(0)``): their time is ``env.now``.  They are
-  appended to one of two FIFO **lanes** (URGENT, NORMAL) and never touch
-  the heap.  ``seq`` is monotone, so a lane is already sorted by key.
-  The heap holds only events whose time differs from ``now`` — future
-  timeouts — and orders them through ``Event.__lt__``.
+  appended, bare, to one of two FIFO **lanes** (URGENT, NORMAL) and
+  never touch the heap.  ``seq`` is monotone, so a lane is already
+  sorted by key.
+* The heap holds only events whose time differs from ``now`` — future
+  timeouts — as ``(time, priority, seq, event)`` entries, so ``heapq``
+  orders them by C tuple comparison (``seq`` is unique: the event is
+  never compared) and makes no call back into Python.
+* The hot ways of arming or triggering an event — ``Event.succeed``,
+  ``Timeout``, ``_relay`` — write the key and push themselves: one
+  engine frame between model code and the container.  Each is a copy
+  of :meth:`Environment._schedule`, which stays the one general door
+  (``fail``, :meth:`Environment.sleep`, forced delays, an event already
+  scheduled) and the only one used while a sanitizer is attached, so
+  its hooks fire on every path.
 * **One dispatch loop** (:meth:`Environment._dispatch`) takes the least
   of (lane head, heap top) and runs its callbacks.  ``step``,
   ``run_batch`` and all three forms of ``run`` are thin callers of it;
@@ -39,7 +49,17 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from heapq import heappop, heappush
-from typing import Any, Callable, Deque, Generator, Iterable, Iterator, List, Optional
+from typing import (
+    Any,
+    Callable,
+    Deque,
+    Generator,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+)
 
 __all__ = [
     "Environment",
@@ -144,18 +164,6 @@ class Event:
         #: right after dispatch; never set on user-visible events.
         self._recycle = False
 
-    # The schedule key lives in slots (written by
-    # ``Environment._schedule``), so lanes and heap hold events directly
-    # and no per-entry key tuple is ever allocated.  ``heapq`` orders the
-    # heap through ``__lt__``; the lanes are in key order by construction.
-
-    def __lt__(self, other: "Event") -> bool:
-        if self._time != other._time:
-            return self._time < other._time
-        if self._prio != other._prio:
-            return self._prio < other._prio
-        return self._seq < other._seq
-
     @property
     def triggered(self) -> bool:
         return self._ok is not None
@@ -181,7 +189,22 @@ class Event:
             raise SimulationError("event already triggered")
         self._ok = True
         self._value = value
-        self.env._schedule(self, 0.0, priority)
+        env = self.env
+        if self._scheduled or env.sanitizer is not None:
+            env._schedule(self, 0.0, priority)
+            return self
+        # ``_schedule`` for a zero delay, flat: straight to a lane.
+        self._scheduled = True
+        self._time = env.now
+        self._prio = priority
+        self._seq = seq = next(env._seq)
+        if priority == URGENT:
+            env._urgent.append(self)
+        else:
+            env._normal.append(self)
+        pending = seq + 1 - env.events_processed
+        if pending > env.queue_high_water:
+            env.queue_high_water = pending
         return self
 
     def fail(self, exception: BaseException, priority: int = NORMAL) -> "Event":
@@ -193,6 +216,10 @@ class Event:
         self._value = exception
         self.env._schedule(self, 0.0, priority)
         return self
+
+    def _abandon(self) -> None:
+        """The only waiter was interrupted away (see ``_abandoned``)."""
+        self._abandoned = True
 
     def defuse(self) -> "Event":
         """Declare this event's failure handled out-of-band.
@@ -224,12 +251,35 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None):
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay!r}")
-        super().__init__(env)
+        if not delay >= 0:  # also rejects NaN
+            raise SimulationError(f"delay must be >= 0, got {delay!r}")
+        # Flat: the slots ``Event.__init__`` writes, then the push
+        # ``_schedule`` makes.
+        self.env = env
+        self.callbacks = []
         self._value = value
+        self._ok = None
+        self._abandoned = False
+        self._defused = False
+        self._recycle = False
         self.delay = delay
-        env._schedule(self, delay, NORMAL)
+        if env.sanitizer is not None:
+            self._scheduled = False
+            env.sanitizer.on_event_created(self)
+            env._schedule(self, delay, NORMAL)
+            return
+        self._scheduled = True
+        now = env.now
+        self._time = when = now + delay
+        self._prio = NORMAL
+        self._seq = seq = next(env._seq)
+        if when == now:
+            env._normal.append(self)
+        else:
+            heappush(env._queue, (when, NORMAL, seq, self))
+        pending = seq + 1 - env.events_processed
+        if pending > env.queue_high_water:
+            env.queue_high_water = pending
 
     def succeed(self, value: Any = None, priority: int = NORMAL) -> "Event":
         raise SimulationError("a Timeout triggers by itself when its delay elapses")
@@ -286,7 +336,7 @@ class Process(Event):
                 except ValueError:
                     pass
                 if not waited.callbacks:
-                    waited._abandoned = True
+                    waited._abandon()
         self._target = None
         generator = self._generator
         ok, value = event._ok, event._value
@@ -398,8 +448,9 @@ class Environment:
 
     def __init__(self, initial_time: float = 0.0):
         self.now = float(initial_time)
-        #: Events whose time differs from ``now`` (future timeouts).
-        self._queue: List[Event] = []
+        #: Events whose time differs from ``now`` (future timeouts), as
+        #: ``(time, priority, seq, event)`` heap entries.
+        self._queue: List[Tuple[float, int, int, Event]] = []
         #: Zero-delay lanes.  Invariant: every entry's ``_time`` equals
         #: ``now``, so URGENT entries precede NORMAL ones and, ``seq``
         #: being monotone, each lane is in key order.
@@ -425,6 +476,9 @@ class Environment:
     # -- scheduling ------------------------------------------------------
 
     def _schedule(self, event: Event, delay: float, priority: int) -> None:
+        """Key ``event`` and put it in its container.  ``Event.succeed``,
+        ``Timeout`` and ``_relay`` carry flat copies of this body for
+        the no-sanitizer case; change them together."""
         if event._scheduled:
             return
         if self.sanitizer is not None:
@@ -440,7 +494,7 @@ class Environment:
             else:
                 self._normal.append(event)
         else:
-            heappush(self._queue, event)
+            heappush(self._queue, (when, priority, seq, event))
         # Every scheduled event is dispatched exactly once, so the
         # number pending is (scheduled so far) - (dispatched so far).
         pending = seq + 1 - self.events_processed
@@ -469,7 +523,20 @@ class Environment:
         event._defused = defused
         event._recycle = True
         event.callbacks.append(callback)
-        self._schedule(event, 0.0, priority)
+        if self.sanitizer is not None:
+            self._schedule(event, 0.0, priority)
+            return event
+        event._scheduled = True
+        event._time = self.now
+        event._prio = priority
+        event._seq = seq = next(self._seq)
+        if priority == URGENT:
+            self._urgent.append(event)
+        else:
+            self._normal.append(event)
+        pending = seq + 1 - self.events_processed
+        if pending > self.queue_high_water:
+            self.queue_high_water = pending
         return event
 
     # -- what is scheduled -------------------------------------------------
@@ -481,17 +548,20 @@ class Environment:
 
     def scheduled(self) -> Iterator[Event]:
         """Every pending event, lanes and heap, in no particular order."""
-        return itertools.chain(self._urgent, self._normal, self._queue)
+        return itertools.chain(
+            self._urgent, self._normal, (entry[3] for entry in self._queue)
+        )
 
     def peek_event(self) -> Optional[Event]:
         """The event the next :meth:`step` dispatches, or ``None``."""
         lane = self._urgent or self._normal
         queue = self._queue
         if not lane:
-            return queue[0] if queue else None
-        if queue and queue[0] < lane[0]:
-            return queue[0]
-        return lane[0]
+            return queue[0][3] if queue else None
+        head = lane[0]
+        if queue and queue[0] < (head._time, head._prio, head._seq):
+            return queue[0][3]
+        return head
 
     @property
     def peek(self) -> float:
@@ -517,8 +587,8 @@ class Environment:
         dispatch completes.  Use :meth:`timeout` anywhere those rules
         cannot be guaranteed.
         """
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay!r}")
+        if not delay >= 0:  # also rejects NaN
+            raise SimulationError(f"delay must be >= 0, got {delay!r}")
         pool = self._relay_pool
         event = pool.pop() if pool else Event(self)
         event._recycle = True
@@ -560,16 +630,18 @@ class Environment:
                 # The heap top precedes a lane head only when it fell due
                 # at this very instant with an older key (or was forced
                 # into the past by a negative ``_schedule`` delay).
-                if queue and queue[0]._time <= when and queue[0] < event:
+                if (
+                    queue
+                    and queue[0][0] <= when
+                    and queue[0] < (when, event._prio, event._seq)
+                ):
                     lane.appendleft(event)
-                    event = heappop(queue)
-                    when = event._time
+                    when, _, _, event = heappop(queue)
             elif queue:
-                event = queue[0]
-                when = event._time
+                when = queue[0][0]
                 if when > horizon:
                     break
-                heappop(queue)
+                event = heappop(queue)[3]
             else:
                 break
             sanitizer = self.sanitizer
@@ -619,7 +691,10 @@ class Environment:
         at the earlier time must be able to overtake them."""
         for lane in (self._urgent, self._normal):
             while lane:
-                heappush(self._queue, lane.popleft())
+                event = lane.popleft()
+                heappush(
+                    self._queue, (event._time, event._prio, event._seq, event)
+                )
 
     def step(self) -> None:
         """Process the next scheduled event."""

@@ -20,8 +20,26 @@ class _Request(Event):
     __slots__ = ("resource",)
 
     def __init__(self, resource: "Resource"):
-        super().__init__(resource.env)
+        # Flat: the slots ``Event.__init__`` writes (one per packet on
+        # every bus, link and translation station).
+        self.env = env = resource.env
+        self.callbacks = []
+        self._value = None
+        self._ok = None
+        self._scheduled = False
+        if env.sanitizer is not None:
+            env.sanitizer.on_event_created(self)
+        self._abandoned = False
+        self._defused = False
+        self._recycle = False
         self.resource = resource
+
+    def _abandon(self) -> None:
+        self._abandoned = True
+        if self._ok is not None:
+            # Granted, but the interrupt overtook the grant's dispatch:
+            # the requester never saw it and will never release it.
+            self.resource.release(self)
 
 
 class Resource:

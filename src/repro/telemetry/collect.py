@@ -61,7 +61,6 @@ def collect_card_metrics(driver, registry: MetricsRegistry = None) -> MetricsReg
         gauge.set(link.in_flight(direction))
         gauge.high_water = max(gauge.high_water, link.in_flight_high_water[direction])
     _set_counter(reg, "pcie.migrated_bytes", xdma.migration_bytes)
-    _set_counter(reg, "pcie.bitstream_bytes", xdma.bitstream_bytes)
     _set_counter(reg, "pcie.interrupts_raised", xdma.interrupts_raised)
     _set_counter(reg, "pcie.interrupts_lost", xdma.interrupts_lost)
 

@@ -113,6 +113,45 @@ def test_interrupted_resource_waiter_skipped_on_release():
     assert order == [("survivor", 100)]
 
 
+@pytest.mark.parametrize("arrives_at", [0, 10])
+def test_interrupt_overtaking_an_immediate_grant_gives_the_slot_back(arrives_at):
+    """``request()`` on a free resource grants at once, NORMAL; an
+    interrupt in that same instant is URGENT and overtakes the grant's
+    dispatch.  The requester never sees the grant, so it can never
+    release it: the slot has to come back on its own — to a waiter
+    already queued behind it (0) or to whoever asks later (10)."""
+    env = Environment()
+    res = Resource(env, capacity=1)
+    order = []
+
+    def victim():
+        req = res.request()  # granted immediately, not yet dispatched
+        try:
+            yield req
+        except Interrupt:
+            return
+        order.append("victim")  # must never run
+
+    def survivor():
+        if arrives_at:
+            yield env.timeout(arrives_at)
+        req = res.request()
+        yield req
+        order.append(("survivor", env.now))
+        res.release(req)
+
+    def killer(target):
+        target.interrupt()
+        yield env.timeout(0)
+
+    v = env.process(victim())
+    env.process(survivor())
+    env.process(killer(v))
+    env.run()
+    assert order == [("survivor", arrives_at)]
+    assert res.count == 0
+
+
 def test_interrupted_container_getter_skipped():
     env = Environment()
     tank = Container(env, capacity=100, init=0)

@@ -189,9 +189,9 @@ def _heap_key(entry):
     return float(when), int(prio), int(seq), type(event).__name__
 
 
-def record_trace(seed):
+def record_trace(seed, env=None):
     """Run the seeded scenario to exhaustion, recording every dispatch."""
-    env = Environment()
+    env = env or Environment()
     rng = random.Random(seed)
     log = []
     _build_scenario(env, rng, log)
@@ -320,6 +320,43 @@ def test_sanitized_run_observes_every_step():
         sanitizer_mod.activate(previous) if previous is not None else (
             sanitizer_mod.deactivate()
         )
+
+
+@pytest.mark.parametrize("seed", GOLDEN_SEEDS)
+def test_sanitized_trace_equals_the_plain_trace(seed):
+    """Detached, ``succeed``/``Timeout``/``_relay`` push themselves;
+    attached, they go through ``_schedule`` so the hooks fire.  Both must produce the golden order — whatever
+    ``REPRO_SANITIZE`` says, hence the explicit attach and detach."""
+    plain = Environment()
+    plain.sanitizer = None
+    checked = Environment()
+    checked.sanitizer = SimSanitizer()
+    trace, log, _ = record_trace(seed, plain)
+    checked_trace, checked_log, _ = record_trace(seed, checked)
+    assert checked_trace == trace
+    assert checked_log == log
+    assert trace_digest(trace, log) == _load_fixtures()["seeds"][str(seed)]["digest"]
+    assert not checked.sanitizer.violations, checked.sanitizer.report()
+
+
+def test_scheduled_and_peek_event_yield_events_not_heap_entries():
+    """The heap holds ``(time, prio, seq, event)`` entries; the views of
+    "what is scheduled" must keep handing out the events themselves."""
+    env = Environment()
+    timer = env.timeout(5)
+    tied = env.timeout(5)
+    env.sleep(7)
+    assert env.peek_event() is timer and env.peek == 5.0  # lanes empty
+
+    def at_five(_event):
+        Event(env).succeed()  # a lane entry younger than ``tied``
+        assert env.peek_event() is tied  # the heap top wins the tie at now
+        assert {type(e) for e in env.scheduled()} == {Event, Timeout}
+        assert sum(1 for _ in env.scheduled()) == env.pending == 3
+
+    timer.callbacks.append(at_five)
+    env.run()
+    assert env.pending == 0 and env.peek_event() is None
 
 
 # ------------------------------------------------ reference-model order
@@ -461,6 +498,46 @@ def _drive(env, form):
     ),
 )
 def test_dispatch_order_matches_single_heap_model(nodes, roots, start, form):
+    _check_against_heap_model(nodes, roots, start, form)
+
+
+#: Every non-zero delay is one tick, so timers pile up on shared instants.
+_tie_node = st.tuples(
+    st.sampled_from(["succeed", "relay", "timeout", "sleep", "raw"]),
+    st.sampled_from([URGENT, NORMAL]),
+    st.sampled_from([0.0, 1.0, 1.0, -1.0]),
+    st.lists(st.integers(min_value=0, max_value=11), max_size=3),
+)
+
+
+@settings(max_examples=MAX_EXAMPLES)
+@given(
+    nodes=st.lists(_tie_node, max_size=7),
+    roots=st.lists(st.integers(min_value=0, max_value=11), max_size=4),
+    raw_prio=st.sampled_from([URGENT, NORMAL]),
+    form=st.sampled_from(
+        ["step", "run", "run_batch", "run_until_time", "run_until_event"]
+    ),
+)
+def test_heap_ties_lane_entries_and_a_spill_match_the_heap_model(
+    nodes, roots, raw_prio, form
+):
+    """Every example holds the three-way mix: two timers fall due at
+    t=1; the first one's dispatch fills both lanes and schedules an
+    event one tick in the past, so the second timer (heap, older seq)
+    ties with the lane heads and the past event spills the lanes to the
+    heap before either runs.  Hypothesis grows the tree from there."""
+    prelude = [
+        ("timeout", NORMAL, 1.0, [2, 3, 4, 5]),
+        ("timeout", NORMAL, 1.0, [6]),
+        ("succeed", URGENT, 0.0, [7]),
+        ("succeed", NORMAL, 0.0, [8]),
+        ("raw", raw_prio, -1.0, [9, 2]),
+    ]
+    _check_against_heap_model(prelude + nodes, [0, 1] + roots, 0.0, form)
+
+
+def _check_against_heap_model(nodes, roots, start, form):
     model = _HeapModel(start)
     expected, _ = _play(model, nodes, roots)
     model.run()

@@ -65,6 +65,11 @@ def test_quick_suite_measures_real_work(harness, quick_results):
     assert engine["ops_per_s"] > 0
     assert engine["detail"]["events_per_sec"] > 0
     assert engine["detail"]["events_processed"] > 0
+    handoff = engine["detail"]["handoff"]
+    assert handoff["events_per_sec"] > 0
+    # Every put and get is at least one dispatched event, and the clock
+    # never moves: the arm is zero-delay hand-offs only.
+    assert handoff["events_processed"] >= 2 * handoff["pairs"] * handoff["items_per_pair"]
     ring = by_name["ring_submit"]["detail"]
     # Batched doorbell submission: fewer total events per request than
     # the per-call ioctl, collapsed client wakeups, and > 1 descriptor
@@ -89,6 +94,10 @@ def test_validator_rejects_malformed_results(harness, quick_results):
     assert harness.validate_results(broken)
     broken = json.loads(json.dumps(quick_results))
     broken["workloads"][0]["throughput_gbps"] = "fast"
+    assert harness.validate_results(broken)
+    broken = json.loads(json.dumps(quick_results))
+    engine = next(w for w in broken["workloads"] if w["name"] == "engine_events")
+    del engine["detail"]["handoff"]
     assert harness.validate_results(broken)
     assert harness.validate_results({"schema_version": 999})
 

@@ -7,7 +7,9 @@ from repro.sim import (
     AllOf,
     AnyOf,
     Environment,
+    Event,
     Interrupt,
+    Resource,
     SimulationError,
 )
 
@@ -41,6 +43,37 @@ def test_negative_delay_rejected():
     env = Environment()
     with pytest.raises(SimulationError):
         env.timeout(-1)
+    with pytest.raises(SimulationError):
+        env.sleep(-1)
+
+
+@pytest.mark.parametrize("arm", ["timeout", "sleep"])
+def test_nan_delay_rejected(arm):
+    """``nan < 0`` is False: a NaN delay used to be scheduled, after which
+    the clock read ``nan`` and heap order was undefined."""
+    env = Environment()
+    with pytest.raises(SimulationError):
+        getattr(env, arm)(float("nan"))
+    assert env.pending == 0
+    env.run()
+    assert env.now == 0.0
+
+
+def test_flat_constructors_write_every_slot_event_init_writes():
+    """``Timeout`` and ``Resource.request()`` do not chain
+    ``Event.__init__``; a slot added there must be added to them too."""
+    env = Environment()
+    plain = Event(env)
+    resource = Resource(env, capacity=1)
+    resource.request()
+    queued = resource.request()  # pending, like ``plain``
+    written = [slot for slot in Event.__slots__ if hasattr(plain, slot)]
+    assert {"callbacks", "_ok", "_abandoned", "_defused", "_recycle"} <= set(written)
+    for flat in (queued, env.timeout(1)):
+        for slot in written:
+            assert hasattr(flat, slot), (type(flat).__name__, slot)
+            if slot not in ("_origin", "_scheduled"):
+                assert getattr(flat, slot) == getattr(plain, slot), slot
 
 
 def test_events_fire_in_time_order():
