@@ -283,8 +283,9 @@ class HostDataMover(_DataMover):
         (GPU-style fault), host pages go straight to the DMA.
 
         Inlined (no throwaway Process per packet): the translate
-        generator runs inside the pipeline stage; its try/finally still
-        releases the walk grant if a reset interrupts it.
+        generator runs inside the pipeline stage; it holds nothing a
+        reset's interrupt could leak (the station slot is booked, not
+        granted).
         """
         _vfpga, mmu = self._vfpgas[packet.vfpga_id]
         pid = packet.descriptor.pid
@@ -377,7 +378,7 @@ class CardDataMover(_DataMover):
                 # repro: allow[RES001] split-phase: VFpga.recv releases this credit when the deposited flit is consumed
                 yield from vfpga.rd_credits[StreamType.CARD].acquire()
                 # Inlined per-packet ops: no throwaway Process events on
-                # the HBM hot path; grant try/finally survives interrupts.
+                # the HBM hot path; booked slots leave nothing to release.
                 paddr = yield from mmu.translate(
                     desc.pid, packet.vaddr, MemLocation.CARD
                 )

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Generator
 
 from ..sim.engine import Environment
-from ..sim.resources import Resource
+from ..sim.rate import FifoServer
 from .allocator import FrameAllocator
 from .sparse import SparseMemory
 from .tlb import PAGE_2M
@@ -46,7 +46,7 @@ class GpuDevice:
         self.name = name
         self.mem = SparseMemory(config.memory_bytes, name=f"{name}-mem")
         self.frames = FrameAllocator(config.memory_bytes, config.page_size, f"{name}-frames")
-        self._p2p = Resource(env, capacity=1)
+        self._p2p = FifoServer(env)
         self.bytes_read = 0
         self.bytes_written = 0
 
@@ -60,14 +60,11 @@ class GpuDevice:
     # -- P2P DMA (FPGA-initiated, host never touched) ------------------------
 
     def _transfer(self, nbytes: int) -> Generator:
-        grant = self._p2p.request()
-        yield grant
-        try:
-            yield self.env.timeout(
+        yield self.env.timeout_at(
+            self._p2p.book(
                 self.config.p2p_latency_ns + nbytes / self.config.p2p_bandwidth
             )
-        finally:
-            self._p2p.release(grant)
+        )
 
     def read(self, paddr: int, length: int) -> Generator:
         """P2P read from device memory; returns the bytes."""

@@ -15,8 +15,8 @@ from typing import Generator, Optional
 
 from ..faults.plan import HBM_ECC_DOUBLE, HBM_ECC_SINGLE
 from ..sim.clock import HBM_CLOCK, Clock
-from ..sim.engine import AllOf, Environment
-from ..sim.resources import Resource
+from ..sim.engine import Environment, Timeout
+from ..sim.rate import FifoServer
 from .sparse import SparseMemory
 
 __all__ = ["HbmConfig", "HbmController"]
@@ -62,7 +62,7 @@ class HbmController:
         self.env = env
         self.config = config
         self._mem = SparseMemory(config.total_bytes, name="hbm")
-        self._channels = [Resource(env, capacity=1) for _ in range(config.num_channels)]
+        self._channels = [FifoServer(env) for _ in range(config.num_channels)]
         self.bytes_read = 0
         self.bytes_written = 0
         #: Per-pseudo-channel access counts: striping skew shows up here
@@ -90,45 +90,41 @@ class HbmController:
 
     # -- timed access --------------------------------------------------------
 
-    def _channel_access(self, channel: int, nbytes: int) -> Generator:
-        self.channel_accesses[channel] += 1
-        grant = self._channels[channel].request()
-        yield grant
-        try:
-            cycles = -(-nbytes // self.config.port_width_bytes)
-            delay = self.config.access_latency_ns + self.config.clock.cycles_to_ns(cycles)
-            if self.faults is not None:
-                if self.faults.fires(HBM_ECC_SINGLE, channel):
+    def _access(self, addr: int, length: int) -> Timeout:
+        """Book every stripe on its channel, now; the event that fires
+        when the last of them finishes."""
+        config = self.config
+        faults = self.faults
+        done = self.env.now
+        for channel, _addr, nbytes in self._stripes(addr, length):
+            self.channel_accesses[channel] += 1
+            cycles = -(-nbytes // config.port_width_bytes)
+            delay = config.access_latency_ns + config.clock.cycles_to_ns(cycles)
+            if faults is not None:
+                if faults.fires(HBM_ECC_SINGLE, channel):
                     # SECDED corrects single-bit flips inline: data intact,
                     # only the event is counted (scrubber telemetry).
                     self.ecc_corrected += 1
-                if self.faults.fires(HBM_ECC_DOUBLE, channel):
+                if faults.fires(HBM_ECC_DOUBLE, channel):
                     # Double-bit error: the controller re-reads the burst
                     # (doubling the access time) and succeeds — modeled as
                     # a transient; the event is surfaced via card_report().
                     self.ecc_uncorrected += 1
                     delay *= 2.0
-            yield self.env.timeout(delay)
-        finally:
-            self._channels[channel].release(grant)
+            finish = self._channels[channel].book(delay)
+            if finish > done:
+                done = finish
+        return self.env.timeout_at(done)
 
     def read(self, addr: int, length: int) -> Generator:
         """Timed read returning the stored bytes."""
-        events = [
-            self.env.process(self._channel_access(ch, n))
-            for ch, _a, n in self._stripes(addr, length)
-        ]
-        yield AllOf(self.env, events)
+        yield self._access(addr, length)
         self.bytes_read += length
         return self._mem.read(addr, length)
 
     def write(self, addr: int, data: bytes) -> Generator:
         """Timed write of a byte payload."""
-        events = [
-            self.env.process(self._channel_access(ch, n))
-            for ch, _a, n in self._stripes(addr, len(data))
-        ]
-        yield AllOf(self.env, events)
+        yield self._access(addr, len(data))
         self._mem.write(addr, data)
         self.bytes_written += len(data)
 
@@ -141,4 +137,5 @@ class HbmController:
         self._mem.write(addr, data)
 
     def channel_utilization(self) -> list:
-        return [len(c.users) for c in self._channels]
+        now = self.env.now
+        return [int(c.free_at > now) for c in self._channels]

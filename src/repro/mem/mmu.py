@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Generator, Optional, Tuple
 
 from ..sim.engine import Environment
-from ..sim.resources import Resource
+from ..sim.rate import FifoServer
 from .tlb import MemLocation, Tlb, TlbConfig, TlbEntry
 
 __all__ = ["PageTable", "PageTableEntry", "Mmu", "MmuConfig", "SegmentationFault"]
@@ -119,7 +119,7 @@ class Mmu:
         self.config = config
         self.name = name
         self.tlb = Tlb(config.tlb)
-        self._xlat = Resource(env, capacity=config.xlat_stations)
+        self._xlat = FifoServer(env, servers=config.xlat_stations)
         self.walk_fn: Optional[Callable] = None
         self.walk_any_fn: Optional[Callable] = None
         self.page_faults = 0
@@ -141,16 +141,11 @@ class Mmu:
         Charges the shared translation-pipeline occupancy (taper source)
         plus, on a miss, the driver walk.
         """
-        grant = self._xlat.request()
-        yield grant
-        try:
-            yield self.env.timeout(self.config.xlat_service_ns)
-            entry = self.tlb.lookup(vaddr)
-            if entry is not None and entry.location is location:
-                paddr = (entry.ppn << self.tlb.config.page_shift) | self.tlb.offset_of(vaddr)
-                return paddr
-        finally:
-            self._xlat.release(grant)
+        yield self.env.timeout_at(self._xlat.book(self.config.xlat_service_ns))
+        entry = self.tlb.lookup(vaddr)
+        if entry is not None and entry.location is location:
+            paddr = (entry.ppn << self.tlb.config.page_shift) | self.tlb.offset_of(vaddr)
+            return paddr
         # Miss path: fall back to the host-side driver (outside the
         # translation pipeline so hits are not blocked behind walks).
         if self.walk_fn is None:
@@ -173,16 +168,11 @@ class Mmu:
         this is the path that lets the datapath issue direct PCIe
         peer-to-peer transfers to GPU-resident pages.
         """
-        grant = self._xlat.request()
-        yield grant
-        try:
-            yield self.env.timeout(self.config.xlat_service_ns)
-            entry = self.tlb.lookup(vaddr)
-            if entry is not None:
-                paddr = (entry.ppn << self.tlb.config.page_shift) | self.tlb.offset_of(vaddr)
-                return entry.location, paddr
-        finally:
-            self._xlat.release(grant)
+        yield self.env.timeout_at(self._xlat.book(self.config.xlat_service_ns))
+        entry = self.tlb.lookup(vaddr)
+        if entry is not None:
+            paddr = (entry.ppn << self.tlb.config.page_shift) | self.tlb.offset_of(vaddr)
+            return entry.location, paddr
         if self.walk_any_fn is None:
             raise SegmentationFault(f"{self.name}: no driver bound")
         self.walks += 1

@@ -14,7 +14,7 @@ from typing import Generator
 
 from ..faults.plan import PCIE_REPLAY
 from ..sim.engine import Environment
-from ..sim.resources import Resource
+from ..sim.rate import FifoServer
 
 __all__ = ["PcieLinkConfig", "PcieLink"]
 
@@ -43,9 +43,8 @@ class PcieLink:
     def __init__(self, env: Environment, config: PcieLinkConfig = PcieLinkConfig()):
         self.env = env
         self.config = config
-        self._h2c = Resource(env, capacity=1)
-        self._c2h = Resource(env, capacity=1)
-        self._directions = {"h2c": self._h2c, "c2h": self._c2h}
+        self._directions = {"h2c": FifoServer(env), "c2h": FifoServer(env)}
+        self._in_flight = {"h2c": 0, "c2h": 0}
         self.h2c_bytes = 0
         self.c2h_bytes = 0
         self.h2c_transfers = 0
@@ -59,8 +58,7 @@ class PcieLink:
 
     def in_flight(self, direction: str) -> int:
         """Transfers currently holding or queued for one direction."""
-        resource = self._directions[direction]
-        return len(resource.users) + len(resource._waiting)
+        return self._in_flight[direction]
 
     def _replay_penalty_ns(self, direction: str) -> float:
         """Link-layer fault check: a replayed TLP costs extra latency but
@@ -71,16 +69,16 @@ class PcieLink:
         return 0.0
 
     def _occupy(self, name: str, duration_ns: float) -> Generator:
-        direction = self._directions[name]
-        grant = direction.request()
-        depth = self.in_flight(name)
+        finish = self._directions[name].book(duration_ns)
+        self._in_flight[name] = depth = self._in_flight[name] + 1
         if depth > self.in_flight_high_water[name]:
             self.in_flight_high_water[name] = depth
-        yield grant
         try:
-            yield self.env.timeout(duration_ns)
+            yield self.env.timeout_at(finish)
         finally:
-            direction.release(grant)
+            # An interrupted waiter leaves the count at once; its booked
+            # slot on the link stays (the TLPs were already issued).
+            self._in_flight[name] -= 1
 
     def h2c(self, nbytes: int, overhead: bool = True) -> Generator:
         """Move ``nbytes`` from host memory to the card."""

@@ -24,12 +24,13 @@ full account is DESIGN.md "Event engine internals"):
   orders them by C tuple comparison (``seq`` is unique: the event is
   never compared) and makes no call back into Python.
 * The hot ways of arming or triggering an event — ``Event.succeed``,
-  ``Timeout``, ``_relay`` — write the key and push themselves: one
-  engine frame between model code and the container.  Each is a copy
-  of :meth:`Environment._schedule`, which stays the one general door
-  (``fail``, :meth:`Environment.sleep`, forced delays, an event already
-  scheduled) and the only one used while a sanitizer is attached, so
-  its hooks fire on every path.
+  ``Timeout``, ``timeout_at``, ``_relay`` — write the key and push
+  themselves: one engine frame between model code and the container.
+  Each is a copy of :meth:`Environment._schedule`, which stays the one
+  general door (``fail``, :meth:`Environment.sleep`, forced delays, an
+  event already scheduled) and the one used while a sanitizer is
+  attached, so its hooks fire on every path (``timeout_at``, whose key
+  time is given rather than ``now + delay``, fires them itself).
 * **One dispatch loop** (:meth:`Environment._dispatch`) takes the least
   of (lane head, heap top) and runs its callbacks.  ``step``,
   ``run_batch`` and all three forms of ``run`` are thin callers of it;
@@ -477,8 +478,9 @@ class Environment:
 
     def _schedule(self, event: Event, delay: float, priority: int) -> None:
         """Key ``event`` and put it in its container.  ``Event.succeed``,
-        ``Timeout`` and ``_relay`` carry flat copies of this body for
-        the no-sanitizer case; change them together."""
+        ``Timeout``, ``timeout_at`` and ``_relay`` carry flat copies of
+        this body for the no-sanitizer case (``timeout_at`` always: its
+        key time is given, not ``now + delay``); change them together."""
         if event._scheduled:
             return
         if self.sanitizer is not None:
@@ -576,6 +578,46 @@ class Environment:
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         return Timeout(self, delay, value)
+
+    def timeout_at(self, when: float, value: Any = None) -> Timeout:
+        """A :class:`Timeout` due at the absolute time ``when``, keyed
+        with exactly that float.
+
+        For a caller that already knows its finish time (a booked slot
+        on a :class:`repro.sim.rate.FifoServer`): ``timeout(when - now)``
+        would land on ``now + (when - now)``, which is an ulp off
+        ``when`` often enough to break bit-identical simulated times.
+        """
+        now = self.now
+        if not when >= now:  # also rejects NaN
+            raise SimulationError(f"when must be >= now ({now!r}), got {when!r}")
+        # Flat, like ``Timeout.__init__``: the slots it writes, then the
+        # push ``_schedule`` makes, with ``when`` as the key time.
+        event = Timeout.__new__(Timeout)
+        event.env = self
+        event.callbacks = []
+        event._value = value
+        event._ok = None
+        event._abandoned = False
+        event._defused = False
+        event._recycle = False
+        event.delay = when - now
+        sanitizer = self.sanitizer
+        if sanitizer is not None:
+            sanitizer.on_event_created(event)
+            sanitizer.on_schedule(self, event.delay)
+        event._scheduled = True
+        event._time = when
+        event._prio = NORMAL
+        event._seq = seq = next(self._seq)
+        if when == now:
+            self._normal.append(event)
+        else:
+            heappush(self._queue, (when, NORMAL, seq, event))
+        pending = seq + 1 - self.events_processed
+        if pending > self.queue_high_water:
+            self.queue_high_water = pending
+        return event
 
     def sleep(self, delay: float) -> Event:
         """A pooled, recyclable delay for the plain ``yield env.sleep(d)``

@@ -1,19 +1,57 @@
-"""Virtual-time rate server: O(1)-event bandwidth accounting.
+"""Virtual-time FIFO servers: one event per use of a fixed-service station.
 
-Models a fixed-rate resource (a pipeline issuing one block per cycle, a
-bus moving N bytes per cycle) without generating one event per cycle: each
-reservation books ``amount / rate`` time on a virtual clock that never
-runs ahead of demand.  FIFO order; work-conserving.
+A station whose service time is known when work arrives (a link
+direction, a memory channel, a translation pipeline, a pipeline issuing
+one block per cycle) needs no queue: each use *books* its slot on a
+clock of free times that never runs ahead of demand, and the caller
+sleeps once, until the finish time the booking returned.  FIFO order;
+work-conserving.
 """
 
 from __future__ import annotations
 
+from heapq import heapreplace
 from typing import Generator
 
 from .engine import Environment
-from .resources import Resource
 
-__all__ = ["RateServer"]
+__all__ = ["FifoServer", "RateServer"]
+
+
+class FifoServer:
+    """``servers`` identical stations behind one FIFO queue.
+
+    ``book(duration)`` takes the station that frees up first and returns
+    the absolute time the work finishes: ``max(now, free) + duration`` —
+    the float a ``Resource`` grant followed by ``Timeout(duration)``
+    lands on.  Wait for it with ``env.timeout_at(finish)``, never
+    ``timeout(finish - now)``.  A booking is not recalled when its
+    waiter is interrupted: the slot was already issued.
+    """
+
+    __slots__ = ("env", "_free")
+
+    def __init__(self, env: Environment, servers: int = 1):
+        if servers < 1:
+            raise ValueError("servers must be >= 1")
+        self.env = env
+        #: When each station next falls idle; a heap (least first).
+        self._free = [0.0] * servers
+
+    def book(self, duration: float) -> float:
+        free = self._free
+        now = self.env.now
+        start = free[0]
+        if start < now:
+            start = now
+        finish = start + duration
+        heapreplace(free, finish)
+        return finish
+
+    @property
+    def free_at(self) -> float:
+        """When a station next falls idle (in the past: one is idle now)."""
+        return self._free[0]
 
 
 class RateServer:
@@ -25,31 +63,17 @@ class RateServer:
         self.env = env
         self.units_per_ns = units_per_ns
         self.name = name
-        self._order = Resource(env, capacity=1)  # FIFO admission
-        self._virtual_free = 0.0  # when the server next becomes idle
+        self._server = FifoServer(env)
         self.total_units = 0.0
 
     def reserve(self, units: float) -> Generator:
         """Occupy the server for ``units`` worth of work; returns when done."""
         if units < 0:
             raise ValueError("units must be non-negative")
-        grant = self._order.request()
-        yield grant
-        try:
-            start = max(self.env.now, self._virtual_free)
-            finish = start + units / self.units_per_ns
-            self._virtual_free = finish
-            self.total_units += units
-            # Hold FIFO order only until our slot begins, then let the next
-            # requester book behind us while our work "flows through".
-            if start > self.env.now:
-                yield self.env.timeout(start - self.env.now)
-        finally:
-            self._order.release(grant)
-        if finish > self.env.now:
-            yield self.env.timeout(finish - self.env.now)
+        self.total_units += units
+        yield self.env.timeout_at(self._server.book(units / self.units_per_ns))
 
     @property
     def utilization_until(self) -> float:
         """Virtual time at which currently-booked work completes."""
-        return self._virtual_free
+        return self._server.free_at

@@ -406,6 +406,9 @@ class _EngineBackend:
             event = Timeout(env, delay)
         elif kind == "sleep":
             event = env.sleep(delay)
+        elif kind == "timeout_at":
+            # An absolute key time; ``now + 0.0`` is a NORMAL lane entry.
+            event = env.timeout_at(env.now + delay)
         else:
             event = Event(env)
         event.callbacks.append(callback)
@@ -422,7 +425,7 @@ _DELAYS = [0.0, 1e-9, 0.5, 1.0, 2.0, 3.5]
 _MAX_SCHEDULED = 120
 
 _node = st.tuples(
-    st.sampled_from(["succeed", "relay", "timeout", "sleep", "raw"]),
+    st.sampled_from(["succeed", "relay", "timeout", "timeout_at", "sleep", "raw"]),
     st.sampled_from([URGENT, NORMAL]),
     st.sampled_from(_DELAYS + [-1.0, -2.5]),
     st.lists(st.integers(min_value=0, max_value=9), max_size=3),
@@ -442,7 +445,7 @@ def _play(backend, nodes, roots):
         kind, prio, delay, children = nodes[index % len(nodes)]
         if kind in ("succeed", "relay"):
             delay = 0.0
-        elif kind in ("timeout", "sleep"):
+        elif kind in ("timeout", "timeout_at", "sleep"):
             # Always NORMAL, and the constructors reject negative delays.
             prio, delay = NORMAL, abs(delay)
         elif delay < 0:
@@ -503,7 +506,7 @@ def test_dispatch_order_matches_single_heap_model(nodes, roots, start, form):
 
 #: Every non-zero delay is one tick, so timers pile up on shared instants.
 _tie_node = st.tuples(
-    st.sampled_from(["succeed", "relay", "timeout", "sleep", "raw"]),
+    st.sampled_from(["succeed", "relay", "timeout", "timeout_at", "sleep", "raw"]),
     st.sampled_from([URGENT, NORMAL]),
     st.sampled_from([0.0, 1.0, 1.0, -1.0]),
     st.lists(st.integers(min_value=0, max_value=11), max_size=3),

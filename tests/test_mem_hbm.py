@@ -2,6 +2,13 @@
 
 import pytest
 
+from repro.faults import (
+    HBM_ECC_DOUBLE,
+    HBM_ECC_SINGLE,
+    FaultInjector,
+    FaultPlan,
+    FaultRule,
+)
 from repro.mem import HbmConfig, HbmController
 from repro.sim import Environment
 
@@ -89,3 +96,112 @@ def test_unaligned_request_splits_at_stripe_boundary():
     stripes = list(hbm._stripes(4000, 200))
     # Crosses the 4096 boundary: 96 bytes on channel 0, 104 on channel 1.
     assert stripes == [(0, 4000, 96), (1, 4096, 104)]
+
+
+# --------------------------------------------- booked channels (no queue)
+
+
+def _stripe_ns(hbm, nbytes):
+    config = hbm.config
+    return config.access_latency_ns + config.clock.cycles_to_ns(
+        -(-nbytes // config.port_width_bytes)
+    )
+
+
+def test_one_access_costs_one_event_however_many_stripes():
+    """Every stripe is booked on its channel at the call and the access
+    waits once, for the last finish: no process per stripe, no AllOf."""
+    env = Environment()
+    hbm = HbmController(env, small_config())
+
+    def proc():
+        before = env.events_processed
+        yield from hbm.read(0, 4 * 4096)  # one stripe on each channel
+        return env.events_processed - before, env.now
+
+    events, now = env.run(env.process(proc()))
+    assert events == 1
+    assert now == _stripe_ns(hbm, 4096)
+    assert hbm.channel_accesses == [1, 1, 1, 1]
+
+
+def test_channel_utilization_counts_channels_holding_work_now():
+    env = Environment()
+    hbm = HbmController(env, small_config())
+    seen = {}
+
+    def reader():
+        yield from hbm.read(0, 2 * 4096 + 64)  # channels 0, 1 and (64 B) 2
+
+    def probe():
+        seen["idle"] = hbm.channel_utilization()
+        yield env.timeout(1)
+        seen["all three busy"] = hbm.channel_utilization()
+        yield env.timeout(_stripe_ns(hbm, 64))
+        seen["short stripe done"] = hbm.channel_utilization()
+        yield env.timeout(_stripe_ns(hbm, 4096))
+        seen["drained"] = hbm.channel_utilization()
+
+    env.process(probe())
+    env.process(reader())
+    env.run()
+    assert seen == {
+        "idle": [0, 0, 0, 0],
+        "all three busy": [1, 1, 1, 0],
+        "short stripe done": [1, 1, 0, 0],
+        "drained": [0, 0, 0, 0],
+    }
+
+
+def _armed(hbm, *rules):
+    injector = FaultInjector(FaultPlan(seed=5, rules=list(rules)))
+    hbm.faults = injector
+    return injector
+
+
+def test_double_bit_ecc_doubles_the_stripe_and_single_only_counts():
+    env = Environment()
+    hbm = HbmController(env, small_config())
+    injector = _armed(
+        hbm,
+        FaultRule(site=HBM_ECC_SINGLE, at_events=(0, 2)),
+        FaultRule(site=HBM_ECC_DOUBLE, at_events=(1,)),
+    )
+
+    def proc():
+        yield from hbm.write(0, b"\x5a" * (3 * 4096))  # channels 0, 1, 2
+        first = env.now
+        data = yield from hbm.read(4096, 4096)  # channel 1 again, clean
+        return first, env.now, data
+
+    first, second, data = env.run(env.process(proc()))
+    stripe = _stripe_ns(hbm, 4096)
+    # The access ends with its slowest stripe: channel 1's doubled burst.
+    assert first == 2.0 * stripe
+    assert second == first + stripe
+    assert data == b"\x5a" * 4096  # a transient: the data is intact
+    assert (hbm.ecc_corrected, hbm.ecc_uncorrected) == (2, 1)
+    assert injector.event_counts[HBM_ECC_DOUBLE] == 4  # one draw a stripe
+
+
+def test_ecc_is_drawn_at_booking_in_issue_order():
+    """Two accesses issued at one instant draw per stripe in the order
+    they were issued (A's stripes, then B's), not in the order the
+    channels would have come free: the third draw is B's channel-0
+    stripe, queued behind A's long one, and it is the one that doubles."""
+    env = Environment()
+    hbm = HbmController(env, small_config())
+    _armed(hbm, FaultRule(site=HBM_ECC_DOUBLE, at_events=(2,)))
+    done = {}
+
+    def access(tag, addr, length):
+        yield from hbm.read(addr, length)
+        done[tag] = env.now
+
+    long, short = _stripe_ns(hbm, 4096), _stripe_ns(hbm, 32)
+    env.process(access("A", 0, 4096 + 32))  # channel 0 long, channel 1 short
+    env.process(access("B", 4 * 4096, 4096 + 32))  # same two channels
+    env.run()
+    assert short < long
+    assert done == {"A": long, "B": long + 2.0 * long}
+    assert hbm.ecc_uncorrected == 1

@@ -2,8 +2,12 @@
 
 import pytest
 
+from repro import CThread, Driver, LocalSg, Oper, SgEntry, Shell, ShellConfig
+from repro.apps import PassThroughApp
+from repro.health import RecoveredError
 from repro.pcie import MsiVector, PcieLink, PcieLinkConfig, Xdma, XdmaConfig
 from repro.sim import Environment
+from repro.telemetry import collect_card_metrics
 
 
 def test_link_transfer_time_matches_bandwidth():
@@ -130,3 +134,102 @@ def test_xdma_byte_counters():
     env.run(env.process(proc()))
     assert xdma.link.h2c_bytes == 1100
     assert xdma.link.c2h_bytes == 50
+
+
+# ------------------------------------------- in-flight count under interrupt
+
+
+def _holder_and_waiter(env, link):
+    def xfer():
+        yield from link.h2c(120_000)  # 10 us each
+
+    return env.process(xfer()), env.process(xfer())
+
+
+def test_in_flight_drops_an_interrupted_waiter_at_once():
+    """The count used to read ``Resource._waiting``, which keeps an
+    abandoned request until the queue drains past it: a waiter
+    interrupted while queued stayed in the gauge until the holder was
+    done."""
+    env = Environment()
+    link = PcieLink(env, PcieLinkConfig(descriptor_overhead_ns=0))
+    _holder, waiter = _holder_and_waiter(env, link)
+    seen = {}
+
+    def reset():
+        yield env.timeout(1_000)
+        seen["both"] = link.in_flight("h2c")
+        waiter.defuse()
+        waiter.interrupt("region reset")
+        yield env.timeout(1)
+        seen["after interrupt"] = link.in_flight("h2c")
+
+    env.process(reset())
+    env.run()
+    assert seen == {"both": 2, "after interrupt": 1}
+    assert link.in_flight("h2c") == 0
+    assert link.in_flight_high_water == {"h2c": 2, "c2h": 0}
+    assert link.h2c_transfers == 1  # the interrupted one moved nothing
+
+
+def test_interrupted_waiter_keeps_its_booked_slot():
+    """A slot is booked when the transfer is issued and is not recalled:
+    the TLPs are already in the pipeline, so a later transfer queues
+    behind the dead one's slot."""
+    env = Environment()
+    link = PcieLink(env, PcieLinkConfig(descriptor_overhead_ns=0))
+    _holder, waiter = _holder_and_waiter(env, link)
+
+    def late():
+        yield env.timeout(1_000)
+        waiter.defuse()
+        waiter.interrupt("region reset")
+        yield from link.h2c(120_000)
+        return env.now
+
+    assert env.run(env.process(late())) == 30_000.0
+
+
+def test_in_flight_is_zero_after_a_recovery_that_lands_mid_dma():
+    """``quiesce_region`` interrupts a region's units while the shared
+    DMA stages hold the link; once everything drained, nothing is left
+    in the count or the gauge."""
+    env = Environment()
+    shell = Shell(env, ShellConfig(num_vfpgas=2))
+    driver = Driver(env, shell)
+    link = shell.static.xdma.link
+    for vfpga_id in range(2):
+        shell.load_app(vfpga_id, PassThroughApp())
+    size = 256 * 1024
+    outcome = {}
+
+    def tenant(vfpga_id):
+        thread = CThread(driver, vfpga_id, pid=10 + vfpga_id)
+        src = yield from thread.get_mem(size)
+        dst = yield from thread.get_mem(size)
+        thread.write_buffer(src.vaddr, bytes([vfpga_id + 1]) * size)
+        sg = SgEntry(local=LocalSg(
+            src_addr=src.vaddr, src_len=size, dst_addr=dst.vaddr, dst_len=size,
+        ))
+        try:
+            yield from thread.invoke(Oper.LOCAL_TRANSFER, sg)
+            outcome[vfpga_id] = thread.read_buffer(dst.vaddr, size)
+        except RecoveredError:
+            outcome[vfpga_id] = "recovered"
+
+    def operator():
+        while not (link.in_flight("h2c") and link.h2c_bytes > size // 4):
+            yield env.timeout(50)
+        outcome["in flight at reset"] = link.in_flight("h2c")
+        yield env.process(driver.recover(0, reason="operator"))
+
+    for vfpga_id in range(2):
+        env.process(tenant(vfpga_id))
+    env.process(operator())
+    env.run()
+    assert outcome[0] == "recovered" and outcome[1] == bytes([2]) * size
+    assert outcome["in flight at reset"] >= 1
+    assert link.in_flight("h2c") == link.in_flight("c2h") == 0
+    gauge = collect_card_metrics(driver).gauge("pcie.h2c_in_flight")
+    assert gauge.value == 0
+    assert gauge.high_water == link.in_flight_high_water["h2c"] >= 1

@@ -60,8 +60,9 @@ def test_nan_delay_rejected(arm):
 
 
 def test_flat_constructors_write_every_slot_event_init_writes():
-    """``Timeout`` and ``Resource.request()`` do not chain
-    ``Event.__init__``; a slot added there must be added to them too."""
+    """``Timeout``, ``timeout_at`` and ``Resource.request()`` do not
+    chain ``Event.__init__``; a slot added there must be added to them
+    too."""
     env = Environment()
     plain = Event(env)
     resource = Resource(env, capacity=1)
@@ -69,11 +70,67 @@ def test_flat_constructors_write_every_slot_event_init_writes():
     queued = resource.request()  # pending, like ``plain``
     written = [slot for slot in Event.__slots__ if hasattr(plain, slot)]
     assert {"callbacks", "_ok", "_abandoned", "_defused", "_recycle"} <= set(written)
-    for flat in (queued, env.timeout(1)):
+    for flat in (queued, env.timeout(1), env.timeout_at(1)):
         for slot in written:
             assert hasattr(flat, slot), (type(flat).__name__, slot)
             if slot not in ("_origin", "_scheduled"):
                 assert getattr(flat, slot) == getattr(plain, slot), slot
+
+
+def _ulp_trap():
+    """A ``(now, when)`` pair on which ``now + (when - now) != when``."""
+    now, when = 0.4863176738884806, 1.6143811106352264
+    assert now + (when - now) != when
+    return now, when
+
+
+@pytest.mark.parametrize("sanitized", [False, True])
+def test_timeout_at_lands_on_the_exact_float(sanitized):
+    """``timeout(when - now)`` is keyed ``now + (when - now)``, an ulp
+    off ``when``; ``timeout_at`` is keyed ``when`` — also with a
+    sanitizer attached, whose hooks must still fire."""
+    now, when = _ulp_trap()
+    env = Environment(now)
+    calls = []
+    if sanitized:
+        env.sanitizer = sanitizer = SimSanitizer()
+        sanitizer.on_schedule = lambda env, delay: calls.append(("schedule", delay))
+    else:
+        env.sanitizer = None
+
+    def proc():
+        value = yield env.timeout_at(when, value="done")
+        return value, env.now
+
+    assert env.run(env.process(proc())) == ("done", when)
+    assert env.now == when
+    if sanitized:
+        assert ("schedule", when - now) in calls
+        timer = env.timeout_at(when)
+        assert timer._origin.startswith("tests/test_sim_engine.py:")
+
+
+def test_timeout_at_now_is_a_normal_lane_entry():
+    env = Environment(5.0)
+    order = []
+    first = env.event()
+    first.callbacks.append(lambda _e: order.append("succeed"))
+    first.succeed()
+    timer = env.timeout_at(5.0)
+    timer.callbacks.append(lambda _e: order.append("timeout_at"))
+    assert not timer.triggered and env.peek == 5.0 and not env._queue
+    env.run()
+    assert order == ["succeed", "timeout_at"] and env.now == 5.0
+
+
+def test_timeout_at_rejects_the_past_and_nan():
+    env = Environment(10.0)
+    for when in (9.999, -1.0, float("nan")):
+        with pytest.raises(SimulationError):
+            env.timeout_at(when)
+    assert env.pending == 0
+    env.run()
+    assert env.now == 10.0
 
 
 def test_events_fire_in_time_order():
