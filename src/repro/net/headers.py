@@ -49,10 +49,13 @@ ECN_CE = 3  # Congestion Experienced: set by the switch above threshold
 class MacAddress:
     """A 48-bit Ethernet address."""
 
+    __slots__ = ("value", "_hash")
+
     def __init__(self, value: int):
         if not 0 <= value < (1 << 48):
             raise ValueError("MAC address out of range")
         self.value = value
+        self._hash = hash(value)
 
     @classmethod
     def from_string(cls, text: str) -> "MacAddress":
@@ -72,7 +75,7 @@ class MacAddress:
         return isinstance(other, MacAddress) and self.value == other.value
 
     def __hash__(self) -> int:
-        return hash(self.value)
+        return self._hash
 
     def __repr__(self) -> str:
         raw = self.value.to_bytes(6, "big")

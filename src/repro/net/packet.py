@@ -54,15 +54,16 @@ class RocePacket:
     payload: Optional[bytes] = None
     payload_length: int = 0
 
+    #: Bytes from BTH through ICRC (the UDP payload).
+    transport_length: int = field(init=False, repr=False, compare=False)
+    #: Total frame size on the wire (without preamble/FCS).
+    wire_length: int = field(init=False, repr=False, compare=False)
+
     def __post_init__(self) -> None:
         if self.payload is not None:
             self.payload_length = len(self.payload)
-
-    # ------------------------------------------------------------- sizing
-
-    @property
-    def transport_length(self) -> int:
-        """Bytes from BTH through ICRC (the UDP payload)."""
+        # A frame is sized once: every hop reads these, nothing mutates
+        # the headers they depend on (a ``replace`` copy recomputes).
         size = BthHeader.SIZE
         if self.reth is not None:
             size += RethHeader.SIZE
@@ -72,16 +73,9 @@ class RocePacket:
             size += AtomicEthHeader.SIZE
         if self.atomic_ack is not None:
             size += AtomicAckEthHeader.SIZE
-        return size + self.payload_length + ICRC_SIZE
-
-    @property
-    def wire_length(self) -> int:
-        """Total frame size on the wire (without preamble/FCS)."""
-        return (
-            EthernetHeader.SIZE
-            + Ipv4Header.SIZE
-            + UdpHeader.SIZE
-            + self.transport_length
+        self.transport_length = size + self.payload_length + ICRC_SIZE
+        self.wire_length = (
+            EthernetHeader.SIZE + Ipv4Header.SIZE + UdpHeader.SIZE + self.transport_length
         )
 
     # -------------------------------------------------------- constructors

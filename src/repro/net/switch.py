@@ -101,7 +101,8 @@ class _EgressPort:
 
     ``deliver_fn`` hands a frame to whatever sits at the other end of
     the link (a host CMAC via the switch's delivery-time port lookup, or
-    a peer switch's trunk ingress).  The port is itself pausable — a
+    a peer switch's trunk ingress), with whether this copy carries the
+    switch's ``forwarded`` count.  The port is itself pausable — a
     downstream receiver (CMAC rx watermark) or peer switch asserts PFC
     against it, freezing the drain.
     """
@@ -110,14 +111,16 @@ class _EgressPort:
         self,
         switch: "Switch",
         label: str,
-        deliver_fn: Callable[[RocePacket], None],
+        deliver_fn: Callable[[RocePacket, bool], None],
         line_rate: float = CMAC_BANDWIDTH,
     ):
         self.switch = switch
         self.label = label
+        #: The drain process's name: profilers book ``_deliver`` by it.
+        self.name = f"{switch.name}-egress-{label}"
         self.deliver_fn = deliver_fn
         self.line_rate = line_rate
-        self.queue: deque = deque()  # (packet, wire_len, source, extra_delay)
+        self.queue: deque = deque()  # (packet, counted, wire_len, source, extra_delay)
         self.queued_bytes = 0
         self.queue_high_water = 0
         # PFC asserted *against* this port by its downstream.
@@ -125,7 +128,7 @@ class _EgressPort:
         self.paused_since: Optional[float] = None
         self.pfc_muted = False  # storm mitigation: ignore further pauses
         self._parked: Optional[Event] = None
-        switch.env.process(self._drain(), name=f"{switch.name}-egress-{label}")
+        switch.env.process(self._drain(), name=self.name)
 
     # -- downstream-asserted PFC ----------------------------------------
 
@@ -159,8 +162,9 @@ class _EgressPort:
 
     # -- queue ----------------------------------------------------------
 
-    def enqueue(self, packet: RocePacket, source, extra_delay: float = 0.0) -> bool:
-        """Admit one frame; returns False on tail drop."""
+    def enqueue(self, packet: RocePacket, source, extra_delay: float, counted: bool) -> bool:
+        """Admit one frame; returns False on tail drop.  ``counted`` is
+        False for a copy whose ingress frame ``forwarded`` already counts."""
         switch = self.switch
         config = switch.config
         wire_len = packet.wire_length + FRAME_OVERHEAD_BYTES
@@ -181,7 +185,7 @@ class _EgressPort:
                 # inherit a stale CE mark from a congested first try.
                 packet = replace(packet, ip=replace(packet.ip, ecn=ECN_CE))
                 switch.ecn_marks += 1
-        self.queue.append((packet, wire_len, source, extra_delay))
+        self.queue.append((packet, counted, wire_len, source, extra_delay))
         self.queued_bytes += wire_len
         if self.queued_bytes > self.queue_high_water:
             self.queue_high_water = self.queued_bytes
@@ -200,20 +204,21 @@ class _EgressPort:
                 continue
             while env.now < self.paused_until and not self.pfc_muted:
                 yield env.timeout(self.paused_until - env.now)
-            packet, wire_len, source, extra_delay = self.queue.popleft()
+            packet, counted, wire_len, source, extra_delay = self.queue.popleft()
             # Cut-through: the head of the frame leaves after the fixed
             # forwarding latency (plus any fault detour), while the queue
             # stays occupied for the frame's full serialisation time.
-            env.process(
-                self._deliver_later(packet, self.switch.latency_ns + extra_delay)
-            )
+            # Nothing waits on a delivery and it cannot block, so the
+            # frame in flight is just this timer.
+            env.timeout(
+                self.switch.latency_ns + extra_delay, (packet, counted)
+            ).callbacks.append(self._deliver)
             yield env.timeout(wire_len / self.line_rate)
             self.queued_bytes -= wire_len
             self.switch._drained(source, wire_len)
 
-    def _deliver_later(self, packet: RocePacket, delay_ns: float):
-        yield self.switch.env.timeout(delay_ns)
-        self.deliver_fn(packet)
+    def _deliver(self, event: Event) -> None:
+        self.deliver_fn(*event.value)
 
 
 class Switch:
@@ -340,10 +345,10 @@ class Switch:
         key_out = f"{self.name}>{peer.name}#{self._trunk_serial}"
         key_back = f"{peer.name}>{self.name}#{peer._trunk_serial}"
         out_port = _EgressPort(
-            self, key_out, lambda pkt: peer._ingress(pkt, key_out), line_rate
+            self, key_out, lambda pkt, _counted: peer._ingress(pkt, key_out), line_rate
         )
         back_port = _EgressPort(
-            peer, key_back, lambda pkt: self._ingress(pkt, key_back), line_rate
+            peer, key_back, lambda pkt, _counted: self._ingress(pkt, key_back), line_rate
         )
         self._egress[key_out] = out_port
         peer._egress[key_back] = back_port
@@ -432,13 +437,13 @@ class Switch:
         # chaos sites (their event streams only shift when cluster faults
         # are actually active, preserving the zero-overhead guarantee for
         # plans that don't arm them).
-        if src in self._dead or dst in self._dead:
+        if self._dead and (src in self._dead or dst in self._dead):
             self.dropped += 1
             return
-        if self.link_is_down(src) or self.link_is_down(dst):
+        if self._link_down_until and (self.link_is_down(src) or self.link_is_down(dst)):
             self.dropped += 1
             return
-        if self._pair(src, dst) in self._partitions:
+        if self._partitions and self._pair(src, dst) in self._partitions:
             self.dropped += 1
             return
         extra_delay = 0.0
@@ -483,7 +488,11 @@ class Switch:
             return
         admitted = False
         for copy in range(copies):
-            if egress.enqueue(packet, source, extra_delay + copy * DUPLICATE_GAP_NS):
+            # The first admitted copy carries the frame's count, so an
+            # undeliverable duplicate cannot take it back twice.
+            if egress.enqueue(
+                packet, source, extra_delay + copy * DUPLICATE_GAP_NS, not admitted
+            ):
                 admitted = True
         if admitted:
             # One per ingress frame (duplicate copies don't double-count),
@@ -507,13 +516,14 @@ class Switch:
             key = uplinks[zlib.crc32(flow.encode()) % len(uplinks)]
         return self._egress.get(key)
 
-    def _deliver_local(self, packet: RocePacket) -> None:
+    def _deliver_local(self, packet: RocePacket, counted: bool) -> None:
         # Re-resolve at delivery time: the port may have been detached
         # (shell reconfiguration) while the frame was in flight — a frame
         # must never be delivered to an unplugged CMAC.
         port = self._ports.get(packet.eth.dst)
         if port is None:
-            self.forwarded -= 1
+            if counted:
+                self.forwarded -= 1
             self.unroutable += 1
             return
         port.deliver(packet)

@@ -100,6 +100,7 @@ def test_rdma_transfer_survives_chaos(
     received = env.run(env.process(main()))
     note(f"injected: {injector.summary()}")
     assert received == payload  # byte-exact despite loss/corruption/dup/reorder
+    assert cluster.switch.forwarded >= 0  # a duplicate never un-counts twice
 
 
 # ---------------------------------------------- compute paths under chaos

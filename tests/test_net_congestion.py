@@ -111,9 +111,17 @@ def test_ecn_mark_copies_instead_of_mutating():
     switch.attach(MAC_A, cmac_a)
     switch.attach(MAC_B, cmac_b)
     pkt = packet(ecn=ECN_ECT0)
+    marked = []
+    cmac_b.rx_taps.append(lambda _now, frame: marked.append(frame))
     env.run(env.process(cmac_a.tx(pkt)))
     env.run()
     assert pkt.ip.ecn == ECN_ECT0
+    # The marked copy is the same frame to the byte but the ECN bits —
+    # and is sized like it: ``replace`` recomputes the fixed lengths.
+    (copy,) = marked
+    assert copy is not pkt and copy.ip.ecn == ECN_CE
+    assert (copy.wire_length, copy.transport_length) == (pkt.wire_length, pkt.transport_length)
+    assert copy.wire_length == len(copy.to_bytes()) == cmac_b.rx_bytes
 
 
 def test_tail_drop_at_capacity():

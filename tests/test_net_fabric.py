@@ -161,3 +161,106 @@ def test_detach_while_frame_in_flight_is_unroutable():
     assert cmac_b.rx_frames == 0
     assert switch.unroutable == 1
     assert switch.forwarded == 0
+
+
+def test_detached_duplicate_takes_the_forwarded_count_back_once():
+    """``forwarded`` counts ingress frames, so of a duplicated frame's two
+    copies only the one that carried the count may take it back when the
+    destination is unplugged under both (it used to end at -1)."""
+    env = Environment()
+    switch = Switch(env)
+    cmac_a, cmac_b = Cmac(env), Cmac(env)
+    switch.attach(MAC_A, cmac_a)
+    switch.attach(MAC_B, cmac_b)
+    FaultInjector(
+        FaultPlan(rules=(FaultRule(site="net.duplicate", at_events=(0,)),))
+    ).arm(switch=switch)
+
+    def sender():
+        yield from cmac_a.tx(packet())
+        switch.detach(MAC_B)  # both copies sit in the egress queue
+
+    env.run(env.process(sender()))
+    assert switch.forwarded == 1
+    env.run()
+    assert cmac_b.rx_frames == 0
+    assert switch.duplicated == 1
+    assert switch.unroutable == 2
+    assert switch.forwarded == 0
+
+
+def test_delivery_exception_escapes_run_and_leaves_nothing_half_delivered():
+    """A frame in flight is a timer with the egress port's ``_deliver`` on
+    it; what that raises comes out of ``env.run()``, as the crashed
+    per-frame process's failure did, before the CMAC counted the frame —
+    and the port goes on draining."""
+    env = Environment()
+    switch = Switch(env)
+    cmac_a, cmac_b = Cmac(env), Cmac(env)
+    switch.attach(MAC_A, cmac_a)
+    switch.attach(MAC_B, cmac_b)
+    port = cmac_b.link_partner
+    deliver = port.deliver_fn
+
+    def jam_once(pkt, counted):
+        port.deliver_fn = deliver
+        raise RuntimeError("egress jammed")
+
+    port.deliver_fn = jam_once
+
+    def sender():
+        yield from cmac_a.tx(packet())
+        yield from cmac_a.tx(packet())
+
+    env.process(sender())
+    with pytest.raises(RuntimeError, match="egress jammed"):
+        env.run()
+    assert cmac_b.rx_frames == 0
+    env.run()
+    assert cmac_b.rx_frames == 1
+    assert switch.forwarded == 2
+
+
+def test_profiler_books_a_delivery_to_the_egress_port_not_to_the_timer():
+    """``_EgressPort.name`` is its drain process's name, and profilers
+    book a callback by its owner's name: the delivery timer stays on the
+    switch's row instead of falling to an anonymous ``Timeout`` one."""
+    from repro.telemetry import SimProfiler
+
+    env = Environment()
+    switch = Switch(env)
+    cmac_a, cmac_b = Cmac(env), Cmac(env)
+    switch.attach(MAC_A, cmac_a)
+    switch.attach(MAC_B, cmac_b)
+    profiler = SimProfiler().attach(env)
+    env.run(env.process(cmac_a.tx(packet())))
+    before = dict(profiler.events)
+    env.run()  # what is left: the drain's serialisation timer and the delivery
+    assert cmac_b.rx_frames == 1
+    booked = {k: n - before.get(k, 0) for k, n in profiler.events.items() if n != before.get(k, 0)}
+    assert booked and all(key.startswith("sw-egress-host-") for key in booked)
+    assert "Timeout" not in profiler.events
+
+
+def test_flapped_link_recovers_and_its_entry_is_gone():
+    """``link_is_down`` expires a hold-off as it reads it; the datapath
+    consults the table only while it has entries, so the first frame
+    after the hold-off both gets through and empties it."""
+    env = Environment()
+    switch = Switch(env)
+    cmac_a, cmac_b = Cmac(env), Cmac(env)
+    switch.attach(MAC_A, cmac_a)
+    switch.attach(MAC_B, cmac_b)
+    switch.link_down(MAC_B, duration_ns=1_000.0)
+
+    def sender():
+        yield from cmac_a.tx(packet())  # black-holed
+        assert switch.link_is_down(MAC_B)
+        yield env.timeout(1_000.0)
+        yield from cmac_a.tx(packet())
+
+    env.run(env.process(sender()))
+    env.run()
+    assert (switch.dropped, cmac_b.rx_frames) == (1, 1)
+    assert switch._link_down_until == {}
+    assert not switch.link_is_down(MAC_B)

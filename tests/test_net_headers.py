@@ -157,3 +157,29 @@ def test_bth_roundtrip_property(opcode, dest_qp, psn, ack):
 def test_reth_roundtrip_property(vaddr, rkey, length):
     back = RethHeader.unpack(RethHeader(vaddr, rkey, length).pack())
     assert (back.vaddr, back.rkey, back.dma_length) == (vaddr, rkey, length)
+
+
+@settings(max_examples=100, deadline=None)
+@given(value=st.integers(0, (1 << 48) - 1), other=st.integers(0, (1 << 48) - 1))
+def test_mac_parsed_off_the_wire_finds_its_switch_port(value, other):
+    """The hash is computed once per address object; an equal address
+    rebuilt from bytes must land in the same dict slot."""
+    from repro.net import Cmac, Switch
+    from repro.sim import Environment
+
+    mac = MacAddress(value)
+    env = Environment()
+    switch = Switch(env)
+    cmac = Cmac(env)
+    switch.attach(mac, cmac)
+    twin = MacAddress.unpack(mac.pack())
+    assert twin is not mac and twin == mac and hash(twin) == hash(mac) == hash(value)
+    assert switch._ports[twin] is cmac
+    assert (MacAddress(other) in switch._ports) == (other == value)
+
+
+def test_mac_has_no_instance_dict():
+    mac = MacAddress(0x02_00_00_00_00_01)
+    assert not hasattr(mac, "__dict__")
+    with pytest.raises(AttributeError):
+        mac.label = "x"

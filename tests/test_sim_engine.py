@@ -487,6 +487,70 @@ def test_uncaught_non_event_yield_fails_the_process():
     assert len(seen) == 1 and "non-event" in seen[0]
 
 
+# ------------------------------------ a callback on a fresh Timeout
+
+
+class _Port:
+    """An owner whose bound method is the callback — the shape of the
+    switch egress's ``_deliver``: the timer's value is its argument."""
+
+    def __init__(self, log):
+        self.log = log
+
+    def deliver(self, event):
+        self.log.append((event.env.now, event.value))
+
+    def jam(self, event):
+        raise RuntimeError(f"jammed on {event.value}")
+
+
+@pytest.mark.parametrize("sanitized", [False, True])
+def test_callback_on_a_fresh_timeout_runs_at_its_key_with_its_value(sanitized):
+    """The idiom for a delayed call nothing waits on and that cannot
+    block: no process, the ``Timeout`` itself.  It runs in
+    ``(time, prio, seq)`` order among process wake-ups due at the same
+    instant, and the sanitizer's creation and schedule hooks still fire."""
+    env = Environment()
+    env.sanitizer = sanitizer = _CountingSanitizer() if sanitized else None
+    log = []
+    port = _Port(log)
+
+    def sleeper(tag):
+        yield env.timeout(5)
+        log.append((env.now, tag))
+
+    def starter():
+        env.process(sleeper("before"))
+        yield env.timeout(0)  # let "before" key its timer first
+        timer = env.timeout(5, "frame")
+        timer.callbacks.append(port.deliver)
+        env.process(sleeper("after"))
+        if sanitized:
+            assert timer._origin.startswith("tests/test_sim_engine.py:")
+
+    env.process(starter())
+    env.run()
+    assert log == [(5.0, "before"), (5.0, "frame"), (5.0, "after")]
+    if sanitized:
+        assert sanitizer.delays.count(5) == 3
+        assert sanitizer.violations == []
+
+
+def test_exception_in_a_timeout_callback_escapes_run_and_loses_nothing_else():
+    """As a crashed per-call process's did: out of ``run()``, at the
+    timer's instant, with every other timer still due."""
+    env = Environment()
+    log = []
+    port = _Port(log)
+    env.timeout(3, "first").callbacks.append(port.jam)
+    env.timeout(3, "second").callbacks.append(port.deliver)
+    with pytest.raises(RuntimeError, match="jammed on first"):
+        env.run()
+    assert env.now == 3 and log == []
+    env.run()
+    assert log == [(3.0, "second")]
+
+
 # --------------------------------------------- hooks attached mid-run
 
 
