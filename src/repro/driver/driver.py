@@ -548,10 +548,30 @@ class Driver:
         services,
         apps: Optional[List[Optional[UserApp]]] = None,
     ) -> Generator:
-        """Full shell swap: disk read + copy_to_kernel + ICAP + rebind."""
+        """Full shell swap: card pages home + disk read + copy_to_kernel +
+        ICAP + rebind."""
+        yield from self._evacuate_card()
         yield self.env.timeout(IcapController.host_overhead_ns(bitstream))
         yield self.env.process(self.shell.reconfigure_shell(bitstream, services, apps))
         self._bind_shell()
+
+    def _evacuate_card(self) -> Generator:
+        """No page-table entry outlives the HBM that holds its frame.
+
+        A shell swap re-instantiates the memory service and ``_bind_shell``
+        starts a fresh card allocator, so beforehand every card-resident
+        page of every open context migrates home (timed like a
+        ``LOCAL_SYNC``) and every card frame is returned.
+        """
+        for ctx in list(self.processes.values()):
+            table = ctx.page_table
+            on_card = [e for e in table.entries.values() if e.card_paddr is not None]
+            for entry in on_card:
+                yield from self._migrate_range(
+                    ctx.pid, entry.vpn << table.page_shift, 1, MemLocation.HOST
+                )
+                self._card_frames.free(entry.card_paddr)
+                entry.card_paddr = None
 
     def reconfigure_app(
         self, bitstream: Bitstream, vfpga_id: int, app: UserApp, cached: bool = False

@@ -121,7 +121,12 @@ class VirtualAllocator:
 
 
 class FrameAllocator:
-    """Free-list allocator of physical page frames for one memory."""
+    """Allocator of physical page frames for one memory.
+
+    Frames never handed out are a counter, not a list: ``allocate`` reuses
+    the most recently freed frame, else takes frame ``_next`` — the order
+    a stack of all frames, lowest on top, would give.
+    """
 
     def __init__(self, total_bytes: int, frame_size: int, name: str = "frames"):
         if frame_size <= 0 or total_bytes < frame_size:
@@ -129,14 +134,19 @@ class FrameAllocator:
         self.name = name
         self.frame_size = frame_size
         self.num_frames = total_bytes // frame_size
-        self._free: List[int] = list(range(self.num_frames - 1, -1, -1))
+        self._next = 0  # every frame at or above this was never allocated
+        self._free: List[int] = []  # freed frames, reused last-in first-out
         self._used: Set[int] = set()
 
     def allocate(self) -> int:
         """Return the physical base address of a free frame."""
-        if not self._free:
+        if self._free:
+            frame = self._free.pop()
+        elif self._next < self.num_frames:
+            frame = self._next
+            self._next += 1
+        else:
             raise OutOfMemoryError(f"{self.name}: out of {self.frame_size}-byte frames")
-        frame = self._free.pop()
         self._used.add(frame)
         return frame * self.frame_size
 
@@ -151,7 +161,7 @@ class FrameAllocator:
 
     @property
     def frames_free(self) -> int:
-        return len(self._free)
+        return self.num_frames - len(self._used)
 
     @property
     def frames_used(self) -> int:

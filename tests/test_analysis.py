@@ -8,6 +8,7 @@ acceptance gate: zero findings, forever.
 """
 
 import textwrap
+import time
 from pathlib import Path
 
 import pytest
@@ -458,31 +459,31 @@ def test_unparsable_file_is_an_error_not_a_crash(tmp_path):
 # --------------------------------------------------------------- acceptance
 
 
-def test_real_tree_is_clean():
-    """The burn-down gate: the repo's own sources carry zero findings."""
-    result = run_paths(
-        [REPO / "src", REPO / "tests", REPO / "benchmarks"],
-        design_doc=REPO / "DESIGN.md",
-        fault_registry=PLAN,
-    )
-    assert result.ok, result.render()
-
-
-def test_analyzer_runtime_budget():
-    """The whole-repo run — per-module rules plus the interprocedural
-    index — must stay fast enough to sit in every pre-commit loop.  The
-    bound is ~10x the wall clock measured at introduction (about 5s for
-    190 files), so it only trips on an accidental complexity blow-up
-    (e.g. the DLK001 cycle search going super-linear), not on CI noise.
-    """
-    import time
-
+@pytest.fixture(scope="module")
+def whole_tree():
+    """One analysis of the repo's own sources, and how long it took."""
     start = time.perf_counter()
     result = run_paths(
         [REPO / "src", REPO / "tests", REPO / "benchmarks"],
         design_doc=REPO / "DESIGN.md",
         fault_registry=PLAN,
     )
-    elapsed = time.perf_counter() - start
+    return result, time.perf_counter() - start
+
+
+def test_real_tree_is_clean(whole_tree):
+    """The burn-down gate: the repo's own sources carry zero findings."""
+    result, _ = whole_tree
+    assert result.ok, result.render()
+
+
+def test_analyzer_runtime_budget(whole_tree):
+    """The whole-repo run — per-module rules plus the interprocedural
+    index — must stay fast enough to sit in every pre-commit loop.  The
+    bound is ~10x the wall clock measured at introduction (about 5s for
+    190 files), so it only trips on an accidental complexity blow-up
+    (e.g. the DLK001 cycle search going super-linear), not on CI noise.
+    """
+    result, elapsed = whole_tree
     assert result.files_checked > 100  # the budget covers the real tree
     assert elapsed < 60.0, f"analyzer took {elapsed:.1f}s on {result.files_checked} files"

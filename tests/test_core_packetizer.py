@@ -1,7 +1,7 @@
 """Tests for the packetizer (paper §6.3)."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import Descriptor, Packetizer, StreamType
@@ -104,11 +104,19 @@ def test_zero_length_descriptor_yields_no_packets():
 
 @settings(max_examples=200, deadline=None)
 @given(
-    length=st.integers(min_value=1, max_value=1 << 22),
+    packets=st.integers(min_value=1, max_value=4096),
+    short_by=st.integers(min_value=0, max_value=8191),
     chunk=st.sampled_from([1, 512, 1024, 4096, 8192]),
 )
-def test_count_matches_split(length, chunk):
+@example(packets=1, short_by=0, chunk=4096)  # exactly one packet
+@example(packets=1, short_by=4095, chunk=4096)  # one byte
+@example(packets=3, short_by=0, chunk=512)  # an exact multiple
+@example(packets=512, short_by=0, chunk=8192)  # 1 << 22, the largest request
+def test_count_matches_split(packets, short_by, chunk):
     """count() is the closed form of len(split_all()) for every length,
-    including exact multiples and the single-packet boundary."""
+    including exact multiples and the single-packet boundary.  The packet
+    count is drawn, not the length: a 4 MiB request at ``chunk=1`` is four
+    million ``Packet`` objects and covers no boundary 4096 do not."""
+    length = packets * chunk - short_by % chunk
     p = Packetizer(chunk)
-    assert p.count(length) == len(p.split_all(desc(length)))
+    assert p.count(length) == len(p.split_all(desc(length))) == packets
