@@ -197,12 +197,6 @@ class Driver:
                 self._cq_demux(vfpga.cq_wr, write=True),
                 name=f"drv-cq-wr-{vfpga.vfpga_id}",
             )
-        # RDMA service: local memory access goes through the MMU of the QP's
-        # owning process, then the static layer (host DMA).
-        if self.shell.dynamic.rdma is not None:
-            self.shell.dynamic.rdma.bind_memory(
-                self._rdma_read_unbound, self._rdma_write_unbound
-            )
 
     def _cq_demux(self, queue: Store, write: bool) -> Generator:
         while True:
@@ -531,14 +525,6 @@ class Driver:
             yield self.env.process(xdma.write_host(paddr, payload, overhead=False))
 
         stack.bind_qp_memory(qpn, read_local, write_local)
-
-    def _rdma_read_unbound(self, vaddr: int, length: int) -> Generator:
-        raise DriverError("RDMA access on a QP with no bound process")
-        yield  # pragma: no cover
-
-    def _rdma_write_unbound(self, vaddr: int, data, length: int) -> Generator:
-        raise DriverError("RDMA access on a QP with no bound process")
-        yield  # pragma: no cover
 
     # -------------------------------------------------------- reconfiguration
 

@@ -13,8 +13,9 @@ to host memory through the static layer").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Generator, List, Optional, Tuple
+from collections import deque
+from dataclasses import dataclass
+from typing import Callable, Deque, Dict, Generator, List, Optional, Tuple
 
 from ..sim.engine import Environment, Event
 from ..sim.resources import Container, Store
@@ -24,6 +25,8 @@ from .headers import (
     ECN_ECT0,
     ECN_NOT_ECT,
     AethHeader,
+    AtomicAckEthHeader,
+    AtomicEthHeader,
     BthHeader,
     MacAddress,
     RethHeader,
@@ -174,11 +177,107 @@ class _PendingMessage:
 
 
 @dataclass
-class _ResponderMsg:
-    """Responder-side progress of an in-flight inbound WRITE."""
+class _ReadOp:
+    """Requester-side progress of one outstanding READ."""
 
-    vaddr: int = 0
-    remaining: int = 0
+    event: Event
+    write_fn: Callable[[int, Optional[bytes], int], Generator]
+    local_vaddr: int
+    length: int
+    received: int = 0
+
+
+#: Segment opcodes of the three multi-packet families, indexed by
+#: ``first + 2 * last``: middle, first, last, only.
+_WRITE_OPS = (
+    RoceOpcode.RDMA_WRITE_MIDDLE,
+    RoceOpcode.RDMA_WRITE_FIRST,
+    RoceOpcode.RDMA_WRITE_LAST,
+    RoceOpcode.RDMA_WRITE_ONLY,
+)
+_SEND_OPS = (
+    RoceOpcode.SEND_MIDDLE,
+    RoceOpcode.SEND_FIRST,
+    RoceOpcode.SEND_LAST,
+    RoceOpcode.SEND_ONLY,
+)
+_READ_RESPONSE_OPS = (
+    RoceOpcode.RDMA_READ_RESPONSE_MIDDLE,
+    RoceOpcode.RDMA_READ_RESPONSE_FIRST,
+    RoceOpcode.RDMA_READ_RESPONSE_LAST,
+    RoceOpcode.RDMA_READ_RESPONSE_ONLY,
+)
+
+
+class _QpContext:
+    """Everything the stack knows about one queue pair (blue-rdma's
+    ``QPContext``).  ``RdmaStack.create_qp`` makes it, :meth:`renew`
+    returns every per-connection slot to its just-created value and
+    ``destroy_qp`` drops it: no slot is born, reset or dropped anywhere
+    else, so the three cannot drift apart."""
+
+    __slots__ = (
+        "qp",
+        "qpn",
+        # UDP source port carrying the flow's ECMP entropy: the RoCE v2
+        # convention of a per-QP value in the dynamic range, so a QP's
+        # packets always hash onto one fabric path (order-preserving).
+        "flow_port",
+        # The QP's owner, not its connection: these outlive a reset.
+        "ops",  # telemetry: completed verbs ...
+        "bytes",  # ... and their payload bytes
+        "memory",  # (read_local, write_local) through the owner's MMU
+        "rx_offload",  # on-datapath payload transform (SmartNIC-style)
+        # Requester.
+        "unacked",  # psn -> packet, the go-back-N retransmit buffer
+        "pending",  # WRITE/SEND messages awaiting their last ACK
+        # Forward-progress clock: ACK arrival for this QP (or a finished
+        # go-back-N round).  Per-QP, not stack-global — a dead peer must
+        # exhaust its retry budget even while other QPs on the same
+        # stack are making steady progress.
+        "last_progress",
+        # Timer-driven go-back-N rounds without forward progress.
+        # Exceeding ``config.max_retries`` moves the QP to ERROR — the
+        # requester-side signal that the peer (or the path to it) is dead.
+        "retries",
+        "reads",  # outstanding READs, oldest first (responses come in PSN order)
+        "atomics",  # psn -> event of the waiting atomic verb
+        # Responder.
+        "recv_queue",  # reassembled SEND messages
+        "send_parts",  # segments of the SEND being reassembled
+        "write_cursor",  # next vaddr of the inbound WRITE in progress
+        "nak_sent",  # one NAK per sequence gap
+        "cnp_last_sent",  # notification-point filter (None: never)
+        # DCQCN reaction point (None while DCQCN is off).
+        "rate",
+    )
+
+    def __init__(self, qp: QueuePair, env: Environment, dcqcn: DcqcnConfig):
+        self.qp = qp
+        self.qpn = qp.local.qpn
+        self.flow_port = 0xC000 | (self.qpn & 0x3FFF)
+        self.ops = 0
+        self.bytes = 0
+        self.memory: Optional[Tuple[Callable, Callable]] = None
+        self.rx_offload: Optional[Callable[[bytes], bytes]] = None
+        self.renew(env, dcqcn)
+
+    def renew(self, env: Environment, dcqcn: DcqcnConfig) -> None:
+        """A connection's worth of state, as a fresh QP has it.  The
+        caller has flushed whatever the old values still owed anyone."""
+        self.unacked: Dict[int, RocePacket] = {}
+        self.pending: List[_PendingMessage] = []
+        self.last_progress = env.now
+        self.retries = 0
+        self.reads: Deque[_ReadOp] = deque()
+        self.atomics: Dict[int, Event] = {}
+        self.recv_queue = Store(env)
+        self.send_parts: List[bytes] = []
+        self.write_cursor = 0
+        self.nak_sent = False
+        self.cnp_last_sent: Optional[float] = None
+        # A re-connecting QP starts its congestion history over.
+        self.rate: Optional[DcqcnState] = dcqcn.make_state() if dcqcn.enabled else None
 
 
 class RdmaStack:
@@ -204,42 +303,19 @@ class RdmaStack:
         self.config = config
         self.name = name
         self.qps: Dict[int, QueuePair] = {}
+        #: Everything else per QP, one record each (same keys as ``qps``).
+        self._contexts: Dict[int, _QpContext] = {}
         self.cq: Store = Store(env)
-        # Shell-injected local memory access (virtual addresses).
-        # Both are generator functions running in simulated time.
-        self.read_local: Optional[Callable[[int, int], Generator]] = None
-        self.write_local: Optional[Callable[[int, Optional[bytes], int], Generator]] = None
-        # Per-QP overrides: each QP belongs to a cThread whose vFPGA MMU
-        # must translate its addresses; the shell binds these per QP.
-        self.qp_memory: Dict[int, Tuple[Callable, Callable]] = {}
-        # Optional on-datapath offload per QP (paper: data routed through
-        # the vFPGAs, enabling custom processing like SmartNICs/DPUs).
-        self.rx_offloads: Dict[int, Callable[[bytes], bytes]] = {}
-        # Requester state.
+        # Injected local memory access, ``(read_local, write_local)``:
+        # generator functions over virtual addresses, running in simulated
+        # time.  A QP that belongs to a cThread has its own pair through
+        # its vFPGA's MMU (``bind_qp_memory``).
+        self._memory: Optional[Tuple[Callable, Callable]] = None
+        # Requester window, shared by every QP of the stack.
         self._window = Container(env, capacity=config.max_outstanding, init=config.max_outstanding)
-        self._retransmit: Dict[int, Dict[int, RocePacket]] = {}  # qpn -> psn -> pkt
-        self._pending: Dict[int, List[_PendingMessage]] = {}
-        # Per-QP forward-progress clock: ACK arrival for that QP (or a
-        # finished go-back-N round).  Per-QP, not stack-global — a dead
-        # peer must exhaust its retry budget even while other QPs on the
-        # same stack are making steady progress.
-        self._last_progress: Dict[int, float] = {}
         self._timer_parked: Optional[Event] = None
-        self._read_collect: Dict[int, dict] = {}  # qpn -> in-flight READ state
-        self._atomic_pending: Dict[int, Dict[int, Event]] = {}  # qpn -> psn -> event
-        self._recv_queues: Dict[int, Store] = {}
-        self._responder_msg: Dict[int, _ResponderMsg] = {}
-        self._nak_sent: Dict[int, bool] = {}
-        #: Timer-driven go-back-N rounds without forward progress, per QP.
-        #: Exceeding ``config.max_retries`` moves the QP to ERROR — the
-        #: requester-side signal that the peer (or the path to it) is dead.
-        self._retry_counts: Dict[int, int] = {}
         #: True after :meth:`halt` — the whole stack is down (node crash).
         self.halted = False
-        #: Per-QP DCQCN reaction-point state (populated by ``create_qp``
-        #: when ``config.dcqcn.enabled``).
-        self.qp_rates: Dict[int, DcqcnState] = {}
-        self._cnp_last_sent: Dict[int, float] = {}
         self.stats = {
             "tx_packets": 0,
             "rx_packets": 0,
@@ -254,21 +330,33 @@ class RdmaStack:
             "cnps_received": 0,
             "pfc_storm_drops": 0,
         }
-        #: Per-QP telemetry: completed verbs and payload bytes, the
-        #: simulation's per-QP statistics registers.
-        self.qp_stats: Dict[int, Dict[str, int]] = {}
         env.process(self._rx_loop(), name=f"{name}-rx")
         env.process(self._retransmit_timer(), name=f"{name}-timer")
 
     # ------------------------------------------------------------ plumbing
+
+    @property
+    def qp_rates(self) -> Dict[int, DcqcnState]:
+        """Per-QP DCQCN reaction-point state (empty while DCQCN is off)."""
+        return {
+            qpn: ctx.rate for qpn, ctx in self._contexts.items() if ctx.rate is not None
+        }
+
+    @property
+    def qp_stats(self) -> Dict[int, Dict[str, int]]:
+        """Per-QP telemetry: completed verbs and payload bytes, the
+        simulation's per-QP statistics registers."""
+        return {
+            qpn: {"ops": ctx.ops, "bytes": ctx.bytes}
+            for qpn, ctx in self._contexts.items()
+        }
 
     def bind_memory(
         self,
         read_local: Callable[[int, int], Generator],
         write_local: Callable[[int, Optional[bytes], int], Generator],
     ) -> None:
-        self.read_local = read_local
-        self.write_local = write_local
+        self._memory = (read_local, write_local)
 
     def bind_qp_memory(
         self,
@@ -277,21 +365,26 @@ class RdmaStack:
         write_local: Callable[[int, Optional[bytes], int], Generator],
     ) -> None:
         """Route this QP's local accesses through a specific MMU context."""
-        self.qp_memory[qpn] = (read_local, write_local)
+        self._context(qpn).memory = (read_local, write_local)
 
-    def _mem_read(self, qpn: int) -> Callable[[int, int], Generator]:
-        bound = self.qp_memory.get(qpn)
-        fn = bound[0] if bound else self.read_local
-        if fn is None:
-            raise RdmaError("stack has no local memory binding")
-        return fn
+    def set_rx_offload(self, qpn: int, offload: Optional[Callable[[bytes], bytes]]) -> None:
+        """Optional on-datapath processing of this QP's inbound payloads
+        (paper: data routed through the vFPGAs, enabling custom
+        processing like SmartNICs/DPUs)."""
+        self._context(qpn).rx_offload = offload
 
-    def _mem_write(self, qpn: int) -> Callable[[int, Optional[bytes], int], Generator]:
-        bound = self.qp_memory.get(qpn)
-        fn = bound[1] if bound else self.write_local
-        if fn is None:
+    def _mem(self, ctx: _QpContext) -> Tuple[Callable, Callable]:
+        """The QP's ``(read_local, write_local)``, else the stack's."""
+        hooks = ctx.memory or self._memory
+        if hooks is None:
             raise RdmaError("stack has no local memory binding")
-        return fn
+        return hooks
+
+    def _context(self, qpn: int) -> _QpContext:
+        ctx = self._contexts.get(qpn)
+        if ctx is None:
+            raise RdmaError(f"no such QP {qpn}")
+        return ctx
 
     def create_qp(self, qpn: int, psn: int = 0, buffer_vaddr: int = 0, buffer_len: int = 0) -> QueuePair:
         if qpn in self.qps:
@@ -302,16 +395,7 @@ class RdmaStack:
         )
         qp = QueuePair(local=endpoint)
         self.qps[qpn] = qp
-        self._retransmit[qpn] = {}
-        self._pending[qpn] = []
-        self._recv_queues[qpn] = Store(self.env)
-        self._responder_msg[qpn] = _ResponderMsg()
-        self._nak_sent[qpn] = False
-        self._retry_counts[qpn] = 0
-        self._last_progress[qpn] = self.env.now
-        self.qp_stats[qpn] = {"ops": 0, "bytes": 0}
-        if self.config.dcqcn.enabled:
-            self.qp_rates[qpn] = self.config.dcqcn.make_state()
+        self._contexts[qpn] = _QpContext(qp, self.env, self.config.dcqcn)
         return qp
 
     # --------------------------------------------------- QP error machinery
@@ -322,42 +406,31 @@ class RdmaStack:
         completions; nothing is left parked).  Window credits held by
         unacked packets are refunded so other QPs keep their bandwidth.
         Returns the number of flushed work requests.  Idempotent."""
-        qp = self.qps.get(qpn)
-        if qp is None:
-            raise RdmaError(f"no such QP {qpn}")
-        already = qp.state is QpState.ERROR
-        qp.to_error(reason)
+        ctx = self._context(qpn)
+        already = ctx.qp.state is QpState.ERROR
+        ctx.qp.to_error(reason)
         if not already:
             self.stats["qp_errors"] += 1
-        flushed = 0
-        buffered = self._retransmit.get(qpn)
-        if buffered:
-            self._window.put(len(buffered))
-            buffered.clear()
-        for msg in self._pending.get(qpn, []):
-            self._fail_event(msg.event, WrFlushError(qpn, msg.wr_id, msg.opcode, reason))
-            flushed += 1
-        self._pending[qpn] = []
-        read_state = self._read_collect.pop(qpn, None)
-        if read_state is not None:
-            self._fail_event(read_state["event"], WrFlushError(qpn, 0, "READ", reason))
-            flushed += 1
-        atomics = self._atomic_pending.pop(qpn, None)
-        if atomics:
-            for psn in sorted(atomics):
-                self._fail_event(atomics[psn], WrFlushError(qpn, 0, "ATOMIC", reason))
-                flushed += 1
-        queue = self._recv_queues.get(qpn)
-        if queue is not None:
-            # Posted receives with no data yet: flush the parked getters.
-            while queue._getters:
-                getter = queue._getters.popleft()
-                if getter._abandoned or getter.triggered:
-                    continue
-                self._fail_event(getter, WrFlushError(qpn, 0, "RECV", reason))
-                flushed += 1
-        self.stats["wr_flushes"] += flushed
-        return flushed
+        if ctx.unacked:
+            self._window.put(len(ctx.unacked))
+            ctx.unacked.clear()
+        getters = ctx.recv_queue._getters
+        flushing = [(msg.event, msg.wr_id, msg.opcode) for msg in ctx.pending]
+        flushing += [(op.event, 0, "READ") for op in ctx.reads]
+        flushing += [(ctx.atomics[psn], 0, "ATOMIC") for psn in sorted(ctx.atomics)]
+        # Posted receives with no data yet: flush the parked getters.
+        flushing += [
+            (getter, 0, "RECV") for getter in getters
+            if not (getter._abandoned or getter.triggered)
+        ]
+        ctx.pending = []
+        ctx.reads.clear()
+        ctx.atomics.clear()
+        getters.clear()
+        for event, wr_id, opcode in flushing:
+            self._fail_event(event, WrFlushError(qpn, wr_id, opcode, reason))
+        self.stats["wr_flushes"] += len(flushing)
+        return len(flushing)
 
     @staticmethod
     def _fail_event(event: Event, exc: Exception) -> None:
@@ -371,41 +444,19 @@ class RdmaStack:
     def reset_qp(self, qpn: int) -> QueuePair:
         """Flush and return the QP to RESET so recovery can re-connect
         (the verbs ``ERR → RESET → INIT → RTR → RTS`` recycle path)."""
-        qp = self.qps.get(qpn)
-        if qp is None:
-            raise RdmaError(f"no such QP {qpn}")
-        if not qp.in_error:
-            qp.to_error("reset")
+        ctx = self._context(qpn)
+        if not ctx.qp.in_error:
+            ctx.qp.to_error("reset")
         self.qp_error(qpn, reason="reset")
-        qp.reset()
-        self._responder_msg[qpn] = _ResponderMsg()
-        self._nak_sent[qpn] = False
-        self._retry_counts[qpn] = 0
-        self._last_progress[qpn] = self.env.now
-        self._recv_queues[qpn].items.clear()
-        if qpn in self.qp_rates:
-            # A re-connecting QP starts its congestion history over.
-            self.qp_rates[qpn] = self.config.dcqcn.make_state()
-        self._cnp_last_sent.pop(qpn, None)
-        return qp
+        ctx.qp.reset()
+        ctx.renew(self.env, self.config.dcqcn)
+        return ctx.qp
 
     def destroy_qp(self, qpn: int) -> None:
         """Flush and forget a QP entirely (collective-mesh teardown)."""
-        if qpn not in self.qps:
-            raise RdmaError(f"no such QP {qpn}")
         self.qp_error(qpn, reason="destroyed")
         del self.qps[qpn]
-        del self._retransmit[qpn]
-        del self._pending[qpn]
-        del self._recv_queues[qpn]
-        del self._responder_msg[qpn]
-        del self._nak_sent[qpn]
-        del self._retry_counts[qpn]
-        self._last_progress.pop(qpn, None)
-        self._read_collect.pop(qpn, None)
-        self._atomic_pending.pop(qpn, None)
-        self.qp_rates.pop(qpn, None)
-        self._cnp_last_sent.pop(qpn, None)
+        del self._contexts[qpn]
 
     def halt(self, reason: str = "node down") -> int:
         """Take the whole stack down (node crash): every QP to ERROR with
@@ -418,27 +469,29 @@ class RdmaStack:
             flushed += self.qp_error(qpn, reason=reason)
         return flushed
 
-    def _complete_op(self, qpn: int, nbytes: int) -> None:
-        per_qp = self.qp_stats.setdefault(qpn, {"ops": 0, "bytes": 0})
-        per_qp["ops"] += 1
-        per_qp["bytes"] += nbytes
-
-    def _qp(self, qpn: int) -> QueuePair:
-        qp = self.qps.get(qpn)
-        if qp is None:
-            raise RdmaError(f"no such QP {qpn}")
+    def _armed(self, qpn: int) -> _QpContext:
+        """The context of a QP whose send queue can carry a new verb."""
+        ctx = self._context(qpn)
+        qp = ctx.qp
         if qp.in_error:
             raise QpStateError(qpn, qp.state, qp.error_reason)
         if not qp.connected:
             raise QpStateError(qpn, qp.state, "not connected")
-        return qp
+        return ctx
 
-    def _check_sq(self, qpn: int, qp: QueuePair) -> None:
-        """Mid-verb state re-check: a flush may land while a requester is
-        parked on a window credit; erroring here (with the freshly granted
-        credit refunded by the caller) beats transmitting into the void."""
-        if qp.in_error:
-            raise WrFlushError(qpn, 0, "SQ", qp.error_reason)
+    def _refund_flushed(self, ctx: _QpContext) -> None:
+        """Mid-verb slow path: a flush landed while the requester was
+        parked on a window credit.  Refund the freshly granted credit and
+        raise — that beats transmitting into the void."""
+        self._window.put(1)
+        raise WrFlushError(ctx.qpn, 0, "SQ", ctx.qp.error_reason)
+
+    def _complete(self, ctx: _QpContext, wr_id: int, opcode: str, length: int) -> Completion:
+        ctx.ops += 1
+        ctx.bytes += length
+        completion = Completion(wr_id=wr_id, opcode=opcode, length=length)
+        self.cq.put(completion)
+        return completion
 
     def _segments(self, length: int) -> List[int]:
         mtu = self.config.mtu
@@ -446,18 +499,28 @@ class RdmaStack:
             return [0]
         return [min(mtu, length - off) for off in range(0, length, mtu)]
 
-    def _flow_port(self, qpn: int) -> int:
-        """UDP source port carrying the flow's ECMP entropy: the RoCE v2
-        convention of a per-QP value in the dynamic range, so a QP's
-        packets always hash onto one fabric path (order-preserving)."""
-        return 0xC000 | (qpn & 0x3FFF)
+    def _build(
+        self, ctx: _QpContext, opcode: int, psn: int,
+        ack_request: bool = False, data: bool = False, **extension,
+    ) -> RocePacket:
+        """Every frame of a QP is addressed here: this stack to the QP's
+        peer on the QP's flow port, ECT(0) on data packets to announce
+        DCQCN when it is on."""
+        remote = ctx.qp.remote
+        return RocePacket.build(
+            src_mac=self.mac,
+            dst_mac=remote.mac,
+            src_ip=self.ip,
+            dst_ip=remote.ip,
+            bth=BthHeader(opcode=opcode, dest_qp=remote.qpn, psn=psn, ack_request=ack_request),
+            src_port=ctx.flow_port,
+            ecn=ECN_ECT0 if data and self.config.dcqcn.enabled else ECN_NOT_ECT,
+            **extension,
+        )
 
-    def _data_ecn(self) -> int:
-        """IP ECN codepoint for data packets: ECT(0) announces DCQCN."""
-        return ECN_ECT0 if self.config.dcqcn.enabled else ECN_NOT_ECT
-
-    def _send_packet(self, packet: RocePacket, qpn: Optional[int] = None) -> Generator:
-        state = self.qp_rates.get(qpn) if qpn is not None else None
+    def _send_packet(self, packet: RocePacket, ctx: Optional[_QpContext] = None) -> Generator:
+        """Transmit one frame; with ``ctx``, paced by that QP's DCQCN rate."""
+        state = ctx.rate if ctx is not None else None
         if state is not None:
             gap = state.pacing_gap(
                 self.env.now, packet.wire_length + FRAME_OVERHEAD_BYTES
@@ -488,8 +551,9 @@ class RdmaStack:
         wr_id: int = 0,
     ) -> Generator:
         """One-sided RDMA WRITE; returns once the peer acked the last packet."""
-        qp = self._qp(qpn)
-        read_fn = self._mem_read(qpn)
+        ctx = self._armed(qpn)
+        qp = ctx.qp
+        read_fn = self._mem(ctx)[0]
         segments = self._segments(length)
         done = Event(self.env)
         # Prefetch pipeline: local-memory reads overlap wire serialisation,
@@ -505,55 +569,35 @@ class RdmaStack:
                 position += seg
 
         self.env.process(_fetcher(), name=f"{self.name}-wr-fetch")
-        offset = 0
+        last = len(segments) - 1
         for index, seg_len in enumerate(segments):
-            first = index == 0
-            last = index == len(segments) - 1
-            if first and last:
-                opcode = RoceOpcode.RDMA_WRITE_ONLY
-            elif first:
-                opcode = RoceOpcode.RDMA_WRITE_FIRST
-            elif last:
-                opcode = RoceOpcode.RDMA_WRITE_LAST
-            else:
-                opcode = RoceOpcode.RDMA_WRITE_MIDDLE
+            opcode = _WRITE_OPS[(index == 0) + 2 * (index == last)]
             # Stage first, then take the credit: with no yield between the
             # credit grant and _track(), a concurrent flush can account for
             # every held credit from the retransmit buffer alone.
             payload = yield staged.get()
             yield self._window.get(1)
             if qp.in_error:
-                self._window.put(1)
-                self._check_sq(qpn, qp)
+                self._refund_flushed(ctx)
             psn = qp.next_psn()
-            packet = RocePacket.build(
-                src_mac=self.mac,
-                dst_mac=qp.remote.mac,
-                src_ip=self.ip,
-                dst_ip=qp.remote.ip,
-                # Request an ack on every packet so the window drains
-                # continuously; real responders coalesce these replies.
-                bth=BthHeader(opcode=opcode, dest_qp=qp.remote.qpn, psn=psn, ack_request=True),
+            # Request an ack on every packet so the window drains
+            # continuously; real responders coalesce these replies.
+            packet = self._build(
+                ctx, opcode, psn, ack_request=True, data=True,
                 reth=RethHeader(vaddr=remote_vaddr, rkey=qp.remote.rkey, dma_length=length)
                 if RoceOpcode.has_reth(opcode)
                 else None,
                 payload=payload if isinstance(payload, (bytes, bytearray)) else None,
                 payload_length=seg_len,
-                src_port=self._flow_port(qpn),
-                ecn=self._data_ecn(),
             )
-            self._track(qpn, psn, packet)
-            if last:
-                self._pending[qpn].append(
+            self._track(ctx, psn, packet)
+            if index == last:
+                ctx.pending.append(
                     _PendingMessage(last_psn=psn, event=done, wr_id=wr_id, opcode="WRITE", length=length)
                 )
-            yield from self._send_packet(packet, qpn)
-            offset += seg_len
+            yield from self._send_packet(packet, ctx)
         yield done
-        self._complete_op(qpn, length)
-        completion = Completion(wr_id=wr_id, opcode="WRITE", length=length)
-        self.cq.put(completion)
-        return completion
+        return self._complete(ctx, wr_id, "WRITE", length)
 
     def rdma_read(
         self,
@@ -564,47 +608,30 @@ class RdmaStack:
         wr_id: int = 0,
     ) -> Generator:
         """One-sided RDMA READ; returns once the full response arrived."""
-        qp = self._qp(qpn)
+        ctx = self._armed(qpn)
+        qp = ctx.qp
+        write_fn = self._mem(ctx)[1]
         nresp = len(self._segments(length))
-        start_psn = qp.sq_psn
         # A READ request consumes one PSN per response packet, and one
         # window credit for the request (released when responses ack it).
         yield self._window.get(1)
         if qp.in_error:
-            self._window.put(1)
-            self._check_sq(qpn, qp)
+            self._refund_flushed(ctx)
+        # No yield from here to _track(): READs posted together on one QP
+        # take disjoint PSN ranges, in the order their records queue.
+        start_psn = qp.sq_psn
         for _ in range(nresp):
             qp.next_psn()
         done = Event(self.env)
-        self._read_collect[qpn] = {
-            "event": done,
-            "local_vaddr": local_vaddr,
-            "received": 0,
-            "length": length,
-            "request": None,  # filled below for retransmission
-        }
-        packet = RocePacket.build(
-            src_mac=self.mac,
-            dst_mac=qp.remote.mac,
-            src_ip=self.ip,
-            dst_ip=qp.remote.ip,
-            bth=BthHeader(
-                opcode=RoceOpcode.RDMA_READ_REQUEST,
-                dest_qp=qp.remote.qpn,
-                psn=start_psn,
-                ack_request=True,
-            ),
+        ctx.reads.append(_ReadOp(done, write_fn, local_vaddr, length))
+        packet = self._build(
+            ctx, RoceOpcode.RDMA_READ_REQUEST, start_psn, ack_request=True,
             reth=RethHeader(vaddr=remote_vaddr, rkey=qp.remote.rkey, dma_length=length),
-            src_port=self._flow_port(qpn),
         )
-        self._read_collect[qpn]["request"] = packet
-        self._track(qpn, start_psn, packet)
-        yield from self._send_packet(packet, qpn)
+        self._track(ctx, start_psn, packet)
+        yield from self._send_packet(packet, ctx)
         yield done
-        self._complete_op(qpn, length)
-        completion = Completion(wr_id=wr_id, opcode="READ", length=length)
-        self.cq.put(completion)
-        return completion
+        return self._complete(ctx, wr_id, "READ", length)
 
     def fetch_add(self, qpn: int, remote_vaddr: int, addend: int, wr_id: int = 0) -> Generator:
         """Atomic 64-bit FETCH_ADD at the peer; returns the original value."""
@@ -628,90 +655,63 @@ class RdmaStack:
         self, qpn: int, opcode: int, remote_vaddr: int,
         swap_add: int, compare: int = 0, wr_id: int = 0,
     ) -> Generator:
-        from .headers import AtomicEthHeader
-
-        qp = self._qp(qpn)
+        ctx = self._armed(qpn)
+        qp = ctx.qp
         yield self._window.get(1)
         if qp.in_error:
-            self._window.put(1)
-            self._check_sq(qpn, qp)
+            self._refund_flushed(ctx)
         psn = qp.next_psn()
         done = Event(self.env)
-        self._atomic_pending.setdefault(qpn, {})[psn] = done
-        packet = RocePacket.build(
-            src_mac=self.mac,
-            dst_mac=qp.remote.mac,
-            src_ip=self.ip,
-            dst_ip=qp.remote.ip,
-            bth=BthHeader(opcode=opcode, dest_qp=qp.remote.qpn, psn=psn, ack_request=True),
+        ctx.atomics[psn] = done
+        packet = self._build(
+            ctx, opcode, psn, ack_request=True,
             atomic_eth=AtomicEthHeader(
                 vaddr=remote_vaddr, rkey=qp.remote.rkey,
                 swap_add=swap_add & 0xFFFFFFFFFFFFFFFF,
                 compare=compare & 0xFFFFFFFFFFFFFFFF,
             ),
-            src_port=self._flow_port(qpn),
         )
-        self._track(qpn, psn, packet)
-        yield from self._send_packet(packet, qpn)
+        self._track(ctx, psn, packet)
+        yield from self._send_packet(packet, ctx)
         original = yield done
-        self._complete_op(qpn, 8)
-        self.cq.put(Completion(wr_id=wr_id, opcode=RoceOpcode.name(opcode), length=8))
+        self._complete(ctx, wr_id, RoceOpcode.name(opcode), 8)
         return original
 
     def send(self, qpn: int, payload: bytes, wr_id: int = 0) -> Generator:
         """Two-sided SEND of a single message."""
-        qp = self._qp(qpn)
+        ctx = self._armed(qpn)
+        qp = ctx.qp
         segments = self._segments(len(payload))
         done = Event(self.env)
         offset = 0
+        last = len(segments) - 1
         for index, seg_len in enumerate(segments):
-            first = index == 0
-            last = index == len(segments) - 1
-            if first and last:
-                opcode = RoceOpcode.SEND_ONLY
-            elif first:
-                opcode = RoceOpcode.SEND_FIRST
-            elif last:
-                opcode = RoceOpcode.SEND_LAST
-            else:
-                opcode = RoceOpcode.SEND_MIDDLE
+            opcode = _SEND_OPS[(index == 0) + 2 * (index == last)]
             yield self._window.get(1)
             if qp.in_error:
-                self._window.put(1)
-                self._check_sq(qpn, qp)
+                self._refund_flushed(ctx)
             psn = qp.next_psn()
-            packet = RocePacket.build(
-                src_mac=self.mac,
-                dst_mac=qp.remote.mac,
-                src_ip=self.ip,
-                dst_ip=qp.remote.ip,
-                bth=BthHeader(opcode=opcode, dest_qp=qp.remote.qpn, psn=psn, ack_request=True),
+            packet = self._build(
+                ctx, opcode, psn, ack_request=True, data=True,
                 payload=payload[offset : offset + seg_len],
-                src_port=self._flow_port(qpn),
-                ecn=self._data_ecn(),
             )
-            self._track(qpn, psn, packet)
-            if last:
-                self._pending[qpn].append(
+            self._track(ctx, psn, packet)
+            if index == last:
+                ctx.pending.append(
                     _PendingMessage(last_psn=psn, event=done, wr_id=wr_id, opcode="SEND", length=len(payload))
                 )
-            yield from self._send_packet(packet, qpn)
+            yield from self._send_packet(packet, ctx)
             offset += seg_len
         yield done
-        self._complete_op(qpn, len(payload))
-        completion = Completion(wr_id=wr_id, opcode="SEND", length=len(payload))
-        self.cq.put(completion)
-        return completion
+        return self._complete(ctx, wr_id, "SEND", len(payload))
 
     def recv(self, qpn: int) -> Generator:
         """Blocking receive of one SEND message."""
-        qp = self.qps.get(qpn)
-        if qp is None:
-            raise RdmaError(f"no such QP {qpn}")
-        if qp.state is QpState.ERROR:
+        ctx = self._context(qpn)
+        if ctx.qp.state is QpState.ERROR:
             # SQ_ERROR still delivers inbound work; full ERROR does not.
-            raise QpStateError(qpn, qp.state, qp.error_reason)
-        message = yield self._recv_queues[qpn].get()
+            raise QpStateError(qpn, ctx.qp.state, ctx.qp.error_reason)
+        message = yield ctx.recv_queue.get()
         return message
 
     # ------------------------------------------------------------ receiver
@@ -725,66 +725,51 @@ class RdmaStack:
             yield self.env.sleep(self.config.per_packet_processing_ns)
             if self.halted:
                 continue  # a crashed node processes nothing
-            qpn = packet.bth.dest_qp
-            qp = self.qps.get(qpn)
-            if qp is None or qp.remote is None:
+            ctx = self._contexts.get(packet.bth.dest_qp)
+            if ctx is None or ctx.qp.remote is None:
                 continue  # drop traffic for unknown QPs
-            if qp.state is QpState.ERROR:
+            if ctx.qp.state is QpState.ERROR:
                 continue  # ERROR silently discards inbound work (IB)
             if packet.ip.ecn == ECN_CE:
                 # Congestion point marked this frame: we are the DCQCN
                 # notification point — answer with a (rate-limited) CNP.
                 self.stats["ecn_ce_received"] += 1
-                self._maybe_send_cnp(qpn, qp)
+                self._maybe_send_cnp(ctx)
             opcode = packet.bth.opcode
             if opcode == RoceOpcode.CNP:
                 self.stats["cnps_received"] += 1
-                state = self.qp_rates.get(qpn)
-                if state is not None:
-                    state.on_cnp(self.env.now)
+                if ctx.rate is not None:
+                    ctx.rate.on_cnp(self.env.now)
             elif opcode == RoceOpcode.ACKNOWLEDGE:
-                self._handle_ack(qpn, qp, packet)
+                self._handle_ack(ctx, packet)
             elif opcode == RoceOpcode.ATOMIC_ACKNOWLEDGE:
-                self._handle_atomic_ack(qpn, qp, packet)
+                self._handle_atomic_ack(ctx, packet)
             elif RoceOpcode.RDMA_READ_RESPONSE_FIRST <= opcode <= RoceOpcode.RDMA_READ_RESPONSE_ONLY:
-                yield from self._handle_read_response(qpn, qp, packet)
+                yield from self._handle_read_response(ctx, packet)
             elif opcode == RoceOpcode.RDMA_READ_REQUEST:
-                yield from self._handle_read_request(qpn, qp, packet)
+                yield from self._handle_read_request(ctx, packet)
             elif RoceOpcode.has_atomic_eth(opcode):
-                yield from self._handle_atomic_request(qpn, qp, packet)
+                yield from self._handle_atomic_request(ctx, packet)
             else:
-                yield from self._handle_inbound_data(qpn, qp, packet)
+                yield from self._handle_inbound_data(ctx, packet)
 
-    def _maybe_send_cnp(self, qpn: int, qp: QueuePair) -> None:
+    def _maybe_send_cnp(self, ctx: _QpContext) -> None:
         """Generate a CNP toward the marked flow's sender, at most one
         per QP per ``cnp_interval_ns`` (the notification-point filter).
         Sent from a spawned process: the reverse path may itself be
         congested or paused, and the rx loop must keep draining."""
-        interval = self.config.dcqcn.cnp_interval_ns
-        last = self._cnp_last_sent.get(qpn)
-        if last is not None and self.env.now - last < interval:
+        last = ctx.cnp_last_sent
+        if last is not None and self.env.now - last < self.config.dcqcn.cnp_interval_ns:
             return
-        self._cnp_last_sent[qpn] = self.env.now
-        cnp = RocePacket.build(
-            src_mac=self.mac,
-            dst_mac=qp.remote.mac,
-            src_ip=self.ip,
-            dst_ip=qp.remote.ip,
-            bth=BthHeader(opcode=RoceOpcode.CNP, dest_qp=qp.remote.qpn, psn=0),
-            src_port=self._flow_port(qp.local.qpn),
-        )
+        ctx.cnp_last_sent = self.env.now
+        cnp = self._build(ctx, RoceOpcode.CNP, 0)
         self.stats["cnps_sent"] += 1
         self.env.process(self._send_packet(cnp), name=f"{self.name}-cnp")
 
-    def _ack(self, qp: QueuePair, psn: int, syndrome: int = 0) -> Generator:
-        packet = RocePacket.build(
-            src_mac=self.mac,
-            dst_mac=qp.remote.mac,
-            src_ip=self.ip,
-            dst_ip=qp.remote.ip,
-            bth=BthHeader(opcode=RoceOpcode.ACKNOWLEDGE, dest_qp=qp.remote.qpn, psn=psn),
-            aeth=AethHeader(syndrome=syndrome, msn=qp.msn),
-            src_port=self._flow_port(qp.local.qpn),
+    def _ack(self, ctx: _QpContext, psn: int, syndrome: int = 0) -> Generator:
+        packet = self._build(
+            ctx, RoceOpcode.ACKNOWLEDGE, psn,
+            aeth=AethHeader(syndrome=syndrome, msn=ctx.qp.msn),
         )
         if syndrome:
             self.stats["naks_sent"] += 1
@@ -792,194 +777,159 @@ class RdmaStack:
             self.stats["acks_sent"] += 1
         yield from self._send_packet(packet)
 
-    def _handle_inbound_data(self, qpn: int, qp: QueuePair, packet: RocePacket) -> Generator:
+    def _out_of_sequence(self, ctx: _QpContext, psn: int, reack_duplicate: bool = False) -> Generator:
+        """Responder slow path: ``psn`` is not the expected one."""
+        qp = ctx.qp
+        if reack_duplicate and psn_leq(psn, (qp.epsn - 1) % PSN_MOD):
+            # Duplicate from a go-back-N rewind: re-ack, drop.
+            yield from self._ack(ctx, (qp.epsn - 1) % PSN_MOD)
+        elif not ctx.nak_sent:
+            # Sequence gap: NAK once with the expected PSN.
+            ctx.nak_sent = True
+            yield from self._ack(ctx, qp.epsn, syndrome=AethHeader.NAK_PSN_SEQUENCE_ERROR)
+
+    def _handle_inbound_data(self, ctx: _QpContext, packet: RocePacket) -> Generator:
         """WRITE_* and SEND_* packets at the responder."""
+        qp = ctx.qp
         psn = packet.bth.psn
         if psn != qp.epsn:
-            if psn_leq(psn, (qp.epsn - 1) % PSN_MOD):
-                # Duplicate from a go-back-N rewind: re-ack, drop.
-                yield from self._ack(qp, (qp.epsn - 1) % PSN_MOD)
-            elif not self._nak_sent[qpn]:
-                # Sequence gap: NAK once with the expected PSN.
-                self._nak_sent[qpn] = True
-                yield from self._ack(qp, qp.epsn, syndrome=AethHeader.NAK_PSN_SEQUENCE_ERROR)
+            yield from self._out_of_sequence(ctx, psn, reack_duplicate=True)
             return
-        self._nak_sent[qpn] = False
+        ctx.nak_sent = False
         qp.epsn = (qp.epsn + 1) % PSN_MOD
         opcode = packet.bth.opcode
         payload = packet.payload
-        offload = self.rx_offloads.get(qpn)
-        if offload is not None and payload is not None:
-            payload = offload(payload)
-        state = self._responder_msg[qpn]
-        if opcode in (RoceOpcode.RDMA_WRITE_FIRST, RoceOpcode.RDMA_WRITE_ONLY):
-            state.vaddr = packet.reth.vaddr
-            state.remaining = packet.reth.dma_length
-        if opcode in (
-            RoceOpcode.RDMA_WRITE_FIRST,
-            RoceOpcode.RDMA_WRITE_MIDDLE,
-            RoceOpcode.RDMA_WRITE_LAST,
-            RoceOpcode.RDMA_WRITE_ONLY,
-        ):
+        if ctx.rx_offload is not None and payload is not None:
+            payload = ctx.rx_offload(payload)
+        if opcode in _WRITE_OPS:
+            if opcode in (RoceOpcode.RDMA_WRITE_FIRST, RoceOpcode.RDMA_WRITE_ONLY):
+                ctx.write_cursor = packet.reth.vaddr
+            vaddr = ctx.write_cursor
+            ctx.write_cursor = vaddr + packet.payload_length
             yield self.env.process(
-                self._mem_write(qpn)(state.vaddr, payload, packet.payload_length)
+                self._mem(ctx)[1](vaddr, payload, packet.payload_length)
             )
-            state.vaddr += packet.payload_length
-            state.remaining -= packet.payload_length
             if opcode in (RoceOpcode.RDMA_WRITE_LAST, RoceOpcode.RDMA_WRITE_ONLY):
                 qp.msn = (qp.msn + 1) % PSN_MOD
         else:  # SEND family
-            buf = self._recv_queues[qpn]
-            key = "_send_parts"
-            parts = getattr(buf, key, [])
-            parts.append(payload or bytes(packet.payload_length))
-            setattr(buf, key, parts)
+            ctx.send_parts.append(payload or bytes(packet.payload_length))
             if opcode in (RoceOpcode.SEND_LAST, RoceOpcode.SEND_ONLY):
                 qp.msn = (qp.msn + 1) % PSN_MOD
-                buf.put(b"".join(parts))
-                setattr(buf, key, [])
+                ctx.recv_queue.put(b"".join(ctx.send_parts))
+                ctx.send_parts.clear()
         if packet.bth.ack_request:
-            yield from self._ack(qp, psn)
+            yield from self._ack(ctx, psn)
 
-    def _handle_atomic_request(self, qpn: int, qp: QueuePair, packet: RocePacket) -> Generator:
+    def _handle_atomic_request(self, ctx: _QpContext, packet: RocePacket) -> Generator:
         """Responder side of FETCH_ADD / CMP_SWAP: read-modify-write the
         8-byte target atomically (the rx loop serialises us) and return
         the original value in an ATOMIC_ACKNOWLEDGE."""
-        from .headers import AtomicAckEthHeader
-
+        qp = ctx.qp
         psn = packet.bth.psn
         if psn != qp.epsn:
-            if not self._nak_sent[qpn]:
-                self._nak_sent[qpn] = True
-                yield from self._ack(qp, qp.epsn, syndrome=AethHeader.NAK_PSN_SEQUENCE_ERROR)
+            yield from self._out_of_sequence(ctx, psn)
             return
-        self._nak_sent[qpn] = False
+        ctx.nak_sent = False
         qp.epsn = (qp.epsn + 1) % PSN_MOD
         qp.msn = (qp.msn + 1) % PSN_MOD
         ath = packet.atomic_eth
-        raw = yield self.env.process(self._mem_read(qpn)(ath.vaddr, 8))
+        raw = yield self.env.process(self._mem(ctx)[0](ath.vaddr, 8))
         original = int.from_bytes(raw, "little") if raw is not None else 0
         if packet.bth.opcode == RoceOpcode.FETCH_ADD:
             updated = (original + ath.swap_add) & 0xFFFFFFFFFFFFFFFF
         else:  # COMPARE_SWAP
             updated = ath.swap_add if original == ath.compare else original
         yield self.env.process(
-            self._mem_write(qpn)(ath.vaddr, updated.to_bytes(8, "little"), 8)
+            self._mem(ctx)[1](ath.vaddr, updated.to_bytes(8, "little"), 8)
         )
-        response = RocePacket.build(
-            src_mac=self.mac,
-            dst_mac=qp.remote.mac,
-            src_ip=self.ip,
-            dst_ip=qp.remote.ip,
-            bth=BthHeader(opcode=RoceOpcode.ATOMIC_ACKNOWLEDGE, dest_qp=qp.remote.qpn, psn=psn),
+        response = self._build(
+            ctx, RoceOpcode.ATOMIC_ACKNOWLEDGE, psn,
             aeth=AethHeader(syndrome=0, msn=qp.msn),
             atomic_ack=AtomicAckEthHeader(original=original),
         )
         yield from self._send_packet(response)
 
-    def _handle_atomic_ack(self, qpn: int, qp: QueuePair, packet: RocePacket) -> None:
+    def _handle_atomic_ack(self, ctx: _QpContext, packet: RocePacket) -> None:
         """Requester side: the response both acks the PSN and carries the
         original value back to the waiting verb."""
-        self._progress_ack(qpn, qp, packet.bth.psn)
-        waiter = self._atomic_pending.get(qpn, {}).pop(packet.bth.psn, None)
+        self._progress_ack(ctx, packet.bth.psn)
+        waiter = ctx.atomics.pop(packet.bth.psn, None)
         if waiter is not None and not waiter.triggered:
             waiter.succeed(packet.atomic_ack.original)
 
-    def _handle_read_request(self, qpn: int, qp: QueuePair, packet: RocePacket) -> Generator:
+    def _handle_read_request(self, ctx: _QpContext, packet: RocePacket) -> Generator:
+        qp = ctx.qp
         psn = packet.bth.psn
         if psn != qp.epsn:
-            if not self._nak_sent[qpn]:
-                self._nak_sent[qpn] = True
-                yield from self._ack(qp, qp.epsn, syndrome=AethHeader.NAK_PSN_SEQUENCE_ERROR)
+            yield from self._out_of_sequence(ctx, psn)
             return
-        self._nak_sent[qpn] = False
-        read_fn = self._mem_read(qpn)
-        length = packet.reth.dma_length
+        ctx.nak_sent = False
+        read_fn = self._mem(ctx)[0]
         vaddr = packet.reth.vaddr
-        segments = self._segments(length)
+        segments = self._segments(packet.reth.dma_length)
         qp.epsn = (qp.epsn + len(segments)) % PSN_MOD
         qp.msn = (qp.msn + 1) % PSN_MOD
         offset = 0
+        last = len(segments) - 1
         for index, seg_len in enumerate(segments):
-            first = index == 0
-            last = index == len(segments) - 1
-            if first and last:
-                opcode = RoceOpcode.RDMA_READ_RESPONSE_ONLY
-            elif first:
-                opcode = RoceOpcode.RDMA_READ_RESPONSE_FIRST
-            elif last:
-                opcode = RoceOpcode.RDMA_READ_RESPONSE_LAST
-            else:
-                opcode = RoceOpcode.RDMA_READ_RESPONSE_MIDDLE
+            opcode = _READ_RESPONSE_OPS[(index == 0) + 2 * (index == last)]
             payload = yield self.env.process(read_fn(vaddr + offset, seg_len))
-            response = RocePacket.build(
-                src_mac=self.mac,
-                dst_mac=qp.remote.mac,
-                src_ip=self.ip,
-                dst_ip=qp.remote.ip,
-                bth=BthHeader(
-                    opcode=opcode,
-                    dest_qp=qp.remote.qpn,
-                    psn=(psn + index) % PSN_MOD,
-                ),
+            response = self._build(
+                ctx, opcode, (psn + index) % PSN_MOD, data=True,
                 aeth=AethHeader(syndrome=0, msn=qp.msn) if RoceOpcode.has_aeth(opcode) else None,
                 payload=payload if isinstance(payload, (bytes, bytearray)) else None,
                 payload_length=seg_len,
-                src_port=self._flow_port(qpn),
-                ecn=self._data_ecn(),
             )
-            yield from self._send_packet(response, qpn)
+            yield from self._send_packet(response, ctx)
             offset += seg_len
 
-    def _handle_read_response(self, qpn: int, qp: QueuePair, packet: RocePacket) -> Generator:
-        state = self._read_collect.get(qpn)
-        if state is None:
+    def _handle_read_response(self, ctx: _QpContext, packet: RocePacket) -> Generator:
+        if not ctx.reads:
             return
+        # Responses arrive in PSN order, so they belong to the oldest READ.
+        op = ctx.reads[0]
         # Responses double as acks for the consumed PSNs.
-        self._progress_ack(qpn, qp, packet.bth.psn)
+        self._progress_ack(ctx, packet.bth.psn)
         yield self.env.process(
-            self._mem_write(qpn)(
-                state["local_vaddr"] + state["received"],
-                packet.payload,
-                packet.payload_length,
-            )
+            op.write_fn(op.local_vaddr + op.received, packet.payload, packet.payload_length)
         )
-        state["received"] += packet.payload_length
-        if state["received"] >= state["length"]:
-            del self._read_collect[qpn]
-            state["event"].succeed()
+        op.received += packet.payload_length
+        if op.received >= op.length and not op.event.triggered:  # else: flushed meanwhile
+            ctx.reads.popleft()
+            op.event.succeed()
 
     # ----------------------------------------------------- ack processing
 
-    def _progress_ack(self, qpn: int, qp: QueuePair, psn: int) -> None:
+    def _progress_ack(self, ctx: _QpContext, psn: int) -> None:
         """Cumulative acknowledgement of every PSN <= psn."""
-        self._last_progress[qpn] = self.env.now
-        self._retry_counts[qpn] = 0
-        buffered = self._retransmit[qpn]
+        ctx.last_progress = self.env.now
+        ctx.retries = 0
+        buffered = ctx.unacked
         released = [p for p in buffered if psn_leq(p, psn)]
         for p in released:
             del buffered[p]
         if released:
             self._window.put(len(released))
+        qp = ctx.qp
         if psn_leq(qp.acked_psn % PSN_MOD, psn):
             qp.acked_psn = psn
-        pending = self._pending[qpn]
+        pending = ctx.pending
         finished = [m for m in pending if psn_leq(m.last_psn, psn)]
-        self._pending[qpn] = [m for m in pending if not psn_leq(m.last_psn, psn)]
+        ctx.pending = [m for m in pending if not psn_leq(m.last_psn, psn)]
         for msg in finished:
             msg.event.succeed()
 
-    def _handle_ack(self, qpn: int, qp: QueuePair, packet: RocePacket) -> None:
+    def _handle_ack(self, ctx: _QpContext, packet: RocePacket) -> None:
         aeth = packet.aeth
         if aeth is not None and aeth.is_nak:
             self.stats["naks_received"] += 1
             # Go-back-N: retransmit everything from the NAK'ed PSN.
-            self.env.process(self._go_back_n(qpn, packet.bth.psn))
+            self.env.process(self._go_back_n(ctx, packet.bth.psn))
             return
-        self._progress_ack(qpn, qp, packet.bth.psn)
+        self._progress_ack(ctx, packet.bth.psn)
 
-    def _go_back_n(self, qpn: int, from_psn: int) -> Generator:
-        buffered = self._retransmit[qpn]
+    def _go_back_n(self, ctx: _QpContext, from_psn: int) -> Generator:
+        buffered = ctx.unacked
         ordered = sorted(
             (p for p in buffered if psn_leq(from_psn, p)),
             key=lambda p: (p - from_psn) % PSN_MOD,
@@ -989,23 +939,24 @@ class RdmaStack:
             if packet is None:
                 continue  # acked while we were retransmitting earlier PSNs
             self.stats["retransmissions"] += 1
-            yield from self._send_packet(packet, qpn)
-        self._last_progress[qpn] = self.env.now
+            yield from self._send_packet(packet, ctx)
+        ctx.last_progress = self.env.now
 
-    def _track(self, qpn: int, psn: int, packet: RocePacket) -> None:
+    def _track(self, ctx: _QpContext, psn: int, packet: RocePacket) -> None:
         """Buffer an unacked packet and wake the retransmit timer."""
-        if not self._retransmit[qpn]:
+        if not ctx.unacked:
             # First outstanding packet after an idle spell starts the
             # progress clock; the timer fires one full timeout later.
-            self._last_progress[qpn] = self.env.now
-        self._retransmit[qpn][psn] = packet
+            ctx.last_progress = self.env.now
+        ctx.unacked[psn] = packet
         if self._timer_parked is not None and not self._timer_parked.triggered:
             self._timer_parked.succeed()
 
     def _retransmit_timer(self) -> Generator:
         timeout = self.config.retransmit_timeout_ns
+        contexts = self._contexts
         while True:
-            if not any(self._retransmit[q] for q in self._retransmit):
+            if not any(ctx.unacked for ctx in contexts.values()):
                 # Park: an idle requester must not keep the simulation
                 # alive forever; _track() kicks us on the next packet.
                 self._timer_parked = Event(self.env)
@@ -1013,22 +964,17 @@ class RdmaStack:
                 self._timer_parked = None
                 continue
             yield self.env.sleep(timeout)
-            outstanding = any(self._retransmit[q] for q in self._retransmit)
-            if not outstanding:
-                continue
-            for qpn in list(self._retransmit):
-                buffered = self._retransmit[qpn]
+            for ctx in list(contexts.values()):
+                buffered = ctx.unacked
                 if not buffered:
                     continue
-                if self.env.now - self._last_progress.get(qpn, 0.0) < timeout:
+                if self.env.now - ctx.last_progress < timeout:
                     continue
-                self._retry_counts[qpn] = self._retry_counts.get(qpn, 0) + 1
-                if self._retry_counts[qpn] > self.config.max_retries:
+                ctx.retries += 1
+                if ctx.retries > self.config.max_retries:
                     # Retry budget exhausted: the peer (or the path) is
                     # gone.  ERROR the QP; flushed WRs tell the requester.
-                    self.qp_error(qpn, reason="retry exhausted")
+                    self.qp_error(ctx.qpn, reason="retry exhausted")
                     continue
-                oldest = min(
-                    buffered, key=lambda p: (p - self.qps[qpn].acked_psn) % PSN_MOD
-                )
-                yield self.env.process(self._go_back_n(qpn, oldest))
+                oldest = min(buffered, key=lambda p: (p - ctx.qp.acked_psn) % PSN_MOD)
+                yield self.env.process(self._go_back_n(ctx, oldest))

@@ -112,14 +112,12 @@ def collect_card_metrics(driver, registry: MetricsRegistry = None) -> MetricsReg
     if rdma is not None:
         for key, value in rdma.stats.items():
             _set_counter(reg, f"net.rdma_{key}", value)
-        for qpn in sorted(rdma.qp_stats):
-            per_qp = rdma.qp_stats[qpn]
+        for qpn, per_qp in sorted(rdma.qp_stats.items()):
             _set_counter(reg, f"net.qp.{qpn}.ops", per_qp["ops"])
             _set_counter(reg, f"net.qp.{qpn}.bytes", per_qp["bytes"])
         # DCQCN reaction-point state: the per-QP paced rate (Gbit/s) and
         # the CNPs that shaped it.
-        for qpn in sorted(rdma.qp_rates):
-            state = rdma.qp_rates[qpn]
+        for qpn, state in sorted(rdma.qp_rates.items()):
             reg.gauge(f"net.qp.{qpn}.rate_gbps").set(state.current_rate * 8.0)
             _set_counter(reg, f"net.qp.{qpn}.cnps", state.cnps)
     tcp = shell.dynamic.tcp

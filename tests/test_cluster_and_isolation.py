@@ -18,6 +18,7 @@ from repro import (
 from repro.apps import PassThroughApp
 from repro.cluster import FpgaCluster
 from repro.driver import DriverError
+from repro.net import RdmaError
 from repro.sim import AllOf
 
 
@@ -55,6 +56,38 @@ def test_cluster_rdma_end_to_end():
         return thread_b.read_buffer(dst.vaddr, len(payload))
 
     assert env.run(env.process(main())) == payload
+
+
+def test_one_sided_verb_on_a_qp_with_no_memory_fails_in_the_submitter():
+    """A QP made on the stack directly (no ``CThread.create_qp``, so no
+    MMU binding) cannot source a WRITE or sink a READ: the submitter gets
+    the stack's typed error when it arms the verb, and nothing is raised
+    out of ``env.run()`` from a helper process.  SEND needs no local
+    memory and still works (the collective mesh's QPs are like that)."""
+    env = Environment()
+    cluster = FpgaCluster(env, 2)
+    a, b = (node.shell.dynamic.rdma for node in cluster.nodes)
+    qa, qb = a.create_qp(1, psn=10), b.create_qp(2, psn=20)
+    qa.connect(qb.local)
+    qb.connect(qa.local)
+    seen = {}
+
+    def submitter():
+        for verb in (a.rdma_write, a.rdma_read):
+            try:
+                yield from verb(1, 0, 0, 64)
+            except RdmaError as exc:
+                seen[verb.__name__] = exc
+        receiver = env.process(b.recv(2))
+        yield from a.send(1, b"still fine")
+        seen["msg"] = yield receiver
+
+    env.process(submitter())
+    env.run()
+    for verb in ("rdma_write", "rdma_read"):
+        assert type(seen[verb]) is RdmaError
+        assert "no local memory binding" in str(seen[verb])
+    assert seen["msg"] == b"still fine"
 
 
 # ---------------------------------------------------------------- isolation

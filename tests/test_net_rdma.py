@@ -13,6 +13,7 @@ from repro.net import (
     RdmaStack,
     RoceOpcode,
     Switch,
+    WrFlushError,
 )
 from repro.sim import Environment
 
@@ -95,6 +96,50 @@ def test_read_roundtrip():
 
     env.run(env.process(proc()))
     assert mem_a.read(0x300, len(payload)) == payload
+
+
+def test_two_reads_on_one_qp_each_get_their_own_bytes():
+    """READs posted together on one QP queue up: each takes its own PSN
+    range and collects its own responses (there used to be one slot)."""
+    env, (a, mem_a), (_b, mem_b), _sw = two_nodes()
+    mem_b.write(0x10000, b"X" * 8192)
+    mem_b.write(0x20000, b"Y" * 8192)
+    finished = []
+
+    def reader(local, remote):
+        yield from a.rdma_read(1, local, remote, 8192)
+        finished.append(local)
+
+    env.process(reader(0x1000, 0x10000))
+    env.process(reader(0x4000, 0x20000))
+    env.run()
+    assert finished == [0x1000, 0x4000]
+    assert mem_a.read(0x1000, 8192) == b"X" * 8192
+    assert mem_a.read(0x4000, 8192) == b"Y" * 8192
+    assert a.qp_stats[1] == {"ops": 2, "bytes": 16384}
+    assert a._window.level == a.config.max_outstanding
+
+
+def test_flush_fails_every_outstanding_read():
+    env, (a, _mem_a), (_b, _mem_b), _sw = two_nodes()
+    outcomes = []
+
+    def reader(local, remote):
+        try:
+            yield from a.rdma_read(1, local, remote, 8192)
+        except WrFlushError as exc:
+            outcomes.append((local, exc.opcode, exc.reason))
+
+    def killer():
+        yield env.timeout(200)  # both requests posted, no response back yet
+        assert a.qp_error(1, reason="pulled") == 2
+
+    env.process(reader(0x1000, 0x10000))
+    env.process(reader(0x4000, 0x20000))
+    env.process(killer())
+    env.run()
+    assert outcomes == [(0x1000, "READ", "pulled"), (0x4000, "READ", "pulled")]
+    assert a._window.level == a.config.max_outstanding
 
 
 def test_send_recv():
@@ -211,7 +256,7 @@ def test_rx_offload_transforms_payload():
     """On-datapath vFPGA processing (SmartNIC-style offload)."""
     env, (a, mem_a), (b, mem_b), _sw = two_nodes()
     mem_a.write(0, b"abc")
-    b.rx_offloads[2] = lambda data: data.upper()
+    b.set_rx_offload(2, lambda data: data.upper())
 
     def proc():
         yield from a.rdma_write(1, 0, 0x10, 3)

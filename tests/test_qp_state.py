@@ -292,6 +292,36 @@ def test_reset_qp_allows_traffic_again():
     assert received["msg"] == b"hello again"
 
 
+def test_reset_qp_drops_a_half_reassembled_send():
+    """A SEND cut by a reset after its first segment must not leak that
+    segment into the first message of the next connection."""
+    env, switch, (a, b) = make_pair()
+    connect(a, b)
+    outcome = {}
+
+    def cut_sender():
+        try:
+            yield from a.send(1, b"A" * 9000)
+        except WrFlushError as exc:
+            outcome["cut"] = exc
+
+    def recycle():
+        yield env.timeout(1_100)  # one 4096-byte part staged at b
+        a.reset_qp(1)
+        b.reset_qp(2)
+        a.qps[1].connect(b.qps[2].local)
+        b.qps[2].connect(a.qps[1].local)
+        receiver = env.process(b.recv(2))
+        yield from a.send(1, b"fresh")
+        outcome["msg"] = yield receiver
+
+    env.process(cut_sender())
+    env.run(env.process(recycle()))
+    assert outcome["msg"] == b"fresh"
+    assert isinstance(outcome["cut"], WrFlushError)
+    assert outcome["cut"].opcode == "SEND"
+
+
 def test_halt_flushes_every_qp_and_drains():
     env, switch, (a, b) = make_pair()
     connect(a, b)
