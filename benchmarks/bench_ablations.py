@@ -18,11 +18,19 @@ from repro.experiments import (
 def test_ablation_packet_size(benchmark, report):
     result = one_shot(benchmark, run_ablation_packet_size, sizes=(512, 2048, 4096, 16384))
     report(result)
-    series = {row["packet_bytes"]: row["throughput_gbps"] for row in result.rows}
-    # 4 KB packets must recover most of the large-packet bandwidth...
-    assert series[4096] > 0.9 * series[16384]
-    # ...while tiny packets lose noticeably to per-packet overheads.
-    assert series[512] < series[4096]
+    host = {row["packet_bytes"]: row["host_gbps"] for row in result.rows}
+    # Host path: 2 KiB (the host packet) is the peak of the sweep; tiny
+    # packets lose noticeably to per-packet overheads.
+    assert host[2048] == max(host.values())
+    assert host[512] < 0.5 * host[2048]
+    # Card path: cutting a stripe in two translates it twice...
+    one = {row["packet_bytes"]: row["card_1_stream_gbps"] for row in result.rows}
+    eight = {row["packet_bytes"]: row["card_8_streams_gbps"] for row in result.rows}
+    assert eight[2048] < 0.75 * eight[4096]
+    # ...and the stripe (4 KiB) is the largest packet one channel can
+    # serve: anything larger beats a channel's 14.4 GB/s nominal with
+    # one stream, i.e. a stream stops being a channel.
+    assert one[4096] < 14.4 < one[16384]
 
 
 def test_ablation_page_size(benchmark, report):

@@ -15,8 +15,6 @@ import math
 import struct
 from typing import Generator, Iterable, Optional
 
-import numpy as np
-
 from ..axi.types import Flit
 from ..core.interfaces import StreamType
 from ..core.vfpga import UserApp, VFpga
@@ -50,6 +48,8 @@ class HyperLogLog:
     """The sketch: 2^p registers of max leading-zero ranks."""
 
     def __init__(self, precision: int = 14):
+        import numpy as np  # deferred: ``import repro`` stays numpy-free
+
         if not 4 <= precision <= 18:
             raise ValueError("precision must be in [4, 18]")
         self.precision = precision
@@ -70,11 +70,15 @@ class HyperLogLog:
             self.add(value)
 
     def merge(self, other: "HyperLogLog") -> None:
+        import numpy as np
+
         if other.precision != self.precision:
             raise ValueError("cannot merge sketches of different precision")
         np.maximum(self.registers, other.registers, out=self.registers)
 
     def estimate(self) -> float:
+        import numpy as np
+
         m = self.m
         inv_sum = float(np.sum(np.exp2(-self.registers.astype(np.float64))))
         raw = _alpha(m) * m * m / inv_sum

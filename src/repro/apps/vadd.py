@@ -11,19 +11,22 @@ hardware adders would.
 
 from __future__ import annotations
 
-from typing import Generator, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Generator, Optional
 
 from ..axi.types import Flit
 from ..core.interfaces import StreamType
 from ..core.vfpga import UserApp, VFpga
 from ..sim.clock import FABRIC_CLOCK
 
+if TYPE_CHECKING:
+    import numpy as np
+
 __all__ = ["VectorOpApp", "vector_add", "vector_mul"]
 
 
 def _as_i32(data: bytes) -> np.ndarray:
+    import numpy as np  # deferred: ``import repro`` stays numpy-free
+
     if len(data) % 4:
         raise ValueError("vector byte length must be a multiple of 4")
     return np.frombuffer(data, dtype="<u4")

@@ -2,7 +2,7 @@
 
 To keep the simulation fast we do not model individual 512-bit beats as
 events.  Instead streams carry :class:`Flit` objects — contiguous chunks of
-up to one packet (4 KB by default, see :mod:`repro.core.packetizer`) — and
+up to one packet (2 KiB host, 4 KiB card; see :mod:`repro.core.packetizer`) — and
 the channel models charge ``ceil(length / width)`` bus cycles per flit.
 This is cycle-approximate: total cycles match a beat-level model exactly
 for back-to-back transfers, which is the regime every benchmark runs in.

@@ -16,7 +16,7 @@ from .interfaces import (
     StreamType,
 )
 from .movers import CardDataMover, HostDataMover, MoverConfig
-from .packetizer import DEFAULT_PACKET_BYTES, Packet, Packetizer
+from .packetizer import Packet, Packetizer
 from .reconfig import (
     AXI_HWICAP,
     COYOTE_ICAP,
@@ -51,7 +51,6 @@ __all__ = [
     "RdmaSg",
     "Packetizer",
     "Packet",
-    "DEFAULT_PACKET_BYTES",
     "Crediter",
     "CreditConfig",
     "RoundRobinArbiter",

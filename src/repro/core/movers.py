@@ -36,11 +36,14 @@ __all__ = ["HostDataMover", "CardDataMover", "MoverConfig"]
 
 @dataclass(frozen=True)
 class MoverConfig:
-    #: Packetizer chunk size.  2 KiB won the packet-size ablation
-    #: (``repro.experiments.ablations.run_ablation_packet_size``): best
-    #: single-tenant throughput (~11.9 GB/s vs ~11.86 at 4 KiB) and
-    #: within noise of larger chunks for two concurrent tenants, with
-    #: finer round-robin interleaving granularity (fairness).
+    #: The host link's interleaving granularity: a host packet is
+    #: 2 KiB, the size that won the host sweep of
+    #: ``repro.experiments.ablations.run_ablation_packet_size`` (best
+    #: single-tenant throughput, finest round-robin grain that costs no
+    #: bandwidth).  A card packet is one HBM stripe
+    #: (``HbmConfig.stripe_bytes``, 4 KiB) — one translation and one
+    #: channel booking — and is derived by :class:`CardDataMover`, not
+    #: set here.
     packet_bytes: int = 2048
     writeback: bool = True  # completion writeback vs host polling
     carry_data: bool = True  # move real payload bytes (False: timing only)
@@ -98,11 +101,13 @@ class _DataMover:
     #: Infix of a unit's process name (``v0-host-rd-req3`` / ``v0-card-rd3``).
     unit_tag = ""
 
-    def __init__(self, env: Environment, xdma: Xdma, config: MoverConfig):
+    def __init__(
+        self, env: Environment, xdma: Xdma, config: MoverConfig, packet_bytes: int
+    ):
         self.env = env
         self.xdma = xdma  # the card path uses it for writeback only
         self.config = config
-        self.packetizer = Packetizer(config.packet_bytes)
+        self.packetizer = Packetizer(packet_bytes)
         self._vfpgas: Dict[int, Tuple[VFpga, Mmu]] = {}
         self._region_procs: Dict[int, List] = {}
         #: vfpga_id -> ``(dispatch queue, per-stream queues)`` for reads
@@ -219,7 +224,7 @@ class HostDataMover(_DataMover):
         xdma: Xdma,
         config: MoverConfig = MoverConfig(),
     ):
-        super().__init__(env, xdma, config)
+        super().__init__(env, xdma, config, config.packet_bytes)
         self.rd_arbiter = RoundRobinArbiter(env, "host-rd-arb")
         self.wr_arbiter = RoundRobinArbiter(env, "host-wr-arb")
         #: Optional GPU for peer-to-peer transfers to GPU-resident pages
@@ -367,7 +372,9 @@ class CardDataMover(_DataMover):
         hbm: HbmController,
         config: MoverConfig = MoverConfig(),
     ):
-        super().__init__(env, xdma, config)
+        # A card packet is one HBM stripe: one translation and, for a
+        # stripe-aligned buffer, one channel booking.
+        super().__init__(env, xdma, config, hbm.config.stripe_bytes)
         self.hbm = hbm
 
     def _rd_unit(self, vfpga: VFpga, dest: int, queue: Store) -> Generator:

@@ -5,6 +5,13 @@ configurable), which enables precise control over outstanding transactions
 while ensuring efficient saturation of both local and remote links.  The
 shell seamlessly splits requests of arbitrary sizes into packets,
 requiring no user application involvement."
+
+A :class:`Packetizer` is told its size by the mover that owns it.  A host
+packet is 2 KiB (``MoverConfig.packet_bytes``): the host link's
+round-robin interleaving granularity, the size that won the host sweep of
+the packet-size ablation.  A card packet is one HBM stripe
+(``HbmConfig.stripe_bytes``, 4 KiB, the paper's default): one translation
+and one channel booking, derived by ``CardDataMover``, not configured.
 """
 
 from __future__ import annotations
@@ -14,9 +21,7 @@ from typing import Iterator, List
 
 from .interfaces import Descriptor
 
-__all__ = ["Packet", "Packetizer", "DEFAULT_PACKET_BYTES"]
-
-DEFAULT_PACKET_BYTES = 4096
+__all__ = ["Packet", "Packetizer"]
 
 
 @dataclass
@@ -40,7 +45,7 @@ class Packet:
 class Packetizer:
     """Splits descriptors into fixed-size packets."""
 
-    def __init__(self, packet_bytes: int = DEFAULT_PACKET_BYTES):
+    def __init__(self, packet_bytes: int):
         if packet_bytes <= 0:
             raise ValueError("packet size must be positive")
         self.packet_bytes = packet_bytes

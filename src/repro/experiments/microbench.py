@@ -9,6 +9,7 @@ from ..core.credit import CreditConfig
 from ..core.dynamic_layer import ServiceConfig
 from ..core.interfaces import LocalSg, Oper, SgEntry, StreamType
 from ..core.movers import MoverConfig
+from ..core.packetizer import Packetizer
 from ..core.shell import Shell, ShellConfig
 from ..core.vfpga import VFpgaConfig
 from ..apps.passthrough import PassThroughApp
@@ -27,9 +28,15 @@ def hbm_throughput(
     mmu_bypass: bool = False,
     trials: int = 1,
     warmup: int = 1,
+    card_packet_bytes: Optional[int] = None,
 ) -> float:
     """Throughput (GB/s, read+write) of a card pass-through using
-    ``num_channels`` parallel card streams in one vFPGA."""
+    ``num_channels`` parallel card streams in one vFPGA.
+
+    ``card_packet_bytes`` is the packet-size ablation's handle: it
+    replaces the card mover's packetizer (one HBM stripe by
+    construction) on the shell built here.
+    """
     from ..mem.mmu import MmuConfig
 
     mmu = MmuConfig(xlat_stations=10_000) if mmu_bypass else MmuConfig()
@@ -43,6 +50,8 @@ def hbm_throughput(
             vfpga=VFpgaConfig(num_card_streams=max(num_channels, 3)),
         ),
     )
+    if card_packet_bytes is not None:
+        shell.dynamic.card_mover.packetizer = Packetizer(card_packet_bytes)
     driver = Driver(env, shell)
     shell.load_app(
         0, PassThroughApp(num_streams=max(num_channels, 1), stream=StreamType.CARD)

@@ -29,8 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Generator, List, Optional
 
-import numpy as np
-
 from ..sim.engine import AnyOf, Environment, Event, Process
 from .rdma import RdmaStack
 
@@ -87,6 +85,8 @@ class CollectiveTimeoutError(CollectiveAbortError):
 
 def sum_i32(a: bytes, b: bytes) -> bytes:
     """Elementwise wrapping int32 sum — the default reduction."""
+    import numpy as np  # deferred: ``import repro`` stays numpy-free
+
     va = np.frombuffer(a, dtype="<u4")
     vb = np.frombuffer(b, dtype="<u4")
     if va.shape != vb.shape:

@@ -191,3 +191,77 @@ def test_assembler_taint_clears_only_at_stream_boundary():
     asm.push(Flit(length=2, data=b"hi"))  # real bytes join a tainted run
     assert asm.take(4) is None
     assert asm.available == 0
+
+
+# ------------------------------------------------- packets: host vs card
+
+TRANSFER = 256 * 1024
+
+
+def _passthrough_transfer(stream, offset=0):
+    """One ``TRANSFER``-byte pass-through over ``stream``, the buffers
+    ``offset`` bytes into their (2 MiB-aligned) allocations; card
+    buffers are offloaded to HBM first.  Returns the shell, the bytes
+    that landed, the bytes sent, and the HBM channel bookings and MMU
+    translations the transfer itself made."""
+    env = Environment()
+    shell = Shell(env, ShellConfig(num_vfpgas=1))
+    driver = Driver(env, shell)
+    shell.load_app(0, PassThroughApp(stream=stream))
+    ct = CThread(driver, 0, pid=1)
+    payload = bytes(range(251)) * (TRANSFER // 251 + 1)
+    payload = payload[:TRANSFER]
+    hbm, tlb = shell.dynamic.hbm, shell.dynamic.mmus[0].tlb
+    booked = {}
+
+    def main():
+        src = yield from ct.get_mem(2 * TRANSFER)
+        dst = yield from ct.get_mem(2 * TRANSFER)
+        ct.write_buffer(src.vaddr + offset, payload)
+        if stream is StreamType.CARD:
+            for buf in (src, dst):
+                yield from ct.invoke(Oper.LOCAL_OFFLOAD, SgEntry(
+                    local=LocalSg(src_addr=buf.vaddr, src_len=2 * TRANSFER)))
+        before = sum(hbm.channel_accesses), tlb.hits + tlb.misses
+        sg = SgEntry(local=LocalSg(
+            src_addr=src.vaddr + offset, src_len=TRANSFER,
+            dst_addr=dst.vaddr + offset, dst_len=TRANSFER,
+            src_stream=stream, dst_stream=stream,
+        ))
+        entry = yield from ct.invoke(Oper.LOCAL_TRANSFER, sg)
+        assert entry.status == "success"
+        booked["channels"] = sum(hbm.channel_accesses) - before[0]
+        booked["translations"] = tlb.hits + tlb.misses - before[1]
+        if stream is StreamType.CARD:
+            yield from ct.invoke(Oper.LOCAL_SYNC, SgEntry(
+                local=LocalSg(src_addr=dst.vaddr, src_len=2 * TRANSFER)))
+        return ct.read_buffer(dst.vaddr + offset, TRANSFER)
+
+    landed = env.run(env.process(main()))
+    return shell, landed, payload, booked
+
+
+def test_card_packet_is_one_stripe_one_translation_one_channel_booking():
+    shell, landed, payload, booked = _passthrough_transfer(StreamType.CARD)
+    stripes = TRANSFER // shell.dynamic.hbm.config.stripe_bytes
+    assert stripes == 64
+    # Read and write direction each: one translation and one channel
+    # booking per stripe (two of each when the mover cut at 2 KiB).
+    assert booked == {"translations": 2 * stripes, "channels": 2 * stripes}
+    assert landed == payload
+
+
+def test_card_transfer_off_the_stripe_grid_lands_byte_exact():
+    shell, landed, payload, booked = _passthrough_transfer(StreamType.CARD, offset=1024)
+    # Still one translation a packet; every packet now straddles two stripes.
+    assert booked == {"translations": 128, "channels": 256}
+    assert landed == payload
+
+
+def test_host_transfer_still_cuts_at_the_host_packet_size():
+    shell, landed, payload, booked = _passthrough_transfer(StreamType.HOST)
+    assert MoverConfig().packet_bytes == 2048
+    assert shell.dynamic.host_mover.rd_arbiter.grants == 128
+    assert shell.dynamic.host_mover.wr_arbiter.grants == 128
+    assert booked["channels"] == 0
+    assert landed == payload

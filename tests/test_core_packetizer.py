@@ -11,30 +11,33 @@ def desc(length, vaddr=0x1000):
     return Descriptor(vfpga_id=0, pid=1, vaddr=vaddr, length=length)
 
 
-def test_default_packet_size_is_4k():
-    assert Packetizer().packet_bytes == 4096
+def test_packet_size_is_told_not_defaulted():
+    # Each mover derives its own size; there is no module default to drift.
+    with pytest.raises(TypeError):
+        Packetizer()
+    assert Packetizer(4096).packet_bytes == 4096
 
 
 def test_single_packet_request():
-    packets = Packetizer().split_all(desc(100))
+    packets = Packetizer(4096).split_all(desc(100))
     assert len(packets) == 1
     assert packets[0].length == 100
     assert packets[0].last
 
 
 def test_exact_multiple_split():
-    packets = Packetizer().split_all(desc(3 * 4096))
+    packets = Packetizer(4096).split_all(desc(3 * 4096))
     assert [p.length for p in packets] == [4096, 4096, 4096]
     assert [p.last for p in packets] == [False, False, True]
 
 
 def test_remainder_packet():
-    packets = Packetizer().split_all(desc(4096 + 100))
+    packets = Packetizer(4096).split_all(desc(4096 + 100))
     assert [p.length for p in packets] == [4096, 100]
 
 
 def test_addresses_are_contiguous():
-    packets = Packetizer().split_all(desc(10_000, vaddr=0x5000))
+    packets = Packetizer(4096).split_all(desc(10_000, vaddr=0x5000))
     assert packets[0].vaddr == 0x5000
     assert packets[1].vaddr == 0x5000 + 4096
     assert packets[2].vaddr == 0x5000 + 8192
@@ -46,7 +49,7 @@ def test_configurable_chunk():
 
 
 def test_count():
-    p = Packetizer()
+    p = Packetizer(4096)
     assert p.count(1) == 1
     assert p.count(4096) == 1
     assert p.count(4097) == 2
@@ -85,7 +88,7 @@ def test_split_covers_exactly_once(length, chunk):
 def test_length_exactly_packet_bytes_is_single_last_packet():
     """Boundary: a request of exactly one packet takes the fast path and
     still carries last=True (the completion trigger)."""
-    packets = Packetizer().split_all(desc(4096))
+    packets = Packetizer(4096).split_all(desc(4096))
     assert len(packets) == 1
     assert packets[0].length == 4096
     assert packets[0].last
@@ -98,8 +101,8 @@ def test_zero_length_descriptor_yields_no_packets():
     this pins the underlying hazard those guards exist for."""
     d = desc(1)
     d.length = 0  # bypass construction-time validation
-    assert Packetizer().split_all(d) == []
-    assert Packetizer().count(0) == 0
+    assert Packetizer(4096).split_all(d) == []
+    assert Packetizer(4096).count(0) == 0
 
 
 @settings(max_examples=200, deadline=None)

@@ -77,3 +77,63 @@ def test_matches_reference_bytearray(writes):
         mem.write(addr, data)
         reference[addr : addr + len(data)] = data
     assert mem.read(0, size) == bytes(reference)
+
+
+_SIZE = 1 << 16
+_PAGE = 4096
+#: Addresses on, just before and just after a backing-page boundary, and
+#: anywhere; lengths from nothing to several pages.
+_addrs = st.one_of(
+    st.integers(0, _SIZE),
+    st.builds(
+        lambda page, skew: min(max(page * _PAGE + skew, 0), _SIZE),
+        st.integers(0, _SIZE // _PAGE), st.integers(-3, 3),
+    ),
+)
+_lengths = st.one_of(
+    st.integers(0, 64), st.sampled_from([2048, _PAGE, 2 * _PAGE]), st.integers(0, 4 * _PAGE)
+)
+_ops = st.one_of(
+    st.tuples(st.just("read"), _addrs, _lengths),
+    st.tuples(
+        st.sampled_from(["bytes", "bytearray", "memoryview"]), _addrs,
+        st.binary(max_size=3 * _PAGE + 7),
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=st.lists(_ops, max_size=30))
+def test_reads_and_writes_match_a_bytearray_oracle(ops):
+    """Any interleaving of reads and writes — page-straddling,
+    zero-length, ``bytearray``/``memoryview`` input, never-written
+    ranges — returns what one flat ``bytearray`` would, as ``bytes``,
+    and allocates only the pages a non-empty write touched."""
+    mem = SparseMemory(_SIZE)
+    oracle = bytearray(_SIZE)
+    touched = set()
+    for kind, addr, arg in ops:
+        if kind == "read":
+            length = min(arg, _SIZE - addr)
+            got = mem.read(addr, length)
+            assert type(got) is bytes
+            assert got == bytes(oracle[addr : addr + length])
+            continue
+        data = arg[: _SIZE - addr]
+        mem.write(addr, {"bytes": bytes, "bytearray": bytearray, "memoryview": memoryview}[kind](data))
+        oracle[addr : addr + len(data)] = data
+        if data:
+            touched.update(range(addr // _PAGE, (addr + len(data) - 1) // _PAGE + 1))
+    assert mem.resident_bytes == len(touched) * _PAGE
+    assert mem.read(0, _SIZE) == bytes(oracle)
+
+
+def test_range_is_checked_before_anything_is_allocated():
+    mem = SparseMemory(2 * _PAGE)
+    with pytest.raises(ValueError):
+        mem.write(_PAGE, bytes(_PAGE + 1))
+    with pytest.raises(ValueError):
+        mem.read(2 * _PAGE, 1)
+    mem.write(2 * _PAGE, b"")  # zero-length at the very end is in range
+    assert mem.read(2 * _PAGE, 0) == b""
+    assert mem.resident_bytes == 0

@@ -281,3 +281,21 @@ def test_completion_polling_mode():
 
         times[writeback] = env.run(env.process(main()))
     assert times[False] > times[True]  # polling costs latency
+
+
+def test_importing_the_shell_does_not_import_numpy():
+    """numpy is 26 of the 34 MiB a bare ``import repro`` used to hold; the
+    three reference kernels that use it import it when called."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    probe = (
+        f"import sys; sys.path.insert(0, {src!r}); "
+        "import repro, repro.apps, repro.net, repro.cluster; "
+        "sys.exit('numpy' in sys.modules)"
+    )
+    assert subprocess.run([sys.executable, "-c", probe], timeout=60).returncode == 0
