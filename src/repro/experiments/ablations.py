@@ -207,7 +207,8 @@ def run_ablation_transport(transfer_kb: int = 256) -> ExperimentResult:
     The comparison behind Requirement 1's service swap: the RDMA WRITE is
     one-sided (no receiver CPU, 4 KB MTU, credit-windowed), while the TCP
     byte stream pays per-segment acknowledgements and receive-window
-    round trips.
+    round trips.  The ``rdma read`` row is the same move pulled instead of
+    pushed: the responder's payload generator keeps it beside the WRITE.
     """
     from ..net.headers import MacAddress
     from ..net.switch import Switch
@@ -239,13 +240,14 @@ def run_ablation_transport(transfer_kb: int = 256) -> ExperimentResult:
     def rdma_flow():
         src = yield from ct_a.get_mem(nbytes)
         dst = yield from ct_b.get_mem(nbytes)
-        start = env.now
-        yield from ct_a.invoke(
-            Oper.REMOTE_RDMA_WRITE,
-            SgEntry(rdma=RdmaSg(local_addr=src.vaddr, remote_addr=dst.vaddr,
-                                len=nbytes, qpn=1)),
-        )
-        elapsed["rdma"] = env.now - start
+        for name, oper in (("rdma", Oper.REMOTE_RDMA_WRITE), ("rdma read", Oper.REMOTE_RDMA_READ)):
+            start = env.now
+            yield from ct_a.invoke(
+                oper,
+                SgEntry(rdma=RdmaSg(local_addr=src.vaddr, remote_addr=dst.vaddr,
+                                    len=nbytes, qpn=1)),
+            )
+            elapsed[name] = env.now - start
 
     env.run(env.process(rdma_flow()))
 
@@ -275,7 +277,7 @@ def run_ablation_transport(transfer_kb: int = 256) -> ExperimentResult:
     client = env2.process(tcp_client())
     env2.run(AllOf(env2, [server, client]))
 
-    for name in ("rdma", "tcp"):
+    for name in ("rdma", "rdma read", "tcp"):
         result.add_row(
             transport=name,
             latency_us=round(elapsed[name] / 1e3, 1),

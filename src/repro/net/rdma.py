@@ -314,6 +314,12 @@ class RdmaStack:
         # Requester window, shared by every QP of the stack.
         self._window = Container(env, capacity=config.max_outstanding, init=config.max_outstanding)
         self._timer_parked: Optional[Event] = None
+        # Responder: ``(ctx, packet, msn)`` per READ request accepted and
+        # not yet answered, oldest first, with the replies that must not
+        # overtake them queued in between.  ``_respond`` runs only while
+        # this has entries; ``qp_error`` takes a dead connection's out.
+        self._read_requests: Deque[Tuple[_QpContext, RocePacket, int]] = deque()
+        self._responding = False
         #: True after :meth:`halt` — the whole stack is down (node crash).
         self.halted = False
         self.stats = {
@@ -414,6 +420,10 @@ class RdmaStack:
         if ctx.unacked:
             self._window.put(len(ctx.unacked))
             ctx.unacked.clear()
+        if self._read_requests:
+            # What the peer was still owed goes with the connection; the
+            # responder finds its request gone and moves on to the next.
+            self._read_requests = deque(o for o in self._read_requests if o[0] is not ctx)
         getters = ctx.recv_queue._getters
         flushing = [(msg.event, msg.wr_id, msg.opcode) for msg in ctx.pending]
         flushing += [(op.event, 0, "READ") for op in ctx.reads]
@@ -540,6 +550,30 @@ class RdmaStack:
             return
         self.stats["tx_packets"] += 1
 
+    def _payload_gen(
+        self, read_fn: Callable, vaddr: int, segments: List[int], owed: Optional[tuple] = None
+    ) -> Store:
+        """Start the payload generator (blue-rdma's ``PayloadGen``): a
+        process reading ``segments`` from local memory ahead of the wire,
+        as the hardware's DMA engine runs ahead of the MAC.  Returns the
+        store its payloads arrive in; depth 4 keeps at most 16 KB staged.
+        With ``owed``, a READ being answered, it stops with that answer."""
+        staged = Store(self.env, capacity=4)
+
+        def fetch():
+            at = vaddr
+            for seg in segments:
+                data = yield from read_fn(at, seg)
+                # Put first, look second: the consumer may be waiting.
+                yield staged.put(data)
+                if owed is not None and not self._answering(owed):
+                    return
+                at += seg
+
+        side = "wr" if owed is None else "rd"
+        self.env.process(fetch(), name=f"{self.name}-{side}-fetch")
+        return staged
+
     # ----------------------------------------------------------- requester
 
     def rdma_write(
@@ -556,19 +590,7 @@ class RdmaStack:
         read_fn = self._mem(ctx)[0]
         segments = self._segments(length)
         done = Event(self.env)
-        # Prefetch pipeline: local-memory reads overlap wire serialisation,
-        # as in the hardware datapath where the DMA engine runs ahead of
-        # the MAC.  Depth 4 keeps at most 16 KB of staged data.
-        staged: Store = Store(self.env, capacity=4)
-
-        def _fetcher():
-            position = 0
-            for seg in segments:
-                data = yield self.env.process(read_fn(local_vaddr + position, seg))
-                yield staged.put(data)
-                position += seg
-
-        self.env.process(_fetcher(), name=f"{self.name}-wr-fetch")
+        staged = self._payload_gen(read_fn, local_vaddr, segments)
         last = len(segments) - 1
         for index, seg_len in enumerate(segments):
             opcode = _WRITE_OPS[(index == 0) + 2 * (index == last)]
@@ -628,7 +650,10 @@ class RdmaStack:
             ctx, RoceOpcode.RDMA_READ_REQUEST, start_psn, ack_request=True,
             reth=RethHeader(vaddr=remote_vaddr, rkey=qp.remote.rkey, dma_length=length),
         )
-        self._track(ctx, start_psn, packet)
+        # Buffered under its *last* PSN: responses ack cumulatively, and the
+        # request must stay retransmittable until the last one arrived — a
+        # responder that stops answering ends in "retry exhausted", not a hang.
+        self._track(ctx, (start_psn + nresp - 1) % PSN_MOD, packet)
         yield from self._send_packet(packet, ctx)
         yield done
         return self._complete(ctx, wr_id, "READ", length)
@@ -766,16 +791,30 @@ class RdmaStack:
         self.stats["cnps_sent"] += 1
         self.env.process(self._send_packet(cnp), name=f"{self.name}-cnp")
 
-    def _ack(self, ctx: _QpContext, psn: int, syndrome: int = 0) -> Generator:
+    def _ack(
+        self, ctx: _QpContext, psn: int, syndrome: int = 0,
+        atomic_ack: Optional[AtomicAckEthHeader] = None,
+    ) -> Generator:
+        """Reply to the requester: an ACK, a NAK (``syndrome``) or, with
+        ``atomic_ack``, the response of an atomic."""
+        qp = ctx.qp
+        if qp.remote is None or qp.state is QpState.ERROR:
+            return  # the connection ended while the handler was in memory
         packet = self._build(
-            ctx, RoceOpcode.ACKNOWLEDGE, psn,
-            aeth=AethHeader(syndrome=syndrome, msn=ctx.qp.msn),
+            ctx,
+            RoceOpcode.ACKNOWLEDGE if atomic_ack is None else RoceOpcode.ATOMIC_ACKNOWLEDGE,
+            psn, aeth=AethHeader(syndrome=syndrome, msn=qp.msn), atomic_ack=atomic_ack,
         )
-        if syndrome:
-            self.stats["naks_sent"] += 1
+        self.stats["naks_sent" if syndrome else "acks_sent"] += 1
+        # Response order per QP: ACKs are cumulative, so one that overtook
+        # READ responses its QP still owes would acknowledge the READ before
+        # its data arrived.  It queues behind them; a QP that owes nothing
+        # (always, without READs) replies inline.
+        queue = self._read_requests
+        if queue and any(owed[0] is ctx for owed in queue):
+            queue.append((ctx, packet, 0))
         else:
-            self.stats["acks_sent"] += 1
-        yield from self._send_packet(packet)
+            yield from self._send_packet(packet)
 
     def _out_of_sequence(self, ctx: _QpContext, psn: int, reack_duplicate: bool = False) -> Generator:
         """Responder slow path: ``psn`` is not the expected one."""
@@ -842,12 +881,7 @@ class RdmaStack:
         yield self.env.process(
             self._mem(ctx)[1](ath.vaddr, updated.to_bytes(8, "little"), 8)
         )
-        response = self._build(
-            ctx, RoceOpcode.ATOMIC_ACKNOWLEDGE, psn,
-            aeth=AethHeader(syndrome=0, msn=qp.msn),
-            atomic_ack=AtomicAckEthHeader(original=original),
-        )
-        yield from self._send_packet(response)
+        yield from self._ack(ctx, psn, atomic_ack=AtomicAckEthHeader(original=original))
 
     def _handle_atomic_ack(self, ctx: _QpContext, packet: RocePacket) -> None:
         """Requester side: the response both acks the PSN and carries the
@@ -858,30 +892,59 @@ class RdmaStack:
             waiter.succeed(packet.atomic_ack.original)
 
     def _handle_read_request(self, ctx: _QpContext, packet: RocePacket) -> Generator:
+        """Validate a READ request and queue it: the answer comes from
+        ``_respond``, so the receive loop goes on to the next frame."""
         qp = ctx.qp
         psn = packet.bth.psn
         if psn != qp.epsn:
             yield from self._out_of_sequence(ctx, psn)
             return
         ctx.nak_sent = False
-        read_fn = self._mem(ctx)[0]
-        vaddr = packet.reth.vaddr
-        segments = self._segments(packet.reth.dma_length)
-        qp.epsn = (qp.epsn + len(segments)) % PSN_MOD
+        qp.epsn = (qp.epsn + len(self._segments(packet.reth.dma_length))) % PSN_MOD
         qp.msn = (qp.msn + 1) % PSN_MOD
-        offset = 0
-        last = len(segments) - 1
-        for index, seg_len in enumerate(segments):
-            opcode = _READ_RESPONSE_OPS[(index == 0) + 2 * (index == last)]
-            payload = yield self.env.process(read_fn(vaddr + offset, seg_len))
-            response = self._build(
-                ctx, opcode, (psn + index) % PSN_MOD, data=True,
-                aeth=AethHeader(syndrome=0, msn=qp.msn) if RoceOpcode.has_aeth(opcode) else None,
-                payload=payload if isinstance(payload, (bytes, bytearray)) else None,
-                payload_length=seg_len,
-            )
-            yield from self._send_packet(response, ctx)
-            offset += seg_len
+        self._read_requests.append((ctx, packet, qp.msn))
+        if not self._responding:
+            self._responding = True
+            self.env.process(self._respond(), name=f"{self.name}-rd-resp")
+
+    def _answering(self, owed: tuple) -> bool:
+        """Is ``owed`` still the entry the responder is on?  Asked after
+        every resume: a halt, ``qp_error``, ``reset_qp`` or ``destroy_qp``
+        meanwhile took the connection's entries out of the queue."""
+        queue = self._read_requests
+        return bool(queue) and queue[0] is owed
+
+    def _respond(self) -> Generator:
+        """The responder: answers owed READs oldest first, payloads
+        prefetched by ``_payload_gen`` so local reads overlap the wire,
+        and sends the replies queued behind them.  Lives only while
+        ``_read_requests`` has entries."""
+        while self._read_requests:
+            owed = self._read_requests[0]
+            ctx, packet, msn = owed
+            if packet.bth.opcode != RoceOpcode.RDMA_READ_REQUEST:
+                yield from self._send_packet(packet)  # a reply that waited
+            else:
+                psn = packet.bth.psn
+                segments = self._segments(packet.reth.dma_length)
+                staged = self._payload_gen(self._mem(ctx)[0], packet.reth.vaddr, segments, owed)
+                last = len(segments) - 1
+                for index, seg_len in enumerate(segments):
+                    payload = yield staged.get()
+                    if not self._answering(owed):
+                        staged.clear()  # lets a blocked prefetcher see it too
+                        break
+                    opcode = _READ_RESPONSE_OPS[(index == 0) + 2 * (index == last)]
+                    response = self._build(
+                        ctx, opcode, (psn + index) % PSN_MOD, data=True,
+                        aeth=AethHeader(syndrome=0, msn=msn) if RoceOpcode.has_aeth(opcode) else None,
+                        payload=payload if isinstance(payload, (bytes, bytearray)) else None,
+                        payload_length=seg_len,
+                    )
+                    yield from self._send_packet(response, ctx)
+            if self._answering(owed):
+                self._read_requests.popleft()
+        self._responding = False
 
     def _handle_read_response(self, ctx: _QpContext, packet: RocePacket) -> Generator:
         if not ctx.reads:
@@ -890,9 +953,7 @@ class RdmaStack:
         op = ctx.reads[0]
         # Responses double as acks for the consumed PSNs.
         self._progress_ack(ctx, packet.bth.psn)
-        yield self.env.process(
-            op.write_fn(op.local_vaddr + op.received, packet.payload, packet.payload_length)
-        )
+        yield from op.write_fn(op.local_vaddr + op.received, packet.payload, packet.payload_length)
         op.received += packet.payload_length
         if op.received >= op.length and not op.event.triggered:  # else: flushed meanwhile
             ctx.reads.popleft()

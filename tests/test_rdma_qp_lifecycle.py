@@ -213,6 +213,13 @@ STEPS = st.lists(
             ["create", "connect", "send", "read", "error", "peer_error", "reset", "destroy"]
         ), pair),
         st.tuples(st.just("write"), pair, st.integers(1, 3)),
+        # (side, action): end one side's connection while the responder
+        # is part-way through a four-segment READ.
+        st.tuples(
+            st.just("cut_read"), pair,
+            st.sampled_from(["requester", "responder"]),
+            st.sampled_from(["error", "reset", "destroy"]),
+        ),
         st.tuples(st.just("run"), st.integers(0, 4_000)),
     ),
     max_size=14,
@@ -276,6 +283,26 @@ def test_generated_lifecycles_leak_nothing(steps):
             verbs.append(env.process(guarded(
                 a.rdma_read(qpn_a, base + 0x8000, base, 2 * mtu)
             )))
+        elif kind == "cut_read":
+            # Alone in flight: a WRITE or SEND parked mid-message across a
+            # one-sided reset is still open (DESIGN.md "Known, not fixed").
+            env.run()
+            verbs.append(env.process(guarded(
+                a.rdma_read(qpn_a, base + 0x8000, base, 4 * mtu)
+            )))
+            env.run(until=env.now + 1_500)
+            if not alive(step[1]):
+                continue
+            ends = [(a, qpn_a), (b, qpn_b)]
+            (stack, qpn), (other, other_qpn) = ends if step[2] == "requester" else ends[::-1]
+            if step[3] == "error":
+                stack.qp_error(qpn, reason="generated")
+            elif step[3] == "reset":
+                stack.reset_qp(qpn)  # stays unconnected until a later "reset"
+            else:
+                stack.destroy_qp(qpn)
+                env.run()  # the survivor gives up on its peer, or finishes
+                other.destroy_qp(other_qpn)
         elif not alive(step[1]):
             continue
         elif kind == "error":
@@ -304,4 +331,4 @@ def test_generated_lifecycles_leak_nothing(steps):
     env.run()
     assert all(receiver.triggered for receiver in receivers)
     for stack in (a, b):
-        assert container_sizes(stack) == {"qps": 0, "_contexts": 0}
+        assert container_sizes(stack) == {"qps": 0, "_contexts": 0, "_read_requests": 0}

@@ -350,6 +350,13 @@ def test_two_node_write_read_mix_finishes_when_the_processes_said():
     finishes, forwarded = _write_read_mix_finishes()
     assert finishes == MIX_FINISHES
     assert forwarded == MIX_FORWARDED
+    # Closed loop: a verb starts when the one before it finished.
+    whens = [float(when) for _kind, _length, when in finishes]
+    durations = {
+        verb[:2]: round(end - start, 6)
+        for verb, start, end in zip(finishes[1:], whens, whens[1:])
+    }
+    assert {verb: durations[verb] for verb in MIX_SAME_DURATIONS} == MIX_SAME_DURATIONS
 
 
 INCAST_FIRST = [
@@ -358,12 +365,26 @@ INCAST_FIRST = [
 INCAST_LAST = [(4, "1997020.8807834464"), (7, "1998697.2007834448")]
 INCAST_DIGEST = "6b184bd3358e2e837e621e73e0bfe27c781f420cf28fed044483a4ae2ea1e5a7"
 INCAST_COUNTERS = {"forwarded": 42333, "tail_drops": 55, "ecn_marks": 5262, "unroutable": 0}
+#: Re-recorded when READ responses moved from the receive loop to the
+#: stack's payload generator: a multi-packet response overlaps its local
+#: reads with the wire (64 KiB: 14 623.5 -> 9 614.4 ns, 20 000 B: 5 647.4 ->
+#: 4 389.8 ns), so those three READs finish sooner and every verb behind
+#: them starts earlier.  Nothing else moved: ``MIX_SAME_DURATIONS`` holds
+#: the durations of the WRITEs and the single-packet READs as they were
+#: before, and the switch forwards the same 126 frames.
 MIX_FINISHES = [
     ("write", 4096, "4944.426666666667"), ("read", 4096, "7488.8533333333335"),
-    ("write", 65536, "17651.680000000004"), ("read", 65536, "32275.22666666663"),
-    ("write", 100, "33833.97333333329"), ("read", 100, "35392.71999999996"),
-    ("write", 20000, "39928.71999999996"), ("read", 20000, "45576.07999999996"),
-    ("write", 1, "47110.406666666626"), ("read", 1, "48644.73333333329"),
-    ("write", 65472, "58802.226666666626"), ("read", 65472, "73409.98666666658"),
+    ("write", 65536, "17651.680000000004"), ("read", 65536, "27266.106666666652"),
+    ("write", 100, "28824.853333333318"), ("read", 100, "30383.599999999984"),
+    ("write", 20000, "34919.599999999984"), ("read", 20000, "39309.35999999999"),
+    ("write", 1, "40843.68666666666"), ("read", 1, "42378.01333333333"),
+    ("write", 65472, "52535.50666666666"), ("read", 65472, "62144.60000000003"),
 ]
+MIX_SAME_DURATIONS = {
+    ("read", 4096): 2544.426667, ("write", 65536): 10162.826667,
+    ("write", 100): 1558.746667, ("read", 100): 1558.746667,
+    ("write", 20000): 4536.0,
+    ("write", 1): 1534.326667, ("read", 1): 1534.326667,
+    ("write", 65472): 10157.493333,
+}
 MIX_FORWARDED = 126
