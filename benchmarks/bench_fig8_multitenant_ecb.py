@@ -20,5 +20,9 @@ def test_fig8_fair_sharing(benchmark, report):
         assert row["fairness"] > 0.95
         # Cumulative conserved within 5% of the single-tenant rate.
         assert row["cumulative_gbps"] == pytest.approx(singles, rel=0.05)
+        # With a second tenant to fill one's gaps the link is full:
+        # EXPERIMENTS.md records 11.97 / 12.00 / 12.00 GB/s.
+        if row["vfpgas"] > 1:
+            assert row["cumulative_gbps"] == pytest.approx(12.0, rel=0.01)
     # Saturates the ~12 GB/s XDMA host link of the paper.
     assert 11.0 < singles < 12.5

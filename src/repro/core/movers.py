@@ -167,8 +167,9 @@ class _DataMover:
             desc = yield source.get()
             yield queues[desc.dest].put(desc)
 
-    def _complete(self, vfpga: VFpga, packet: Packet, write: bool) -> Generator:
-        """Completion bookkeeping: CQ entry + optional writeback."""
+    def _complete(self, vfpga: VFpga, packet: Packet, write: bool) -> None:
+        """Completion bookkeeping: CQ entry + posted writeback.  Nothing
+        here waits, so the calling unit goes straight to its next packet."""
         desc = packet.descriptor
         entry = CompletionEntry(
             vfpga_id=desc.vfpga_id,
@@ -179,11 +180,10 @@ class _DataMover:
             dest=desc.dest,
             timestamp_ns=self.env.now,
         )
-        queue = vfpga.cq_wr if write else vfpga.cq_rd
-        yield queue.put(entry)
+        (vfpga.cq_wr if write else vfpga.cq_rd).put(entry)
         if self.config.writeback:
             direction = "wr" if write else "rd"
-            yield from self.xdma.writeback(f"v{desc.vfpga_id}-{desc.stream.value}-{direction}")
+            self.xdma.writeback(f"v{desc.vfpga_id}-{desc.stream.value}-{direction}")
 
     # ------------------------------------- health recovery: quiesce/restart
 
@@ -335,7 +335,7 @@ class HostDataMover(_DataMover):
     def _deposit(self, vfpga: VFpga, packet: Packet, flit: Flit) -> Generator:
         yield from vfpga.host_in[packet.dest].send(flit)
         if packet.last:
-            yield from self._complete(vfpga, packet, write=False)
+            self._complete(vfpga, packet, write=False)
 
     def _wr_translate(self) -> Generator:
         while True:
@@ -357,7 +357,7 @@ class HostDataMover(_DataMover):
             self.bytes_written += packet.length
             vfpga.wr_credits[StreamType.HOST].release()
             if packet.last:
-                yield from self._complete(vfpga, packet, write=True)
+                self._complete(vfpga, packet, write=True)
 
 
 class CardDataMover(_DataMover):
@@ -399,7 +399,7 @@ class CardDataMover(_DataMover):
                 )
                 yield from vfpga.card_in[packet.dest].send(flit)
                 if packet.last:
-                    yield from self._complete(vfpga, packet, write=False)
+                    self._complete(vfpga, packet, write=False)
 
     def _wr_unit(self, vfpga: VFpga, dest: int, queue: Store) -> Generator:
         _vfpga, mmu = self._vfpgas[vfpga.vfpga_id]
@@ -426,4 +426,4 @@ class CardDataMover(_DataMover):
                     # class app.wedge_credit chaos probes dynamically.
                     guard.release()
                 if packet.last:
-                    yield from self._complete(vfpga, packet, write=True)
+                    self._complete(vfpga, packet, write=True)

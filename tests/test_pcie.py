@@ -6,6 +6,7 @@ from repro import CThread, Driver, LocalSg, Oper, SgEntry, Shell, ShellConfig
 from repro.apps import PassThroughApp
 from repro.health import RecoveredError
 from repro.pcie import MsiVector, PcieLink, PcieLinkConfig, Xdma, XdmaConfig
+from repro.pcie.xdma import WRITEBACK_LATENCY_NS
 from repro.sim import Environment
 from repro.telemetry import collect_card_metrics
 
@@ -111,15 +112,19 @@ def test_xdma_interrupt_vector_isolation():
 
 
 def test_xdma_writeback_counters():
+    """A writeback is posted: the call returns at once and the counter
+    moves ``WRITEBACK_LATENCY_NS`` later, with nobody waiting on it."""
     env = Environment()
     xdma = Xdma(env, XdmaConfig(host_memory_bytes=1 << 20))
-
-    def proc():
-        yield from xdma.writeback("vfpga0-host-rd")
-        yield from xdma.writeback("vfpga0-host-rd")
-
-    env.run(env.process(proc()))
-    assert xdma.writebacks["vfpga0-host-rd"].count == 2
+    assert xdma.writeback("vfpga0-host-rd") is None
+    xdma.writeback("vfpga0-host-rd")
+    counter = xdma.writebacks["vfpga0-host-rd"]
+    assert env.now == 0.0 and counter.count == 0
+    env.run(until=WRITEBACK_LATENCY_NS - 1)
+    assert counter.count == 0
+    env.run(until=WRITEBACK_LATENCY_NS)
+    assert counter.count == 2
+    assert env.pending == 0
 
 
 def test_xdma_byte_counters():
