@@ -85,6 +85,27 @@ class _FlitAssembler:
         return None
 
 
+class _Region:
+    """One registered vFPGA as a mover holds it.
+
+    ``procs`` are the region's relay and unit processes and ``lanes`` its
+    ``(dispatch queue, per-stream queues)`` for reads and for writes,
+    indexed by ``write``: both tenant-side, rebuilt empty by every
+    :meth:`_DataMover._spawn_region`.  ``ports`` is the host path's
+    ``(read, write)`` arbiter ports, added on first use: the fabric is
+    shared, so they outlive a region restart.
+    """
+
+    __slots__ = ("vfpga", "mmu", "procs", "lanes", "ports")
+
+    def __init__(self, vfpga: VFpga, mmu: Mmu):
+        self.vfpga = vfpga
+        self.mmu = mmu
+        self.procs: List = []
+        self.lanes: List[Tuple] = []
+        self.ports: Optional[Tuple] = None
+
+
 class _DataMover:
     """What the host and card datapaths share, per stream kind.
 
@@ -108,21 +129,17 @@ class _DataMover:
         self.xdma = xdma  # the card path uses it for writeback only
         self.config = config
         self.packetizer = Packetizer(packet_bytes)
-        self._vfpgas: Dict[int, Tuple[VFpga, Mmu]] = {}
-        self._region_procs: Dict[int, List] = {}
-        #: vfpga_id -> ``(dispatch queue, per-stream queues)`` for reads
-        #: and for writes, indexed by ``write``.
-        self._region_queues: Dict[int, Tuple] = {}
+        self._regions: Dict[int, _Region] = {}
         self.bytes_read = 0
         self.bytes_written = 0
 
     def register(self, vfpga: VFpga, mmu: Mmu) -> None:
-        if vfpga.vfpga_id in self._vfpgas:
+        if vfpga.vfpga_id in self._regions:
             raise ValueError(f"vFPGA {vfpga.vfpga_id} already registered")
-        self._vfpgas[vfpga.vfpga_id] = (vfpga, mmu)
-        self._spawn_region(vfpga)
+        region = self._regions[vfpga.vfpga_id] = _Region(vfpga, mmu)
+        self._spawn_region(region)
 
-    def _spawn_region(self, vfpga: VFpga) -> None:
+    def _spawn_region(self, region: _Region) -> None:
         """(Re)create the region's dispatch relays, queues and units.
 
         Called at registration and again by :meth:`restart_region` after
@@ -132,6 +149,7 @@ class _DataMover:
         message never blocks another's (cThread independence) and card
         throughput scales with HBM channels.
         """
+        vfpga = region.vfpga
         prefix = f"v{vfpga.vfpga_id}-{self.stream.value}"
         lanes, procs = [], []
         for write, direction in enumerate(("rd", "wr")):
@@ -146,19 +164,19 @@ class _DataMover:
         ):
             for dest, queue in enumerate(queues):
                 procs.append(self.env.process(
-                    unit(vfpga, dest, queue),
+                    unit(region, dest, queue),
                     name=f"{prefix}-{direction}{self.unit_tag}{dest}",
                 ))
-        self._region_procs[vfpga.vfpga_id] = procs
-        self._region_queues[vfpga.vfpga_id] = lanes
+        region.procs = procs
+        region.lanes = lanes
 
     def num_streams(self, vfpga_id: int, write: bool) -> int:
         """How many parallel streams serve one direction of a region."""
-        return len(self._region_queues[vfpga_id][write][1])
+        return len(self._regions[vfpga_id].lanes[write][1])
 
     def dispatch_queue(self, vfpga_id: int, write: bool) -> Store:
         """Where the shell hands a region's checked descriptors."""
-        return self._region_queues[vfpga_id][write][0]
+        return self._regions[vfpga_id].lanes[write][0]
 
     @staticmethod
     def _by_dest(source: Store, queues: List[Store]) -> Generator:
@@ -190,7 +208,7 @@ class _DataMover:
     def quiesce_region(self, vfpga_id: int) -> None:
         """Stop the region's request units so no new packets enter the
         shared pipeline; packets already admitted drain normally."""
-        for proc in self._region_procs.get(vfpga_id, ()):
+        for proc in self._regions[vfpga_id].procs:
             if proc.is_alive:
                 # Nothing awaits mover workers; defuse so the interrupt
                 # is a clean stop, not an unhandled simulation failure.
@@ -203,12 +221,12 @@ class _DataMover:
         Returns the number of queued descriptors discarded with the old
         queues.
         """
-        vfpga, _mmu = self._vfpgas[vfpga_id]
+        region = self._regions[vfpga_id]
         dropped = sum(
             len(dispatch) + sum(len(queue) for queue in queues)
-            for dispatch, queues in self._region_queues.get(vfpga_id, ())
+            for dispatch, queues in region.lanes
         )
-        self._spawn_region(vfpga)
+        self._spawn_region(region)
         return dropped
 
 
@@ -230,7 +248,6 @@ class HostDataMover(_DataMover):
         #: Optional GPU for peer-to-peer transfers to GPU-resident pages
         #: (set by Driver.attach_gpu).
         self.gpu = None
-        self._region_ports: Dict[int, Tuple] = {}
         # Translate/DMA pipeline stages.
         self._rd_staged: Store = Store(env, capacity=4)
         self._wr_staged: Store = Store(env, capacity=4)
@@ -239,20 +256,18 @@ class HostDataMover(_DataMover):
         env.process(self._wr_translate(), name="host-wr-xlat")
         env.process(self._wr_dma(), name="host-wr-dma")
 
-    def _ports(self, vfpga_id: int) -> Tuple:
-        """The region's (read, write) arbiter ports, added on first use:
-        the fabric is shared, so they outlive a region restart."""
-        if vfpga_id not in self._region_ports:
-            self._region_ports[vfpga_id] = (
-                self.rd_arbiter.add_port(), self.wr_arbiter.add_port(),
-            )
-        return self._region_ports[vfpga_id]
+    def _ports(self, region: _Region) -> Tuple:
+        """The region's (read, write) arbiter ports, added on first use."""
+        if region.ports is None:
+            region.ports = (self.rd_arbiter.add_port(), self.wr_arbiter.add_port())
+        return region.ports
 
     # ---------------------------------------------------- per-vFPGA units
 
-    def _rd_unit(self, vfpga: VFpga, dest: int, queue: Store) -> Generator:
+    def _rd_unit(self, region: _Region, dest: int, queue: Store) -> Generator:
         """Packetize + credit host-read descriptors, then interleave."""
-        port = self._ports(vfpga.vfpga_id)[0]
+        vfpga = region.vfpga
+        port = self._ports(region)[0]
         while True:
             desc = yield queue.get()
             for packet in self.packetizer.split(desc):
@@ -260,14 +275,15 @@ class HostDataMover(_DataMover):
                 yield from vfpga.rd_credits[StreamType.HOST].acquire()
                 yield from port.put(packet)
 
-    def _wr_unit(self, vfpga: VFpga, dest: int, queue: Store) -> Generator:
+    def _wr_unit(self, region: _Region, dest: int, queue: Store) -> Generator:
         """Pull data from the vFPGA *before* propagating write packets.
 
         The kernel's output flits need not align with packet boundaries
         (e.g. the NN kernel emits one small flit per input chunk), so the
         unit reassembles the byte stream into packet-sized writes.
         """
-        port = self._ports(vfpga.vfpga_id)[1]
+        vfpga = region.vfpga
+        port = self._ports(region)[1]
         staged = _FlitAssembler()
         while True:
             desc = yield queue.get()
@@ -292,7 +308,7 @@ class HostDataMover(_DataMover):
         reset's interrupt could leak (the station slot is booked, not
         granted).
         """
-        _vfpga, mmu = self._vfpgas[packet.vfpga_id]
+        mmu = self._regions[packet.vfpga_id].mmu
         pid = packet.descriptor.pid
         location, paddr = yield from mmu.translate_any(pid, packet.vaddr, writable)
         if location is MemLocation.CARD or (
@@ -313,7 +329,7 @@ class HostDataMover(_DataMover):
     def _rd_dma(self) -> Generator:
         while True:
             packet, location, paddr = yield self._rd_staged.get()
-            vfpga, _mmu = self._vfpgas[packet.vfpga_id]
+            vfpga = self._regions[packet.vfpga_id].vfpga
             if location is MemLocation.GPU:
                 data = yield from self.gpu.read(paddr, packet.length)
             else:
@@ -346,7 +362,7 @@ class HostDataMover(_DataMover):
     def _wr_dma(self) -> Generator:
         while True:
             packet, flit, location, paddr = yield self._wr_staged.get()
-            vfpga, _mmu = self._vfpgas[packet.vfpga_id]
+            vfpga = self._regions[packet.vfpga_id].vfpga
             data = flit.data if flit.data is not None else bytes(flit.length)
             if not self.config.carry_data:
                 data = bytes(min(flit.length, packet.length))
@@ -377,8 +393,8 @@ class CardDataMover(_DataMover):
         super().__init__(env, xdma, config, hbm.config.stripe_bytes)
         self.hbm = hbm
 
-    def _rd_unit(self, vfpga: VFpga, dest: int, queue: Store) -> Generator:
-        _vfpga, mmu = self._vfpgas[vfpga.vfpga_id]
+    def _rd_unit(self, region: _Region, dest: int, queue: Store) -> Generator:
+        vfpga, mmu = region.vfpga, region.mmu
         while True:
             desc = yield queue.get()
             for packet in self.packetizer.split(desc):
@@ -401,8 +417,8 @@ class CardDataMover(_DataMover):
                 if packet.last:
                     self._complete(vfpga, packet, write=False)
 
-    def _wr_unit(self, vfpga: VFpga, dest: int, queue: Store) -> Generator:
-        _vfpga, mmu = self._vfpgas[vfpga.vfpga_id]
+    def _wr_unit(self, region: _Region, dest: int, queue: Store) -> Generator:
+        vfpga, mmu = region.vfpga, region.mmu
         staged = _FlitAssembler()
         guard = vfpga.wr_credits[StreamType.CARD].guard()
         while True:

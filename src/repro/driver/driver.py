@@ -118,6 +118,7 @@ class Driver:
         shell.static.xdma.on_interrupt(
             MsiVector.RECONFIG_DONE, self._on_reconfig_done
         )
+        shell.static.on_user_interrupt(self._on_user_interrupt)
         self._bind_shell()
         self.page_faults = 0
         self.tlb_walks = 0
@@ -176,10 +177,13 @@ class Driver:
     # ---------------------------------------------------------------- wiring
 
     def _bind_shell(self) -> None:
-        """Bind MMU walk callbacks and interrupt demux to the (new) shell."""
+        """Bind what a shell swap re-instantiates to the (new) shell: MMU
+        walk callbacks, the card allocator, the GPU hook and the
+        completion demux of each region's fresh queues."""
         page = self.shell.config.services.mmu.tlb.page_size
-        for vfpga_id, mmu in self.shell.dynamic.mmus.items():
-            mmu.bind_driver(self._make_walk_fn(vfpga_id), self._make_walk_any_fn())
+        walk, walk_any = self._make_walk_fn(), self._make_walk_any_fn()
+        for mmu in self.shell.dynamic.mmus.values():
+            mmu.bind_driver(walk, walk_any)
         if self.shell.dynamic.hbm is not None:
             hbm = self.shell.dynamic.hbm
             usable = hbm.config.total_bytes - (64 << 20)  # minus sniffer region
@@ -187,7 +191,6 @@ class Driver:
             self._card_frames = FrameAllocator(usable, frame, "card")
         if self.gpu is not None:
             self.shell.dynamic.host_mover.gpu = self.gpu
-        self.shell.static.on_user_interrupt(self._on_user_interrupt)
         for vfpga in self.shell.vfpgas:
             self.env.process(
                 self._cq_demux(vfpga.cq_rd, write=False),
@@ -287,18 +290,27 @@ class Driver:
                 f"reconfigure the shell with a matching MMU"
             )
         alloc = ctx.valloc.allocate(length, alloc_type)
+        return (yield from self._map_pages(ctx, alloc, MemLocation.HOST))
+
+    def _map_pages(
+        self, ctx: ProcessContext, alloc: Allocation, location: MemLocation
+    ) -> Generator:
+        """Back every page of a fresh allocation with a frame in
+        ``location`` (host DRAM, or the attached GPU), map it, pre-fill
+        the TLB and charge the ioctl's per-page latency."""
         mmu = self.shell.dynamic.mmus[ctx.vfpga_id]
+        size = alloc.page_size
         for page_no in range(alloc.num_pages):
-            vaddr = alloc.vaddr + page_no * alloc.page_size
-            frame = self._host_frames[alloc.page_size]
-            paddr = self._host_base[alloc.page_size] + frame.allocate()
-            entry = PageTableEntry(
-                vpn=ctx.page_table.vpn_of(vaddr),
-                host_paddr=paddr,
-                location=MemLocation.HOST,
-            )
+            vaddr = alloc.vaddr + page_no * size
+            entry = PageTableEntry(vpn=ctx.page_table.vpn_of(vaddr), location=location)
+            if location is MemLocation.GPU:
+                paddr = entry.gpu_paddr = self.gpu.allocate_page()
+            else:
+                paddr = entry.host_paddr = (
+                    self._host_base[size] + self._host_frames[size].allocate()
+                )
             ctx.page_table.map(entry)
-            mmu.prefill(vaddr, paddr, MemLocation.HOST)
+            mmu.prefill(vaddr, paddr, location)
         ctx.allocations.append(alloc)
         yield self.env.timeout(ALLOC_LATENCY_PER_PAGE_NS * alloc.num_pages)
         return alloc
@@ -326,6 +338,18 @@ class Driver:
 
     # ------------------------------------------------- functional host access
 
+    @staticmethod
+    def _page_spans(ctx: ProcessContext, vaddr: int, length: int):
+        """Cut ``[vaddr, vaddr + length)`` at page boundaries: one
+        ``(address, offset into the range, bytes)`` per page touched."""
+        page = ctx.page_table.page_size
+        offset = 0
+        while offset < length:
+            cur = vaddr + offset
+            take = min(length - offset, page - (cur & (page - 1)))
+            yield cur, offset, take
+            offset += take
+
     def _host_paddr(self, ctx: ProcessContext, vaddr: int) -> int:
         entry = ctx.page_table.walk(vaddr)
         if entry.host_paddr is None:
@@ -336,31 +360,21 @@ class Driver:
     def write_buffer(self, pid: int, vaddr: int, data: bytes) -> None:
         """Host-software store into a mapped buffer (untimed, CPU-side)."""
         ctx = self._ctx(pid)
-        page = ctx.page_table.page_size
-        offset = 0
         host_mem = self.shell.static.xdma.host_mem
-        while offset < len(data):
-            cur = vaddr + offset
-            take = min(len(data) - offset, page - (cur & (page - 1)))
+        for cur, offset, take in self._page_spans(ctx, vaddr, len(data)):
             host_mem.write(self._host_paddr(ctx, cur), data[offset : offset + take])
-            offset += take
 
     def read_buffer(self, pid: int, vaddr: int, length: int) -> bytes:
         ctx = self._ctx(pid)
-        page = ctx.page_table.page_size
         host_mem = self.shell.static.xdma.host_mem
-        parts = []
-        offset = 0
-        while offset < length:
-            cur = vaddr + offset
-            take = min(length - offset, page - (cur & (page - 1)))
-            parts.append(host_mem.read(self._host_paddr(ctx, cur), take))
-            offset += take
-        return b"".join(parts)
+        return b"".join(
+            host_mem.read(self._host_paddr(ctx, cur), take)
+            for cur, _offset, take in self._page_spans(ctx, vaddr, length)
+        )
 
     # ----------------------------------------------------- MMU walk service
 
-    def _make_walk_fn(self, vfpga_id: int) -> Callable:
+    def _make_walk_fn(self) -> Callable:
         def walk(pid: int, vaddr: int, location: MemLocation, writable: bool) -> Generator:
             return (yield self.env.process(self._walk(pid, vaddr, location, writable)))
 
@@ -457,47 +471,26 @@ class Driver:
         page = ctx.page_table.page_size
         alloc_type = {v.page_size: v for v in AllocType}[page]
         alloc = ctx.valloc.allocate(length, alloc_type)
-        mmu = self.shell.dynamic.mmus[ctx.vfpga_id]
-        for page_no in range(alloc.num_pages):
-            vaddr = alloc.vaddr + page_no * page
-            gpu_paddr = self.gpu.allocate_page()
-            entry = PageTableEntry(
-                vpn=ctx.page_table.vpn_of(vaddr),
-                gpu_paddr=gpu_paddr,
-                location=MemLocation.GPU,
-            )
-            ctx.page_table.map(entry)
-            mmu.prefill(vaddr, gpu_paddr, MemLocation.GPU)
-        ctx.allocations.append(alloc)
-        yield self.env.timeout(ALLOC_LATENCY_PER_PAGE_NS * alloc.num_pages)
-        return alloc
+        return (yield from self._map_pages(ctx, alloc, MemLocation.GPU))
 
     def gpu_write_buffer(self, pid: int, vaddr: int, data: bytes) -> None:
         """Host-side (cudaMemcpy-style) store into a GPU-resident buffer."""
         ctx = self._ctx(pid)
-        page = ctx.page_table.page_size
-        offset = 0
-        while offset < len(data):
-            cur = vaddr + offset
-            take = min(len(data) - offset, page - (cur & (page - 1)))
-            entry = ctx.page_table.walk(cur)
-            if entry.gpu_paddr is None:
-                raise DriverError(f"page of {cur:#x} has no GPU frame")
-            self.gpu.upload(entry.gpu_paddr + (cur & (page - 1)), data[offset : offset + take])
-            offset += take
+        for cur, offset, take in self._page_spans(ctx, vaddr, len(data)):
+            self.gpu.upload(self._gpu_paddr(ctx, cur), data[offset : offset + take])
 
     def gpu_read_buffer(self, pid: int, vaddr: int, length: int) -> bytes:
         ctx = self._ctx(pid)
-        page = ctx.page_table.page_size
-        parts = []
-        offset = 0
-        while offset < length:
-            cur = vaddr + offset
-            take = min(length - offset, page - (cur & (page - 1)))
-            entry = ctx.page_table.walk(cur)
-            parts.append(self.gpu.download(entry.gpu_paddr + (cur & (page - 1)), take))
-            offset += take
-        return b"".join(parts)
+        return b"".join(
+            self.gpu.download(self._gpu_paddr(ctx, cur), take)
+            for cur, _offset, take in self._page_spans(ctx, vaddr, length)
+        )
+
+    def _gpu_paddr(self, ctx: ProcessContext, vaddr: int) -> int:
+        entry = ctx.page_table.walk(vaddr)
+        if entry.gpu_paddr is None:
+            raise DriverError(f"page of {vaddr:#x} has no GPU frame")
+        return entry.gpu_paddr + (vaddr & (ctx.page_table.page_size - 1))
 
     # ----------------------------------------------------- RDMA memory hooks
 
@@ -784,21 +777,7 @@ class Driver:
                 f"not match the shell MMU page size {ctx.page_table.page_size}"
             )
         alloc = ctx.valloc.allocate_at(vaddr, length, alloc_type)
-        mmu = self.shell.dynamic.mmus[ctx.vfpga_id]
-        for page_no in range(alloc.num_pages):
-            page_vaddr = alloc.vaddr + page_no * alloc.page_size
-            frame = self._host_frames[alloc.page_size]
-            paddr = self._host_base[alloc.page_size] + frame.allocate()
-            entry = PageTableEntry(
-                vpn=ctx.page_table.vpn_of(page_vaddr),
-                host_paddr=paddr,
-                location=MemLocation.HOST,
-            )
-            ctx.page_table.map(entry)
-            mmu.prefill(page_vaddr, paddr, MemLocation.HOST)
-        ctx.allocations.append(alloc)
-        yield self.env.timeout(ALLOC_LATENCY_PER_PAGE_NS * alloc.num_pages)
-        return alloc
+        return (yield from self._map_pages(ctx, alloc, MemLocation.HOST))
 
     def restore_mr(
         self, pid: int, key: int, vaddr: int, length: int, writable: bool = True

@@ -210,7 +210,7 @@ class HealthMonitor:
                 RegionHealth(
                     vfpga_id=vfpga_id,
                     state=state.value,
-                    recoveries=self.recovery.recoveries.get(vfpga_id, 0),
+                    recoveries=self.recovery.recovery_count(vfpga_id),
                     watchdog_trips=watchdog.trips,
                     stuck_pids=self._stuck_pids(vfpga_id, now),
                 )

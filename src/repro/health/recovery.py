@@ -71,6 +71,22 @@ class RegionState(Enum):
     QUARANTINED = "quarantined"
 
 
+@dataclass
+class _RegionRecovery:
+    """One region's place in the recovery state machine."""
+
+    __slots__ = ("state", "breaker", "in_progress", "recoveries")
+
+    state: RegionState
+    #: The circuit breaker's window: times of the recovery attempts
+    #: still inside ``breaker_window_ns``.
+    breaker: Deque[float]
+    #: A recovery of the region is running (re-entrant calls are no-ops).
+    in_progress: bool
+    #: Recoveries that ended with the region back in service.
+    recoveries: int
+
+
 class RecoveryManager:
     """Owns the per-region recovery state machine of one card."""
 
@@ -78,14 +94,10 @@ class RecoveryManager:
         self.driver = driver
         self.env = driver.env
         self.config = config
-        self._states: Dict[int, RegionState] = {
-            vfpga.vfpga_id: RegionState.HEALTHY for vfpga in driver.shell.vfpgas
+        self._regions: Dict[int, _RegionRecovery] = {
+            vfpga.vfpga_id: _RegionRecovery(RegionState.HEALTHY, deque(), False, 0)
+            for vfpga in driver.shell.vfpgas
         }
-        self._breaker: Dict[int, Deque[float]] = {
-            vfpga_id: deque() for vfpga_id in self._states
-        }
-        self._in_progress: Dict[int, bool] = {}
-        self.recoveries: Dict[int, int] = {vfpga_id: 0 for vfpga_id in self._states}
         self.quarantines = 0
         self.descriptors_dropped = 0
         self.completions_failed = 0
@@ -94,17 +106,20 @@ class RecoveryManager:
     # ------------------------------------------------------------- queries
 
     def state_of(self, vfpga_id: int) -> RegionState:
-        return self._states.get(vfpga_id, RegionState.HEALTHY)
+        return self._regions[vfpga_id].state
+
+    def recovery_count(self, vfpga_id: int) -> int:
+        return self._regions[vfpga_id].recoveries
 
     def total_recoveries(self) -> int:
-        return sum(self.recoveries.values())
+        return sum(region.recoveries for region in self._regions.values())
 
     def region_dict(self, vfpga_id: int) -> Dict:
         vfpga = self.driver.shell.vfpgas[vfpga_id]
         return {
             "id": vfpga_id,
             "state": self.state_of(vfpga_id).value,
-            "recoveries": self.recoveries.get(vfpga_id, 0),
+            "recoveries": self.recovery_count(vfpga_id),
             "decoupled": vfpga.decoupled,
             "quarantined": vfpga.quarantined,
         }
@@ -117,24 +132,23 @@ class RecoveryManager:
         A generator — run it as a process.  Re-entrant calls while a
         recovery is already in flight (or after quarantine) are no-ops.
         """
-        if self._in_progress.get(vfpga_id):
+        region = self._regions[vfpga_id]
+        if region.in_progress or region.state is RegionState.QUARANTINED:
             return
-        if self.state_of(vfpga_id) is RegionState.QUARANTINED:
-            return
-        self._in_progress[vfpga_id] = True
+        region.in_progress = True
         try:
-            yield from self._recover(vfpga_id, reason)
+            yield from self._recover(region, vfpga_id, reason)
         finally:
-            self._in_progress[vfpga_id] = False
+            region.in_progress = False
             monitor = self.driver.health
             if monitor is not None:
                 monitor.on_region_recovered(vfpga_id)
 
-    def _recover(self, vfpga_id: int, reason: str) -> Generator:
+    def _recover(self, region: _RegionRecovery, vfpga_id: int, reason: str) -> Generator:
         driver = self.driver
         shell = driver.shell
         vfpga = shell.vfpgas[vfpga_id]
-        self._states[vfpga_id] = RegionState.RECOVERING
+        region.state = RegionState.RECOVERING
         vfpga.decoupled = True
 
         # 1. Decouple: fail software's pending completions and pause the
@@ -147,7 +161,7 @@ class RecoveryManager:
 
         # Circuit breaker: decide up front whether this attempt trips it,
         # so a tenant being evicted never costs another ICAP program.
-        window = self._breaker[vfpga_id]
+        window = region.breaker
         window.append(self.env.now)
         while window and self.env.now - window[0] > self.config.breaker_window_ns:
             window.popleft()
@@ -182,14 +196,14 @@ class RecoveryManager:
             vfpga.quarantined = True
             vfpga.decoupled = False
             self.quarantines += 1
-            self._states[vfpga_id] = RegionState.QUARANTINED
+            region.state = RegionState.QUARANTINED
             for scheduler in schedulers:
                 scheduler.resume_after_recovery(quarantined=True)
             return
 
         vfpga.decoupled = False
-        self.recoveries[vfpga_id] += 1
-        self._states[vfpga_id] = RegionState.DEGRADED
+        region.recoveries += 1
+        region.state = RegionState.DEGRADED
 
         # 5. Replay or reject queued work per the idempotency policy.
         for scheduler in schedulers:

@@ -96,6 +96,33 @@ class SwitchConfig:
     storm_threshold_ns: float = 1_000_000.0
 
 
+class _Ingress:
+    """What the switch knows about one ingress source: a host port (``key``
+    is its MAC) or a trunk (``key`` is the trunk key).
+
+    ``upstream`` is the pause handle — the port's :class:`Cmac`, or the
+    peer switch's egress queue feeding the trunk — and ``None`` once the
+    port was unplugged; ``bytes`` is what the source has buffered in this
+    switch right now; ``paused_since`` is when its continuous pause began
+    (PFC asserted and not yet XON'd; hold-timer expiries do not clear
+    it); ``pfc_muted`` is set when a storm was detected and PFC toward
+    it is disabled.  :meth:`Switch.attach` / :meth:`Switch.connect_trunk`
+    make the record and hand it to the callback that delivers the
+    source's frames, so the per-frame path reads attributes, not tables;
+    :meth:`Switch.detach` ends it, and the next CMAC plugged in under the
+    same MAC starts from a new one.
+    """
+
+    __slots__ = ("key", "upstream", "bytes", "paused_since", "pfc_muted")
+
+    def __init__(self, key, upstream):
+        self.key = key
+        self.upstream = upstream
+        self.bytes = 0
+        self.paused_since: Optional[float] = None
+        self.pfc_muted = False
+
+
 class _EgressPort:
     """One output queue: byte-accounted FIFO drained at line rate.
 
@@ -162,7 +189,9 @@ class _EgressPort:
 
     # -- queue ----------------------------------------------------------
 
-    def enqueue(self, packet: RocePacket, source, extra_delay: float, counted: bool) -> bool:
+    def enqueue(
+        self, packet: RocePacket, source: _Ingress, extra_delay: float, counted: bool
+    ) -> bool:
         """Admit one frame; returns False on tail drop.  ``counted`` is
         False for a copy whose ingress frame ``forwarded`` already counts."""
         switch = self.switch
@@ -189,7 +218,7 @@ class _EgressPort:
         self.queued_bytes += wire_len
         if self.queued_bytes > self.queue_high_water:
             self.queue_high_water = self.queued_bytes
-        switch._ingress_bytes[source] = switch._ingress_bytes.get(source, 0) + wire_len
+        source.bytes += wire_len
         if self._parked is not None and not self._parked.triggered:
             self._parked.succeed()
         return True
@@ -243,16 +272,8 @@ class Switch:
         #: Uplink trunk keys eligible for ECMP hashing of unknown MACs.
         self.ecmp_uplinks: List[object] = []
         self._trunk_serial = 0
-        #: Pause handles upstream of each ingress source (a Cmac for host
-        #: ports, a peer switch's egress port for trunk ingress).
-        self._upstreams: Dict[object, object] = {}
-        #: Per-ingress-source bytes currently buffered in this switch.
-        self._ingress_bytes: Dict[object, int] = {}
-        #: When each source's continuous pause began (PFC asserted and
-        #: not yet XON'd; hold-timer expiries do not clear it).
-        self._paused_since: Dict[object, float] = {}
-        #: Storm-muted sources: PFC disabled after a detected storm.
-        self._pfc_muted: Dict[object, bool] = {}
+        #: One record per ingress source, keyed like ``_egress``.
+        self._sources: Dict[object, _Ingress] = {}
         #: Armed :class:`repro.faults.FaultInjector`, or ``None``.
         self.faults = None
         # Cluster fault state (all dict-keyed on MacAddress; stateful,
@@ -314,9 +335,9 @@ class Switch:
         self._ports[mac] = cmac
         port = _EgressPort(self, f"host-{mac!r}", self._deliver_local)
         self._egress[mac] = port
-        self._upstreams[mac] = cmac
+        source = self._sources[mac] = _Ingress(mac, cmac)
         cmac.link_partner = port
-        cmac.attach_wire(lambda pkt, src=mac: self._ingress(pkt, src))
+        cmac.attach_wire(lambda pkt: self._ingress(pkt, source))
 
     def detach(self, mac: MacAddress) -> None:
         """Unplug a port (a shell reconfiguration swapping its CMAC)."""
@@ -327,7 +348,9 @@ class Switch:
         # The egress queue keeps draining any frames already admitted;
         # delivery re-resolves through _ports and counts them unroutable.
         self._egress.pop(mac, None)
-        self._upstreams.pop(mac, None)
+        # Frames the port sent that are still queued drain against its
+        # old record, which can no longer reach the unplugged CMAC.
+        self._sources.pop(mac).upstream = None
 
     def connect_trunk(
         self,
@@ -344,22 +367,23 @@ class Switch:
         peer._trunk_serial += 1
         key_out = f"{self.name}>{peer.name}#{self._trunk_serial}"
         key_back = f"{peer.name}>{self.name}#{peer._trunk_serial}"
-        out_port = _EgressPort(
-            self, key_out, lambda pkt, _counted: peer._ingress(pkt, key_out), line_rate
-        )
-        back_port = _EgressPort(
-            peer, key_back, lambda pkt, _counted: self._ingress(pkt, key_back), line_rate
-        )
-        self._egress[key_out] = out_port
-        peer._egress[key_back] = back_port
-        # Pausing a trunk ingress means pausing the peer's egress queue.
-        peer._upstreams[key_out] = out_port
-        self._upstreams[key_back] = back_port
+        self._egress[key_out] = self._trunk_port(key_out, peer, line_rate)
+        peer._egress[key_back] = peer._trunk_port(key_back, self, line_rate)
         if ecmp_here:
             self.ecmp_uplinks.append(key_out)
         if ecmp_there:
             peer.ecmp_uplinks.append(key_back)
         return key_out, key_back
+
+    def _trunk_port(self, key: str, peer: "Switch", line_rate: float) -> _EgressPort:
+        """One direction of a trunk: this switch's egress queue toward
+        ``peer``, and ``peer``'s ingress record for what arrives over it —
+        pausing a trunk ingress means pausing the queue that feeds it."""
+        port = _EgressPort(
+            self, key, lambda pkt, _counted: peer._ingress(pkt, source), line_rate
+        )
+        source = peer._sources[key] = _Ingress(key, port)
+        return port
 
     def add_route(self, mac: MacAddress, trunk_key: object) -> None:
         """Static route: frames for ``mac`` leave via this trunk."""
@@ -427,11 +451,9 @@ class Switch:
 
     # ------------------------------------------------------------ datapath
 
-    def _ingress(self, packet: RocePacket, source=None) -> None:
+    def _ingress(self, packet: RocePacket, source: _Ingress) -> None:
         src = packet.eth.src
         dst = packet.eth.dst
-        if source is None:
-            source = src
         # Standing cluster-fault state first: frames involving a dead
         # node, a downed link or a severed pair never reach the per-frame
         # chaos sites (their event streams only shift when cluster faults
@@ -530,47 +552,42 @@ class Switch:
 
     # ----------------------------------------------------------------- PFC
 
-    def _pfc_check(self, source, packet: RocePacket) -> None:
+    def _pfc_check(self, source: _Ingress, packet: RocePacket) -> None:
         """Ingress-pressure check, run on *every* frame from a source
         (tail-dropped ones included — a full buffer is exactly when the
         pause must be refreshed and the storm clock must advance)."""
         config = self.config
-        if not config.pfc_enabled or self._pfc_muted.get(source):
+        if not config.pfc_enabled or source.pfc_muted:
             return
-        if self._ingress_bytes.get(source, 0) < config.xoff_bytes:
+        if source.bytes < config.xoff_bytes:
             return
         now = self.env.now
-        since = self._paused_since.get(source)
+        since = source.paused_since
         if since is None:
-            self._paused_since[source] = now
+            source.paused_since = now
         elif now - since >= config.storm_threshold_ns:
-            self._record_storm(str(source), now - since, source_key=source)
+            self._record_storm(str(source.key), now - since, source=source)
             return
         if self.faults is not None and self.faults.fires(NET_PAUSE_DROP, packet):
             self.pause_frames_dropped += 1
             return
-        upstream = self._upstreams.get(source)
-        if upstream is not None:
+        if source.upstream is not None:
             self.pause_frames_sent += 1
-            upstream.pause(config.pause_quanta_ns)
+            source.upstream.pause(config.pause_quanta_ns)
 
-    def _drained(self, source, wire_len: int) -> None:
+    def _drained(self, source: _Ingress, wire_len: int) -> None:
         """Egress drained one frame: release the ingress accounting and
         XON the source if it fell back under the watermark."""
-        remaining = self._ingress_bytes.get(source, 0) - wire_len
-        self._ingress_bytes[source] = remaining if remaining > 0 else 0
-        if (
-            source in self._paused_since
-            and self._ingress_bytes[source] <= self.config.xon_bytes
-        ):
-            del self._paused_since[source]
-            upstream = self._upstreams.get(source)
-            if upstream is not None:
+        remaining = source.bytes - wire_len
+        source.bytes = remaining if remaining > 0 else 0
+        if source.paused_since is not None and source.bytes <= self.config.xon_bytes:
+            source.paused_since = None
+            if source.upstream is not None:
                 self.pause_resumes_sent += 1
-                upstream.resume()
+                source.upstream.resume()
 
     def _record_storm(
-        self, port_label: str, paused_ns: float, port=None, source_key=None
+        self, port_label: str, paused_ns: float, port=None, source=None
     ) -> None:
         """A port crossed the storm threshold: record the typed error,
         mute PFC on it (mitigation) and unblock whatever it froze."""
@@ -583,14 +600,13 @@ class Switch:
         )
         self.pfc_storms += 1
         self.pfc_storm_errors.append(err)
-        if source_key is not None:
+        if source is not None:
             # Upstream-facing storm: this switch paused the source past
             # the threshold.  Stop pausing it and fail parked senders.
-            self._pfc_muted[source_key] = True
-            self._paused_since.pop(source_key, None)
-            upstream = self._upstreams.get(source_key)
-            if upstream is not None:
-                upstream.break_pause(err)
+            source.pfc_muted = True
+            source.paused_since = None
+            if source.upstream is not None:
+                source.upstream.break_pause(err)
         if port is not None:
             # Downstream-facing storm: our egress stayed paused too long.
             port.break_pause(err)

@@ -154,60 +154,24 @@ def _collect_fabric(reg: MetricsRegistry, cluster) -> None:
     """Fabric-scope metrics shared by the full and incremental roll-ups:
     switch counters plus the cluster fault-tolerance layer."""
     switch = cluster.switch
-    _set_counter(reg, "net.switch_forwarded", switch.forwarded)
-    _set_counter(reg, "net.switch_dropped", switch.dropped)
-    _set_counter(reg, "net.switch_corrupted", switch.corrupted)
-    _set_counter(reg, "net.switch_duplicated", switch.duplicated)
-    _set_counter(reg, "net.switch_reordered", switch.reordered)
-    _set_counter(reg, "net.switch_unroutable", switch.unroutable)
-    _set_counter(reg, "net.switch_crashes", getattr(switch, "crashes", 0))
-    _set_counter(reg, "net.switch_link_flaps", getattr(switch, "link_flaps", 0))
-    _set_counter(
-        reg, "net.switch_partitions", getattr(switch, "partitions_created", 0)
-    )
-    # Congestion datapath: queueing, ECN marking, PFC, storm watchdog.
-    _set_counter(reg, "net.switch_tail_drops", getattr(switch, "tail_drops", 0))
-    _set_counter(reg, "net.switch_ecn_marks", getattr(switch, "ecn_marks", 0))
-    _set_counter(
-        reg, "net.switch_ecn_suppressed", getattr(switch, "ecn_suppressed", 0)
-    )
-    _set_counter(
-        reg, "net.switch_pause_frames_sent", getattr(switch, "pause_frames_sent", 0)
-    )
-    _set_counter(
-        reg,
-        "net.switch_pause_frames_received",
-        getattr(switch, "pause_frames_received", 0),
-    )
-    _set_counter(
-        reg,
-        "net.switch_pause_frames_dropped",
-        getattr(switch, "pause_frames_dropped", 0),
-    )
-    _set_counter(reg, "net.switch_pfc_storms", getattr(switch, "pfc_storms", 0))
-    egress_ports = getattr(switch, "egress_ports", None)
-    if egress_ports is not None:
-        for index, (label, port) in enumerate(egress_ports()):
-            depth = reg.gauge(f"net.port.{index}.queue_bytes")
-            depth.set(port.queued_bytes)
-            depth.high_water = max(depth.high_water, port.queue_high_water)
-    _set_counter(reg, "cluster.node_crashes", getattr(cluster, "crashes", 0))
-    _set_counter(reg, "cluster.node_restores", getattr(cluster, "restores", 0))
-    _set_counter(reg, "cluster.node_drains", getattr(cluster, "drains", 0))
-    _set_counter(reg, "cluster.node_upgrades", getattr(cluster, "upgrades", 0))
-    _set_counter(
-        reg, "cluster.tenant_migrations", getattr(cluster, "migrations", 0)
-    )
-    migrator = getattr(cluster, "migrator", None)
-    if migrator is not None:
-        migrator.export_metrics(reg)
-    nodes_alive = reg.gauge("cluster.nodes_alive")
-    nodes_alive.set(sum(1 for node in cluster.nodes if getattr(node, "alive", True)))
-    monitor = getattr(cluster, "monitor", None)
-    if monitor is not None:
-        monitor.export_metrics(reg)
+    for name, value in switch.counters().items():
+        _set_counter(reg, f"net.switch_{name}", value)
+    for index, (_label, port) in enumerate(switch.egress_ports()):
+        depth = reg.gauge(f"net.port.{index}.queue_bytes")
+        depth.set(port.queued_bytes)
+        depth.high_water = max(depth.high_water, port.queue_high_water)
+    _set_counter(reg, "cluster.node_crashes", cluster.crashes)
+    _set_counter(reg, "cluster.node_restores", cluster.restores)
+    _set_counter(reg, "cluster.node_drains", cluster.drains)
+    _set_counter(reg, "cluster.node_upgrades", cluster.upgrades)
+    _set_counter(reg, "cluster.tenant_migrations", cluster.migrations)
+    if cluster.migrator is not None:
+        cluster.migrator.export_metrics(reg)
+    reg.gauge("cluster.nodes_alive").set(sum(1 for node in cluster.nodes if node.alive))
+    if cluster.monitor is not None:
+        cluster.monitor.export_metrics(reg)
     seen_stats = []
-    for group in getattr(cluster, "collective_groups", []):
+    for group in cluster.collective_groups:
         # Rebuilt groups share their predecessor's lifetime stats dict;
         # count each communicator lineage once.
         if any(group.stats is stats for stats in seen_stats):

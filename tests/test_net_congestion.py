@@ -230,6 +230,44 @@ def test_pause_drop_fault_site_breaks_pfc():
     assert cmac_c.pause_frames_rx == 0
 
 
+def test_replugged_port_is_paused_like_a_first_time_port():
+    """A storm mutes PFC toward the *port that stormed*.  The CMAC a
+    shell swap plugs in under the same MAC is a new port: it is paused
+    when it overruns the trunk, not left to run into a tail drop."""
+    env = Environment()
+    config = SwitchConfig(
+        pfc_enabled=True, xoff_bytes=16 << 10, xon_bytes=1 << 10,
+        storm_threshold_ns=50_000, egress_capacity_bytes=64 << 10,
+    )
+    leaf = Switch(env, config=config, name="leaf")
+    spine = Switch(env, config=config, name="spine")
+    uplink, _downlink = leaf.connect_trunk(spine, line_rate=0.1)
+    leaf.add_route(MAC_B, uplink)
+    spine.attach(MAC_B, Cmac(env))
+
+    def blast(cmac, frames):
+        try:
+            for psn in range(frames):
+                yield from cmac.tx(packet(psn=psn))
+        except PfcStormError:
+            pass  # the parked sender is told its pause was a storm
+
+    first = Cmac(env)
+    leaf.attach(MAC_A, first)
+    env.run(env.process(blast(first, 200)))
+    env.run()
+    assert leaf.pfc_storms == 1 and first.pause_frames_rx > 0
+    drops = leaf.tail_drops
+
+    leaf.detach(MAC_A)
+    fresh = Cmac(env)
+    leaf.attach(MAC_A, fresh)
+    env.run(env.process(blast(fresh, 60)))
+    env.run()
+    assert fresh.pause_frames_rx > 0
+    assert leaf.tail_drops == drops
+
+
 # ------------------------------------------------------------------ DCQCN
 
 

@@ -208,6 +208,31 @@ def test_shell_remains_usable_after_reconfig():
     assert env.run(env.process(main())) == b"post-reconfig"
 
 
+def test_one_user_interrupt_is_delivered_once_after_shell_swaps():
+    """The XDMA outlives a shell swap, so the user-interrupt demux is
+    wired per driver, not per shell: two swaps later one interrupt is
+    still one entry on the cThread's eventfd."""
+    from repro import CThread
+    from repro.pcie import MsiVector
+
+    env = Environment()
+    shell = Shell(env, ShellConfig(num_vfpgas=1))
+    driver = Driver(env, shell)
+    ct = CThread(driver, 0, pid=60)
+    services = shell.config.services
+    bitstream = BuildFlow("u55c").shell_flow(services, ["passthrough"]).bitstream
+
+    def main():
+        for _ in range(2):
+            yield from driver.reconfigure_shell(bitstream, services, [PassThroughApp()])
+        shell.vfpgas[0].interrupt(7)
+
+    env.run(env.process(main()))
+    env.run()
+    assert [payload for _when, payload in driver.processes[ct.pid].interrupts.items] == [7]
+    assert len(shell.static.xdma._irq_handlers[MsiVector.USER]) == 1
+
+
 # ----------------------------------------------------- bitstream cache
 
 
