@@ -13,12 +13,17 @@ from conftest import one_shot
 
 from repro.experiments import run_fig11
 
+#: EXPERIMENTS.md's Figure 11 throughput (GB/s), the same on both shells.
+RECORDED_GBPS = 11.99
+
 
 def test_fig11_hll(benchmark, report):
     result = one_shot(benchmark, run_fig11, data_mb=4)
     report(result)
     rows = {row["system"]: row for row in result.rows}
     v2, v1 = rows["Coyote v2"], rows["Coyote v1"]
+    assert v2["throughput_gbps"] == pytest.approx(RECORDED_GBPS, rel=0.02)
+    assert v1["throughput_gbps"] == pytest.approx(RECORDED_GBPS, rel=0.02)
     # Comparable performance (within 5%) — no overhead from the richer
     # interfaces.
     assert v2["throughput_gbps"] == pytest.approx(v1["throughput_gbps"], rel=0.05)

@@ -13,11 +13,20 @@ from conftest import one_shot
 
 from repro.experiments import run_fig12
 
+#: EXPERIMENTS.md's Figure 12 rows at 4096 samples, batch 1024.
+RECORDED = {
+    "CoyoteAccelerator": {"latency_ms": 0.526, "samples_per_sec": 7.79e6},
+    "PYNQ + Vitis": {"latency_ms": 5.396},
+}
+
 
 def test_fig12_nn_inference(benchmark, report):
     result = one_shot(benchmark, run_fig12, samples=4096, batch_size=1024)
     report(result)
     rows = {row["backend"]: row for row in result.rows}
+    for backend, recorded in RECORDED.items():
+        measured = {key: rows[backend][key] for key in recorded}
+        assert measured == pytest.approx(recorded, rel=0.02), backend
     coyote, pynq = rows["CoyoteAccelerator"], rows["PYNQ + Vitis"]
     speedup = pynq["latency_ms"] / coyote["latency_ms"]
     assert speedup > 8.0, f"only {speedup:.1f}x"

@@ -1,7 +1,7 @@
 """Reachability audit: print every ``src/repro`` function that no run calls.
 
-Runs the examples, ``repro.experiments``, ``perf_harness --quick`` and ``bench_e2e --all
---no-trace`` under ``sys.setprofile`` (a temporary ``sitecustomize``: workers are traced too).
+Runs the examples, ``repro.experiments`` and ``bench_e2e --all --no-trace`` under
+``sys.setprofile`` (a temporary ``sitecustomize``: workers are traced too).
 """
 import ast
 import json
@@ -27,7 +27,6 @@ sys.setprofile(lambda f, event, arg: event == "call" and seen.add((f.f_code.co_f
 def main() -> None:
     runs = [[str(path)] for path in sorted(ROOT.glob("examples/*.py"))]
     runs.append(["-m", "repro.experiments"])
-    runs.append([f"{ROOT}/benchmarks/perf_harness.py", "--quick", "--out", os.devnull])
     runs.append([f"{ROOT}/bench_e2e/run.py", "--all", "--no-trace"])
     called = set()
     with tempfile.TemporaryDirectory() as tmp:
@@ -37,7 +36,7 @@ def main() -> None:
             print("run:", *args, flush=True)
             subprocess.run([sys.executable, *args], env=env, cwd=tmp, stdout=subprocess.DEVNULL)
         for dumped in Path(tmp).glob("*.json"):
-            # perf_harness and bench_e2e import src through "..": realpath first.
+            # bench_e2e imports src through "..": realpath first.
             called.update((os.path.realpath(name), line) for name, line in json.loads(dumped.read_text()))
     total = 0
     for path in sorted(ROOT.glob("src/repro/**/*.py")):

@@ -594,7 +594,12 @@ class Driver:
                     mb = bitstream.size_bytes / 1e6
                     yield self.env.timeout(mb / 300.0 * 1e9)  # re-stage in kernel
         finally:
-            self._reconfiguring[vfpga_id] -= 1
+            # Drop the key with the last reconfiguration, so a region's
+            # entry lives only while one is in flight.
+            if self._reconfiguring[vfpga_id] == 1:
+                del self._reconfiguring[vfpga_id]
+            else:
+                self._reconfiguring[vfpga_id] -= 1
 
     def reconfiguring(self, vfpga_id: int) -> bool:
         """Is a partial reconfiguration of this region in flight?  (PR

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
+from .cmac import CMAC_BANDWIDTH
 from .headers import MacAddress
 
 __all__ = [
@@ -40,6 +41,7 @@ __all__ = [
     "QpEndpoint",
     "QueuePair",
     "QpTransitionError",
+    "DcqcnConfig",
     "DcqcnState",
     "PSN_MOD",
     "QP_PROTOCOL",
@@ -200,6 +202,44 @@ class QueuePair:
         return (self.sq_psn - (self.acked_psn + 1)) % PSN_MOD
 
 
+@dataclass(frozen=True)
+class DcqcnConfig:
+    """DCQCN (RoCE congestion control) endpoint parameters.
+
+    Off by default: uncongested workloads pay nothing.  When enabled,
+    data packets leave ECT(0)-marked, CE-marked arrivals are answered
+    with per-QP rate-limited CNPs, and each QP paces its transmissions
+    through a :class:`DcqcnState` rate limiter.  Rates are bytes/ns;
+    timing defaults follow the DCQCN paper's 55 µs timers scaled to the
+    simulated 100G link.
+    """
+
+    enabled: bool = False
+    #: Uncut rate (bytes/ns): the 100G line by default; also the
+    #: recovery ceiling.
+    line_rate: float = CMAC_BANDWIDTH
+    #: Floor under multiplicative decrease (1 Gbit/s here).
+    min_rate: float = 0.125
+    #: EWMA gain for the congestion estimate alpha.
+    alpha_g: float = 1.0 / 16.0
+    #: Alpha decays once per this period without CNPs.
+    alpha_update_ns: float = 55_000.0
+    #: Rate-increase round length.
+    rate_increase_ns: float = 55_000.0
+    #: Fast-recovery rounds before additive increase.
+    fast_recovery_rounds: int = 5
+    #: Additive / hyper increase steps (bytes/ns per round): the DCQCN
+    #: paper's 40 / 400 Mbit/s — gentle enough that the CNP cadence can
+    #: hold the aggregate near the bottleneck rate.
+    additive_increase: float = 0.005
+    hyper_increase: float = 0.05
+    #: Per-QP minimum spacing between generated CNPs.
+    cnp_interval_ns: float = 50_000.0
+    #: Rate a fresh QP starts at (the RPG initial rate knob hardware
+    #: reaction points expose); ``0`` means start at line rate.
+    initial_rate: float = 0.0
+
+
 @dataclass
 class DcqcnState:
     """Per-QP DCQCN rate-control state (the reaction point, RP).
@@ -219,28 +259,11 @@ class DcqcnState:
     replays any alpha-decay and rate-increase periods that elapsed since
     the last call, so idle QPs cost nothing and the simulation stays
     deterministic.  Rates are in bytes/ns (= GB/s); pacing reserves the
-    next transmit slot via ``pacing_gap``.
+    next transmit slot via ``pacing_gap``.  The parameters stay on the
+    shared ``config``; only the dynamic state lives here.
     """
 
-    #: Uncut line rate (bytes/ns); also the recovery ceiling.
-    line_rate: float
-    #: Floor the multiplicative decrease never cuts below.
-    min_rate: float
-    #: EWMA gain for the congestion-extent estimate alpha.
-    alpha_g: float
-    #: Alpha decays once per this period without a CNP.
-    alpha_update_ns: float
-    #: Rate-increase round length.
-    rate_increase_ns: float
-    #: Rounds of fast recovery before additive increase starts.
-    fast_recovery_rounds: int
-    #: Additive-increase step (bytes/ns per round).
-    additive_increase: float
-    #: Hyper-increase step (bytes/ns per round) once additive converges.
-    hyper_increase: float
-    #: Rate a fresh QP starts at (hardware RPs expose this as the RPG
-    #: initial rate); ``0`` means start at line rate.
-    initial_rate: float = 0.0
+    config: DcqcnConfig
     current_rate: float = 0.0
     target_rate: float = 0.0
     alpha: float = 1.0
@@ -252,7 +275,8 @@ class DcqcnState:
     _last_paced: float = 0.0
 
     def __post_init__(self) -> None:
-        start = self.initial_rate if self.initial_rate > 0.0 else self.line_rate
+        cfg = self.config
+        start = cfg.initial_rate if cfg.initial_rate > 0.0 else cfg.line_rate
         if self.current_rate <= 0.0:
             self.current_rate = start
         if self.target_rate <= 0.0:
@@ -260,40 +284,47 @@ class DcqcnState:
 
     def on_cnp(self, now: float) -> None:
         """Multiplicative decrease: a CNP arrived for this QP."""
+        cfg = self.config
+        alpha_g = cfg.alpha_g
         self.cnps += 1
         self.advance(now)
         self.target_rate = self.current_rate
         self.current_rate = max(
-            self.min_rate, self.current_rate * (1.0 - self.alpha / 2.0)
+            cfg.min_rate, self.current_rate * (1.0 - self.alpha / 2.0)
         )
-        self.alpha = (1.0 - self.alpha_g) * self.alpha + self.alpha_g
+        self.alpha = (1.0 - alpha_g) * self.alpha + alpha_g
         self._last_alpha_update = now
         self._last_increase = now
         self._increase_rounds = 0
 
     def advance(self, now: float) -> None:
         """Replay elapsed alpha-decay and rate-increase periods."""
-        while now - self._last_alpha_update >= self.alpha_update_ns:
-            self.alpha *= 1.0 - self.alpha_g
-            self._last_alpha_update += self.alpha_update_ns
-        while now - self._last_increase >= self.rate_increase_ns:
-            self._last_increase += self.rate_increase_ns
+        cfg = self.config
+        alpha_update_ns = cfg.alpha_update_ns
+        while now - self._last_alpha_update >= alpha_update_ns:
+            self.alpha *= 1.0 - cfg.alpha_g
+            self._last_alpha_update += alpha_update_ns
+        rate_increase_ns = cfg.rate_increase_ns
+        line_rate = cfg.line_rate
+        fast_rounds = cfg.fast_recovery_rounds
+        while now - self._last_increase >= rate_increase_ns:
+            self._last_increase += rate_increase_ns
             self._increase_rounds += 1
-            if self._increase_rounds <= self.fast_recovery_rounds:
+            if self._increase_rounds <= fast_rounds:
                 # Fast recovery: binary-search back toward the target.
                 self.current_rate = (self.current_rate + self.target_rate) / 2.0
-            elif self._increase_rounds <= 2 * self.fast_recovery_rounds:
+            elif self._increase_rounds <= 2 * fast_rounds:
                 self.target_rate = min(
-                    self.line_rate, self.target_rate + self.additive_increase
+                    line_rate, self.target_rate + cfg.additive_increase
                 )
                 self.current_rate = (self.current_rate + self.target_rate) / 2.0
             else:
                 self.target_rate = min(
-                    self.line_rate, self.target_rate + self.hyper_increase
+                    line_rate, self.target_rate + cfg.hyper_increase
                 )
                 self.current_rate = (self.current_rate + self.target_rate) / 2.0
-            if self.current_rate > self.line_rate:
-                self.current_rate = self.line_rate
+            if self.current_rate > line_rate:
+                self.current_rate = line_rate
 
     def pacing_gap(self, now: float, wire_bytes: int) -> float:
         """Reserve the next transmit slot; returns how long to hold this
@@ -303,9 +334,10 @@ class DcqcnState:
         # messages earns at most one increase round for the whole gap,
         # else it would resume with a fully recovered rate and re-burst
         # the very queue that cut it (the DCQCN restart problem).
+        rate_increase_ns = self.config.rate_increase_ns
         idle = now - self._last_paced
-        if idle > self.rate_increase_ns:
-            floor = now - self.rate_increase_ns
+        if idle > rate_increase_ns:
+            floor = now - rate_increase_ns
             if self._last_increase < floor:
                 self._last_increase = floor
             if self._last_alpha_update < floor:

@@ -19,7 +19,7 @@ from typing import Callable, Deque, Dict, Generator, List, Optional, Tuple
 
 from ..sim.engine import Environment, Event
 from ..sim.resources import Container, Store
-from .cmac import CMAC_BANDWIDTH, FRAME_OVERHEAD_BYTES, Cmac
+from .cmac import FRAME_OVERHEAD_BYTES, Cmac
 from .headers import (
     ECN_CE,
     ECN_ECT0,
@@ -33,7 +33,7 @@ from .headers import (
     RoceOpcode,
 )
 from .packet import RocePacket
-from .qp import PSN_MOD, DcqcnState, QpEndpoint, QpState, QueuePair
+from .qp import PSN_MOD, DcqcnConfig, DcqcnState, QpEndpoint, QpState, QueuePair
 
 __all__ = [
     "RdmaConfig",
@@ -93,56 +93,6 @@ class WrFlushError(RdmaError):
 def psn_leq(a: int, b: int) -> bool:
     """True if PSN ``a`` <= ``b`` under 24-bit wraparound."""
     return (b - a) % PSN_MOD < PSN_MOD // 2
-
-
-@dataclass(frozen=True)
-class DcqcnConfig:
-    """DCQCN (RoCE congestion control) endpoint parameters.
-
-    Off by default: uncongested workloads pay nothing.  When enabled,
-    data packets leave ECT(0)-marked, CE-marked arrivals are answered
-    with per-QP rate-limited CNPs, and each QP paces its transmissions
-    through a :class:`~repro.net.qp.DcqcnState` rate limiter.  Rates are
-    bytes/ns; timing defaults follow the DCQCN paper's 55 µs timers
-    scaled to the simulated 100G link.
-    """
-
-    enabled: bool = False
-    #: Uncut rate (bytes/ns): the 100G line by default.
-    line_rate: float = CMAC_BANDWIDTH
-    #: Floor under multiplicative decrease (1 Gbit/s here).
-    min_rate: float = 0.125
-    #: EWMA gain for the congestion estimate alpha.
-    alpha_g: float = 1.0 / 16.0
-    #: Alpha decays once per this period without CNPs.
-    alpha_update_ns: float = 55_000.0
-    #: Rate-increase round length.
-    rate_increase_ns: float = 55_000.0
-    #: Fast-recovery rounds before additive increase.
-    fast_recovery_rounds: int = 5
-    #: Additive / hyper increase steps (bytes/ns per round): the DCQCN
-    #: paper's 40 / 400 Mbit/s — gentle enough that the CNP cadence can
-    #: hold the aggregate near the bottleneck rate.
-    additive_increase: float = 0.005
-    hyper_increase: float = 0.05
-    #: Per-QP minimum spacing between generated CNPs.
-    cnp_interval_ns: float = 50_000.0
-    #: Rate a fresh QP starts at (the RPG initial rate knob hardware
-    #: reaction points expose); ``0`` means start at line rate.
-    initial_rate: float = 0.0
-
-    def make_state(self) -> DcqcnState:
-        return DcqcnState(
-            line_rate=self.line_rate,
-            min_rate=self.min_rate,
-            alpha_g=self.alpha_g,
-            alpha_update_ns=self.alpha_update_ns,
-            rate_increase_ns=self.rate_increase_ns,
-            fast_recovery_rounds=self.fast_recovery_rounds,
-            additive_increase=self.additive_increase,
-            hyper_increase=self.hyper_increase,
-            initial_rate=self.initial_rate,
-        )
 
 
 @dataclass(frozen=True)
@@ -277,7 +227,7 @@ class _QpContext:
         self.nak_sent = False
         self.cnp_last_sent: Optional[float] = None
         # A re-connecting QP starts its congestion history over.
-        self.rate: Optional[DcqcnState] = dcqcn.make_state() if dcqcn.enabled else None
+        self.rate: Optional[DcqcnState] = DcqcnState(dcqcn) if dcqcn.enabled else None
 
 
 class RdmaStack:

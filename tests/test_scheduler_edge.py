@@ -21,7 +21,7 @@ from repro.apps import AesEcbApp, HllApp
 from repro.health.errors import RecoveredError
 from repro.sim import AllOf
 from repro.synth import BuildFlow, LockedShellCheckpoint, modules_for_services
-from repro.telemetry import MetricsRegistry
+from repro.telemetry import MetricsRegistry, SimProfiler
 
 
 def make_scheduler(affinity_window=8, idempotent=False):
@@ -252,3 +252,52 @@ def test_wakeup_and_dispatch_counters_exported():
     scheduler.export_metrics(registry)
     assert registry.counter("scheduler.wakeups").value == scheduler.wakeups == 1
     assert registry.counter("scheduler.dispatches").value == 3
+
+
+# ------------------------------------------------------------------ churn
+
+
+def run_churn(requests, cache_enabled, profiler=None):
+    """``requests`` alternating hll/aes submits under ``affinity_window=4``."""
+    env, shell, driver, scheduler = make_scheduler(affinity_window=4)
+    shell.static.icap.region_cache_enabled = cache_enabled
+    log = []
+
+    def client(i):
+        kernel = "hll" if i % 3 else "aes"
+        yield from scheduler.submit(kernel, make_body(env, i, log, 2_000.0))
+
+    procs = [env.process(client(i)) for i in range(requests)]
+    if profiler is not None:
+        profiler.attach(env)
+    env.run(AllOf(env, procs))
+    if profiler is not None:
+        profiler.detach()
+    return env, scheduler
+
+
+def test_churn_region_cache_speedup_and_sched_event_bound():
+    """Alternating kernels make every reconfiguration after the first two
+    an ICAP region-cache hit, so the warm pass finishes in well under the
+    cold pass's simulated time (2.31x here).  The edge-triggered loop
+    costs one body event per request plus a shared wakeup/reconfig
+    budget: at most 1.3 ``sched`` events per request (1.29 here; the
+    level-triggered loop sat above 2)."""
+    requests = 24
+    cold_env, _ = run_churn(requests, cache_enabled=False)
+    profiler = SimProfiler()
+    env, scheduler = run_churn(requests, cache_enabled=True, profiler=profiler)
+    speedup = cold_env.now / env.now
+    assert speedup > 1.2, (
+        f"region cache must speed up churn: cold {cold_env.now} ns vs warm "
+        f"{env.now} ns ({speedup:.2f}x)"
+    )
+    events_per_request = profiler.events.get("sched", 0) / requests
+    assert events_per_request <= 1.3, (
+        f"edge-triggered scheduler regressed: {events_per_request:.2f} "
+        f"sched events per request (bound 1.3)"
+    )
+    assert scheduler.dispatches == requests
+    assert scheduler.wakeups <= scheduler.dispatches
+    assert scheduler.reconfig_failures == 0
+    assert scheduler.reconfigurations >= 2

@@ -57,7 +57,7 @@ DECLARED = {
         "lifetime completions per region, the watchdogs' progress signal",
     ),
     "bitstream cache": (
-        r"^driver\.shell\.static\.icap\._region_cache(\['shell'\])?$",
+        r"^driver\.shell\.static\.icap\._region_cache(\['(shell|vfpga\d+)'\])?$",
         "the ICAP keeps the last bitstreams programmed into a region resident",
     ),
     "breaker window": (
@@ -208,3 +208,28 @@ def test_replugging_a_port_returns_the_switch_to_baseline():
     cmacs[0] = Cmac(env)
     switch.attach(macs[0], cmacs[0])
     assert undeclared(before, census(switch, "switch"), {}) == {}
+
+
+def test_three_app_swaps_return_the_card_to_baseline():
+    env, shell, driver = make_card()
+    before = census(driver, "driver")
+    flow = BuildFlow("u55c")
+    checkpoint = flow.shell_flow(shell.config.services, ["passthrough"]).checkpoint
+    bitstream = flow.app_flow(checkpoint, ["passthrough"]).bitstream
+
+    def session():
+        ct = CThread(driver, 0, pid=1)
+        src, dst = yield from buffers(ct)
+        for _ in range(3):
+            yield from transfer(ct, src, dst)
+            yield from driver.reconfigure_app(bitstream, 0, PassThroughApp())
+        yield from transfer(ct, src, dst)  # the context survived the swaps
+        assert ct.read_buffer(dst.vaddr, SIZE) == ct.read_buffer(src.vaddr, SIZE)
+        ct.close()
+
+    env.run(env.process(session()))
+    env.run()
+    assert shell.app_reconfigs == 3
+    assert_back_to_baseline(
+        before, census(driver, "driver"), "bitstream cache", *TRAFFIC
+    )

@@ -244,8 +244,9 @@ def test_paused_egress_holds_the_queue_not_the_frame_in_flight():
 
 
 def _incast_completions(nsenders=16, horizon_ns=2_000_000.0, msg_bytes=64 << 10):
-    """``perf_harness.bench_net_incast``'s DCQCN-on pass — every sender
-    starts at t=0 — recording when each 64 KiB WRITE completed."""
+    """The DCQCN-on arm of ``test_net_congestion.py::run_incast`` at 16
+    senders over 2 ms — every sender starts at t=0 — recording when each
+    64 KiB WRITE completed."""
     env = Environment()
     switch = Switch(env, config=SwitchConfig(
         egress_capacity_bytes=32 << 10, ecn_threshold_bytes=8 << 10,
