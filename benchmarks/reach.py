@@ -1,7 +1,8 @@
 """Reachability audit: print every ``src/repro`` function that no run calls.
 
-Runs the examples, ``repro.experiments`` and ``bench_e2e --all --no-trace`` under
-``sys.setprofile`` (a temporary ``sitecustomize``: workers are traced too).
+Runs the examples, ``repro.experiments``, ``bench_e2e --all --no-trace`` and
+the static analyzer over ``src tests benchmarks`` under ``sys.setprofile``
+(a temporary ``sitecustomize``: workers are traced too).
 """
 import ast
 import json
@@ -28,6 +29,7 @@ def main() -> None:
     runs = [[str(path)] for path in sorted(ROOT.glob("examples/*.py"))]
     runs.append(["-m", "repro.experiments"])
     runs.append([f"{ROOT}/bench_e2e/run.py", "--all", "--no-trace"])
+    runs.append(["-m", "repro.analysis", f"{ROOT}/src", f"{ROOT}/tests", f"{ROOT}/benchmarks"])
     called = set()
     with tempfile.TemporaryDirectory() as tmp:
         Path(tmp, "sitecustomize.py").write_text(HOOK)

@@ -22,7 +22,7 @@ from ..axi.types import Flit
 from ..core.interfaces import StreamType
 from ..core.vfpga import UserApp, VFpga
 from ..sim.clock import FABRIC_CLOCK
-from ..sim.rate import RateServer
+from ..sim.rate import FifoServer
 
 __all__ = [
     "aes_expand_key",
@@ -291,18 +291,15 @@ class AesEcbApp(_AesAppBase):
     def run(self, vfpga: VFpga) -> Generator:
         from ..sim.resources import Store
 
-        core = RateServer(
-            vfpga.env,
-            FABRIC_CLOCK.bytes_per_ns(self.BYTES_PER_CYCLE),
-            name=f"v{vfpga.vfpga_id}-aes-ecb",
-        )
+        core = FifoServer(vfpga.env)
+        rate = FABRIC_CLOCK.bytes_per_ns(self.BYTES_PER_CYCLE)
         for dest in range(self.num_streams):
             # Egress runs as its own pipeline stage so wire-out overlaps
             # the next block's encryption; the bounded queue preserves
             # back-pressure and per-stream ordering.
             egress: Store = Store(vfpga.env, capacity=2)
             vfpga.spawn(
-                self._lane(vfpga, core, dest, egress),
+                self._lane(vfpga, core, rate, dest, egress),
                 name=f"v{vfpga.vfpga_id}-ecb{dest}",
             )
             vfpga.spawn(
@@ -311,10 +308,11 @@ class AesEcbApp(_AesAppBase):
             )
         yield vfpga.env.event()  # the app itself persists until reconfigured
 
-    def _lane(self, vfpga: VFpga, core: RateServer, dest: int, egress) -> Generator:
+    def _lane(self, vfpga: VFpga, core: FifoServer, rate: float, dest: int, egress) -> Generator:
+        env = vfpga.env
         while True:
             flit = yield from vfpga.recv(self.stream, dest)
-            yield from core.reserve(flit.length)
+            yield env.timeout_at(core.book(flit.length / rate))
             data = flit.data
             if data is not None:
                 pad = (-len(data)) % 16
@@ -340,7 +338,7 @@ class AesCbcApp(_AesAppBase):
     """10-stage CBC pipeline shared by up to N cThreads (paper §9.5).
 
     Each parallel host stream carries one cThread's messages; a
-    round-robin arbiter (implicit in the shared :class:`RateServer`)
+    round-robin arbiter (implicit in the shared issue port's FIFO booking)
     interleaves their 128-bit blocks into the pipeline.  A single thread
     is chain-limited to one block per 10 cycles; ``k`` threads fill ``k``
     of the 10 stages, scaling throughput linearly until the pipeline is
@@ -353,19 +351,16 @@ class AesCbcApp(_AesAppBase):
 
     def run(self, vfpga: VFpga) -> Generator:
         # The shared issue port accepts one block per fabric cycle.
-        issue = RateServer(
-            vfpga.env,
-            FABRIC_CLOCK.bytes_per_ns(self.BLOCK_BYTES),
-            name=f"v{vfpga.vfpga_id}-cbc-issue",
-        )
+        issue = FifoServer(vfpga.env)
+        rate = FABRIC_CLOCK.bytes_per_ns(self.BLOCK_BYTES)
         for dest in range(self.num_streams):
             vfpga.spawn(
-                self._thread_lane(vfpga, issue, dest),
+                self._thread_lane(vfpga, issue, rate, dest),
                 name=f"v{vfpga.vfpga_id}-cbc{dest}",
             )
         yield vfpga.env.event()
 
-    def _thread_lane(self, vfpga: VFpga, issue: RateServer, dest: int) -> Generator:
+    def _thread_lane(self, vfpga: VFpga, issue: FifoServer, rate: float, dest: int) -> Generator:
         env = vfpga.env
         stage_ns = FABRIC_CLOCK.cycles_to_ns(PIPELINE_STAGES)
         chain = self._iv
@@ -377,7 +372,7 @@ class AesCbcApp(_AesAppBase):
             chain_done = env.now + nblocks * stage_ns
             # ...while the shared issue port bounds *aggregate* throughput
             # to one block per cycle across all threads.
-            yield from issue.reserve(nblocks * self.BLOCK_BYTES)
+            yield env.timeout_at(issue.book(nblocks * self.BLOCK_BYTES / rate))
             if env.now < chain_done:
                 yield env.timeout(chain_done - env.now)
             data = flit.data

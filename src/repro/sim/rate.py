@@ -11,11 +11,10 @@ work-conserving.
 from __future__ import annotations
 
 from heapq import heapreplace
-from typing import Generator
 
 from .engine import Environment
 
-__all__ = ["FifoServer", "RateServer"]
+__all__ = ["FifoServer"]
 
 
 class FifoServer:
@@ -53,27 +52,3 @@ class FifoServer:
         """When a station next falls idle (in the past: one is idle now)."""
         return self._free[0]
 
-
-class RateServer:
-    """Serialises reservations at ``units_per_ns``."""
-
-    def __init__(self, env: Environment, units_per_ns: float, name: str = "rate"):
-        if units_per_ns <= 0:
-            raise ValueError("rate must be positive")
-        self.env = env
-        self.units_per_ns = units_per_ns
-        self.name = name
-        self._server = FifoServer(env)
-        self.total_units = 0.0
-
-    def reserve(self, units: float) -> Generator:
-        """Occupy the server for ``units`` worth of work; returns when done."""
-        if units < 0:
-            raise ValueError("units must be non-negative")
-        self.total_units += units
-        yield self.env.timeout_at(self._server.book(units / self.units_per_ns))
-
-    @property
-    def utilization_until(self) -> float:
-        """Virtual time at which currently-booked work completes."""
-        return self._server.free_at

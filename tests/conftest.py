@@ -11,7 +11,11 @@ With ``REPRO_SANITIZE=1`` every test additionally runs under the
 process-wide :class:`repro.analysis.SimSanitizer` (each ``Environment``
 attaches it automatically) and *fails* if the run accumulated invariant
 violations — monotonicity, credit conservation, telemetry type
-stability.  CI runs the tier-1 suite once in this mode.
+stability.  CI runs the tier-1 suite once in this mode.  Without it,
+a test that leaves a process-wide sanitizer installed fails: that
+sanitizer would watch every later test of a plain run, and a test that
+meant to run sanitized never asserted anything (``tests/platforms.py``'s
+``twice_sanitized`` is the way to run sanitized from a plain session).
 """
 
 import os
@@ -34,7 +38,8 @@ settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "dev"))
 
 @pytest.fixture(autouse=True)
 def _simsanitizer_gate():
-    """Fail any test that tripped the sanitizer (REPRO_SANITIZE=1 only).
+    """Fail any test that tripped the sanitizer (REPRO_SANITIZE=1), or
+    that left one installed in a plain run.
 
     State is reset around every test: violations are per-test, and the
     cross-registry metric-kind map must not couple unrelated tests (two
@@ -42,6 +47,9 @@ def _simsanitizer_gate():
     """
     if not _sanitizer_mod.enabled():
         yield
+        if _sanitizer_mod.current() is not None:
+            _sanitizer_mod.deactivate()
+            pytest.fail("test left a process-wide SimSanitizer installed in a plain run")
         return
     active = _sanitizer_mod.current()
     active.reset()

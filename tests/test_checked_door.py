@@ -12,22 +12,13 @@ send queues (``VFpga.read`` / ``VFpga.write``).
 
 import pytest
 
-from repro import (
-    CThread,
-    Driver,
-    Environment,
-    LocalSg,
-    Oper,
-    ServiceConfig,
-    SgEntry,
-    Shell,
-    ShellConfig,
-    StreamType,
-)
+from repro import CThread, LocalSg, Oper, ServiceConfig, SgEntry, StreamType
 from repro.apps import PassThroughApp
 from repro.axi import Flit
 from repro.core import Descriptor, DescriptorError, UserApp
 from repro.driver import RingOp, RingOpcode
+
+from .platforms import card
 
 LENGTH = 4096
 PAYLOAD = bytes(range(256)) * (LENGTH // 256)
@@ -39,13 +30,6 @@ CASES = {
         ServiceConfig(en_memory=False), dict(stream=StreamType.CARD, dest=0),
     ),
 }
-
-
-def make_system(services=ServiceConfig()):
-    env = Environment()
-    shell = Shell(env, ShellConfig(num_vfpgas=2, services=services))
-    driver = Driver(env, shell)
-    return env, shell, driver
 
 
 class Client:
@@ -93,9 +77,7 @@ class Client:
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_unservable_request_is_refused_at_the_door(case, via):
     services, bad = CASES[case]
-    env, shell, driver = make_system(services)
-    for vfpga_id in (0, 1):
-        shell.load_app(vfpga_id, PassThroughApp())
+    env, shell, driver = card(PassThroughApp(), PassThroughApp(), services=services)
     tenant = Client(driver, 0, pid=1, via=via)
     neighbour = Client(driver, 1, pid=2, via="invoke")
     seen = {}
@@ -130,8 +112,7 @@ def test_unservable_request_is_refused_at_the_door(case, via):
 def test_transfer_with_a_bad_write_half_posts_neither_half(via):
     """The read half alone would feed the kernel data nobody collects;
     both halves pass the check before either is queued."""
-    env, shell, driver = make_system()
-    shell.load_app(0, PassThroughApp())
+    env, shell, driver = card(PassThroughApp(), num_vfpgas=2)
     tenant = Client(driver, 0, pid=1, via=via)
 
     def main():
@@ -150,8 +131,7 @@ def test_transfer_with_a_bad_write_half_posts_neither_half(via):
 
 
 def test_ring_batch_with_one_bad_op_posts_nothing():
-    env, shell, driver = make_system()
-    shell.load_app(0, PassThroughApp())
+    env, shell, driver = card(PassThroughApp(), num_vfpgas=2)
     tenant = Client(driver, 0, pid=1, via="post_many")
 
     def main():
@@ -168,7 +148,7 @@ def test_ring_batch_with_one_bad_op_posts_nothing():
 
 
 def test_net_descriptor_is_refused():
-    env, shell, driver = make_system()
+    env, shell, driver = card(num_vfpgas=2)
     desc = Descriptor(vfpga_id=0, pid=1, vaddr=0, length=64, stream=StreamType.NET)
     with pytest.raises(DescriptorError, match="send queues"):
         shell.post_descriptor(desc, write=True)
@@ -205,7 +185,7 @@ class SelfSourcingApp(UserApp):
 
 
 def test_hardware_issued_read_and_write_move_bytes_exactly():
-    env, shell, driver = make_system()
+    env, shell, driver = card(num_vfpgas=2)
     owner = Client(driver, 0, pid=1, via="invoke")
 
     def main():
@@ -222,7 +202,7 @@ def test_hardware_issued_read_and_write_move_bytes_exactly():
 
 
 def test_bad_hardware_issued_descriptor_leaves_the_region_serving():
-    env, shell, driver = make_system()
+    env, shell, driver = card(num_vfpgas=2)
     owner = Client(driver, 0, pid=1, via="invoke")
     rogue = SelfSourcingApp(1, 0, 0, LENGTH, dest=9)
 

@@ -2,24 +2,14 @@
 
 import pytest
 
-from repro import (
-    CThread,
-    Descriptor,
-    Driver,
-    Environment,
-    LocalSg,
-    Oper,
-    RdmaSg,
-    ServiceConfig,
-    SgEntry,
-    Shell,
-    ShellConfig,
-)
+from repro import CThread, Descriptor, Environment, LocalSg, Oper, RdmaSg, SgEntry
 from repro.apps import PassThroughApp
 from repro.cluster import FpgaCluster
 from repro.driver import DriverError
 from repro.net import RdmaError
 from repro.sim import AllOf
+
+from .platforms import card
 
 
 # ------------------------------------------------------------------ cluster
@@ -93,11 +83,7 @@ def test_one_sided_verb_on_a_qp_with_no_memory_fails_in_the_submitter():
 # ---------------------------------------------------------------- isolation
 
 def test_descriptor_for_foreign_vfpga_rejected():
-    env = Environment()
-    shell = Shell(env, ShellConfig(num_vfpgas=2))
-    driver = Driver(env, shell)
-    shell.load_app(0, PassThroughApp())
-    shell.load_app(1, PassThroughApp())
+    env, shell, driver = card(PassThroughApp(), PassThroughApp())
     driver.open(1, 0)  # pid 1 owns vFPGA 0
     rogue = Descriptor(vfpga_id=1, pid=1, vaddr=0x1000, length=4096)
     with pytest.raises(DriverError, match="bound to vFPGA 0"):
@@ -105,9 +91,7 @@ def test_descriptor_for_foreign_vfpga_rejected():
 
 
 def test_unregistered_pid_rejected():
-    env = Environment()
-    shell = Shell(env, ShellConfig(num_vfpgas=1))
-    driver = Driver(env, shell)
+    env, shell, driver = card()
     rogue = Descriptor(vfpga_id=0, pid=99, vaddr=0x1000, length=4096)
     with pytest.raises(DriverError, match="not registered"):
         driver.post_descriptor(rogue, write=False)
@@ -116,9 +100,7 @@ def test_unregistered_pid_rejected():
 # -------------------------------------------------------------- determinism
 
 def _timed_run(seed_payload: bytes) -> float:
-    env = Environment()
-    shell = Shell(env, ShellConfig(num_vfpgas=2))
-    driver = Driver(env, shell)
+    env, shell, driver = card(num_vfpgas=2)
     for v in range(2):
         shell.load_app(v, PassThroughApp())
 

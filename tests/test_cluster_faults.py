@@ -16,42 +16,18 @@ import pytest
 from repro.cluster import FpgaCluster
 from repro.core import ServiceConfig
 from repro.core.interfaces import Descriptor
-from repro.faults import (
-    LINK_FLAP,
-    NET_PARTITION,
-    NODE_CRASH,
-    FaultInjector,
-    FaultPlan,
-    FaultRule,
-)
+from repro.faults import LINK_FLAP, NET_PARTITION, NODE_CRASH, FaultPlan, FaultRule
 from repro.health import (
     ClusterHealthConfig,
     ClusterMonitor,
     NodeDownError,
     health_section,
 )
-from repro.net import (
-    CollectiveAbortError,
-    QpState,
-    RdmaConfig,
-    WrFlushError,
-)
+from repro.net import CollectiveAbortError, QpState, WrFlushError
 from repro.sim import AllOf, Environment
 from repro.telemetry import ClusterTelemetry
 
-
-def make_cluster(n=2, plan=None, retransmit_timeout_ns=50_000):
-    env = Environment()
-    cluster = FpgaCluster(
-        env, n,
-        services=ServiceConfig(
-            en_memory=True, en_rdma=True,
-            rdma=RdmaConfig(retransmit_timeout_ns=retransmit_timeout_ns),
-        ),
-    )
-    if plan is not None:
-        FaultInjector(plan).arm_cluster(cluster)
-    return env, cluster
+from .platforms import bitstream, rdma_cluster, twice_sanitized
 
 
 def stack(cluster, index):
@@ -91,7 +67,7 @@ def ping(env, cluster, payload=b"ping", qpn_a=1, qpn_b=2):
 
 def test_node_crash_fires_and_takes_the_source_node_down():
     plan = FaultPlan(seed=3, rules=[FaultRule(site=NODE_CRASH, at_events=(0,))])
-    env, cluster = make_cluster(plan=plan)
+    env, cluster = rdma_cluster(plan=plan)
     connect_stacks(cluster)
     send_proc, recv_proc, outcome = ping(env, cluster)
     env.run(send_proc)
@@ -111,7 +87,7 @@ def test_node_crash_must_not_fire_before_its_event():
     plan = FaultPlan(
         seed=3, rules=[FaultRule(site=NODE_CRASH, at_events=(10_000,))]
     )
-    env, cluster = make_cluster(plan=plan)
+    env, cluster = rdma_cluster(plan=plan)
     connect_stacks(cluster)
     send_proc, recv_proc, outcome = ping(env, cluster)
     env.run(AllOf(env, [send_proc, recv_proc]))
@@ -126,7 +102,7 @@ def test_link_flap_fires_and_auto_recovers_without_qp_error():
     plan = FaultPlan(seed=5, rules=[FaultRule(site=LINK_FLAP, at_events=(0,))])
     # Default retry budget (8 x 100 us) comfortably covers the 250 us
     # hold-off: a flap must cost retransmissions, never a QP error.
-    env, cluster = make_cluster(plan=plan, retransmit_timeout_ns=100_000)
+    env, cluster = rdma_cluster(plan=plan, retransmit_timeout_ns=100_000)
     qp_a, _ = connect_stacks(cluster)
     send_proc, recv_proc, outcome = ping(env, cluster, payload=b"flap")
     env.run(AllOf(env, [send_proc, recv_proc]))
@@ -142,7 +118,7 @@ def test_net_partition_fires_and_persists_until_healed():
     plan = FaultPlan(
         seed=7, rules=[FaultRule(site=NET_PARTITION, at_events=(0,))]
     )
-    env, cluster = make_cluster(plan=plan, retransmit_timeout_ns=100_000)
+    env, cluster = rdma_cluster(plan=plan, retransmit_timeout_ns=100_000)
     connect_stacks(cluster)
     send_proc, recv_proc, outcome = ping(env, cluster, payload=b"part")
     env.run(until=300_000.0)
@@ -159,7 +135,7 @@ def test_net_partition_fires_and_persists_until_healed():
 
 def test_unarmed_cluster_sites_never_perturb_a_run():
     plan = FaultPlan(seed=9)  # armed injector, empty plan
-    env, cluster = make_cluster(plan=plan)
+    env, cluster = rdma_cluster(plan=plan)
     connect_stacks(cluster)
     send_proc, recv_proc, outcome = ping(env, cluster)
     env.run(AllOf(env, [send_proc, recv_proc]))
@@ -181,7 +157,7 @@ def test_cluster_monitor_requires_rdma_service():
 
 
 def test_cluster_monitor_detects_crash_and_restore():
-    env, cluster = make_cluster(3)
+    env, cluster = rdma_cluster(3)
     monitor = ClusterMonitor(
         cluster, ClusterHealthConfig(interval_ns=50_000.0)
     )
@@ -209,7 +185,7 @@ def test_cluster_monitor_detects_crash_and_restore():
 
 
 def test_health_section_gains_a_cluster_key():
-    env, cluster = make_cluster(2)
+    env, cluster = rdma_cluster(2)
     monitor = ClusterMonitor(cluster, ClusterHealthConfig(interval_ns=50_000.0))
     env.run(until=200_000.0)
     section = health_section(cluster[0].driver)
@@ -217,14 +193,14 @@ def test_health_section_gains_a_cluster_key():
     assert section["cluster"]["down"] == []
     assert section["cluster"]["heartbeats_sent"] > 0
     # Nodes without a monitor attached report the card-only shape.
-    bare_env, bare_cluster = make_cluster(2)
+    bare_env, bare_cluster = rdma_cluster(2)
     assert "cluster" not in health_section(bare_cluster[0].driver)
     monitor.stop()
     env.run()
 
 
 def test_cluster_telemetry_delta_skips_idle_nodes():
-    env, cluster = make_cluster(3)
+    env, cluster = rdma_cluster(3)
     telemetry = ClusterTelemetry(cluster)
     telemetry.snapshot()
     assert telemetry.node_rescans == 3  # cold: everything collected
@@ -241,7 +217,7 @@ def test_cluster_telemetry_delta_skips_idle_nodes():
 
 
 def test_monitor_poll_refreshes_attached_telemetry():
-    env, cluster = make_cluster(2)
+    env, cluster = rdma_cluster(2)
     telemetry = ClusterTelemetry(cluster)
     monitor = ClusterMonitor(
         cluster, ClusterHealthConfig(interval_ns=50_000.0),
@@ -259,7 +235,7 @@ def test_monitor_poll_refreshes_attached_telemetry():
 
 
 def test_node_down_rejects_new_work_until_restored():
-    env, cluster = make_cluster(2)
+    env, cluster = rdma_cluster(2)
     driver = cluster[0].driver
     from repro.api import CThread
 
@@ -287,23 +263,10 @@ def test_node_down_rejects_new_work_until_restored():
 def test_node_down_rejects_scheduler_submit_then_replays():
     from repro.api import AppScheduler
     from repro.apps import HllApp
-    from repro.synth import (
-        BuildFlow,
-        LockedShellCheckpoint,
-        modules_for_services,
-    )
 
-    env, cluster = make_cluster(2)
-    driver = cluster[0].driver
-    shell = cluster[0].shell
-    flow = BuildFlow("u55c")
-    checkpoint = LockedShellCheckpoint(
-        "u55c", shell.config.services, shell.shell_id,
-        sum(m.luts for m in modules_for_services(shell.config.services)),
-    )
-    scheduler = AppScheduler(driver)
-    scheduler.register("hll", flow.app_flow(checkpoint, ["hll"]).bitstream,
-                       HllApp)
+    env, cluster = rdma_cluster(2)
+    scheduler = AppScheduler(cluster[0].driver)
+    scheduler.register("hll", bitstream(cluster[0].shell, "hll"), HllApp)
 
     def body(app):
         yield env.timeout(1_000.0)
@@ -327,20 +290,17 @@ def test_node_down_rejects_scheduler_submit_then_replays():
 # ------------------------------------------- self-healing collectives (e2e)
 
 
+def digest(record):
+    return hashlib.sha256(repr(sorted(record.items())).encode()).hexdigest()
+
+
 def _i32_payload(value, count=12):
     return int(value).to_bytes(4, "little") * count
 
 
 def run_failover():
     """The acceptance scenario; returns everything observable."""
-    env = Environment()
-    cluster = FpgaCluster(
-        env, 4,
-        services=ServiceConfig(
-            en_memory=True, en_rdma=True,
-            rdma=RdmaConfig(retransmit_timeout_ns=50_000),
-        ),
-    )
+    env, cluster = rdma_cluster(4)
     monitor = ClusterMonitor(cluster, ClusterHealthConfig(interval_ns=50_000.0))
     group = cluster.collective_group(timeout_ns=5_000_000.0)
     record = {}
@@ -416,45 +376,16 @@ def test_crash_mid_allreduce_aborts_symmetrically_then_rebuilds():
     assert record["down"] == [3]  # the detector saw the crash too
 
 
-def test_failover_is_deterministic_under_sanitizer(monkeypatch):
-    from repro.analysis import SimSanitizer
-    from repro.analysis.sanitizer import activate, current, deactivate
-
-    def digest(record):
-        return hashlib.sha256(
-            repr(sorted(record.items())).encode()
-        ).hexdigest()
-
-    previous = current()
-    monkeypatch.setenv("REPRO_SANITIZE", "1")
-    sanitizer = activate(SimSanitizer())
-    try:
-        digests = []
-        for _ in range(2):
-            sanitizer.reset()
-            digests.append(digest(run_failover()))
-            assert sanitizer.violations == [], sanitizer.report()
-        assert digests[0] == digests[1]
-    finally:
-        if previous is not None:
-            activate(previous)
-        else:
-            deactivate()
+def test_failover_is_deterministic_under_sanitizer():
+    first, second = twice_sanitized(run_failover)
+    assert digest(first) == digest(second)
 
 
 def run_chaos_scenario(site, at_event):
     """Seeded cluster chaos through the fault injector: abort, heal,
     rebuild, retry until a round completes.  Returns the observables."""
-    env = Environment()
-    cluster = FpgaCluster(
-        env, 4,
-        services=ServiceConfig(
-            en_memory=True, en_rdma=True,
-            rdma=RdmaConfig(retransmit_timeout_ns=50_000),
-        ),
-    )
     plan = FaultPlan(seed=11, rules=[FaultRule(site=site, at_events=(at_event,))])
-    FaultInjector(plan).arm_cluster(cluster)
+    env, cluster = rdma_cluster(4, plan)
     monitor = ClusterMonitor(cluster, ClusterHealthConfig(interval_ns=50_000.0))
     group = cluster.collective_group(timeout_ns=2_000_000.0)
     members = list(range(4))
@@ -504,29 +435,8 @@ def run_chaos_scenario(site, at_event):
     (NET_PARTITION, 25),
     (LINK_FLAP, 10),
 ])
-def test_cluster_chaos_deterministic_under_sanitizer(monkeypatch, site, at_event):
+def test_cluster_chaos_deterministic_under_sanitizer(site, at_event):
     """Satellite acceptance: crash / partition-then-heal / link flap, each
     double-run byte-identical with the sanitizer watching."""
-    from repro.analysis import SimSanitizer
-    from repro.analysis.sanitizer import activate, current, deactivate
-
-    def digest(record):
-        return hashlib.sha256(
-            repr(sorted(record.items())).encode()
-        ).hexdigest()
-
-    previous = current()
-    monkeypatch.setenv("REPRO_SANITIZE", "1")
-    sanitizer = activate(SimSanitizer())
-    try:
-        digests = []
-        for _ in range(2):
-            sanitizer.reset()
-            digests.append(digest(run_chaos_scenario(site, at_event)))
-            assert sanitizer.violations == [], sanitizer.report()
-        assert digests[0] == digests[1]
-    finally:
-        if previous is not None:
-            activate(previous)
-        else:
-            deactivate()
+    first, second = twice_sanitized(lambda: run_chaos_scenario(site, at_event))
+    assert digest(first) == digest(second)

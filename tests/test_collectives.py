@@ -4,48 +4,20 @@ fault-tolerance contract: leg deadlines, symmetric abort, rebuild."""
 import numpy as np
 import pytest
 
-from repro.mem import SparseMemory
 from repro.net import (
-    Cmac,
     CollectiveAbortError,
     CollectiveError,
     CollectiveGroup,
     CollectiveTimeoutError,
-    MacAddress,
-    RdmaStack,
-    Switch,
     sum_i32,
 )
-from repro.sim import AllOf, Environment
+from repro.sim import AllOf
 
-
-def make_cluster(n):
-    env = Environment()
-    switch = Switch(env)
-    stacks = []
-    for i in range(n):
-        mac = MacAddress(0x02_0000_2000 + i)
-        cmac = Cmac(env, name=f"node{i}")
-        switch.attach(mac, cmac)
-        stack = RdmaStack(env, cmac, mac, 0x0A000100 + i, name=f"node{i}")
-        memory = SparseMemory(1 << 22, name=f"mem{i}")
-
-        def read_local(vaddr, length, memory=memory):
-            yield env.timeout(length / 12.0)
-            return memory.read(vaddr, length)
-
-        def write_local(vaddr, data, length, memory=memory):
-            yield env.timeout(length / 12.0)
-            if data is not None:
-                memory.write(vaddr, data)
-
-        stack.bind_memory(read_local, write_local)
-        stacks.append(stack)
-    return env, stacks
+from .platforms import rdma_group
 
 
 def test_group_needs_two_members():
-    env, stacks = make_cluster(1)
+    env, _, stacks, _ = rdma_group(1)
     with pytest.raises(CollectiveError):
         CollectiveGroup(env, stacks)
 
@@ -64,7 +36,7 @@ def test_sum_i32_length_mismatch():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 7])
 def test_broadcast_reaches_every_rank(n):
-    env, stacks = make_cluster(n)
+    env, _, stacks, _ = rdma_group(n)
     group = CollectiveGroup(env, stacks)
     payload = bytes(range(256)) * 8
     results = {}
@@ -81,7 +53,7 @@ def test_broadcast_reaches_every_rank(n):
 
 
 def test_broadcast_nonzero_root():
-    env, stacks = make_cluster(4)
+    env, _, stacks, _ = rdma_group(4)
     group = CollectiveGroup(env, stacks)
     payload = b"root-two!" * 100
     results = {}
@@ -99,7 +71,7 @@ def test_broadcast_nonzero_root():
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_allreduce_sums_contributions(n):
-    env, stacks = make_cluster(n)
+    env, _, stacks, _ = rdma_group(n)
     group = CollectiveGroup(env, stacks)
     elements = 64 * n  # divisible into n int32 chunks
     contributions = [
@@ -119,7 +91,7 @@ def test_allreduce_sums_contributions(n):
 
 
 def test_allreduce_rejects_unaligned_payload():
-    env, stacks = make_cluster(3)
+    env, _, stacks, _ = rdma_group(3)
     group = CollectiveGroup(env, stacks)
 
     def member():
@@ -134,7 +106,7 @@ def test_allreduce_bandwidth_optimality():
     """Ring allreduce moves ~2(n-1)/n of the buffer per node, far less
     than the naive all-to-all (n-1 copies)."""
     n = 4
-    env, stacks = make_cluster(n)
+    env, _, stacks, _ = rdma_group(n)
     group = CollectiveGroup(env, stacks)
     elements = 256 * n
     payload = np.ones(elements, dtype="<u4").tobytes()
@@ -155,7 +127,7 @@ def test_allreduce_bandwidth_optimality():
 def test_allreduce_leg_timeout_names_the_offending_rank():
     """A rank that never shows up must not park the others forever: the
     leg deadline fires and the error says *who* was waited on."""
-    env, stacks = make_cluster(2)
+    env, _, stacks, _ = rdma_group(2)
     group = CollectiveGroup(env, stacks)
     payload = np.ones(8, dtype="<u4").tobytes()
     outcome = {}
@@ -178,7 +150,7 @@ def test_allreduce_leg_timeout_names_the_offending_rank():
 
 
 def test_broadcast_leg_timeout_on_missing_root():
-    env, stacks = make_cluster(2)
+    env, _, stacks, _ = rdma_group(2)
     group = CollectiveGroup(env, stacks)
     outcome = {}
 
@@ -199,7 +171,7 @@ def test_broadcast_leg_timeout_on_missing_root():
 
 
 def test_aborted_group_is_sticky_until_rebuilt():
-    env, stacks = make_cluster(2)
+    env, _, stacks, _ = rdma_group(2)
     group = CollectiveGroup(env, stacks)
     payload = np.ones(8, dtype="<u4").tobytes()
 
@@ -224,14 +196,14 @@ def test_aborted_group_is_sticky_until_rebuilt():
     ([0, 0, 1], "must be unique"),
 ])
 def test_rebuild_validates_the_survivor_list(survivors, message):
-    env, stacks = make_cluster(3)
+    env, _, stacks, _ = rdma_group(3)
     group = CollectiveGroup(env, stacks)
     with pytest.raises(CollectiveError, match=message):
         group.rebuild(survivors)
 
 
 def test_rebuild_rejects_halted_survivors():
-    env, stacks = make_cluster(3)
+    env, _, stacks, _ = rdma_group(3)
     group = CollectiveGroup(env, stacks)
     stacks[2].halt(reason="crash")
     with pytest.raises(CollectiveError, match="halted; not a survivor"):
@@ -240,7 +212,7 @@ def test_rebuild_rejects_halted_survivors():
 
 
 def test_rebuild_shares_lifetime_stats_and_retires_the_old_group():
-    env, stacks = make_cluster(4)
+    env, _, stacks, _ = rdma_group(4)
     group = CollectiveGroup(env, stacks)
     rebuilt = group.rebuild([0, 1, 2])  # voluntary shrink
     assert rebuilt is not group

@@ -4,20 +4,11 @@ import pytest
 
 from repro.axi.types import Flit
 from repro.core.movers import _FlitAssembler
-from repro import (
-    CThread,
-    Driver,
-    Environment,
-    LocalSg,
-    Oper,
-    ServiceConfig,
-    SgEntry,
-    Shell,
-    ShellConfig,
-    StreamType,
-)
+from repro import CThread, LocalSg, Oper, ServiceConfig, SgEntry, StreamType
 from repro.apps import PassThroughApp
 from repro.core import MoverConfig
+
+from .platforms import card
 
 
 # ---------------------------------------------------------- flit assembler
@@ -96,10 +87,7 @@ class ShrinkingApp(PassThroughApp):
 
 
 def test_unaligned_kernel_output_reassembled():
-    env = Environment()
-    shell = Shell(env, ShellConfig(num_vfpgas=1))
-    driver = Driver(env, shell)
-    shell.load_app(0, ShrinkingApp())
+    env, shell, driver = card(ShrinkingApp())
     ct = CThread(driver, 0, pid=1)
     payload = bytes(range(256)) * 64  # 16 KB in -> 8 KB out
 
@@ -124,11 +112,10 @@ def test_unaligned_kernel_output_reassembled():
 # --------------------------------------------------------------- accounting
 
 def test_mover_byte_counters():
-    env = Environment()
-    shell = Shell(env, ShellConfig(num_vfpgas=1,
-                                   services=ServiceConfig(mover=MoverConfig(carry_data=False))))
-    driver = Driver(env, shell)
-    shell.load_app(0, PassThroughApp())
+    env, shell, driver = card(
+        PassThroughApp(),
+        services=ServiceConfig(mover=MoverConfig(carry_data=False)),
+    )
     ct = CThread(driver, 0, pid=1)
 
     def main():
@@ -145,12 +132,10 @@ def test_mover_byte_counters():
 
 
 def test_rr_arbiter_sees_both_tenants():
-    env = Environment()
-    shell = Shell(env, ShellConfig(num_vfpgas=2,
-                                   services=ServiceConfig(mover=MoverConfig(carry_data=False))))
-    driver = Driver(env, shell)
-    for v in range(2):
-        shell.load_app(v, PassThroughApp())
+    env, shell, driver = card(
+        PassThroughApp(), PassThroughApp(),
+        services=ServiceConfig(mover=MoverConfig(carry_data=False)),
+    )
     from repro.sim import AllOf
 
     def client(v):
@@ -204,10 +189,7 @@ def _passthrough_transfer(stream, offset=0):
     buffers are offloaded to HBM first.  Returns the shell, the bytes
     that landed, the bytes sent, and the HBM channel bookings and MMU
     translations the transfer itself made."""
-    env = Environment()
-    shell = Shell(env, ShellConfig(num_vfpgas=1))
-    driver = Driver(env, shell)
-    shell.load_app(0, PassThroughApp(stream=stream))
+    env, shell, driver = card(PassThroughApp(stream=stream))
     ct = CThread(driver, 0, pid=1)
     payload = bytes(range(251)) * (TRANSFER // 251 + 1)
     payload = payload[:TRANSFER]

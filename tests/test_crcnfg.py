@@ -1,23 +1,17 @@
 """Tests for the CRcnfg reconfiguration handle (paper Code 2)."""
 
-import pytest
-
-from repro import CRcnfg, Driver, Environment, ServiceConfig, Shell, ShellConfig
+from repro import CRcnfg, ServiceConfig
 from repro.apps import HllApp, PassThroughApp
 from repro.mem import MmuConfig, TlbConfig
 from repro.mem.tlb import PAGE_1G
 from repro.synth import BuildFlow
 
-
-def make_system():
-    env = Environment()
-    shell = Shell(env, ShellConfig(num_vfpgas=2))
-    driver = Driver(env, shell)
-    return env, shell, driver, CRcnfg(driver)
+from .platforms import card
 
 
 def test_reconfigure_shell_through_handle():
-    env, shell, driver, rcnfg = make_system()
+    env, shell, driver = card(num_vfpgas=2)
+    rcnfg = CRcnfg(driver)
     flow = BuildFlow("u55c")
     new_services = ServiceConfig(
         en_memory=False, mmu=MmuConfig(tlb=TlbConfig(page_size=PAGE_1G))
@@ -35,7 +29,8 @@ def test_reconfigure_shell_through_handle():
 
 
 def test_reconfigure_app_through_handle():
-    env, shell, driver, rcnfg = make_system()
+    env, shell, driver = card(num_vfpgas=2)
+    rcnfg = CRcnfg(driver)
     flow = BuildFlow("u55c")
     checkpoint = flow.shell_flow(shell.config.services, []).checkpoint
 
@@ -51,7 +46,8 @@ def test_reconfigure_app_through_handle():
 
 
 def test_reconfigure_charges_realistic_latency():
-    env, shell, driver, rcnfg = make_system()
+    env, shell, driver = card(num_vfpgas=2)
+    rcnfg = CRcnfg(driver)
     flow = BuildFlow("u55c")
     result = flow.shell_flow(ServiceConfig(), [])
 

@@ -11,7 +11,7 @@ Two properties pin the framework's contract:
    same event interleaving, same finish times, same counters.
 """
 
-from repro import CThread, Oper, RdmaSg, SgEntry, StreamType
+from repro import CThread, Oper, RdmaSg, SgEntry
 from repro.apps import AesEcbApp
 from repro.cluster import FpgaCluster
 from repro.core import LocalSg, ServiceConfig
@@ -20,6 +20,8 @@ from repro.faults import FaultInjector, FaultPlan
 from repro.net import RdmaConfig
 from repro.sim import AllOf, Environment
 from repro.sim.tracing import Tracer
+
+from .platforms import twice_sanitized
 
 KEY = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
 
@@ -114,7 +116,7 @@ def test_different_seed_changes_the_run():
     assert run_workload(CHAOS_PLAN)["trace"] != run_workload(other)["trace"]
 
 
-def test_chaos_soak_digest_stable_under_sanitizer(monkeypatch):
+def test_chaos_soak_digest_stable_under_sanitizer():
     """Chaos soak, instrumented: two runs with the SimSanitizer attached
     produce byte-identical digests over *everything observable* — so the
     sanitizer observes without perturbing, even while faults fire — and
@@ -122,32 +124,14 @@ def test_chaos_soak_digest_stable_under_sanitizer(monkeypatch):
     """
     import hashlib
 
-    from repro.analysis import SimSanitizer
-    from repro.analysis.sanitizer import activate, current, deactivate
-
-    def digest(result):
-        return hashlib.sha256(repr(sorted(result.items())).encode()).hexdigest()
-
-    previous = current()
-    monkeypatch.setenv("REPRO_SANITIZE", "1")
-    sanitizer = activate(SimSanitizer())
-    try:
-        digests = []
-        fired = []
-        for _ in range(2):
-            sanitizer.reset()
-            result = run_workload(CHAOS_PLAN)
-            digests.append(digest(result))
-            fired.append(result["injected"]["net.drop"]["fires"])
-            assert sanitizer.violations == [], sanitizer.report()
-        assert digests[0] == digests[1]
-        # Not vacuous: the digest covers the fault trace, and faults fired.
-        assert fired[0] > 0
-    finally:
-        if previous is not None:
-            activate(previous)
-        else:
-            deactivate()
+    first, second = twice_sanitized(lambda: run_workload(CHAOS_PLAN))
+    digests = [
+        hashlib.sha256(repr(sorted(result.items())).encode()).hexdigest()
+        for result in (first, second)
+    ]
+    assert digests[0] == digests[1]
+    # Not vacuous: the digest covers the fault trace, and faults fired.
+    assert first["injected"]["net.drop"]["fires"] > 0
 
 
 def test_sanitized_env_run_matches_unsanitized_run(monkeypatch):

@@ -2,34 +2,16 @@
 
 import pytest
 
-from repro import (
-    AllocType,
-    CThread,
-    Driver,
-    Environment,
-    LocalSg,
-    MemLocation,
-    Oper,
-    ServiceConfig,
-    SgEntry,
-    Shell,
-    ShellConfig,
-    StreamType,
-)
+from repro import AllocType, CThread, LocalSg, MemLocation, Oper, SgEntry, StreamType
 from repro.apps import PassThroughApp
 from repro.driver import DriverError
 from repro.mem import SegmentationFault
 
-
-def make_system(**shell_kw):
-    env = Environment()
-    shell = Shell(env, ShellConfig(**shell_kw))
-    driver = Driver(env, shell)
-    return env, shell, driver
+from .platforms import card
 
 
 def test_open_close_lifecycle():
-    env, shell, driver = make_system()
+    env, shell, driver = card()
     ctx = driver.open(1, 0)
     assert ctx.pid == 1
     with pytest.raises(DriverError):
@@ -40,13 +22,13 @@ def test_open_close_lifecycle():
 
 
 def test_open_invalid_vfpga():
-    env, shell, driver = make_system(num_vfpgas=1)
+    env, shell, driver = card()
     with pytest.raises(DriverError):
         driver.open(1, 5)
 
 
 def test_get_mem_maps_and_prefills_tlb():
-    env, shell, driver = make_system()
+    env, shell, driver = card()
     driver.open(1, 0)
 
     def main():
@@ -64,7 +46,7 @@ def test_get_mem_maps_and_prefills_tlb():
 
 
 def test_get_mem_page_size_mismatch_rejected():
-    env, shell, driver = make_system()  # shell MMU uses 2 MB pages
+    env, shell, driver = card()  # shell MMU uses 2 MB pages
     driver.open(1, 0)
 
     def main():
@@ -76,7 +58,7 @@ def test_get_mem_page_size_mismatch_rejected():
 
 
 def test_buffer_write_read_via_page_table():
-    env, shell, driver = make_system()
+    env, shell, driver = card()
     driver.open(1, 0)
 
     def main():
@@ -92,14 +74,14 @@ def test_buffer_write_read_via_page_table():
 
 
 def test_unmapped_access_is_segfault():
-    env, shell, driver = make_system()
+    env, shell, driver = card()
     driver.open(1, 0)
     with pytest.raises(SegmentationFault):
         driver.read_buffer(1, 0xDEAD000, 16)
 
 
 def test_free_mem_invalidates_tlb():
-    env, shell, driver = make_system()
+    env, shell, driver = card()
     driver.open(1, 0)
 
     def main():
@@ -114,7 +96,7 @@ def test_free_mem_invalidates_tlb():
 
 
 def test_offload_and_sync_migrate_data():
-    env, shell, driver = make_system()
+    env, shell, driver = card()
     driver.open(1, 0)
     payload = b"migrate me" * 100
 
@@ -139,8 +121,7 @@ def test_offload_and_sync_migrate_data():
 
 def test_card_access_page_faults_and_migrates():
     """A CARD-stream access to a HOST-resident page triggers a migration."""
-    env, shell, driver = make_system(num_vfpgas=1)
-    shell.load_app(0, PassThroughApp(num_streams=1, stream=StreamType.CARD))
+    env, shell, driver = card(PassThroughApp(num_streams=1, stream=StreamType.CARD))
     ct = CThread(driver, 0, pid=7)
     payload = bytes(range(256)) * 16
 
@@ -165,7 +146,7 @@ def test_card_access_page_faults_and_migrates():
 
 
 def test_page_fault_charges_migration_time():
-    env, shell, driver = make_system()
+    env, shell, driver = card()
     driver.open(1, 0)
 
     def main():
@@ -181,7 +162,7 @@ def test_page_fault_charges_migration_time():
 
 def test_memory_isolation_between_processes():
     """Two processes get disjoint physical frames."""
-    env, shell, driver = make_system(num_vfpgas=2)
+    env, shell, driver = card(num_vfpgas=2)
     driver.open(1, 0)
     driver.open(2, 1)
 
@@ -202,8 +183,7 @@ def test_memory_isolation_between_processes():
 
 def test_tlb_miss_falls_back_to_driver_walk():
     """Evict the TLB, access again: the driver walk restores it."""
-    env, shell, driver = make_system()
-    shell.load_app(0, PassThroughApp())
+    env, shell, driver = card(PassThroughApp())
     ct = CThread(driver, 0, pid=3)
 
     def main():

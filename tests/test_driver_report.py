@@ -1,24 +1,14 @@
 """Tests for the card status report."""
 
-from repro import (
-    CThread,
-    Driver,
-    Environment,
-    LocalSg,
-    Oper,
-    SgEntry,
-    Shell,
-    ShellConfig,
-)
+from repro import CThread, LocalSg, Oper, SgEntry
 from repro.apps import PassThroughApp
 from repro.driver import card_report, format_report
 
+from .platforms import card
+
 
 def run_some_traffic():
-    env = Environment()
-    shell = Shell(env, ShellConfig(num_vfpgas=1))
-    driver = Driver(env, shell)
-    shell.load_app(0, PassThroughApp())
+    env, shell, driver = card(PassThroughApp())
     ct = CThread(driver, 0, pid=11)
 
     def main():
@@ -80,9 +70,7 @@ def test_report_fault_section_quiescent():
 def test_report_fault_section_under_injection():
     from repro.faults import FaultInjector, FaultPlan
 
-    env = Environment()
-    shell = Shell(env, ShellConfig(num_vfpgas=1))
-    driver = Driver(env, shell)
+    env, shell, driver = card()
     injector = FaultInjector(FaultPlan.build(seed=3, pcie_replay=1.0)).arm(shell=shell)
     shell.load_app(0, PassThroughApp())
     ct = CThread(driver, 0, pid=11)
@@ -111,9 +99,7 @@ def test_report_telemetry_mirrors_fault_counters():
     underlying counters: injected PCIe replays show up in both."""
     from repro.faults import FaultInjector, FaultPlan
 
-    env = Environment()
-    shell = Shell(env, ShellConfig(num_vfpgas=1))
-    driver = Driver(env, shell)
+    env, shell, driver = card()
     FaultInjector(FaultPlan.build(seed=3, pcie_replay=1.0)).arm(shell=shell)
     shell.load_app(0, PassThroughApp())
     ct = CThread(driver, 0, pid=11)

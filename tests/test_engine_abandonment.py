@@ -11,6 +11,8 @@ import pytest
 
 from repro.sim import Container, Environment, Interrupt, Resource, Store
 
+from .platforms import bitstream, card
+
 
 def test_interrupted_store_getter_does_not_swallow_item():
     env = Environment()
@@ -184,23 +186,12 @@ def test_interrupted_container_getter_skipped():
 
 def test_app_reconfig_then_datapath_still_works():
     """End-to-end regression: swap kernels, then run a transfer."""
-    from repro import (
-        CThread, Driver, Environment, LocalSg, Oper, ServiceConfig,
-        SgEntry, Shell, ShellConfig,
-    )
+    from repro import CThread, LocalSg, Oper, ServiceConfig, SgEntry
     from repro.apps import AesEcbApp, HllApp
-    from repro.synth import BuildFlow, LockedShellCheckpoint, modules_for_services
 
-    env = Environment()
-    shell = Shell(env, ShellConfig(num_vfpgas=1, services=ServiceConfig(en_memory=False)))
-    driver = Driver(env, shell)
-    flow = BuildFlow("u55c")
-    checkpoint = LockedShellCheckpoint(
-        "u55c", shell.config.services, shell.shell_id,
-        sum(m.luts for m in modules_for_services(shell.config.services)),
-    )
-    bs_hll = flow.app_flow(checkpoint, ["hll"]).bitstream
-    bs_aes = flow.app_flow(checkpoint, ["aes_ecb"]).bitstream
+    env, shell, driver = card(services=ServiceConfig(en_memory=False))
+    bs_hll = bitstream(shell, "hll")
+    bs_aes = bitstream(shell, "aes_ecb")
 
     def main():
         ct = CThread(driver, 0, pid=1)

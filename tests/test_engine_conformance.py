@@ -25,7 +25,7 @@ that pin:
   speed.  Regenerate (only when a semantic change is *intended* and
   reviewed) with::
 
-      PYTHONPATH=src python tests/test_engine_conformance.py --regenerate
+      PYTHONPATH=src python -m tests.test_engine_conformance --regenerate
 
 * Hypothesis property tests check double-run determinism, time
   monotonicity and seq uniqueness over fresh random seeds, and one test
@@ -75,6 +75,8 @@ from repro.sim import (
     Timeout,
 )
 from repro.sim.engine import NORMAL, URGENT
+
+from .platforms import twice_sanitized
 
 FIXTURE_PATH = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "fixtures", "engine_golden_traces.json"
@@ -273,39 +275,20 @@ def test_dispatch_times_monotone_and_seqs_unique(seed):
 def test_double_run_digest_equal_under_sanitizer(seed):
     """The rewritten fast paths must stay observable-identical *and*
     violation-free with the SimSanitizer attached (REPRO_SANITIZE=1
-    equivalent: ``activate()`` installs the process-wide instance every
-    new Environment picks up)."""
-    previous = sanitizer_mod._active
-    previous_var = os.environ.get("REPRO_SANITIZE")
-    sanitizer = sanitizer_mod.activate()
-    try:
-        os.environ["REPRO_SANITIZE"] = previous_var or "1"
-        trace_a, log_a, _ = record_trace(seed)
-        trace_b, log_b, _ = record_trace(seed)
-        assert trace_digest(trace_a, log_a) == trace_digest(trace_b, log_b)
-        assert not sanitizer.violations, sanitizer.report()
-    finally:
-        # Restore the env var too: leaking it silently turned the rest
-        # of a plain suite run into a sanitized one.
-        if previous_var is None:
-            os.environ.pop("REPRO_SANITIZE", None)
-        sanitizer_mod.activate(previous) if previous is not None else (
-            sanitizer_mod.deactivate()
-        )
+    equivalent: every new Environment picks up the process-wide
+    instance)."""
+    (trace_a, log_a, _), (trace_b, log_b, _) = twice_sanitized(lambda: record_trace(seed))
+    assert trace_digest(trace_a, log_a) == trace_digest(trace_b, log_b)
 
 
 def test_sanitized_run_observes_every_step():
     """The sanitizer hooks must sit on the fast path too (a rewrite that
     skips them under ``run()`` would silently disable REPRO_SANITIZE)."""
-    previous = sanitizer_mod._active
-    previous_var = os.environ.get("REPRO_SANITIZE")
-    sanitizer = sanitizer_mod.activate()
-    try:
-        # The env-var is the switch Environment construction reads; the
-        # activate() above pins which instance it picks up.
-        os.environ["REPRO_SANITIZE"] = previous_var or "1"
+
+    def run():
         env = Environment()
-        assert env.sanitizer is sanitizer
+        assert env.sanitizer is not None
+        assert env.sanitizer is sanitizer_mod.current()
 
         def proc():
             yield env.timeout(5)
@@ -313,13 +296,8 @@ def test_sanitized_run_observes_every_step():
 
         env.process(proc())
         env.run()
-        assert not sanitizer.violations
-    finally:
-        if previous_var is None:
-            os.environ.pop("REPRO_SANITIZE", None)
-        sanitizer_mod.activate(previous) if previous is not None else (
-            sanitizer_mod.deactivate()
-        )
+
+    twice_sanitized(run)
 
 
 @pytest.mark.parametrize("seed", GOLDEN_SEEDS)

@@ -7,25 +7,12 @@ test) and never silent corruption.  Every test ``note()``s the plan, so a
 failing example prints the exact ``(seed, plan)`` needed to replay it.
 """
 
-import pytest
 from hypothesis import given, note, settings
 from hypothesis import strategies as st
 
-from repro import (
-    CThread,
-    Driver,
-    Environment,
-    LocalSg,
-    Oper,
-    RdmaSg,
-    SgEntry,
-    Shell,
-    ShellConfig,
-    StreamType,
-)
+from repro import CThread, LocalSg, Oper, RdmaSg, SgEntry, StreamType
 from repro.apps import AesCbcApp, PassThroughApp, aes_cbc_encrypt
-from repro.cluster import FpgaCluster
-from repro.core import ReconfigError, ServiceConfig
+from repro.core import ReconfigError
 from repro.core.vfpga import UserApp
 from repro.driver.report import card_report
 from repro.faults import (
@@ -38,8 +25,9 @@ from repro.faults import (
     FaultPlan,
     FaultRule,
 )
-from repro.net import RdmaConfig
 from repro.synth.flow import BuildFlow
+
+from .platforms import bitstream, card, rdma_cluster
 
 
 def transfer_sg(src, dst, length, stream=StreamType.HOST):
@@ -66,14 +54,7 @@ def test_rdma_transfer_survives_chaos(
     seed, drop_pct, corrupt_pct, duplicate_pct, reorder_pct, nbytes
 ):
     """Hardware-path RDMA WRITE through shells + switch, all net faults on."""
-    env = Environment()
-    cluster = FpgaCluster(
-        env, 2,
-        services=ServiceConfig(
-            en_memory=True, en_rdma=True,
-            rdma=RdmaConfig(retransmit_timeout_ns=50_000),
-        ),
-    )
+    env, cluster = rdma_cluster()
     plan = FaultPlan.build(
         seed=seed,
         net_drop=drop_pct / 100.0,
@@ -112,9 +93,7 @@ def test_rdma_transfer_survives_chaos(
 )
 def test_aes_cbc_invoke_correct_under_pcie_replay(seed, replay_pct):
     """Link-layer replay slows DMA but must never corrupt the ciphertext."""
-    env = Environment()
-    shell = Shell(env, ShellConfig(num_vfpgas=1))
-    driver = Driver(env, shell)
+    env, shell, driver = card()
     plan = FaultPlan.build(seed=seed, pcie_replay=replay_pct / 100.0)
     note(f"plan: {plan.describe()}")
     FaultInjector(plan).arm(shell=shell)
@@ -143,9 +122,7 @@ def test_aes_cbc_invoke_correct_under_pcie_replay(seed, replay_pct):
 )
 def test_card_stream_transfer_survives_hbm_ecc(seed, single_pct, double_pct):
     """ECC events on the timed HBM datapath never corrupt data."""
-    env = Environment()
-    shell = Shell(env, ShellConfig(num_vfpgas=1))
-    driver = Driver(env, shell)
+    env, shell, driver = card()
     plan = FaultPlan.build(
         seed=seed,
         hbm_ecc_single=single_pct / 100.0,
@@ -201,9 +178,7 @@ def _app_bitstream(shell):
 )
 def test_reconfiguration_survives_chaos(seed, crc_events, msix_pct):
     """CRC failures roll back and retry; lost interrupts poll — no hangs."""
-    env = Environment()
-    shell = Shell(env, ShellConfig(num_vfpgas=1))
-    driver = Driver(env, shell)
+    env, shell, driver = card()
     plan = FaultPlan(
         seed=seed,
         rules=[
@@ -246,14 +221,7 @@ def test_acceptance_lossy_fabric_and_crc_failure():
     """ISSUE acceptance: >=5% frame loss + one ICAP CRC failure in one run:
     RDMA stays byte-exact, the failed reconfig rolls back then retries to
     success, and card_report shows non-zero per-domain fault counters."""
-    env = Environment()
-    cluster = FpgaCluster(
-        env, 2,
-        services=ServiceConfig(
-            en_memory=True, en_rdma=True,
-            rdma=RdmaConfig(retransmit_timeout_ns=50_000),
-        ),
-    )
+    env, cluster = rdma_cluster()
     plan = FaultPlan(
         seed=2025,
         rules=[

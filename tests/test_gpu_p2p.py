@@ -2,27 +2,18 @@
 
 import pytest
 
-from repro import (
-    CThread,
-    Driver,
-    Environment,
-    LocalSg,
-    MemLocation,
-    Oper,
-    SgEntry,
-    Shell,
-    ShellConfig,
-)
+from repro import CThread, LocalSg, MemLocation, Oper, SgEntry
 from repro.apps import PassThroughApp
 from repro.driver import DriverError
 from repro.mem import GpuConfig, GpuDevice
 from repro.mem.tlb import PAGE_4K
 
+from .platforms import card
 
-def make_system():
-    env = Environment()
-    shell = Shell(env, ShellConfig(num_vfpgas=1))
-    driver = Driver(env, shell)
+
+def gpu_card():
+    """A one-region pass-through card with a 1 GiB GPU attached."""
+    env, shell, driver = card()
     gpu = GpuDevice(env, GpuConfig(memory_bytes=1 << 30))
     driver.attach_gpu(gpu)
     shell.load_app(0, PassThroughApp())
@@ -30,17 +21,13 @@ def make_system():
 
 
 def test_gpu_page_size_must_match_shell():
-    env = Environment()
-    shell = Shell(env, ShellConfig())  # 2 MB MMU pages
-    driver = Driver(env, shell)
+    env, shell, driver = card()  # 2 MB MMU pages
     with pytest.raises(DriverError, match="page size"):
         driver.attach_gpu(GpuDevice(env, GpuConfig(page_size=PAGE_4K)))
 
 
 def test_gpu_alloc_without_gpu_rejected():
-    env = Environment()
-    shell = Shell(env, ShellConfig())
-    driver = Driver(env, shell)
+    env, shell, driver = card()
     driver.open(1, 0)
     env.process(driver.gpu_alloc(1, 4096))
     with pytest.raises(DriverError, match="no GPU"):
@@ -48,7 +35,7 @@ def test_gpu_alloc_without_gpu_rejected():
 
 
 def test_gpu_buffer_mapped_as_gpu_location():
-    env, shell, driver, gpu = make_system()
+    env, shell, driver, gpu = gpu_card()
     ct = CThread(driver, 0, pid=1)
 
     def main():
@@ -64,7 +51,7 @@ def test_gpu_buffer_mapped_as_gpu_location():
 
 def test_p2p_read_bypasses_host():
     """vFPGA reads a GPU buffer: P2P traffic, zero host H2C bytes."""
-    env, shell, driver, gpu = make_system()
+    env, shell, driver, gpu = gpu_card()
     ct = CThread(driver, 0, pid=1)
     payload = bytes(range(256)) * 32
 
@@ -86,7 +73,7 @@ def test_p2p_read_bypasses_host():
 
 def test_p2p_write_into_gpu_memory():
     """vFPGA output lands directly in GPU memory."""
-    env, shell, driver, gpu = make_system()
+    env, shell, driver, gpu = gpu_card()
     ct = CThread(driver, 0, pid=1)
     payload = (b"fpga->gpu direct " * 241)[:4096]
 
@@ -104,7 +91,7 @@ def test_p2p_write_into_gpu_memory():
 
 
 def test_gpu_to_gpu_through_kernel():
-    env, shell, driver, gpu = make_system()
+    env, shell, driver, gpu = gpu_card()
     ct = CThread(driver, 0, pid=1)
     payload = bytes(reversed(range(256))) * 16
 
@@ -122,7 +109,7 @@ def test_gpu_to_gpu_through_kernel():
 
 def test_gpu_migration_to_host():
     """LOCAL_SYNC pulls a GPU page back to a host frame."""
-    env, shell, driver, gpu = make_system()
+    env, shell, driver, gpu = gpu_card()
     driver.open(1, 0)
 
     def main():

@@ -8,15 +8,9 @@ byte-exact despite the loss, and the whole thing is deterministic — two
 runs with the same seed produce identical HealthReports.
 """
 
-from repro import (
-    Environment,
-    Oper,
-    RdmaSg,
-    SgEntry,
-)
+from repro import Oper, RdmaSg, SgEntry
 from repro.apps import PassThroughApp
-from repro.cluster import FpgaCluster
-from repro.core import LocalSg, ServiceConfig
+from repro.core import LocalSg
 from repro.driver.report import card_report
 from repro.faults import (
     APP_HANG,
@@ -32,8 +26,9 @@ from repro.health import (
     QuarantinedError,
     RecoveredError,
 )
-from repro.net import RdmaConfig
 from repro.sim import AllOf
+
+from .platforms import rdma_cluster
 
 FAST = HealthConfig(
     poll_interval_ns=5_000.0,
@@ -44,14 +39,7 @@ FAST = HealthConfig(
 
 def _chaos_run(seed):
     """One full chaos scenario; returns the bits we assert on."""
-    env = Environment()
-    cluster = FpgaCluster(
-        env, 2,
-        services=ServiceConfig(
-            en_memory=True, en_rdma=True,
-            rdma=RdmaConfig(retransmit_timeout_ns=50_000),
-        ),
-    )
+    env, cluster = rdma_cluster()
     node = cluster[0]
     HealthMonitor(node.driver, FAST)
     victim_region = node.shell.vfpgas[0]

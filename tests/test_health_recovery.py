@@ -8,19 +8,8 @@ per-region circuit breaker — including the ISSUE acceptance scenario
 
 import pytest
 
-from repro import (
-    CThread,
-    Driver,
-    Environment,
-    LocalSg,
-    Oper,
-    ServiceConfig,
-    SgEntry,
-    Shell,
-    ShellConfig,
-)
-from repro.api import AppScheduler
-from repro.apps import HllApp, PassThroughApp
+from repro import CThread, LocalSg, Oper, SgEntry
+from repro.apps import PassThroughApp
 from repro.driver import RingOp, RingOpcode
 from repro.driver.report import card_report
 from repro.faults import (
@@ -41,7 +30,8 @@ from repro.health import (
     Verdict,
 )
 from repro.sim import AllOf
-from repro.synth import BuildFlow, LockedShellCheckpoint, modules_for_services
+
+from .platforms import card, scheduled_card
 
 #: Fast-reacting config so tests stay in the microsecond range.
 FAST = HealthConfig(
@@ -118,9 +108,7 @@ def _two_tenant_run(inject: bool, submit: str = "invoke"):
 
     Returns (env, driver, outcome) after the simulation fully drains.
     """
-    env = Environment()
-    shell = Shell(env, ShellConfig(num_vfpgas=2))
-    driver = Driver(env, shell)
+    env, shell, driver = card(num_vfpgas=2)
     HealthMonitor(driver, FAST)
     if inject:
         plan = FaultPlan(seed=11, rules=[hang_rule(0, at_events=(0,))])
@@ -201,9 +189,7 @@ def test_stuck_lane_trips_the_cthread_watchdog_on_either_submit_path(submit):
     """The per-cThread watchdog ages every in-flight work request by its
     issue time, so one wedged lane is named in ``stuck_pids`` — and
     counted as a verdict — long before the region deadline."""
-    env = Environment()
-    shell = Shell(env, ShellConfig(num_vfpgas=1))
-    driver = Driver(env, shell)
+    env, shell, driver = card()
     config = HealthConfig(
         poll_interval_ns=5_000.0,
         deadline_ns=10_000_000.0,  # the region watchdog stays out of it
@@ -248,10 +234,7 @@ def test_stuck_lane_trips_the_cthread_watchdog_on_either_submit_path(submit):
 
 
 def test_decoupled_region_rejects_new_work():
-    env = Environment()
-    shell = Shell(env, ShellConfig(num_vfpgas=1))
-    driver = Driver(env, shell)
-    shell.load_app(0, PassThroughApp())
+    env, shell, driver = card(PassThroughApp())
     ct = CThread(driver, 0, pid=1)
     shell.vfpgas[0].decoupled = True
 
@@ -269,9 +252,7 @@ def test_decoupled_region_rejects_new_work():
 def test_wedged_credits_recover_and_retry_succeeds():
     """``app.wedge_credit`` leaks the whole host credit pool; recovery
     refills it and a retried transfer completes byte-exactly."""
-    env = Environment()
-    shell = Shell(env, ShellConfig(num_vfpgas=1))
-    driver = Driver(env, shell)
+    env, shell, driver = card()
     HealthMonitor(driver, FAST)
     plan = FaultPlan(
         seed=5,
@@ -312,9 +293,7 @@ def test_wedged_credits_recover_and_retry_succeeds():
 
 
 def test_circuit_breaker_quarantines_repeat_offender():
-    env = Environment()
-    shell = Shell(env, ShellConfig(num_vfpgas=2))
-    driver = Driver(env, shell)
+    env, shell, driver = card(num_vfpgas=2)
     config = HealthConfig(
         poll_interval_ns=5_000.0,
         deadline_ns=30_000.0,
@@ -361,7 +340,7 @@ def test_circuit_breaker_quarantines_repeat_offender():
 
 
 def test_manual_recover_then_quarantine_sheds_scheduler_work():
-    env, shell, driver, scheduler = _make_scheduler(max_queue_depth=8)
+    env, shell, driver, scheduler = scheduled_card(max_queue_depth=8)
 
     def main():
         # Default breaker threshold 3: two manual recoveries succeed, the
@@ -381,28 +360,8 @@ def test_manual_recover_then_quarantine_sheds_scheduler_work():
 # ------------------------------------------- scheduler: admission + replay
 
 
-def _make_scheduler(**kwargs):
-    env = Environment()
-    shell = Shell(
-        env, ShellConfig(num_vfpgas=1, services=ServiceConfig(en_memory=False))
-    )
-    driver = Driver(env, shell)
-    flow = BuildFlow("u55c")
-    checkpoint = LockedShellCheckpoint(
-        "u55c",
-        shell.config.services,
-        shell.shell_id,
-        sum(m.luts for m in modules_for_services(shell.config.services)),
-    )
-    scheduler = AppScheduler(driver, **kwargs)
-    bitstream = flow.app_flow(checkpoint, ["hll"]).bitstream
-    scheduler.register("hll", bitstream, HllApp)
-    scheduler.register("hll-idem", bitstream, HllApp, idempotent=True)
-    return env, shell, driver, scheduler
-
-
 def test_admission_block_mode_backpressures_but_serves_all():
-    env, shell, driver, scheduler = _make_scheduler(
+    env, shell, driver, scheduler = scheduled_card(
         max_queue_depth=2, admission="block"
     )
     served = []
@@ -423,7 +382,7 @@ def test_admission_block_mode_backpressures_but_serves_all():
 
 
 def test_admission_reject_mode_sheds_excess():
-    env, shell, driver, scheduler = _make_scheduler(
+    env, shell, driver, scheduler = scheduled_card(
         max_queue_depth=1, admission="reject"
     )
     results = {"served": 0, "rejected": 0}
@@ -445,8 +404,8 @@ def test_admission_reject_mode_sheds_excess():
     assert scheduler.rejected_submits == results["rejected"]
 
 
-def _run_replay_case(kernel):
-    env, shell, driver, scheduler = _make_scheduler()
+def _run_replay_case(idempotent):
+    env, shell, driver, scheduler = scheduled_card(idempotent=idempotent)
     runs = []
     outcome = {}
 
@@ -457,7 +416,7 @@ def _run_replay_case(kernel):
 
     def client():
         try:
-            outcome["result"] = yield from scheduler.submit(kernel, body)
+            outcome["result"] = yield from scheduler.submit("hll", body)
         except RecoveredError:
             outcome["result"] = "recovered-error"
 
@@ -475,7 +434,7 @@ def _run_replay_case(kernel):
 
 
 def test_idempotent_request_is_replayed_after_recovery():
-    scheduler, driver, runs, outcome = _run_replay_case("hll-idem")
+    scheduler, driver, runs, outcome = _run_replay_case(idempotent=True)
     assert outcome["result"] == "done"
     assert len(runs) == 2  # aborted once, replayed to completion
     assert scheduler.replayed == 1
@@ -484,7 +443,7 @@ def test_idempotent_request_is_replayed_after_recovery():
 
 
 def test_non_idempotent_request_is_rejected_after_recovery():
-    scheduler, driver, runs, outcome = _run_replay_case("hll")
+    scheduler, driver, runs, outcome = _run_replay_case(idempotent=False)
     assert outcome["result"] == "recovered-error"
     assert len(runs) == 1  # never replayed
     assert scheduler.replayed == 0
@@ -495,7 +454,7 @@ def test_non_idempotent_request_is_rejected_after_recovery():
 def test_scheduler_kernel_is_reprogrammed_by_recovery():
     """Recovery restores the scheduler's resident kernel through the PR
     path, so follow-up requests run without an extra reconfiguration."""
-    scheduler, driver, runs, outcome = _run_replay_case("hll-idem")
-    assert scheduler.loaded == "hll-idem"
+    scheduler, driver, runs, outcome = _run_replay_case(idempotent=True)
+    assert scheduler.loaded == "hll"
     assert scheduler.loaded_app is driver.shell.vfpgas[0].app
     assert driver.shell.vfpgas[0].app is not None

@@ -13,10 +13,9 @@ import hashlib
 
 import pytest
 
-from repro import CThread, Environment, LocalSg, Oper, ServiceConfig, SgEntry
+from repro import CThread, LocalSg, Oper, SgEntry
 from repro.api import AppScheduler
 from repro.apps import AesEcbApp, PassThroughApp
-from repro.cluster import FpgaCluster
 from repro.driver.errors import ProcessClosedError
 from repro.driver.report import card_report
 from repro.driver.ringbuf import RingOp, RingOpcode
@@ -30,7 +29,7 @@ from repro.health import (
     QuarantinedError,
     RecoveredError,
 )
-from repro.mem import PAGE_4K, AllocType, MmuConfig, TlbConfig
+from repro.mem import PAGE_4K, AllocType
 from repro.migrate import (
     CHECKPOINT_VERSION,
     CheckpointCorruptError,
@@ -41,22 +40,10 @@ from repro.migrate import (
     VfpgaCheckpoint,
     snapshot_tenant,
 )
-from repro.net import RdmaConfig
-from repro.synth import BuildFlow, LockedShellCheckpoint, modules_for_services
+
+from .platforms import bitstream, rdma_cluster, twice_sanitized
 
 KEY = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
-
-
-def make_cluster(env, nodes=2):
-    """A cluster with 4K pages (compact checkpoints) and fast RC retry."""
-    return FpgaCluster(
-        env, nodes,
-        services=ServiceConfig(
-            en_memory=True, en_rdma=True,
-            mmu=MmuConfig(tlb=TlbConfig(page_size=PAGE_4K)),
-            rdma=RdmaConfig(retransmit_timeout_ns=50_000),
-        ),
-    )
 
 
 def seed_tenant(env, cluster, pid=7, node=0):
@@ -84,8 +71,7 @@ def seed_tenant(env, cluster, pid=7, node=0):
 
 
 def test_checkpoint_roundtrip_preserves_payload():
-    env = Environment()
-    cluster = make_cluster(env)
+    env, cluster = rdma_cluster(page_size=PAGE_4K)
     seed_tenant(env, cluster)
     ckpt = snapshot_tenant(cluster[0].driver, 7, src_node=0)
     clone = VfpgaCheckpoint.from_bytes(ckpt.to_bytes())
@@ -100,8 +86,7 @@ def test_checkpoint_roundtrip_preserves_payload():
 def test_snapshot_lists_ring_and_invoke_work_in_flight():
     """``inflight_wrs`` comes from the one in-flight table, so work a
     doorbell issued is captured exactly like an invoke's."""
-    env = Environment()
-    cluster = make_cluster(env)
+    env, cluster = rdma_cluster(page_size=PAGE_4K)
     thread, buf, mr = seed_tenant(env, cluster)
     driver = cluster[0].driver
     driver.shell.load_app(0, PassThroughApp())
@@ -128,8 +113,7 @@ def test_snapshot_lists_ring_and_invoke_work_in_flight():
 
 
 def test_checkpoint_rejects_corrupt_checksum_and_magic():
-    env = Environment()
-    cluster = make_cluster(env)
+    env, cluster = rdma_cluster(page_size=PAGE_4K)
     seed_tenant(env, cluster)
     blob = bytearray(snapshot_tenant(cluster[0].driver, 7).to_bytes())
     blob[-1] ^= 0xFF  # flip one body byte: checksum must catch it
@@ -140,8 +124,7 @@ def test_checkpoint_rejects_corrupt_checksum_and_magic():
 
 
 def test_checkpoint_rejects_version_mismatch():
-    env = Environment()
-    cluster = make_cluster(env)
+    env, cluster = rdma_cluster(page_size=PAGE_4K)
     seed_tenant(env, cluster)
     ckpt = snapshot_tenant(cluster[0].driver, 7)
     blob = bytearray(ckpt.to_bytes())
@@ -165,8 +148,7 @@ def test_migrated_error_is_a_recovered_error():
 
 
 def test_migration_restores_memory_ring_mrs_and_csrs():
-    env = Environment()
-    cluster = make_cluster(env)
+    env, cluster = rdma_cluster(page_size=PAGE_4K)
     migrator = LiveMigrator(cluster)
     thread, buf, mr = seed_tenant(env, cluster)
     src_ring = cluster[0].driver.processes[7].rings.cmd
@@ -214,8 +196,7 @@ def test_migration_restores_memory_ring_mrs_and_csrs():
 
 
 def test_fresh_registration_after_restore_avoids_restored_keys():
-    env = Environment()
-    cluster = make_cluster(env)
+    env, cluster = rdma_cluster(page_size=PAGE_4K)
     migrator = LiveMigrator(cluster)
     thread, buf, mr = seed_tenant(env, cluster)
 
@@ -236,8 +217,7 @@ def test_fresh_registration_after_restore_avoids_restored_keys():
 
 def test_close_fails_inflight_ring_batch_with_typed_error():
     """Satellite regression: close() mid-batch must flush, not strand."""
-    env = Environment()
-    cluster = make_cluster(env)
+    env, cluster = rdma_cluster(page_size=PAGE_4K)
     driver = cluster[0].driver
     driver.shell.load_app(0, PassThroughApp())
     outcome = {}
@@ -263,8 +243,7 @@ def test_close_fails_inflight_ring_batch_with_typed_error():
 
 
 def test_close_fails_pending_waiters_and_unpins_mr_pages():
-    env = Environment()
-    cluster = make_cluster(env)
+    env, cluster = rdma_cluster(page_size=PAGE_4K)
     driver = cluster[0].driver
     failures = []
 
@@ -291,8 +270,7 @@ def test_close_fails_pending_waiters_and_unpins_mr_pages():
 
 
 def test_transfer_drop_is_retried_until_success():
-    env = Environment()
-    cluster = make_cluster(env)
+    env, cluster = rdma_cluster(page_size=PAGE_4K)
     FaultInjector(
         FaultPlan(seed=5, rules=[
             FaultRule(site=MIGRATE_TRANSFER_DROP, probability=0.25),
@@ -312,8 +290,7 @@ def test_transfer_drop_is_retried_until_success():
 def test_transfer_exhaustion_falls_back_to_source():
     """migrate.transfer_drop at p=1.0: retries exhaust, the tenant must
     come back to life on the source — never wedged, never half-moved."""
-    env = Environment()
-    cluster = make_cluster(env)
+    env, cluster = rdma_cluster(page_size=PAGE_4K)
     FaultInjector(
         FaultPlan(seed=1, rules=[
             FaultRule(site=MIGRATE_TRANSFER_DROP, probability=1.0),
@@ -343,8 +320,7 @@ def test_transfer_exhaustion_falls_back_to_source():
 def test_midstream_abort_resumes_quiesced_source():
     """Force the drop onto the *delta* phase (post-quiesce) via a tag
     match: the source region must restart and serve again."""
-    env = Environment()
-    cluster = make_cluster(env)
+    env, cluster = rdma_cluster(page_size=PAGE_4K)
     # Precopy sails through; every stop-and-copy chunk is eaten, so the
     # delta transfer hits retry exhaustion while the source is quiesced.
     FaultInjector(
@@ -381,27 +357,19 @@ def test_midstream_abort_resumes_quiesced_source():
 # -------------------------------------------------------------- drains
 
 
-def make_sched_cluster(env, nodes=4):
-    cluster = make_cluster(env, nodes)
-    flow = BuildFlow("u55c")
+def make_sched_cluster(nodes):
+    """A 4K-page cluster whose every node schedules idempotent AES-ECB."""
+    env, cluster = rdma_cluster(nodes, page_size=PAGE_4K)
     schedulers = []
     for node in cluster.nodes:
-        checkpoint = LockedShellCheckpoint(
-            "u55c", node.shell.config.services, node.shell.shell_id,
-            sum(m.luts for m in modules_for_services(node.shell.config.services)),
-        )
         scheduler = AppScheduler(node.driver)
-        scheduler.register(
-            "aes", flow.app_flow(checkpoint, ["aes_ecb"]).bitstream,
-            AesEcbApp, idempotent=True,
-        )
+        scheduler.register("aes", bitstream(node.shell, "aes_ecb"), AesEcbApp, idempotent=True)
         schedulers.append(scheduler)
-    return cluster, schedulers
+    return env, cluster, schedulers
 
 
 def test_drain_node_moves_every_tenant():
-    env = Environment()
-    cluster = make_cluster(env, 3)
+    env, cluster = rdma_cluster(3, page_size=PAGE_4K)
     LiveMigrator(cluster)
     seed_tenant(env, cluster, pid=11, node=0)
     seed_tenant(env, cluster, pid=12, node=0)
@@ -419,8 +387,7 @@ def test_drain_node_moves_every_tenant():
 
 
 def test_drain_retries_toward_another_destination():
-    env = Environment()
-    cluster = make_cluster(env, 3)
+    env, cluster = rdma_cluster(3, page_size=PAGE_4K)
     migrator = LiveMigrator(cluster)
     seed_tenant(env, cluster, pid=11, node=0)
     # Drop every chunk 0 -> 1 only: the drain must re-route to node 2.
@@ -438,8 +405,7 @@ def test_drain_retries_toward_another_destination():
 
 
 def test_queue_transplant_replays_on_destination():
-    env = Environment()
-    cluster, schedulers = make_sched_cluster(env, 2)
+    env, cluster, schedulers = make_sched_cluster(2)
     migrator = LiveMigrator(cluster)
     results = []
 
@@ -473,8 +439,7 @@ def test_queue_transplant_replays_on_destination():
 
 
 def test_rolling_upgrade_under_live_traffic_loses_nothing():
-    env = Environment()
-    cluster, schedulers = make_sched_cluster(env, 4)
+    env, cluster, schedulers = make_sched_cluster(4)
     monitor = ClusterMonitor(cluster, ClusterHealthConfig(interval_ns=50_000.0))
     completed = []
 
@@ -494,7 +459,7 @@ def test_rolling_upgrade_under_live_traffic_loses_nothing():
                 )
                 try:
                     assert (yield from target.submit("aes", body(tag))) == tag
-                    completed.append(tag)
+                    completed.append((tag, env.now))
                     break
                 except (NodeDownError, AdmissionError, QuarantinedError):
                     yield env.timeout(10_000.0)
@@ -505,18 +470,19 @@ def test_rolling_upgrade_under_live_traffic_loses_nothing():
     def admin():
         # Let the first PRs land so every region is warm, then upgrade.
         yield env.timeout(40_000_000.0)
+        summary["upgrade_began_ns"] = env.now
         summary["nodes"] = yield from cluster.rolling_upgrade(reason="fw-2.1")
 
-    for cid in range(6):
-        env.process(client(cid, 15))
-    env.process(admin())
-    env.run(until=300_000_000.0)
+    clients = [env.process(client(cid, 15)) for cid in range(6)]
+    env.run(env.all_of(clients + [env.process(admin())]))
     monitor.stop()
     env.run()
 
     # Exactly-once: nothing lost, nothing duplicated.
     assert len(completed) == 90
-    assert len(set(completed)) == 90
+    assert len({tag for tag, _ in completed}) == 90
+    # Live traffic: some request is served while the upgrade runs.
+    assert max(when for _, when in completed) > summary["upgrade_began_ns"]
     assert [row["node"] for row in summary["nodes"]] == [0, 1, 2, 3]
     assert all(node.shell_version == 1 for node in cluster.nodes)
     assert cluster.upgrades == 4 and cluster.drains == 4
@@ -532,8 +498,7 @@ def test_rolling_upgrade_under_live_traffic_loses_nothing():
 
 
 def test_rolling_upgrade_needs_two_nodes():
-    env = Environment()
-    cluster = make_cluster(env, 1)
+    env, cluster = rdma_cluster(1, page_size=PAGE_4K)
     with pytest.raises(ValueError):
         next(iter(cluster.rolling_upgrade()))
 
@@ -543,13 +508,9 @@ def test_rolling_upgrade_needs_two_nodes():
 
 def _chaos_migration_run(seed=9):
     """One migrate-under-chaos run; returns digestable observables."""
-    env = Environment()
-    cluster = make_cluster(env)
-    FaultInjector(
-        FaultPlan(seed=seed, rules=[
-            FaultRule(site=MIGRATE_TRANSFER_DROP, probability=0.2),
-        ])
-    ).arm_cluster(cluster)
+    env, cluster = rdma_cluster(plan=FaultPlan(seed=seed, rules=[
+        FaultRule(site=MIGRATE_TRANSFER_DROP, probability=0.2),
+    ]), page_size=PAGE_4K)
     migrator = LiveMigrator(cluster)
     seed_tenant(env, cluster)
     shas = []
@@ -572,20 +533,17 @@ def _chaos_migration_run(seed=9):
     return shas, digest
 
 
-def test_chaos_migration_is_deterministic_under_sanitizer(monkeypatch):
-    """Same seed, two runs, REPRO_SANITIZE=1: checkpoint hashes and the
-    end-state digest must be byte-identical."""
-    monkeypatch.setenv("REPRO_SANITIZE", "1")
-    shas_a, digest_a = _chaos_migration_run()
-    shas_b, digest_b = _chaos_migration_run()
+def test_chaos_migration_is_deterministic_under_sanitizer():
+    """Same seed, two sanitized runs: checkpoint hashes and the end-state
+    digest must be byte-identical."""
+    (shas_a, digest_a), (shas_b, digest_b) = twice_sanitized(_chaos_migration_run)
     assert shas_a == shas_b
     assert digest_a == digest_b
     assert len(shas_a) == 2 and shas_a[0] != shas_a[1]  # round-trip re-keyed
 
 
 def test_telemetry_exports_migration_metrics():
-    env = Environment()
-    cluster = make_cluster(env)
+    env, cluster = rdma_cluster(page_size=PAGE_4K)
     migrator = LiveMigrator(cluster)
     seed_tenant(env, cluster)
     proc = env.process(migrator.migrate(7, 0, 1))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Driver, Environment, ServiceConfig, Shell, ShellConfig
+from repro import Environment, ServiceConfig
 from repro.baselines import PynqVitisOverlay
 from repro.ml import (
     CoyoteOverlay,
@@ -16,6 +16,8 @@ from repro.ml import (
     convert_model,
     intrusion_detection_model,
 )
+
+from .platforms import card
 
 
 # ----------------------------------------------------------- fixed point
@@ -128,18 +130,14 @@ def make_deployed_overlay():
     model = intrusion_detection_model()
     hls = convert_model(model, config_from_model(model))
     hls.compile()
-    env = Environment()
-    shell = Shell(env, ShellConfig(num_vfpgas=1, services=ServiceConfig(en_memory=False)))
-    driver = Driver(env, shell)
+    env, shell, driver = card(services=ServiceConfig(en_memory=False))
     return env, hls, CoyoteOverlay(driver, hls)
 
 
 def test_overlay_requires_matching_backend():
     model = intrusion_detection_model()
     hls = convert_model(model, backend="VitisPynq")
-    env = Environment()
-    shell = Shell(env, ShellConfig(num_vfpgas=1))
-    driver = Driver(env, shell)
+    env, shell, driver = card()
     with pytest.raises(ValueError, match="CoyoteAccelerator"):
         CoyoteOverlay(driver, hls)
 

@@ -17,7 +17,6 @@ from repro.faults import (
     FaultRule,
 )
 from repro.health import PfcStormError
-from repro.mem import SparseMemory
 from repro.net import (
     ECN_CE,
     ECN_ECT0,
@@ -29,7 +28,6 @@ from repro.net import (
     MacAddress,
     RdmaConfig,
     RdmaError,
-    RdmaStack,
     RocePacket,
     RoceOpcode,
     Switch,
@@ -39,6 +37,8 @@ from repro.net.cmac import CMAC_BANDWIDTH, FRAME_OVERHEAD_BYTES
 from repro.net.qp import DcqcnState
 from repro.sim import Environment
 from repro.telemetry import ClusterTelemetry
+
+from .platforms import connect, rdma_group, rdma_pair
 
 MAC_A = MacAddress(0x02_21_01)
 MAC_B = MacAddress(0x02_21_02)
@@ -336,35 +336,13 @@ def run_incast(dcqcn, senders=8, horizon_ns=800_000.0, msg_bytes=64 << 10):
     """``senders`` stacks stream RDMA WRITEs into one receiver through a
     switch whose 32 KiB receiver-facing queue is the bottleneck; returns
     (per-flow goodput bytes, switch counters) at ``horizon_ns``."""
-    env = Environment()
-    switch = Switch(env, config=SwitchConfig(
+    switch = Switch(Environment(), config=SwitchConfig(
         egress_capacity_bytes=32 << 10, ecn_threshold_bytes=8 << 10,
     ))
     config = RdmaConfig(mtu=1024, retransmit_timeout_ns=100_000.0, dcqcn=dcqcn)
-
-    def attach(mac_value, ip, name):
-        mac = MacAddress(mac_value)
-        cmac = Cmac(env, name=f"{name}-cmac")
-        switch.attach(mac, cmac)
-        stack = RdmaStack(env, cmac, mac, ip, name=name, config=config)
-
-        def read_local(vaddr, length):
-            yield env.timeout(length / 125.0)
-
-        def write_local(vaddr, data, length):
-            yield env.timeout(length / 125.0)
-
-        stack.bind_memory(read_local, write_local)
-        return stack
-
-    receiver = attach(0x02_0000_0100, 0x0A0000FF, "incast-rx")
-    stacks = [attach(0x02_0000_0001 + i, 0x0A000001 + i, f"incast-s{i}")
-              for i in range(senders)]
+    env, _, (receiver, *stacks), _ = rdma_group(senders + 1, config, switch, bytes_per_ns=125.0)
     for i, sender in enumerate(stacks):
-        qp_s = sender.create_qp(1, psn=0)
-        qp_r = receiver.create_qp(100 + i, psn=0)
-        qp_s.connect(qp_r.local)
-        qp_r.connect(qp_s.local)
+        connect(sender, receiver, 1, 100 + i)
     goodput = [0] * senders
 
     def sender_proc(i, sender):
@@ -401,44 +379,12 @@ def test_dcqcn_avoids_incast_collapse():
     assert on_counters["tail_drops"] < off_counters["tail_drops"]
 
 
-def rdma_pair(env, fabric, config, attach=None):
-    attach = attach or (lambda mac, cmac: fabric.attach(mac, cmac))
-    stacks, memories = [], []
-    for i, (mac_val, ip) in enumerate(
-        [(0x02_00_2D01, 0xA000001), (0x02_00_2D02, 0xA000002)]
-    ):
-        mac = MacAddress(mac_val)
-        cmac = Cmac(env, name=f"cc{i}")
-        attach(mac, cmac)
-        stack = RdmaStack(env, cmac, mac, ip, config, name=f"cc{i}")
-        memory = SparseMemory(1 << 22)
-
-        def read_local(vaddr, length, memory=memory):
-            yield env.timeout(length / 12.0)
-            return memory.read(vaddr, length)
-
-        def write_local(vaddr, data, length, memory=memory):
-            yield env.timeout(length / 12.0)
-            if data is not None:
-                memory.write(vaddr, data)
-
-        stack.bind_memory(read_local, write_local)
-        stacks.append(stack)
-        memories.append(memory)
-    qa = stacks[0].create_qp(1, psn=0)
-    qb = stacks[1].create_qp(2, psn=0)
-    qa.connect(qb.local)
-    qb.connect(qa.local)
-    return stacks, memories
-
-
 def test_dcqcn_cnp_loop_end_to_end():
     """CE marks at the switch become CNPs at the responder and a rate
     cut at the requester, and the payload still arrives intact."""
-    env = Environment()
-    switch = Switch(env, config=SwitchConfig(ecn_threshold_bytes=0))
+    switch = Switch(Environment(), config=SwitchConfig(ecn_threshold_bytes=0))
     config = RdmaConfig(dcqcn=DcqcnConfig(enabled=True))
-    (a, b), (mem_a, mem_b) = rdma_pair(env, switch, config)
+    env, _, (a, b), (mem_a, mem_b) = rdma_pair(config, switch)
     payload = bytes(range(256)) * 64
     mem_a.write(0x1000, payload)
 
@@ -458,10 +404,8 @@ def test_dcqcn_cnp_loop_end_to_end():
 
 
 def test_dcqcn_disabled_sends_not_ect():
-    env = Environment()
-    switch = Switch(env, config=SwitchConfig(ecn_threshold_bytes=0))
-    config = RdmaConfig()  # dcqcn off
-    (a, b), (mem_a, mem_b) = rdma_pair(env, switch, config)
+    switch = Switch(Environment(), config=SwitchConfig(ecn_threshold_bytes=0))
+    env, _, (a, b), (mem_a, mem_b) = rdma_pair(RdmaConfig(), switch)  # dcqcn off
     mem_a.write(0x1000, b"q" * 4096)
 
     def proc():
@@ -476,13 +420,12 @@ def test_dcqcn_disabled_sends_not_ect():
 
 
 def test_ecn_suppress_fault_site_starves_the_control_loop():
-    env = Environment()
-    switch = Switch(env, config=SwitchConfig(ecn_threshold_bytes=0))
+    switch = Switch(Environment(), config=SwitchConfig(ecn_threshold_bytes=0))
     FaultInjector(FaultPlan(rules=(
         FaultRule(site=NET_ECN_SUPPRESS, probability=1.0),
     ))).arm(switch=switch)
     config = RdmaConfig(dcqcn=DcqcnConfig(enabled=True))
-    (a, b), (mem_a, _) = rdma_pair(env, switch, config)
+    env, _, (a, b), (mem_a, _) = rdma_pair(config, switch)
     mem_a.write(0x1000, b"z" * 8192)
 
     def proc():
@@ -502,12 +445,8 @@ def test_ecn_suppress_fault_site_starves_the_control_loop():
 
 
 def test_leaf_spine_rdma_write_crosses_fabric():
-    env = Environment()
-    topo = LeafSpineTopology(env, leaves=2, spines=2)
-    config = RdmaConfig()
-    (a, b), (mem_a, mem_b) = rdma_pair(
-        env, topo, config, attach=lambda mac, cmac: topo.attach(mac, cmac)
-    )
+    topo = LeafSpineTopology(Environment(), leaves=2, spines=2)
+    env, _, (a, b), (mem_a, mem_b) = rdma_pair(fabric=topo)
     payload = bytes((7 * i) % 256 for i in range(16384))
     mem_a.write(0x1000, payload)
 
@@ -629,10 +568,7 @@ def test_congestion_telemetry_in_card_report_and_cluster_snapshot():
     )
     rdma_a = cluster[0].shell.dynamic.rdma
     rdma_b = cluster[1].shell.dynamic.rdma
-    qp_a = rdma_a.create_qp(1, psn=0)
-    qp_b = rdma_b.create_qp(2, psn=0)
-    qp_a.connect(qp_b.local)
-    qp_b.connect(qp_a.local)
+    connect(rdma_a, rdma_b)
     done = {}
 
     def sender():

@@ -3,64 +3,13 @@
 import pytest
 
 from repro.faults import NET_DROP, FaultInjector, FaultPlan, FaultRule
-from repro.mem import SparseMemory
-from repro.net import (
-    Cmac,
-    MacAddress,
-    QpEndpoint,
-    RdmaConfig,
-    RdmaError,
-    RdmaStack,
-    RoceOpcode,
-    Switch,
-    WrFlushError,
-)
-from repro.sim import Environment
+from repro.net import RdmaConfig, RdmaError, RoceOpcode, WrFlushError
 
-
-def make_node(env, switch, mac_value, ip, name):
-    """A simulated node: CMAC + RDMA stack + flat local memory."""
-    mac = MacAddress(mac_value)
-    cmac = Cmac(env, name=f"{name}-cmac")
-    switch.attach(mac, cmac)
-    stack = RdmaStack(env, cmac, mac, ip, name=name)
-    memory = SparseMemory(1 << 24, name=f"{name}-mem")
-
-    def read_local(vaddr, length):
-        yield env.timeout(length / 12.0)  # ~PCIe-ish local fetch
-        return memory.read(vaddr, length)
-
-    def write_local(vaddr, data, length):
-        yield env.timeout(length / 12.0)
-        if data is not None:
-            memory.write(vaddr, data)
-
-    stack.bind_memory(read_local, write_local)
-    return stack, memory
-
-
-def connect(stack_a, stack_b, qpn_a=1, qpn_b=2):
-    qa = stack_a.create_qp(qpn_a, psn=10)
-    qb = stack_b.create_qp(qpn_b, psn=20)
-    qa.connect(qb.local)
-    qb.connect(qa.local)
-    return qa, qb
-
-
-def two_nodes(config=None):
-    env = Environment()
-    switch = Switch(env)
-    a, mem_a = make_node(env, switch, 0x02_0000_0001, 0x0A000001, "a")
-    b, mem_b = make_node(env, switch, 0x02_0000_0002, 0x0A000002, "b")
-    if config is not None:
-        a.config = config
-        b.config = config
-    connect(a, b)
-    return env, (a, mem_a), (b, mem_b), switch
+from .platforms import rdma_group, rdma_pair
 
 
 def test_write_single_packet():
-    env, (a, mem_a), (b, mem_b), _sw = two_nodes()
+    env, _sw, (a, b), (mem_a, mem_b) = rdma_pair()
     mem_a.write(0x100, b"rdma write payload")
 
     def proc():
@@ -73,7 +22,7 @@ def test_write_single_packet():
 
 
 def test_write_multi_packet_segmentation():
-    env, (a, mem_a), (b, mem_b), _sw = two_nodes()
+    env, _sw, (a, b), (mem_a, mem_b) = rdma_pair()
     payload = bytes(i % 251 for i in range(20_000))  # 5 MTU-sized packets
     mem_a.write(0, payload)
 
@@ -87,7 +36,7 @@ def test_write_multi_packet_segmentation():
 
 
 def test_read_roundtrip():
-    env, (a, mem_a), (b, mem_b), _sw = two_nodes()
+    env, _sw, (a, b), (mem_a, mem_b) = rdma_pair()
     payload = b"remote data " * 700  # multi-packet read
     mem_b.write(0x2000, payload)
 
@@ -101,7 +50,7 @@ def test_read_roundtrip():
 def test_two_reads_on_one_qp_each_get_their_own_bytes():
     """READs posted together on one QP queue up: each takes its own PSN
     range and collects its own responses (there used to be one slot)."""
-    env, (a, mem_a), (_b, mem_b), _sw = two_nodes()
+    env, _sw, (a, _b), (mem_a, mem_b) = rdma_pair()
     mem_b.write(0x10000, b"X" * 8192)
     mem_b.write(0x20000, b"Y" * 8192)
     finished = []
@@ -121,7 +70,7 @@ def test_two_reads_on_one_qp_each_get_their_own_bytes():
 
 
 def test_flush_fails_every_outstanding_read():
-    env, (a, _mem_a), (_b, _mem_b), _sw = two_nodes()
+    env, _sw, (a, _b), (_mem_a, _mem_b) = rdma_pair()
     outcomes = []
 
     def reader(local, remote):
@@ -143,7 +92,7 @@ def test_flush_fails_every_outstanding_read():
 
 
 def test_send_recv():
-    env, (a, _mem_a), (b, _mem_b), _sw = two_nodes()
+    env, _sw, (a, b), (_mem_a, _mem_b) = rdma_pair()
     got = []
 
     def sender():
@@ -160,7 +109,7 @@ def test_send_recv():
 
 
 def test_write_completion_lands_in_cq():
-    env, (a, mem_a), (_b, _mem_b), _sw = two_nodes()
+    env, _sw, (a, _b), (mem_a, _mem_b) = rdma_pair()
     mem_a.write(0, b"y" * 100)
 
     def proc():
@@ -175,7 +124,7 @@ def test_write_completion_lands_in_cq():
 
 def test_retransmission_after_packet_loss():
     config = RdmaConfig(retransmit_timeout_ns=30_000)
-    env, (a, mem_a), (b, mem_b), switch = two_nodes(config)
+    env, switch, (a, b), (mem_a, mem_b) = rdma_pair(config)
     payload = bytes(i % 256 for i in range(12_288))  # 3 packets
     mem_a.write(0, payload)
     # Drop the first MIDDLE data packet (and only it) seen on the wire.
@@ -197,7 +146,7 @@ def test_retransmission_after_packet_loss():
 
 def test_nak_triggers_go_back_n():
     config = RdmaConfig(retransmit_timeout_ns=1_000_000)  # rely on NAK, not timer
-    env, (a, mem_a), (b, mem_b), switch = two_nodes(config)
+    env, switch, (a, b), (mem_a, mem_b) = rdma_pair(config)
     payload = bytes(i % 256 for i in range(12_288))
     mem_a.write(0, payload)
     # Drop the FIRST data packet once so the receiver NAKs the PSN gap.
@@ -220,7 +169,7 @@ def test_nak_triggers_go_back_n():
 def test_duplicate_packets_ignored():
     """After go-back-N the receiver sees duplicates and must not re-apply them."""
     config = RdmaConfig(retransmit_timeout_ns=20_000)
-    env, (a, mem_a), (b, mem_b), switch = two_nodes(config)
+    env, switch, (a, b), (mem_a, mem_b) = rdma_pair(config)
     payload = bytes(range(256)) * 16
     mem_a.write(0, payload)
     # Drop the first ACK so the sender retransmits an already-applied write.
@@ -239,9 +188,7 @@ def test_duplicate_packets_ignored():
 
 
 def test_verbs_on_unconnected_qp_rejected():
-    env = Environment()
-    switch = Switch(env)
-    a, _mem = make_node(env, switch, 0x02_0000_0003, 0x0A000003, "solo")
+    env, _switch, (a,), _memories = rdma_group(1)
     a.create_qp(5)
 
     def proc():
@@ -254,7 +201,7 @@ def test_verbs_on_unconnected_qp_rejected():
 
 def test_rx_offload_transforms_payload():
     """On-datapath vFPGA processing (SmartNIC-style offload)."""
-    env, (a, mem_a), (b, mem_b), _sw = two_nodes()
+    env, _sw, (a, b), (mem_a, mem_b) = rdma_pair()
     mem_a.write(0, b"abc")
     b.set_rx_offload(2, lambda data: data.upper())
 
@@ -267,7 +214,7 @@ def test_rx_offload_transforms_payload():
 
 def test_throughput_approaches_line_rate():
     """Large transfers should achieve a solid fraction of 100G."""
-    env, (a, mem_a), (_b, _mem_b), _sw = two_nodes()
+    env, _sw, (a, _b), (mem_a, _mem_b) = rdma_pair()
     total = 4 * 1024 * 1024  # 4 MB
 
     def proc():

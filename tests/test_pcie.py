@@ -2,13 +2,15 @@
 
 import pytest
 
-from repro import CThread, Driver, LocalSg, Oper, SgEntry, Shell, ShellConfig
+from repro import CThread, LocalSg, Oper, SgEntry
 from repro.apps import PassThroughApp
 from repro.health import RecoveredError
 from repro.pcie import MsiVector, PcieLink, PcieLinkConfig, Xdma, XdmaConfig
 from repro.pcie.xdma import WRITEBACK_LATENCY_NS
 from repro.sim import Environment
 from repro.telemetry import collect_card_metrics
+
+from .platforms import card
 
 
 def test_link_transfer_time_matches_bandwidth():
@@ -199,9 +201,7 @@ def test_in_flight_is_zero_after_a_recovery_that_lands_mid_dma():
     """``quiesce_region`` interrupts a region's units while the shared
     DMA stages hold the link; once everything drained, nothing is left
     in the count or the gauge."""
-    env = Environment()
-    shell = Shell(env, ShellConfig(num_vfpgas=2))
-    driver = Driver(env, shell)
+    env, shell, driver = card(num_vfpgas=2)
     link = shell.static.xdma.link
     for vfpga_id in range(2):
         shell.load_app(vfpga_id, PassThroughApp())

@@ -8,9 +8,7 @@ requester-side retry-exhaustion path, and the recycle-reconnect path.
 
 import pytest
 
-from repro.mem import SparseMemory
 from repro.net import (
-    Cmac,
     MacAddress,
     QpEndpoint,
     QpState,
@@ -18,11 +16,11 @@ from repro.net import (
     QpTransitionError,
     QueuePair,
     RdmaError,
-    RdmaStack,
-    Switch,
     WrFlushError,
 )
-from repro.sim import AllOf, Environment
+from repro.sim import AllOf
+
+from .platforms import connect, rdma_group, rdma_pair
 
 
 def _endpoint(qpn=5, psn=100):
@@ -33,40 +31,6 @@ def _endpoint(qpn=5, psn=100):
 def _remote(qpn=9, psn=200):
     return QpEndpoint(mac=MacAddress(0x02_0000_0002), ip=0x0A000102,
                       qpn=qpn, psn=psn)
-
-
-def make_pair(n=2):
-    """n stacks on one switch, with simple bound memories."""
-    env = Environment()
-    switch = Switch(env)
-    stacks = []
-    for i in range(n):
-        mac = MacAddress(0x02_0000_3000 + i)
-        cmac = Cmac(env, name=f"qps{i}")
-        switch.attach(mac, cmac)
-        stack = RdmaStack(env, cmac, mac, 0x0A000200 + i, name=f"qps{i}")
-        memory = SparseMemory(1 << 20, name=f"qpsmem{i}")
-
-        def read_local(vaddr, length, memory=memory):
-            yield env.timeout(length / 12.0)
-            return memory.read(vaddr, length)
-
-        def write_local(vaddr, data, length, memory=memory):
-            yield env.timeout(length / 12.0)
-            if data is not None:
-                memory.write(vaddr, data)
-
-        stack.bind_memory(read_local, write_local)
-        stacks.append(stack)
-    return env, switch, stacks
-
-
-def connect(stack_a, stack_b, qpn_a=1, qpn_b=2):
-    qp_a = stack_a.create_qp(qpn_a, psn=10)
-    qp_b = stack_b.create_qp(qpn_b, psn=20)
-    qp_a.connect(qp_b.local)
-    qp_b.connect(qp_a.local)
-    return qp_a, qp_b
 
 
 # ------------------------------------------------------- transition ladder
@@ -153,8 +117,7 @@ def test_reset_recycles_for_reconnect():
 
 
 def test_send_on_errored_qp_raises_qp_state_error():
-    env, _, (a, b) = make_pair()
-    connect(a, b)
+    env, _, (a, b), _ = rdma_pair()
     a.qp_error(1, reason="test")
     with pytest.raises(QpStateError) as exc_info:
         a.send(1, b"x").send(None)  # arm the generator
@@ -163,15 +126,14 @@ def test_send_on_errored_qp_raises_qp_state_error():
 
 
 def test_recv_on_errored_qp_raises_qp_state_error():
-    env, _, (a, b) = make_pair()
-    connect(a, b)
+    env, _, (a, b), _ = rdma_pair()
     b.qp_error(2, reason="test")
     with pytest.raises(QpStateError):
         b.recv(2).send(None)
 
 
 def test_rdma_write_on_unconnected_qp_raises():
-    env, _, (a, b) = make_pair()
+    env, _, (a, b), _ = rdma_group()
     a.create_qp(1, psn=10)
     with pytest.raises(QpStateError, match="not connected"):
         a.rdma_write(1, 0, 0, 64).send(None)
@@ -183,8 +145,7 @@ def test_rdma_write_on_unconnected_qp_raises():
 
 
 def test_qp_error_flushes_parked_receiver():
-    env, _, (a, b) = make_pair()
-    connect(a, b)
+    env, _, (a, b), _ = rdma_pair()
     outcome = {}
 
     def receiver():
@@ -205,8 +166,7 @@ def test_qp_error_flushes_parked_receiver():
 
 
 def test_qp_error_refunds_window_credits():
-    env, switch, (a, b) = make_pair()
-    connect(a, b)
+    env, switch, (a, b), _ = rdma_pair()
     switch.kill_port(b.mac)  # black-hole so packets stay unacked
 
     def sender():
@@ -222,8 +182,7 @@ def test_qp_error_refunds_window_credits():
 
 
 def test_retry_exhaustion_errors_the_qp_and_flushes_sender():
-    env, switch, (a, b) = make_pair()
-    connect(a, b)
+    env, switch, (a, b), _ = rdma_pair()
     switch.kill_port(b.mac)
     outcome = {}
 
@@ -244,12 +203,9 @@ def test_retry_exhaustion_errors_the_qp_and_flushes_sender():
 def test_per_qp_progress_isolation():
     """A dead peer must exhaust retries even while another QP on the same
     stack makes steady progress (progress clock is per-QP, not global)."""
-    env, switch, (a, b, c) = make_pair(3)
-    connect(a, b, qpn_a=1, qpn_b=2)        # a <-> b healthy
-    qp_ac = a.create_qp(3, psn=30)
-    qp_ca = c.create_qp(4, psn=40)
-    qp_ac.connect(qp_ca.local)
-    qp_ca.connect(qp_ac.local)
+    env, switch, (a, b, c), _ = rdma_group(3)
+    connect(a, b)                          # a <-> b healthy
+    connect(a, c, qpn_a=3, qpn_b=4)
     switch.kill_port(c.mac)                # a -> c dead
     outcome = {}
 
@@ -272,8 +228,7 @@ def test_per_qp_progress_isolation():
 
 
 def test_reset_qp_allows_traffic_again():
-    env, switch, (a, b) = make_pair()
-    connect(a, b)
+    env, switch, (a, b), _ = rdma_pair()
     a.qp_error(1, reason="glitch")
     b.qp_error(2, reason="glitch")
     a.reset_qp(1)
@@ -295,8 +250,7 @@ def test_reset_qp_allows_traffic_again():
 def test_reset_qp_drops_a_half_reassembled_send():
     """A SEND cut by a reset after its first segment must not leak that
     segment into the first message of the next connection."""
-    env, switch, (a, b) = make_pair()
-    connect(a, b)
+    env, switch, (a, b), _ = rdma_pair()
     outcome = {}
 
     def cut_sender():
@@ -323,8 +277,7 @@ def test_reset_qp_drops_a_half_reassembled_send():
 
 
 def test_halt_flushes_every_qp_and_drains():
-    env, switch, (a, b) = make_pair()
-    connect(a, b)
+    env, switch, (a, b), _ = rdma_pair()
     a.create_qp(7, psn=70)
     flushed_qps = a.halt(reason="power loss")
     assert a.halted
@@ -335,8 +288,7 @@ def test_halt_flushes_every_qp_and_drains():
 
 
 def test_destroy_qp_forgets_all_state():
-    env, _, (a, b) = make_pair()
-    connect(a, b)
+    env, _, (a, b), _ = rdma_pair()
     a.destroy_qp(1)
     assert 1 not in a.qps
     with pytest.raises(RdmaError, match="no such QP"):

@@ -1,43 +1,11 @@
 """Tests for RoCE v2 atomic verbs (FETCH_ADD, CMP_SWAP)."""
 
-import pytest
-
-from repro.mem import SparseMemory
-from repro.net import Cmac, MacAddress, RdmaConfig, RdmaStack, RoceOpcode, Switch
-from repro.net.headers import AtomicAckEthHeader, AtomicEthHeader
+from repro.net import MacAddress, RoceOpcode
+from repro.net.headers import AethHeader, AtomicAckEthHeader, AtomicEthHeader, BthHeader
 from repro.net.packet import RocePacket
-from repro.net.headers import BthHeader
-from repro.sim import AllOf, Environment
+from repro.sim import AllOf
 
-
-def pair():
-    env = Environment()
-    switch = Switch(env)
-    stacks, memories = [], []
-    for i, (mac_val, ip) in enumerate([(0x02_00_0F01, 1), (0x02_00_0F02, 2)]):
-        mac = MacAddress(mac_val)
-        cmac = Cmac(env, name=f"n{i}")
-        switch.attach(mac, cmac)
-        stack = RdmaStack(env, cmac, mac, ip, name=f"n{i}")
-        memory = SparseMemory(1 << 20)
-
-        def read_local(vaddr, length, memory=memory):
-            yield env.timeout(length / 12.0)
-            return memory.read(vaddr, length)
-
-        def write_local(vaddr, data, length, memory=memory):
-            yield env.timeout(length / 12.0)
-            if data is not None:
-                memory.write(vaddr, data)
-
-        stack.bind_memory(read_local, write_local)
-        stacks.append(stack)
-        memories.append(memory)
-    qa = stacks[0].create_qp(1, psn=3)
-    qb = stacks[1].create_qp(2, psn=8)
-    qa.connect(qb.local)
-    qb.connect(qa.local)
-    return env, stacks, memories, switch
+from .platforms import connect, rdma_group, rdma_pair
 
 
 def test_atomic_eth_header_roundtrip():
@@ -58,14 +26,14 @@ def test_atomic_packet_wire_roundtrip():
     ack = RocePacket.build(
         src_mac=MacAddress(2), dst_mac=MacAddress(1), src_ip=2, dst_ip=1,
         bth=BthHeader(opcode=RoceOpcode.ATOMIC_ACKNOWLEDGE, dest_qp=4, psn=9),
-        aeth=__import__("repro.net.headers", fromlist=["AethHeader"]).AethHeader(0, 1),
+        aeth=AethHeader(0, 1),
         atomic_ack=AtomicAckEthHeader(original=777),
     )
     assert RocePacket.from_bytes(ack.to_bytes()).atomic_ack.original == 777
 
 
 def test_fetch_add_returns_original_and_updates():
-    env, stacks, memories, _sw = pair()
+    env, _sw, stacks, memories = rdma_pair()
     memories[1].write(0x100, (100).to_bytes(8, "little"))
 
     def proc():
@@ -77,7 +45,7 @@ def test_fetch_add_returns_original_and_updates():
 
 
 def test_fetch_add_wraps_64_bits():
-    env, stacks, memories, _sw = pair()
+    env, _sw, stacks, memories = rdma_pair()
     memories[1].write(0, ((1 << 64) - 1).to_bytes(8, "little"))
 
     def proc():
@@ -89,7 +57,7 @@ def test_fetch_add_wraps_64_bits():
 
 
 def test_compare_swap_success_and_failure():
-    env, stacks, memories, _sw = pair()
+    env, _sw, stacks, memories = rdma_pair()
     memories[1].write(0x40, (7).to_bytes(8, "little"))
 
     def proc():
@@ -107,34 +75,10 @@ def test_compare_swap_success_and_failure():
 
 def test_concurrent_fetch_adds_are_atomic():
     """Two requesters incrementing one counter must not lose updates."""
-    env = Environment()
-    switch = Switch(env)
-    stacks, memories = [], []
-    for i in range(3):  # node 2 holds the counter
-        mac = MacAddress(0x02_00_1000 + i)
-        cmac = Cmac(env, name=f"n{i}")
-        switch.attach(mac, cmac)
-        stack = RdmaStack(env, cmac, mac, 0x10 + i, name=f"n{i}")
-        memory = SparseMemory(1 << 20)
-
-        def read_local(vaddr, length, memory=memory):
-            yield env.timeout(length / 12.0)
-            return memory.read(vaddr, length)
-
-        def write_local(vaddr, data, length, memory=memory):
-            yield env.timeout(length / 12.0)
-            if data is not None:
-                memory.write(vaddr, data)
-
-        stack.bind_memory(read_local, write_local)
-        stacks.append(stack)
-        memories.append(memory)
+    env, _sw, stacks, memories = rdma_group(3)  # node 2 holds the counter
     # Nodes 0 and 1 each connect to node 2.
     for i in (0, 1):
-        qa = stacks[i].create_qp(1, psn=i)
-        qb = stacks[2].create_qp(10 + i, psn=20 + i)
-        qa.connect(qb.local)
-        qb.connect(qa.local)
+        connect(stacks[i], stacks[2], 1, 10 + i)
 
     def incrementer(node, times):
         for _ in range(times):
@@ -146,7 +90,7 @@ def test_concurrent_fetch_adds_are_atomic():
 
 
 def test_atomic_completion_lands_in_cq():
-    env, stacks, memories, _sw = pair()
+    env, _sw, stacks, memories = rdma_pair()
 
     def proc():
         yield from stacks[0].fetch_add(1, 0, 1, wr_id=55)

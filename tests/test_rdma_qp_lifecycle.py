@@ -14,21 +14,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.cluster import FpgaCluster
-from repro.mem import SparseMemory
-from repro.net import (
-    Cmac,
-    DcqcnConfig,
-    MacAddress,
-    QpState,
-    QueuePair,
-    RdmaConfig,
-    RdmaError,
-    RdmaStack,
-    Switch,
-)
+from repro.net import DcqcnConfig, QpState, QueuePair, RdmaConfig, RdmaError
 from repro.net.rdma import _QpContext
 from repro.sim import Environment, Store
 from repro.telemetry.collect import collect_card_metrics
+
+from .platforms import connect, local_hooks, rdma_group
 
 #: Short timers: a dead peer is given up on within ~60 µs of simulated time.
 CONFIG = RdmaConfig(
@@ -38,46 +29,13 @@ CONFIG = RdmaConfig(
 SURVIVES_RESET = {"ops", "bytes", "memory", "rx_offload"}
 
 
-def make_stacks():
-    """Two bare stacks on one switch, each over a flat local memory."""
-    env = Environment()
-    switch = Switch(env)
-    stacks, memories = [], []
-    for i in range(2):
-        mac = MacAddress(0x02_0000_5000 + i)
-        cmac = Cmac(env, name=f"lc{i}")
-        switch.attach(mac, cmac)
-        stack = RdmaStack(env, cmac, mac, 0x0A000500 + i, config=CONFIG, name=f"lc{i}")
-        memory = SparseMemory(1 << 20, name=f"lcmem{i}")
-
-        def read_local(vaddr, length, memory=memory):
-            yield env.timeout(length / 12.0)
-            return memory.read(vaddr, length)
-
-        def write_local(vaddr, data, length, memory=memory):
-            yield env.timeout(length / 12.0)
-            if data is not None:
-                memory.write(vaddr, data)
-
-        stack.bind_memory(read_local, write_local)
-        stacks.append(stack)
-        memories.append((read_local, write_local))
-    return env, stacks, memories
-
-
-def connect(a, b, qpn_a, qpn_b):
-    a.qps[qpn_a].connect(b.qps[qpn_b].local)
-    b.qps[qpn_b].connect(a.qps[qpn_a].local)
-
-
 def owned_pair(a, b, memories):
     """QP 1 on ``a`` connected to QP 2 on ``b``, each with everything an
     owner gives a QP: its own memory hooks and an rx offload."""
-    for stack, qpn, (read_local, write_local) in ((a, 1, memories[0]), (b, 2, memories[1])):
-        stack.create_qp(qpn, psn=10 * qpn)
-        stack.bind_qp_memory(qpn, read_local, write_local)
+    connect(a, b)
+    for stack, qpn, memory in ((a, 1, memories[0]), (b, 2, memories[1])):
+        stack.bind_qp_memory(qpn, *local_hooks(stack.env, memory))
         stack.set_rx_offload(qpn, bytes)
-    connect(a, b, 1, 2)
 
 
 def container_sizes(stack):
@@ -128,7 +86,7 @@ def slots_unlike_a_new_qp(stack, qpn, peer):
 
 
 def test_destroy_qp_returns_every_container_to_its_size():
-    env, (a, b), memories = make_stacks()
+    env, _, (a, b), memories = rdma_group(config=CONFIG)
     before = [container_sizes(stack) for stack in (a, b)]
     owned_pair(a, b, memories)
 
@@ -173,7 +131,7 @@ def test_card_report_series_end_with_the_qp():
 
 
 def test_reset_qp_leaves_every_connection_slot_as_new():
-    env, (a, b), memories = make_stacks()
+    env, _, (a, b), memories = rdma_group(config=CONFIG)
     owned_pair(a, b, memories)
 
     def warm_up():
@@ -235,7 +193,7 @@ def test_generated_lifecycles_leak_nothing(steps):
     A re-connect waits for the fabric to drain first: PSNs restart with
     the connection, so frames of the old one still in flight would be
     taken for the new one's (IB's answer is a fresh starting PSN)."""
-    env, (a, b), _memories = make_stacks()
+    env, _, (a, b), _ = rdma_group(config=CONFIG)
     verbs, receivers = [], []
     mtu = CONFIG.mtu
 
@@ -254,7 +212,8 @@ def test_generated_lifecycles_leak_nothing(steps):
             a.reset_qp(qpn_a)
             b.reset_qp(qpn_b)
         if {a.qps[qpn_a].state, b.qps[qpn_b].state} <= {QpState.INIT, QpState.RESET}:
-            connect(a, b, qpn_a, qpn_b)
+            a.qps[qpn_a].connect(b.qps[qpn_b].local)
+            b.qps[qpn_b].connect(a.qps[qpn_a].local)
 
     # The first pair starts out connected, so most sequences carry traffic.
     create(0)

@@ -7,7 +7,7 @@ import pytest
 
 from repro.net import RdmaConfig, RdmaError, RoceOpcode
 
-from .test_net_rdma import two_nodes
+from .platforms import rdma_pair
 from .test_rdma_qp_lifecycle import guarded
 
 KIB = 1024
@@ -37,7 +37,7 @@ def is_response(packet):
 def test_an_ack_waits_for_the_read_responses_its_qp_still_owes():
     """ACKs are cumulative: the ACK of a WRITE posted behind a READ on
     the same QP must not leave before the READ's last response does."""
-    env, (a, mem_a), (b, mem_b), _sw = two_nodes()
+    env, _sw, (a, b), (mem_a, mem_b) = rdma_pair()
     mem_b.write(0x100000, pattern(256 * KIB))
     mem_a.write(0x1000, pattern(4 * KIB, salt=3))
     sent = tx_log(b)
@@ -69,7 +69,7 @@ def test_an_ack_waits_for_the_read_responses_its_qp_still_owes():
 
 
 def test_two_reads_outstanding_on_one_qp_are_answered_in_request_order():
-    env, (a, mem_a), (b, mem_b), _sw = two_nodes()
+    env, _sw, (a, b), (mem_a, mem_b) = rdma_pair()
     mem_b.write(0x10000, pattern(64 * KIB, salt=1))
     mem_b.write(0x40000, pattern(4 * KIB, salt=2))
     sent = tx_log(b)
@@ -95,7 +95,7 @@ def test_two_reads_outstanding_on_one_qp_are_answered_in_request_order():
 def test_a_node_answering_a_long_read_still_completes_its_own_write():
     """A serves a 1 MiB READ for B; A's own 4 KiB WRITE to B, posted 5 µs
     in, needs A's receive loop for its ACK and gets it."""
-    env, (a, mem_a), (b, mem_b), _sw = two_nodes()
+    env, _sw, (a, b), (mem_a, mem_b) = rdma_pair()
     mem_a.write(0x100000, pattern(1024 * KIB))
     mem_a.write(0x1000, pattern(4 * KIB, salt=5))
     took = {}
@@ -123,7 +123,7 @@ def test_a_node_answering_a_long_read_still_completes_its_own_write():
 def cut_read(action):
     """A 256 KiB READ whose responder-side connection ``action`` ends 15 µs
     in.  Returns what ``b`` sent after that and how the verb ended."""
-    env, (a, mem_a), (b, mem_b), _sw = two_nodes(config=IMPATIENT)
+    env, _sw, (a, b), (mem_a, mem_b) = rdma_pair(IMPATIENT)
     mem_b.write(0x100000, pattern(256 * KIB))
     sent = tx_log(b)
     verb = env.process(guarded(a.rdma_read(1, 0x200000, 0x100000, 256 * KIB)))
@@ -172,7 +172,7 @@ def test_halt_mid_response_stops_the_stream():
 def test_destroy_qp_drops_its_queued_request_and_the_next_qp_is_served():
     """Two QPs owe a READ each; the first QP is destroyed while it is
     being answered with a second request of its own queued behind."""
-    env, (a, mem_a), (b, mem_b), _sw = two_nodes(config=IMPATIENT)
+    env, _sw, (a, b), (mem_a, mem_b) = rdma_pair(IMPATIENT)
     qa, qb = a.create_qp(3, psn=30), b.create_qp(4, psn=40)
     qa.connect(qb.local)
     qb.connect(qa.local)
@@ -205,7 +205,7 @@ def test_a_qp_that_errored_while_landing_a_write_does_not_ack_it():
     If the QP errors meanwhile, an ACK sent on resume would cumulatively
     acknowledge the READ whose responses just stopped: the requester
     would wait for ever instead of running out of retries."""
-    env, (a, _mem_a), (b, _mem_b), _sw = two_nodes(config=IMPATIENT)
+    env, _sw, (a, b), (_mem_a, _mem_b) = rdma_pair(IMPATIENT)
     sent = tx_log(b)
     read = env.process(guarded(a.rdma_read(1, 0x200000, 0x100000, 16 * KIB)))
     write = env.process(guarded(a.rdma_write(1, 0x1000, 0x8000, 4_000)))
@@ -221,7 +221,7 @@ def test_a_qp_that_errored_while_landing_a_write_does_not_ack_it():
 
 @pytest.mark.parametrize("length", [0, 1, 4 * KIB, 4 * KIB + 1])
 def test_short_reads_take_the_same_path(length):
-    env, (a, mem_a), (_b, mem_b), _sw = two_nodes()
+    env, _sw, (a, _b), (mem_a, mem_b) = rdma_pair()
     mem_b.write(0x2000, pattern(length, salt=6))
     verb = env.process(guarded(a.rdma_read(1, 0x300, 0x2000, length)))
     env.run()

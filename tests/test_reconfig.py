@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Driver, Environment, ServiceConfig, Shell, ShellConfig
+from repro import Environment, ServiceConfig, Shell, ShellConfig
 from repro.apps import AesEcbApp, HllApp, PassThroughApp
 from repro.core import (
     AXI_HWICAP,
@@ -18,6 +18,8 @@ from repro.core import (
 from repro.mem import MmuConfig, TlbConfig
 from repro.mem.tlb import PAGE_1G
 from repro.synth import BuildFlow
+
+from .platforms import card
 
 
 def test_table2_port_throughput_ordering():
@@ -73,15 +75,12 @@ def test_vivado_flow_rejects_partial_bitstreams():
 
 
 def test_app_reconfig_swaps_user_logic():
-    env = Environment()
-    shell = Shell(env, ShellConfig(num_vfpgas=1))
-    driver = Driver(env, shell)
+    env, shell, driver = card(PassThroughApp())
     flow = BuildFlow("u55c")
     checkpoint = flow.shell_flow(shell.config.services, ["passthrough"]).checkpoint
     # Force the checkpoint identity to this live shell's configuration.
     app_bs = flow.app_flow(checkpoint, ["hll"]).bitstream
     assert app_bs.linked_shell == shell.shell_id
-    shell.load_app(0, PassThroughApp())
 
     def main():
         start = env.now
@@ -96,9 +95,7 @@ def test_app_reconfig_swaps_user_logic():
 
 def test_app_linked_against_other_shell_rejected():
     """The fail-safe: apps cannot load into shells missing their services."""
-    env = Environment()
-    shell = Shell(env, ShellConfig(num_vfpgas=1))  # memory service on
-    driver = Driver(env, shell)
+    env, shell, driver = card()  # memory service on
     flow = BuildFlow("u55c")
     other_services = ServiceConfig(
         en_memory=False, mmu=MmuConfig(tlb=TlbConfig(page_size=PAGE_1G))
@@ -125,10 +122,7 @@ def test_app_requiring_missing_service_rejected_at_load():
 
 
 def test_shell_reconfig_swaps_services_and_apps():
-    env = Environment()
-    shell = Shell(env, ShellConfig(num_vfpgas=2))
-    driver = Driver(env, shell)
-    shell.load_app(0, AesEcbApp())
+    env, shell, driver = card(AesEcbApp(), num_vfpgas=2)
     old_id = shell.shell_id
     flow = BuildFlow("u55c")
     new_services = ServiceConfig(
@@ -185,9 +179,7 @@ def test_shell_remains_usable_after_reconfig():
     """End-to-end: reconfigure, then run a transfer on the new shell."""
     from repro import CThread, LocalSg, Oper, SgEntry
 
-    env = Environment()
-    shell = Shell(env, ShellConfig(num_vfpgas=1))
-    driver = Driver(env, shell)
+    env, shell, driver = card()
     flow = BuildFlow("u55c")
     new_services = ServiceConfig(en_memory=False)
     result = flow.shell_flow(new_services, ["passthrough"])
@@ -215,9 +207,7 @@ def test_one_user_interrupt_is_delivered_once_after_shell_swaps():
     from repro import CThread
     from repro.pcie import MsiVector
 
-    env = Environment()
-    shell = Shell(env, ShellConfig(num_vfpgas=1))
-    driver = Driver(env, shell)
+    env, shell, driver = card()
     ct = CThread(driver, 0, pid=60)
     services = shell.config.services
     bitstream = BuildFlow("u55c").shell_flow(services, ["passthrough"]).bitstream
@@ -337,9 +327,7 @@ def test_lost_msix_polls_and_late_delivery_is_harmless():
     from repro.pcie import MsiVector
     from repro.sim import Event
 
-    env = Environment()
-    shell = Shell(env, ShellConfig(num_vfpgas=1))
-    driver = Driver(env, shell)
+    env, shell, driver = card()
     plan = FaultPlan(
         seed=1,
         rules=[

@@ -3,18 +3,17 @@ allocator: no page-table entry may outlive the HBM that holds its frame.
 Card-resident pages go home before the swap and their frames are
 returned; a swap with nothing on the card costs what it always did."""
 
-from repro import CThread, Driver, Environment, Shell, ShellConfig
+from repro import CThread
 from repro.apps import PassThroughApp
 from repro.mem import MemLocation
 from repro.mem.tlb import PAGE_2M
 from repro.synth import BuildFlow
 
+from .platforms import card
+
 
 def _card():
-    env = Environment()
-    shell = Shell(env, ShellConfig(num_vfpgas=1))
-    driver = Driver(env, shell)
-    shell.load_app(0, PassThroughApp())
+    env, shell, driver = card(PassThroughApp())
     services = shell.config.services
     bitstream = BuildFlow("u55c").shell_flow(services, ["passthrough"]).bitstream
 

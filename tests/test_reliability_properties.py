@@ -12,39 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.faults import NET_DROP, FaultInjector, FaultPlan, FaultRule
-from repro.mem import SparseMemory
-from repro.net import Cmac, MacAddress, RdmaConfig, RdmaStack, Switch
+from repro.net import Cmac, MacAddress, RdmaConfig, Switch
 from repro.net.tcp import TcpPacket, TcpStack
 from repro.sim import Environment
 
-
-def rdma_pair(env, switch, config=None):
-    stacks = []
-    memories = []
-    for i, (mac_val, ip) in enumerate([(0x02_00_0D01, 0xA000001), (0x02_00_0D02, 0xA000002)]):
-        mac = MacAddress(mac_val)
-        cmac = Cmac(env, name=f"n{i}")
-        switch.attach(mac, cmac)
-        stack = RdmaStack(env, cmac, mac, ip, config or RdmaConfig(), name=f"n{i}")
-        memory = SparseMemory(1 << 22)
-
-        def read_local(vaddr, length, memory=memory):
-            yield env.timeout(length / 12.0)
-            return memory.read(vaddr, length)
-
-        def write_local(vaddr, data, length, memory=memory):
-            yield env.timeout(length / 12.0)
-            if data is not None:
-                memory.write(vaddr, data)
-
-        stack.bind_memory(read_local, write_local)
-        stacks.append(stack)
-        memories.append(memory)
-    qa = stacks[0].create_qp(1, psn=3)
-    qb = stacks[1].create_qp(2, psn=8)
-    qa.connect(qb.local)
-    qb.connect(qa.local)
-    return stacks, memories
+from .platforms import rdma_pair
 
 
 @settings(max_examples=12, deadline=None)
@@ -54,9 +26,7 @@ def rdma_pair(env, switch, config=None):
     nbytes=st.integers(min_value=1, max_value=40_000),
 )
 def test_rdma_write_survives_random_loss(seed, drop_pct, nbytes):
-    env = Environment()
-    switch = Switch(env)
-    stacks, memories = rdma_pair(env, switch, RdmaConfig(retransmit_timeout_ns=50_000))
+    env, switch, stacks, memories = rdma_pair(RdmaConfig(retransmit_timeout_ns=50_000))
     rng = random.Random(seed)
     FaultInjector(FaultPlan.build(seed=seed, net_drop=drop_pct / 100.0)).arm(switch=switch)
     payload = bytes(rng.randrange(256) for _ in range(min(nbytes, 4096))) * (

@@ -12,17 +12,7 @@ import hashlib
 
 import pytest
 
-from repro import (
-    CThread,
-    Driver,
-    Environment,
-    LocalSg,
-    Oper,
-    ServiceConfig,
-    SgEntry,
-    Shell,
-    ShellConfig,
-)
+from repro import CThread, LocalSg, Oper, ServiceConfig, SgEntry
 from repro.apps import PassThroughApp
 from repro.core import Descriptor, MoverConfig
 from repro.driver import (
@@ -44,12 +34,11 @@ from repro.faults import RING_DOORBELL_DROP, FaultInjector, FaultPlan, FaultRule
 from repro.mem import SegmentationFault
 from repro.telemetry import SimProfiler, collect_card_metrics
 
+from .platforms import card, twice_sanitized
+
 
 def make_thread(**shell_kw):
-    env = Environment()
-    shell = Shell(env, ShellConfig(num_vfpgas=1, **shell_kw))
-    driver = Driver(env, shell)
-    shell.load_app(0, PassThroughApp())
+    env, shell, driver = card(PassThroughApp(), **shell_kw)
     thread = CThread(driver, 0, pid=1)
     return env, shell, driver, thread
 
@@ -468,10 +457,9 @@ def test_ring_telemetry_metrics():
     assert snap["mem"]["tlb_pinned"]["value"] >= 1
 
 
-def test_ring_path_is_deterministic_under_sanitizer(monkeypatch):
+def test_ring_path_is_deterministic_under_sanitizer():
     """Same config, fresh envs: the full ring path (registration, batched
     doorbells, a full-ring stall, completions) digests identically."""
-    monkeypatch.setenv("REPRO_SANITIZE", "1")
 
     def digest():
         env, shell, driver, thread, out = run_ring_transfers(requests=5, slots=2)
@@ -489,7 +477,7 @@ def test_ring_path_is_deterministic_under_sanitizer(monkeypatch):
         }
         return hashlib.sha256(repr(sorted(state.items())).encode()).hexdigest()
 
-    first, second = digest(), digest()
+    first, second = twice_sanitized(digest)
     assert first == second
 
 

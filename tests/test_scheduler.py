@@ -2,28 +2,11 @@
 
 import pytest
 
-from repro import Driver, Environment, ServiceConfig, Shell, ShellConfig
-from repro.api import AppScheduler, SchedulerError
-from repro.apps import AesEcbApp, HllApp, PassThroughApp
+from repro.api import SchedulerError
+from repro.apps import HllApp
 from repro.sim import AllOf
-from repro.synth import BuildFlow, LockedShellCheckpoint, modules_for_services
 
-
-def make_scheduler(affinity_window=8):
-    env = Environment()
-    shell = Shell(env, ShellConfig(num_vfpgas=1, services=ServiceConfig(en_memory=False)))
-    driver = Driver(env, shell)
-    flow = BuildFlow("u55c")
-    checkpoint = LockedShellCheckpoint(
-        "u55c", shell.config.services, shell.shell_id,
-        sum(m.luts for m in modules_for_services(shell.config.services)),
-    )
-    scheduler = AppScheduler(driver, affinity_window=affinity_window)
-    scheduler.register("hll", flow.app_flow(checkpoint, ["hll"]).bitstream, HllApp)
-    scheduler.register(
-        "aes", flow.app_flow(checkpoint, ["aes_ecb"]).bitstream, AesEcbApp
-    )
-    return env, shell, driver, scheduler
+from .platforms import scheduled_card
 
 
 def simple_body(env, tag, log, duration=1000.0):
@@ -36,13 +19,13 @@ def simple_body(env, tag, log, duration=1000.0):
 
 
 def test_register_duplicate_rejected():
-    env, shell, driver, scheduler = make_scheduler()
+    env, shell, driver, scheduler = scheduled_card()
     with pytest.raises(SchedulerError):
         scheduler.register("hll", object(), HllApp)
 
 
 def test_submit_unknown_kernel_rejected():
-    env, shell, driver, scheduler = make_scheduler()
+    env, shell, driver, scheduler = scheduled_card()
 
     def main():
         yield from scheduler.submit("nope", lambda app: iter(()))
@@ -53,7 +36,7 @@ def test_submit_unknown_kernel_rejected():
 
 
 def test_first_request_loads_kernel():
-    env, shell, driver, scheduler = make_scheduler()
+    env, shell, driver, scheduler = scheduled_card()
     log = []
 
     def main():
@@ -69,7 +52,7 @@ def test_first_request_loads_kernel():
 
 
 def test_same_kernel_requests_share_one_load():
-    env, shell, driver, scheduler = make_scheduler()
+    env, shell, driver, scheduler = scheduled_card()
     log = []
 
     def client(i):
@@ -82,7 +65,7 @@ def test_same_kernel_requests_share_one_load():
 
 
 def test_kernel_switch_reconfigures():
-    env, shell, driver, scheduler = make_scheduler()
+    env, shell, driver, scheduler = scheduled_card()
     log = []
 
     def main():
@@ -97,7 +80,7 @@ def test_kernel_switch_reconfigures():
 
 def test_affinity_batches_same_kernel_ahead_of_switch():
     """hll, aes, hll submitted together: both hll run before the swap."""
-    env, shell, driver, scheduler = make_scheduler(affinity_window=8)
+    env, shell, driver, scheduler = scheduled_card(affinity_window=8)
     log = []
 
     def client(kernel, tag):
@@ -114,7 +97,7 @@ def test_affinity_batches_same_kernel_ahead_of_switch():
 
 
 def test_no_affinity_is_strict_fcfs():
-    env, shell, driver, scheduler = make_scheduler(affinity_window=0)
+    env, shell, driver, scheduler = scheduled_card(affinity_window=0)
     log = []
 
     def client(kernel, tag):
@@ -131,7 +114,7 @@ def test_no_affinity_is_strict_fcfs():
 
 
 def test_failing_body_propagates_to_submitter():
-    env, shell, driver, scheduler = make_scheduler()
+    env, shell, driver, scheduler = scheduled_card()
 
     def bad_body(app):
         yield env.timeout(1)

@@ -15,35 +15,11 @@ three properties that make the design correct:
   the whole resident-kernel stream arrived under a single wakeup.
 """
 
-from repro import Driver, Environment, ServiceConfig, Shell, ShellConfig
-from repro.api import AppScheduler
-from repro.apps import AesEcbApp, HllApp
 from repro.health.errors import RecoveredError
 from repro.sim import AllOf
-from repro.synth import BuildFlow, LockedShellCheckpoint, modules_for_services
 from repro.telemetry import MetricsRegistry, SimProfiler
 
-
-def make_scheduler(affinity_window=8, idempotent=False):
-    env = Environment()
-    shell = Shell(
-        env, ShellConfig(num_vfpgas=1, services=ServiceConfig(en_memory=False))
-    )
-    driver = Driver(env, shell)
-    flow = BuildFlow("u55c")
-    checkpoint = LockedShellCheckpoint(
-        "u55c", shell.config.services, shell.shell_id,
-        sum(m.luts for m in modules_for_services(shell.config.services)),
-    )
-    scheduler = AppScheduler(driver, affinity_window=affinity_window)
-    scheduler.register(
-        "hll", flow.app_flow(checkpoint, ["hll"]).bitstream, HllApp,
-        idempotent=idempotent,
-    )
-    scheduler.register(
-        "aes", flow.app_flow(checkpoint, ["aes_ecb"]).bitstream, AesEcbApp
-    )
-    return env, shell, driver, scheduler
+from .platforms import scheduled_card
 
 
 def make_body(env, tag, log, duration=1000.0):
@@ -61,7 +37,7 @@ def make_body(env, tag, log, duration=1000.0):
 def test_burst_submit_coalesces_into_one_wakeup():
     """N simultaneous submits: the first fires the armed edge, the rest
     see it already triggered — one wakeup, N dispatches."""
-    env, shell, driver, scheduler = make_scheduler()
+    env, shell, driver, scheduler = scheduled_card()
     log = []
 
     def client(i):
@@ -79,7 +55,7 @@ def test_burst_submit_coalesces_into_one_wakeup():
 def test_submits_during_drain_need_no_wakeup():
     """Requests arriving while the loop is mid-drain append to the queue
     without any edge: the loop sees them on its next queue check."""
-    env, shell, driver, scheduler = make_scheduler()
+    env, shell, driver, scheduler = scheduled_card()
     log = []
 
     def client(i, delay=0.0):
@@ -99,7 +75,7 @@ def test_submits_during_drain_need_no_wakeup():
 def test_each_idle_period_costs_one_wakeup():
     """Submits separated by full drains take one wakeup each — the
     coalescing factor (dispatches / wakeups) is exactly 1 here."""
-    env, shell, driver, scheduler = make_scheduler()
+    env, shell, driver, scheduler = scheduled_card()
     log = []
 
     def client(i, delay):
@@ -120,7 +96,7 @@ def test_each_idle_period_costs_one_wakeup():
 def test_submit_while_paused_is_not_lost():
     """An edge fired while recovery holds the pause gate must survive:
     the loop wakes, blocks on the gate, and serves after resume."""
-    env, shell, driver, scheduler = make_scheduler()
+    env, shell, driver, scheduler = scheduled_card()
     log = []
     served = []
 
@@ -146,7 +122,7 @@ def test_replayed_request_wakes_parked_loop():
     """The recovery replay path re-queues the aborted request and fires
     ``_notify`` itself; a loop parked idle at resume time must wake and
     re-run it (idempotent kernel)."""
-    env, shell, driver, scheduler = make_scheduler(idempotent=True)
+    env, shell, driver, scheduler = scheduled_card(idempotent=True)
     log = []
     served = []
 
@@ -176,7 +152,7 @@ def test_replayed_request_wakes_parked_loop():
 def test_abort_without_replay_keeps_loop_live():
     """Non-idempotent abort rejects the submitter — and the loop must
     still serve later submits (the park/arm handshake stayed sound)."""
-    env, shell, driver, scheduler = make_scheduler(idempotent=False)
+    env, shell, driver, scheduler = scheduled_card(idempotent=False)
     log = []
     outcomes = []
 
@@ -214,7 +190,7 @@ def test_affinity_bypass_bounded_within_single_wakeup_batch():
     """A whole burst arrives under one wakeup; the pending kernel switch
     at the queue head is bypassed at most ``affinity_window`` times
     before being served unconditionally."""
-    env, shell, driver, scheduler = make_scheduler(affinity_window=2)
+    env, shell, driver, scheduler = scheduled_card(affinity_window=2)
     log = []
 
     def client(kernel, tag, delay=0.0):
@@ -240,7 +216,7 @@ def test_affinity_bypass_bounded_within_single_wakeup_batch():
 
 
 def test_wakeup_and_dispatch_counters_exported():
-    env, shell, driver, scheduler = make_scheduler()
+    env, shell, driver, scheduler = scheduled_card()
     log = []
 
     def client(i):
@@ -259,7 +235,7 @@ def test_wakeup_and_dispatch_counters_exported():
 
 def run_churn(requests, cache_enabled, profiler=None):
     """``requests`` alternating hll/aes submits under ``affinity_window=4``."""
-    env, shell, driver, scheduler = make_scheduler(affinity_window=4)
+    env, shell, driver, scheduler = scheduled_card(affinity_window=4)
     shell.static.icap.region_cache_enabled = cache_enabled
     log = []
 

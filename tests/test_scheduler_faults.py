@@ -13,33 +13,12 @@ measurement path:
 
 import pytest
 
-from repro import Driver, Environment, ServiceConfig, Shell, ShellConfig
-from repro.api import AppScheduler
-from repro.apps import AesEcbApp, HllApp
 from repro.core import ReconfigError
 from repro.driver import card_report
 from repro.faults import ICAP_CRC, FaultInjector, FaultPlan, FaultRule
 from repro.sim import AllOf
-from repro.synth import BuildFlow, LockedShellCheckpoint, modules_for_services
 
-
-def make_scheduler(affinity_window=8, plan=None):
-    env = Environment()
-    shell = Shell(env, ShellConfig(num_vfpgas=1, services=ServiceConfig(en_memory=False)))
-    driver = Driver(env, shell)
-    if plan is not None:
-        FaultInjector(plan).arm(shell=shell)
-    flow = BuildFlow("u55c")
-    checkpoint = LockedShellCheckpoint(
-        "u55c", shell.config.services, shell.shell_id,
-        sum(m.luts for m in modules_for_services(shell.config.services)),
-    )
-    scheduler = AppScheduler(driver, affinity_window=affinity_window)
-    scheduler.register("hll", flow.app_flow(checkpoint, ["hll"]).bitstream, HllApp)
-    scheduler.register(
-        "aes", flow.app_flow(checkpoint, ["aes_ecb"]).bitstream, AesEcbApp
-    )
-    return env, shell, driver, scheduler
+from .platforms import scheduled_card
 
 
 def simple_body(env, tag, log, duration=1000.0):
@@ -60,7 +39,8 @@ def exhausting_crc_plan():
 def test_reconfig_failure_fails_submit_cleanly_and_loop_survives():
     """ISSUE acceptance: the affected submit() fails, later requests for
     other kernels complete, and nothing deadlocks."""
-    env, shell, driver, scheduler = make_scheduler(plan=exhausting_crc_plan())
+    env, shell, driver, scheduler = scheduled_card()
+    FaultInjector(exhausting_crc_plan()).arm(shell=shell)
     log = []
     outcome = {}
 
@@ -90,7 +70,8 @@ def test_reconfig_failure_fails_submit_cleanly_and_loop_survives():
 def test_reconfig_failure_keeps_serving_future_requests():
     """Requests submitted *after* the failure are also served (the loop is
     alive, not just draining the pre-failure queue)."""
-    env, shell, driver, scheduler = make_scheduler(plan=exhausting_crc_plan())
+    env, shell, driver, scheduler = scheduled_card()
+    FaultInjector(exhausting_crc_plan()).arm(shell=shell)
     log = []
 
     def doomed():
@@ -107,7 +88,8 @@ def test_reconfig_failure_keeps_serving_future_requests():
 
 
 def test_reconfig_failure_counted_in_card_report_telemetry():
-    env, shell, driver, scheduler = make_scheduler(plan=exhausting_crc_plan())
+    env, shell, driver, scheduler = scheduled_card()
+    FaultInjector(exhausting_crc_plan()).arm(shell=shell)
     log = []
 
     def doomed():
@@ -126,7 +108,7 @@ def test_reconfig_failure_counted_in_card_report_telemetry():
 def test_affinity_cannot_starve_beyond_window():
     """A queued kernel switch is bypassed at most ``affinity_window`` times
     by resident-kernel requests, then served unconditionally."""
-    env, shell, driver, scheduler = make_scheduler(affinity_window=2)
+    env, shell, driver, scheduler = scheduled_card(affinity_window=2)
     log = []
 
     def client(kernel, tag, delay=0.0):
@@ -152,7 +134,7 @@ def test_affinity_cannot_starve_beyond_window():
 
 
 def test_queue_wait_histogram_records_every_pick():
-    env, shell, driver, scheduler = make_scheduler()
+    env, shell, driver, scheduler = scheduled_card()
     log = []
 
     def client(i):

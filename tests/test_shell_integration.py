@@ -5,14 +5,10 @@ import pytest
 from repro import (
     AllocType,
     CThread,
-    Driver,
-    Environment,
     LocalSg,
     Oper,
     ServiceConfig,
     SgEntry,
-    Shell,
-    ShellConfig,
     StreamType,
     VFpgaConfig,
 )
@@ -28,12 +24,7 @@ from repro.apps import (
 from repro.core import MoverConfig
 from repro.sim import AllOf
 
-
-def make_system(**shell_kw):
-    env = Environment()
-    shell = Shell(env, ShellConfig(**shell_kw))
-    driver = Driver(env, shell)
-    return env, shell, driver
+from .platforms import card
 
 
 def transfer_sg(src, dst, length, src_dest=0, dst_dest=0, stream=StreamType.HOST):
@@ -47,8 +38,7 @@ def transfer_sg(src, dst, length, src_dest=0, dst_dest=0, stream=StreamType.HOST
 
 
 def test_passthrough_host_roundtrip():
-    env, shell, driver = make_system(num_vfpgas=1)
-    shell.load_app(0, PassThroughApp())
+    env, shell, driver = card(PassThroughApp())
     ct = CThread(driver, 0, pid=10)
     payload = bytes(range(256)) * 40
 
@@ -63,8 +53,7 @@ def test_passthrough_host_roundtrip():
 
 
 def test_aes_ecb_produces_real_ciphertext():
-    env, shell, driver = make_system(num_vfpgas=1)
-    shell.load_app(0, AesEcbApp(num_streams=1))
+    env, shell, driver = card(AesEcbApp(num_streams=1))
     ct = CThread(driver, 0, pid=10)
     key = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
     plain = b"attack at dawn!!" * 16  # 256 bytes, block-aligned
@@ -82,8 +71,7 @@ def test_aes_ecb_produces_real_ciphertext():
 
 
 def test_aes_cbc_matches_reference_chain():
-    env, shell, driver = make_system(num_vfpgas=1)
-    shell.load_app(0, AesCbcApp(num_streams=1))
+    env, shell, driver = card(AesCbcApp(num_streams=1))
     ct = CThread(driver, 0, pid=10)
     key = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
     plain = bytes(range(64)) * 4  # 256 bytes
@@ -105,10 +93,10 @@ def test_vector_add_multiple_streams():
     """The motivating example: two operand streams, one result stream."""
     import numpy as np
 
-    env, shell, driver = make_system(
-        num_vfpgas=1, vfpga=VFpgaConfig(num_host_streams=4)
+    env, shell, driver = card(
+        VectorOpApp(op="add", stream=StreamType.HOST),
+        vfpga=VFpgaConfig(num_host_streams=4),
     )
-    shell.load_app(0, VectorOpApp(op="add", stream=StreamType.HOST))
     ct = CThread(driver, 0, pid=10)
     a = np.arange(1024, dtype="<u4")
     b = np.arange(1024, dtype="<u4") * 3
@@ -137,9 +125,8 @@ def test_vector_add_multiple_streams():
 def test_hll_estimate_via_interrupt():
     import struct
 
-    env, shell, driver = make_system(num_vfpgas=1)
     app = HllApp(precision=12)
-    shell.load_app(0, app)
+    env, shell, driver = card(app)
     ct = CThread(driver, 0, pid=10)
     values = list(range(5000)) * 2  # 5000 distinct, with duplicates
     payload = struct.pack(f"<{len(values)}I", *values)
@@ -160,7 +147,7 @@ def test_multi_tenant_fair_sharing():
     """Figure 8's property: equal shares, constant cumulative throughput."""
     results = {}
     for ntenants in (1, 4):
-        env, shell, driver = make_system(
+        env, shell, driver = card(
             num_vfpgas=ntenants,
             services=ServiceConfig(mover=MoverConfig(carry_data=False)),
         )
@@ -191,10 +178,11 @@ def test_multi_tenant_fair_sharing():
 
 def test_misbehaving_tenant_does_not_stall_others():
     """§7.2: a vFPGA that never consumes its data only stalls itself."""
-    env, shell, driver = make_system(
-        num_vfpgas=2, services=ServiceConfig(mover=MoverConfig(carry_data=False))
+    env, shell, driver = card(
+        PassThroughApp(),  # the good tenant
+        num_vfpgas=2,
+        services=ServiceConfig(mover=MoverConfig(carry_data=False)),
     )
-    shell.load_app(0, PassThroughApp())  # the good tenant
     # vFPGA 1 gets NO app: deposited data is never consumed -> credits
     # exhaust -> its requests stall, and only its own.
     good = CThread(driver, 0, pid=1)
@@ -226,7 +214,7 @@ def test_misbehaving_tenant_does_not_stall_others():
 
 
 def test_huge_page_allocation_reduces_pages():
-    env, shell, driver = make_system(
+    env, shell, driver = card(
         num_vfpgas=1,
         services=ServiceConfig(),
     )
@@ -242,14 +230,12 @@ def test_huge_page_allocation_reduces_pages():
 
 
 def test_user_interrupt_reaches_software():
-    env, shell, driver = make_system(num_vfpgas=1)
-
     class Interrupter(PassThroughApp):
         def run(self, vfpga):
             vfpga.interrupt(value=0x1234)
             yield vfpga.env.event()
 
-    shell.load_app(0, Interrupter())
+    env, shell, driver = card(Interrupter())
     ct = CThread(driver, 0, pid=10)
 
     def main():
@@ -265,11 +251,10 @@ def test_completion_polling_mode():
     """Writeback disabled: completions found by MMIO polling, slower."""
     times = {}
     for writeback in (True, False):
-        env, shell, driver = make_system(
-            num_vfpgas=1,
+        env, shell, driver = card(
+            PassThroughApp(),
             services=ServiceConfig(mover=MoverConfig(writeback=writeback)),
         )
-        shell.load_app(0, PassThroughApp())
         ct = CThread(driver, 0, pid=10)
 
         def main():

@@ -1,110 +1,77 @@
-"""Tests for the virtual-time rate server."""
+"""Tests for the virtual-time FIFO server as a bandwidth model: a use of
+``nbytes`` at ``rate`` books ``nbytes / rate`` and waits with one
+``timeout_at`` (how the AES ECB core and CBC issue port are modelled)."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import Environment
-from repro.sim.rate import RateServer
+from repro.sim.rate import FifoServer
+
+
+def use(env, server, units, rate, done, tag=None):
+    """Occupy ``server`` for ``units`` at ``rate``; log ``(tag, now)``."""
+    yield env.timeout_at(server.book(units / rate))
+    done.append((tag, env.now))
 
 
 def test_single_reservation_duration():
     env = Environment()
-    server = RateServer(env, units_per_ns=2.0)
-
-    def proc():
-        yield from server.reserve(100)
-        return env.now
-
-    assert env.run(env.process(proc())) == pytest.approx(50.0)
+    done = []
+    env.process(use(env, FifoServer(env), 100, 2.0, done))
+    env.run()
+    assert done == [(None, pytest.approx(50.0))]
 
 
 def test_back_to_back_reservations_serialize():
+    """In FIFO order."""
     env = Environment()
-    server = RateServer(env, units_per_ns=1.0)
+    server = FifoServer(env)
     done = []
-
-    def proc(tag, units):
-        yield from server.reserve(units)
-        done.append((tag, env.now))
-
-    env.process(proc("a", 10))
-    env.process(proc("b", 10))
+    env.process(use(env, server, 10, 1.0, done, "a"))
+    env.process(use(env, server, 10, 1.0, done, "b"))
     env.run()
-    assert dict(done) == {"a": pytest.approx(10), "b": pytest.approx(20)}
+    assert done == [("a", pytest.approx(10)), ("b", pytest.approx(20))]
 
 
 def test_idle_time_is_not_charged():
     env = Environment()
-    server = RateServer(env, units_per_ns=1.0)
+    server = FifoServer(env)
     done = []
-
-    def early():
-        yield from server.reserve(10)
-        done.append(env.now)
 
     def late():
         yield env.timeout(100)  # server idle 90 ns
-        yield from server.reserve(10)
-        done.append(env.now)
+        yield from use(env, server, 10, 1.0, done)
 
-    env.process(early())
+    env.process(use(env, server, 10, 1.0, done))
     env.process(late())
     env.run()
-    assert done == [pytest.approx(10), pytest.approx(110)]
-
-
-def test_total_units_accounting():
-    env = Environment()
-    server = RateServer(env, units_per_ns=4.0)
-
-    def proc():
-        yield from server.reserve(100)
-        yield from server.reserve(50)
-
-    env.run(env.process(proc()))
-    assert server.total_units == 150
+    assert [when for _, when in done] == [pytest.approx(10), pytest.approx(110)]
 
 
 def test_zero_reservation_is_free():
     env = Environment()
-    server = RateServer(env, units_per_ns=1.0)
-
-    def proc():
-        yield from server.reserve(0)
-        return env.now
-
-    assert env.run(env.process(proc())) == 0
+    done = []
+    env.process(use(env, FifoServer(env), 0, 1.0, done))
+    env.run()
+    assert done == [(None, 0)]
 
 
 def test_invalid_parameters():
-    env = Environment()
+    """A server needs a station."""
     with pytest.raises(ValueError):
-        RateServer(env, units_per_ns=0)
-    server = RateServer(env, units_per_ns=1.0)
-
-    def proc():
-        yield from server.reserve(-1)
-
-    env.process(proc())
-    with pytest.raises(ValueError):
-        env.run()
+        FifoServer(Environment(), servers=0)
 
 
 @settings(max_examples=30, deadline=None)
 @given(units=st.lists(st.integers(min_value=1, max_value=1000), min_size=1, max_size=20))
 def test_aggregate_rate_never_exceeded(units):
-    """N concurrent reservations finish no earlier than sum(units)/rate."""
+    """N concurrent bookings finish no earlier than sum(units)/rate."""
     env = Environment()
-    rate = 2.0
-    server = RateServer(env, units_per_ns=rate)
-    finish = []
-
-    def proc(n):
-        yield from server.reserve(n)
-        finish.append(env.now)
-
+    server = FifoServer(env)
+    done = []
     for n in units:
-        env.process(proc(n))
+        env.process(use(env, server, n, 2.0, done))
     env.run()
-    assert max(finish) == pytest.approx(sum(units) / rate)
+    assert max(when for _, when in done) == pytest.approx(sum(units) / 2.0)

@@ -8,18 +8,7 @@ names a field of a model: a side table that outlives the thing it
 describes fails here whatever it is called and whichever model holds it.
 """
 
-from .census import census, undeclared
-
-from repro import (
-    CThread,
-    Driver,
-    Environment,
-    LocalSg,
-    Oper,
-    SgEntry,
-    Shell,
-    ShellConfig,
-)
+from repro import CThread, Environment, LocalSg, Oper, SgEntry
 from repro.apps import PassThroughApp
 from repro.driver import RingOp, RingOpcode
 from repro.health import HealthConfig, HealthMonitor
@@ -33,6 +22,9 @@ from repro.net import (
     SwitchConfig,
 )
 from repro.synth import BuildFlow
+
+from .census import census, undeclared
+from .platforms import card
 
 SIZE = 16 << 10
 
@@ -72,18 +64,6 @@ def assert_back_to_baseline(before, after, *names):
     assert undeclared(before, after, dict(DECLARED[name] for name in names)) == {}
 
 
-def make_card(regions=2):
-    """A card with pass-through logic in every region, every model
-    process started: the baseline all three card lifecycles return to."""
-    env = Environment()
-    shell = Shell(env, ShellConfig(num_vfpgas=regions))
-    driver = Driver(env, shell)
-    for index in range(regions):
-        shell.load_app(index, PassThroughApp())
-    env.run()
-    return env, shell, driver
-
-
 def transfer(ct, src, dst):
     sg = SgEntry(local=LocalSg(
         src_addr=src.vaddr, src_len=SIZE, dst_addr=dst.vaddr, dst_len=SIZE
@@ -102,7 +82,8 @@ TRAFFIC = ("free frames", "host pages", "writebacks", "completions")
 
 
 def test_open_traffic_close_returns_the_card_to_baseline():
-    env, _shell, driver = make_card()
+    env, _shell, driver = card(PassThroughApp(), PassThroughApp())
+    env.run()  # every model process started
     before = census(driver, "driver")
 
     def session(pid, region):
@@ -128,7 +109,8 @@ def test_open_traffic_close_returns_the_card_to_baseline():
 
 
 def test_three_recoveries_return_the_card_to_baseline():
-    env, _shell, driver = make_card()
+    env, _shell, driver = card(PassThroughApp(), PassThroughApp())
+    env.run()  # every model process started
     HealthMonitor(driver, HealthConfig(breaker_threshold=4))
     env.run()
     before = census(driver, "driver")
@@ -152,7 +134,8 @@ def test_three_recoveries_return_the_card_to_baseline():
 
 
 def test_three_shell_swaps_return_the_card_to_baseline():
-    env, shell, driver = make_card()
+    env, shell, driver = card(PassThroughApp(), PassThroughApp())
+    env.run()  # every model process started
     before = census(driver, "driver")
     services = shell.config.services
     bitstream = BuildFlow("u55c").shell_flow(services, ["passthrough"]).bitstream
@@ -211,7 +194,8 @@ def test_replugging_a_port_returns_the_switch_to_baseline():
 
 
 def test_three_app_swaps_return_the_card_to_baseline():
-    env, shell, driver = make_card()
+    env, shell, driver = card(PassThroughApp(), PassThroughApp())
+    env.run()  # every model process started
     before = census(driver, "driver")
     flow = BuildFlow("u55c")
     checkpoint = flow.shell_flow(shell.config.services, ["passthrough"]).checkpoint

@@ -101,7 +101,7 @@ _ULP_TRAP = [(1 / 3, 350.0), (1000 / 12 + 350, 673.8333333333333), (0.0, 2 / 12 
 @given(arrivals=_schedules(_variable))
 @example(arrivals=_ULP_TRAP)
 def test_one_server_variable_durations_is_bit_equal_to_the_queue(arrivals):
-    """PCIe link direction, HBM channel, GPU P2P port, ``RateServer``."""
+    """PCIe link direction, HBM channel, GPU P2P port, the AES ports."""
     assert _finishes(_booked_station, 1, arrivals) == _finishes(
         _queued_station, 1, arrivals
     )

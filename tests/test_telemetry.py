@@ -2,16 +2,7 @@
 
 import pytest
 
-from repro import (
-    CThread,
-    Driver,
-    Environment,
-    LocalSg,
-    Oper,
-    SgEntry,
-    Shell,
-    ShellConfig,
-)
+from repro import CThread, Environment, LocalSg, Oper, SgEntry
 from repro.apps import PassThroughApp
 from repro.driver import card_report
 from repro.sim import Tracer
@@ -24,6 +15,8 @@ from repro.telemetry import (
     SpanRecorder,
     collect_card_metrics,
 )
+
+from .platforms import card
 
 
 # ----------------------------------------------------------------- metrics
@@ -250,10 +243,7 @@ def test_profiler_single_attachment():
 
 
 def run_some_traffic():
-    env = Environment()
-    shell = Shell(env, ShellConfig(num_vfpgas=1))
-    driver = Driver(env, shell)
-    shell.load_app(0, PassThroughApp())
+    env, shell, driver = card(PassThroughApp())
     ct = CThread(driver, 0, pid=11)
 
     def main():
