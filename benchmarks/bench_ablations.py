@@ -79,9 +79,10 @@ def test_ablation_transport(benchmark, report):
     # One-sided RDMA beats the TCP byte stream on the same wire.
     assert rows["rdma"]["goodput_gbps"] > 2 * rows["tcp"]["goodput_gbps"]
     assert rows["rdma"]["latency_us"] < rows["tcp"]["latency_us"]
-    # The recorded figures (EXPERIMENTS.md): the WRITE within 2 %, and a
-    # READ of the same size no slower than 8.0 GB/s — its responses come
-    # from the payload generator, not one at a time from the receive loop.
-    assert rows["rdma"]["goodput_gbps"] == pytest.approx(7.6, rel=0.02)
-    assert rows["rdma"]["latency_us"] == pytest.approx(35.0, rel=0.02)
-    assert rows["rdma read"]["goodput_gbps"] >= 8.0
+    # The recorded figures (EXPERIMENTS.md), each within 2 %: both ends'
+    # local memory is a pipeline (two fetch lanes ahead of the wire, the
+    # landing beside the receive loop), so a WRITE and a READ of the same
+    # size take the same time.
+    for verb in ("rdma", "rdma read"):
+        assert rows[verb]["goodput_gbps"] == pytest.approx(10.29, rel=0.02)
+        assert rows[verb]["latency_us"] == pytest.approx(25.5, rel=0.02)

@@ -504,16 +504,12 @@ class Driver:
         xdma = self.shell.static.xdma
 
         def read_local(vaddr: int, length: int) -> Generator:
-            paddr = yield self.env.process(
-                mmu.translate(pid, vaddr, MemLocation.HOST)
-            )
+            paddr = yield from mmu.translate(pid, vaddr, MemLocation.HOST)
             data = yield self.env.process(xdma.read_host(paddr, length, overhead=False))
             return data
 
         def write_local(vaddr: int, data: Optional[bytes], length: int) -> Generator:
-            paddr = yield self.env.process(
-                mmu.translate(pid, vaddr, MemLocation.HOST, writable=True)
-            )
+            paddr = yield from mmu.translate(pid, vaddr, MemLocation.HOST, writable=True)
             payload = data if data is not None else bytes(length)
             yield self.env.process(xdma.write_host(paddr, payload, overhead=False))
 

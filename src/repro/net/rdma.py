@@ -134,7 +134,8 @@ class _ReadOp:
     write_fn: Callable[[int, Optional[bytes], int], Generator]
     local_vaddr: int
     length: int
-    received: int = 0
+    psn: int  # of its first response
+    received: int = 0  # responses taken, each the next PSN of its range
 
 
 #: Segment opcodes of the three multi-packet families, indexed by
@@ -198,6 +199,14 @@ class _QpContext:
         "write_cursor",  # next vaddr of the inbound WRITE in progress
         "nak_sent",  # one NAK per sequence gap
         "cnp_last_sent",  # notification-point filter (None: never)
+        # Both ends: payloads still landing in local memory, oldest first
+        # (``_land``).  A flush swaps in a fresh deque, and a landing that
+        # finds its own gone was flushed.
+        "landings",
+        # The last landing of a flushed connection while it may still be
+        # running: the QP's next frame waits for it, so old bytes never
+        # land over the new connection's.  Outlives ``renew``.
+        "flushed",
         # DCQCN reaction point (None while DCQCN is off).
         "rate",
     )
@@ -210,6 +219,7 @@ class _QpContext:
         self.bytes = 0
         self.memory: Optional[Tuple[Callable, Callable]] = None
         self.rx_offload: Optional[Callable[[bytes], bytes]] = None
+        self.flushed: Optional[Event] = None
         self.renew(env, dcqcn)
 
     def renew(self, env: Environment, dcqcn: DcqcnConfig) -> None:
@@ -226,6 +236,7 @@ class _QpContext:
         self.write_cursor = 0
         self.nak_sent = False
         self.cnp_last_sent: Optional[float] = None
+        self.landings: Deque[Event] = deque()
         # A re-connecting QP starts its congestion history over.
         self.rate: Optional[DcqcnState] = DcqcnState(dcqcn) if dcqcn.enabled else None
 
@@ -367,6 +378,10 @@ class RdmaStack:
         ctx.qp.to_error(reason)
         if not already:
             self.stats["qp_errors"] += 1
+        if ctx.landings:
+            # What is still landing ends unanswered, ahead of what comes next.
+            ctx.flushed = ctx.landings[-1]
+            ctx.landings = deque()
         if ctx.unacked:
             self._window.put(len(ctx.unacked))
             ctx.unacked.clear()
@@ -502,27 +517,32 @@ class RdmaStack:
 
     def _payload_gen(
         self, read_fn: Callable, vaddr: int, segments: List[int], owed: Optional[tuple] = None
-    ) -> Store:
-        """Start the payload generator (blue-rdma's ``PayloadGen``): a
-        process reading ``segments`` from local memory ahead of the wire,
-        as the hardware's DMA engine runs ahead of the MAC.  Returns the
-        store its payloads arrive in; depth 4 keeps at most 16 KB staged.
-        With ``owed``, a READ being answered, it stops with that answer."""
-        staged = Store(self.env, capacity=4)
+    ) -> List[Store]:
+        """Start the payload generator (blue-rdma's ``PayloadGen``): local
+        reads of ``segments`` running ahead of the wire, as the hardware's
+        DMA engine runs ahead of the MAC.  Two fetch lanes, even segments
+        in one and odd in the other, so segment *k+1* is translated while
+        segment *k*'s DMA is in flight; segment *i* arrives in
+        ``lanes[i & 1]``.  Depth 2 per lane keeps at most 16 KB staged.
+        With ``owed``, a READ being answered, a lane stops with that
+        answer."""
+        mtu = self.config.mtu
+        side = "wr" if owed is None else "rd"
+        lanes = []
 
-        def fetch():
-            at = vaddr
-            for seg in segments:
-                data = yield from read_fn(at, seg)
+        def fetch(first: int, lane: Store):
+            for index in range(first, len(segments), 2):
+                data = yield from read_fn(vaddr + index * mtu, segments[index])
                 # Put first, look second: the consumer may be waiting.
-                yield staged.put(data)
+                yield lane.put(data)
                 if owed is not None and not self._answering(owed):
                     return
-                at += seg
 
-        side = "wr" if owed is None else "rd"
-        self.env.process(fetch(), name=f"{self.name}-{side}-fetch")
-        return staged
+        for first in range(min(2, len(segments))):
+            lane = Store(self.env, capacity=2)
+            lanes.append(lane)
+            self.env.process(fetch(first, lane), name=f"{self.name}-{side}-fetch")
+        return lanes
 
     # ----------------------------------------------------------- requester
 
@@ -540,14 +560,14 @@ class RdmaStack:
         read_fn = self._mem(ctx)[0]
         segments = self._segments(length)
         done = Event(self.env)
-        staged = self._payload_gen(read_fn, local_vaddr, segments)
+        lanes = self._payload_gen(read_fn, local_vaddr, segments)
         last = len(segments) - 1
         for index, seg_len in enumerate(segments):
             opcode = _WRITE_OPS[(index == 0) + 2 * (index == last)]
             # Stage first, then take the credit: with no yield between the
             # credit grant and _track(), a concurrent flush can account for
             # every held credit from the retransmit buffer alone.
-            payload = yield staged.get()
+            payload = yield lanes[index & 1].get()
             yield self._window.get(1)
             if qp.in_error:
                 self._refund_flushed(ctx)
@@ -595,7 +615,7 @@ class RdmaStack:
         for _ in range(nresp):
             qp.next_psn()
         done = Event(self.env)
-        ctx.reads.append(_ReadOp(done, write_fn, local_vaddr, length))
+        ctx.reads.append(_ReadOp(done, write_fn, local_vaddr, length, start_psn))
         packet = self._build(
             ctx, RoceOpcode.RDMA_READ_REQUEST, start_psn, ack_request=True,
             reth=RethHeader(vaddr=remote_vaddr, rkey=qp.remote.rkey, dma_length=length),
@@ -698,9 +718,26 @@ class RdmaStack:
                 continue  # another protocol on the shared fabric
             self.stats["rx_packets"] += 1
             yield self.env.sleep(self.config.per_packet_processing_ns)
+            ctx = self._contexts.get(packet.bth.dest_qp)
+            opcode = packet.bth.opcode
+            if ctx is not None and ctx.flushed is not None:
+                # The QP's first frame after a flush: the flushed
+                # connection's payloads land before anything else.
+                flushed, ctx.flushed = ctx.flushed, None
+                if flushed.callbacks is not None:
+                    yield flushed
+            elif ctx is not None and ctx.landings and not (
+                opcode in _READ_RESPONSE_OPS
+                or (opcode in _WRITE_OPS and packet.bth.psn == ctx.qp.epsn)
+            ):
+                # PayloadCon's fence: only the next in-sequence payload
+                # overtakes a landing of its QP.  A READ or an atomic
+                # reads what earlier payloads wrote, a SEND or duplicate
+                # is answered by a cumulative ACK, and an inbound ACK
+                # would complete a verb posted after a READ still landing.
+                yield ctx.landings[-1]
             if self.halted:
                 continue  # a crashed node processes nothing
-            ctx = self._contexts.get(packet.bth.dest_qp)
             if ctx is None or ctx.qp.remote is None:
                 continue  # drop traffic for unknown QPs
             if ctx.qp.state is QpState.ERROR:
@@ -710,7 +747,6 @@ class RdmaStack:
                 # notification point — answer with a (rate-limited) CNP.
                 self.stats["ecn_ce_received"] += 1
                 self._maybe_send_cnp(ctx)
-            opcode = packet.bth.opcode
             if opcode == RoceOpcode.CNP:
                 self.stats["cnps_received"] += 1
                 if ctx.rate is not None:
@@ -719,8 +755,8 @@ class RdmaStack:
                 self._handle_ack(ctx, packet)
             elif opcode == RoceOpcode.ATOMIC_ACKNOWLEDGE:
                 self._handle_atomic_ack(ctx, packet)
-            elif RoceOpcode.RDMA_READ_RESPONSE_FIRST <= opcode <= RoceOpcode.RDMA_READ_RESPONSE_ONLY:
-                yield from self._handle_read_response(ctx, packet)
+            elif opcode in _READ_RESPONSE_OPS:
+                self._handle_read_response(ctx, packet)
             elif opcode == RoceOpcode.RDMA_READ_REQUEST:
                 yield from self._handle_read_request(ctx, packet)
             elif RoceOpcode.has_atomic_eth(opcode):
@@ -743,17 +779,19 @@ class RdmaStack:
 
     def _ack(
         self, ctx: _QpContext, psn: int, syndrome: int = 0,
-        atomic_ack: Optional[AtomicAckEthHeader] = None,
+        atomic_ack: Optional[AtomicAckEthHeader] = None, msn: Optional[int] = None,
     ) -> Generator:
         """Reply to the requester: an ACK, a NAK (``syndrome``) or, with
-        ``atomic_ack``, the response of an atomic."""
+        ``atomic_ack``, the response of an atomic.  It carries ``msn``,
+        the MSN when ``psn`` arrived, else the QP's current one."""
         qp = ctx.qp
         if qp.remote is None or qp.state is QpState.ERROR:
             return  # the connection ended while the handler was in memory
         packet = self._build(
             ctx,
             RoceOpcode.ACKNOWLEDGE if atomic_ack is None else RoceOpcode.ATOMIC_ACKNOWLEDGE,
-            psn, aeth=AethHeader(syndrome=syndrome, msn=qp.msn), atomic_ack=atomic_ack,
+            psn, aeth=AethHeader(syndrome=syndrome, msn=qp.msn if msn is None else msn),
+            atomic_ack=atomic_ack,
         )
         self.stats["naks_sent" if syndrome else "acks_sent"] += 1
         # Response order per QP: ACKs are cumulative, so one that overtook
@@ -795,17 +833,20 @@ class RdmaStack:
                 ctx.write_cursor = packet.reth.vaddr
             vaddr = ctx.write_cursor
             ctx.write_cursor = vaddr + packet.payload_length
-            yield self.env.process(
-                self._mem(ctx)[1](vaddr, payload, packet.payload_length)
-            )
             if opcode in (RoceOpcode.RDMA_WRITE_LAST, RoceOpcode.RDMA_WRITE_ONLY):
                 qp.msn = (qp.msn + 1) % PSN_MOD
-        else:  # SEND family
-            ctx.send_parts.append(payload or bytes(packet.payload_length))
-            if opcode in (RoceOpcode.SEND_LAST, RoceOpcode.SEND_ONLY):
-                qp.msn = (qp.msn + 1) % PSN_MOD
-                ctx.recv_queue.put(b"".join(ctx.send_parts))
-                ctx.send_parts.clear()
+            # The ACK leaves when the payload has landed, with this MSN.
+            self._land(
+                ctx, self._mem(ctx)[1], vaddr, payload, packet.payload_length,
+                psn if packet.bth.ack_request else None, qp.msn,
+            )
+            return
+        # SEND family
+        ctx.send_parts.append(payload or bytes(packet.payload_length))
+        if opcode in (RoceOpcode.SEND_LAST, RoceOpcode.SEND_ONLY):
+            qp.msn = (qp.msn + 1) % PSN_MOD
+            ctx.recv_queue.put(b"".join(ctx.send_parts))
+            ctx.send_parts.clear()
         if packet.bth.ack_request:
             yield from self._ack(ctx, psn)
 
@@ -846,12 +887,15 @@ class RdmaStack:
         ``_respond``, so the receive loop goes on to the next frame."""
         qp = ctx.qp
         psn = packet.bth.psn
-        if psn != qp.epsn:
+        if psn == qp.epsn:
+            ctx.nak_sent = False
+            qp.epsn = (qp.epsn + len(self._segments(packet.reth.dma_length))) % PSN_MOD
+            qp.msn = (qp.msn + 1) % PSN_MOD
+        elif not psn_leq(psn, (qp.epsn - 1) % PSN_MOD):
             yield from self._out_of_sequence(ctx, psn)
             return
-        ctx.nak_sent = False
-        qp.epsn = (qp.epsn + len(self._segments(packet.reth.dma_length))) % PSN_MOD
-        qp.msn = (qp.msn + 1) % PSN_MOD
+        # else a duplicate: its requester lost a response and asks again,
+        # and a READ is answered again (IB), from the memory as it is now.
         self._read_requests.append((ctx, packet, qp.msn))
         if not self._responding:
             self._responding = True
@@ -877,12 +921,13 @@ class RdmaStack:
             else:
                 psn = packet.bth.psn
                 segments = self._segments(packet.reth.dma_length)
-                staged = self._payload_gen(self._mem(ctx)[0], packet.reth.vaddr, segments, owed)
+                lanes = self._payload_gen(self._mem(ctx)[0], packet.reth.vaddr, segments, owed)
                 last = len(segments) - 1
                 for index, seg_len in enumerate(segments):
-                    payload = yield staged.get()
+                    payload = yield lanes[index & 1].get()
                     if not self._answering(owed):
-                        staged.clear()  # lets a blocked prefetcher see it too
+                        for lane in lanes:
+                            lane.clear()  # lets a blocked prefetcher see it too
                         break
                     opcode = _READ_RESPONSE_OPS[(index == 0) + 2 * (index == last)]
                     response = self._build(
@@ -896,27 +941,81 @@ class RdmaStack:
                 self._read_requests.popleft()
         self._responding = False
 
-    def _handle_read_response(self, ctx: _QpContext, packet: RocePacket) -> Generator:
-        if not ctx.reads:
+    def _handle_read_response(self, ctx: _QpContext, packet: RocePacket) -> None:
+        # Responses arrive in PSN order, so the one taken next is the next
+        # PSN of the oldest READ still owed one (every READ is owed one).
+        mtu = self.config.mtu
+        for op in ctx.reads:
+            if not op.received or op.received * mtu < op.length:
+                break
+        else:
             return
-        # Responses arrive in PSN order, so they belong to the oldest READ.
-        op = ctx.reads[0]
-        # Responses double as acks for the consumed PSNs.
-        self._progress_ack(ctx, packet.bth.psn)
-        yield from op.write_fn(op.local_vaddr + op.received, packet.payload, packet.payload_length)
-        op.received += packet.payload_length
-        if op.received >= op.length and not op.event.triggered:  # else: flushed meanwhile
-            ctx.reads.popleft()
-            op.event.succeed()
+        psn = packet.bth.psn
+        if psn != (op.psn + op.received) % PSN_MOD:
+            # A duplicate, or one behind a lost response: dropped without
+            # acknowledging anything, so the READ is asked for again.
+            return
+        vaddr = op.local_vaddr + op.received * mtu
+        op.received += 1
+        self._land(ctx, op.write_fn, vaddr, packet.payload, packet.payload_length, psn, read=op)
+
+    # ------------------------------------------------------------ landing
+
+    def _land(
+        self, ctx: _QpContext, write_fn: Callable, vaddr: int, payload: Optional[bytes],
+        length: int, psn: Optional[int], msn: int = 0, read: Optional[_ReadOp] = None,
+    ) -> None:
+        """PayloadCon (blue-rdma's ``PayloadCon``): land one inbound
+        payload in local memory beside the receive loop, which goes on to
+        the next frame.  Landings of a QP overlap in memory and finish in
+        arrival order.  Then a response of ``read`` acknowledges ``psn``
+        (and completes the READ if it was the last), and a WRITE segment
+        is answered with an ACK of ``psn`` carrying ``msn``, if it asked."""
+        lane = ctx.landings
+        before = lane[-1] if lane else None
+
+        def landing() -> Generator:
+            yield from write_fn(vaddr, payload, length)
+            if before is not None and before.callbacks is not None:
+                yield before  # still landing: finish in arrival order
+            if ctx.landings is not lane:
+                return  # flushed meanwhile: nothing to acknowledge or complete
+            if read is not None:
+                # Responses double as acks for the consumed PSNs.
+                self._progress_ack(ctx, psn)
+                if vaddr + length == read.local_vaddr + read.length:
+                    ctx.reads.popleft()  # its last response
+                    read.event.succeed()
+            elif psn is not None:
+                yield from self._ack(ctx, psn, msn=msn)
+            lane.popleft()
+
+        lane.append(self.env.process(landing(), name=f"{self.name}-land"))
 
     # ----------------------------------------------------- ack processing
 
     def _progress_ack(self, ctx: _QpContext, psn: int) -> None:
-        """Cumulative acknowledgement of every PSN <= psn."""
+        """Cumulative acknowledgement of every PSN <= psn, short of a READ
+        that lost a response."""
+        # Both containers are in PSN order (``_track`` and the append to
+        # ``pending`` follow the PSN's allocation with no yield between),
+        # so what this ACK covers is a prefix of each.
+        buffered = ctx.unacked
+        released = []
+        for p in buffered:
+            if not psn_leq(p, psn):
+                break
+            if p != psn and buffered[p].bth.opcode == RoceOpcode.RDMA_READ_REQUEST:
+                # Only its last response acknowledges a READ (it is buffered
+                # under that PSN).  Acked past it, it lost a response: it and
+                # what follows stay for the retransmit timer to ask again.
+                if not released:
+                    return  # nothing new acknowledged, so no progress either
+                psn = (p - 1) % PSN_MOD
+                break
+            released.append(p)
         ctx.last_progress = self.env.now
         ctx.retries = 0
-        buffered = ctx.unacked
-        released = [p for p in buffered if psn_leq(p, psn)]
         for p in released:
             del buffered[p]
         if released:
@@ -925,8 +1024,12 @@ class RdmaStack:
         if psn_leq(qp.acked_psn % PSN_MOD, psn):
             qp.acked_psn = psn
         pending = ctx.pending
-        finished = [m for m in pending if psn_leq(m.last_psn, psn)]
-        ctx.pending = [m for m in pending if not psn_leq(m.last_psn, psn)]
+        finished = []
+        for msg in pending:
+            if not psn_leq(msg.last_psn, psn):
+                break
+            finished.append(msg)
+        del pending[: len(finished)]
         for msg in finished:
             msg.event.succeed()
 

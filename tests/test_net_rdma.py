@@ -223,5 +223,6 @@ def test_throughput_approaches_line_rate():
         return total / (env.now - start)  # bytes/ns == GB/s
 
     gbps = env.run(env.process(proc()))
-    # 100G = 12.5 GB/s; expect > 60% of line rate after headers/acks.
-    assert gbps > 7.5, f"only {gbps:.2f} GB/s"
+    # 100G = 12.5 GB/s; with the payload landing beside the receive loop
+    # the wire is the limit: > 88 % of line rate after headers/acks.
+    assert gbps > 11.0, f"only {gbps:.2f} GB/s"
