@@ -265,11 +265,13 @@ class HostDataMover(_DataMover):
     # ---------------------------------------------------- per-vFPGA units
 
     def _rd_unit(self, region: _Region, dest: int, queue: Store) -> Generator:
-        """Packetize + credit host-read descriptors, then interleave."""
+        """Probe the MMU for each descriptor's first page (see
+        :meth:`_wr_unit`), packetize + credit it, then interleave."""
         vfpga = region.vfpga
         port = self._ports(region)[0]
         while True:
             desc = yield queue.get()
+            region.mmu.probe(desc.pid, desc.vaddr)
             for packet in self.packetizer.split(desc):
                 # repro: allow[RES001] split-phase: VFpga.recv releases this credit when the deposited flit is consumed
                 yield from vfpga.rd_credits[StreamType.HOST].acquire()
@@ -277,6 +279,11 @@ class HostDataMover(_DataMover):
 
     def _wr_unit(self, region: _Region, dest: int, queue: Store) -> Generator:
         """Pull data from the vFPGA *before* propagating write packets.
+
+        A descriptor's arrival probes the MMU for its first packet's page,
+        so a TLB miss starts its walk while the unit still waits for
+        credits and the kernel's output; the write's translation joins
+        that walk instead of starting its own after the data.
 
         The kernel's output flits need not align with packet boundaries
         (e.g. the NN kernel emits one small flit per input chunk), so the
@@ -287,6 +294,7 @@ class HostDataMover(_DataMover):
         staged = _FlitAssembler()
         while True:
             desc = yield queue.get()
+            region.mmu.probe(desc.pid, desc.vaddr, writable=True)
             for packet in self.packetizer.split(desc):
                 # repro: allow[RES001] split-phase: _wr_dma releases this credit when the packet's host write lands
                 yield from vfpga.wr_credits[StreamType.HOST].acquire()

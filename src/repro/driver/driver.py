@@ -455,8 +455,11 @@ class Driver:
             entry = ctx.page_table.walk(start)
             if entry.location is not to:
                 yield self.env.process(self._fault_migrate(ctx, entry, to))
+                held = mmu.tlb.probe(start)
                 mmu.shootdown(start)
                 mmu.prefill(start, entry.paddr_in(to), to)
+                if held is not None and held.pinned:
+                    mmu.pin(start)  # an MR page stays pinned (DESIGN.md "MR lifecycle")
             start += page
 
     # ---------------------------------------------------------- GPU memory

@@ -9,8 +9,11 @@ triggers a GPU-style migration.
 This module provides the hardware half (:class:`Mmu`, one per vFPGA) and
 the shared page table the driver half operates on.  Latencies:
 
-* TLB hit: one fabric cycle (folded into the datapath, not charged here).
-* TLB miss, page resident: driver walk over MSI-X + ioctl, ~1.2 us.
+* Translation: every :meth:`Mmu.translate` / :meth:`Mmu.translate_any`
+  books one station of the shared translation pipeline for
+  ``MmuConfig.xlat_service_ns`` (100 ns), hit or miss.
+* TLB miss, page resident: driver walk over MSI-X + ioctl, ~1.2 us, on
+  top of the station booking.
 * Page fault: driver allocates/migrates the page; milliseconds-scale
   depending on page size and PCIe bandwidth (charged by the migration
   engine the driver injects).
@@ -21,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Generator, Optional, Tuple
 
-from ..sim.engine import Environment
+from ..sim.engine import Environment, Process
 from ..sim.rate import FifoServer
 from .tlb import MemLocation, Tlb, TlbConfig, TlbEntry
 
@@ -109,8 +112,19 @@ class Mmu:
 
     The driver injects ``walk_fn(pid, vaddr, location, writable)`` which
     performs the host-side walk and any required migration, returning the
-    physical address in the requested memory.  ``walk_fn`` is a generator
-    (it runs in simulated time).
+    physical address in the requested memory, and ``walk_any_fn(pid,
+    vaddr, writable)``, which returns ``(location, paddr)`` wherever the
+    page lives.  Both are generators (they run in simulated time).
+
+    Walks that do not migrate go through the miss table (``{vpn: walk}``,
+    one process per page in flight): a host request unit starts one with
+    :meth:`probe` when its descriptor arrives, and a translation that
+    misses joins it instead of walking again.  A walk installs its
+    translation only if it is still its page's registered walk, so a
+    :meth:`shootdown` or :meth:`flush` that drops it also drops what it
+    would have cached.  A translation that misses waits in its caller,
+    whether it joined a walk or walks itself: the host path's translation
+    stage, one per direction for every tenant, stays parked until then.
     """
 
     def __init__(
@@ -124,6 +138,7 @@ class Mmu:
         self.name = name
         self.tlb = Tlb(config.tlb)
         self._xlat = FifoServer(env, servers=config.xlat_stations)
+        self._walks: Dict[int, Process] = {}
         self.walk_fn: Optional[Callable] = None
         self.walk_any_fn: Optional[Callable] = None
         self.page_faults = 0
@@ -133,6 +148,20 @@ class Mmu:
         self.walk_fn = walk_fn
         self.walk_any_fn = walk_any_fn
 
+    def _paddr(self, entry: TlbEntry, vaddr: int) -> int:
+        return (entry.ppn << self.tlb.config.page_shift) | self.tlb.offset_of(vaddr)
+
+    def _lookup(self, vaddr: int) -> Generator:
+        """TLB lookup; on a miss, join the page's walk in flight (if
+        any) and look again."""
+        entry = self.tlb.lookup(vaddr)
+        if entry is None:
+            walk = self._walks.get(self.tlb.vpn_of(vaddr))
+            if walk is not None:
+                yield walk
+                entry = self.tlb.lookup(vaddr)
+        return entry
+
     def translate(
         self,
         pid: int,
@@ -140,18 +169,17 @@ class Mmu:
         location: MemLocation,
         writable: bool = False,
     ) -> Generator:
-        """Translate one packet's address; returns the physical address.
+        """Translate one packet's address into ``location``; returns the
+        physical address.
 
         Charges the shared translation-pipeline occupancy (taper source)
-        plus, on a miss, the driver walk.
+        plus, on a miss that no walk in flight resolves, the driver walk,
+        which migrates the page if it lives elsewhere.
         """
         yield self.env.timeout_at(self._xlat.book(self.config.xlat_service_ns))
-        entry = self.tlb.lookup(vaddr)
+        entry = yield from self._lookup(vaddr)
         if entry is not None and entry.location is location:
-            paddr = (entry.ppn << self.tlb.config.page_shift) | self.tlb.offset_of(vaddr)
-            return paddr
-        # Miss path: fall back to the host-side driver (outside the
-        # translation pipeline so hits are not blocked behind walks).
+            return self._paddr(entry, vaddr)
         if self.walk_fn is None:
             raise SegmentationFault(f"{self.name}: no driver bound")
         self.walks += 1
@@ -173,24 +201,64 @@ class Mmu:
         peer-to-peer transfers to GPU-resident pages.
         """
         yield self.env.timeout_at(self._xlat.book(self.config.xlat_service_ns))
-        entry = self.tlb.lookup(vaddr)
-        if entry is not None:
-            paddr = (entry.ppn << self.tlb.config.page_shift) | self.tlb.offset_of(vaddr)
-            return entry.location, paddr
-        if self.walk_any_fn is None:
-            raise SegmentationFault(f"{self.name}: no driver bound")
-        self.walks += 1
-        yield self.env.timeout(TLB_MISS_WALK_NS)
-        location, paddr = yield self.env.process(self.walk_any_fn(pid, vaddr, writable))
-        self.tlb.insert(
-            TlbEntry(
-                vpn=self.tlb.vpn_of(vaddr),
+        entry = yield from self._lookup(vaddr)
+        if entry is None:
+            if self.walk_any_fn is None:
+                raise SegmentationFault(f"{self.name}: no driver bound")
+            entry = yield self._walk_page(pid, vaddr, writable)
+            if entry is None:
+                raise SegmentationFault(f"pid {pid}: no mapping for vaddr {vaddr:#x}")
+        return entry.location, self._paddr(entry, vaddr)
+
+    def probe(self, pid: int, vaddr: int, writable: bool = False) -> None:
+        """Walk ahead: if ``vaddr``'s page is not cached, start its walk now.
+
+        A host request unit calls this when it takes a descriptor, so the
+        walk overlaps the request's credit wait, arbitration and (for a
+        write) the kernel's output; the translation joins it later.  The
+        probe books no station, counts no hit or miss and leaves LRU
+        order alone, so a workload whose every lookup hits runs exactly
+        as it would without it.
+        """
+        if self.walk_any_fn is not None and self.tlb.probe(vaddr) is None:
+            self._walk_page(pid, vaddr, writable)
+
+    def _walk_page(self, pid: int, vaddr: int, writable: bool) -> Process:
+        """Start or join the page's walk (no migration).
+
+        The walk returns the :class:`TlbEntry` the driver's page table
+        gave, or ``None`` for an unmapped page: a probe ahead of a bad
+        address is not an error, the translation that needs it raises.
+        """
+        vpn = self.tlb.vpn_of(vaddr)
+        walk = self._walks.get(vpn)
+        if walk is not None:
+            return walk
+
+        def walk_page() -> Generator:
+            self.walks += 1
+            yield self.env.timeout(TLB_MISS_WALK_NS)
+            try:
+                location, paddr = yield from self.walk_any_fn(pid, vaddr, writable)
+            except SegmentationFault:
+                location = None
+            current = self._walks.get(vpn) is walk
+            if current:
+                del self._walks[vpn]
+            if location is None:
+                return None
+            entry = TlbEntry(
+                vpn=vpn,
                 ppn=paddr >> self.tlb.config.page_shift,
                 location=location,
                 writable=writable,
             )
-        )
-        return location, paddr
+            if current:
+                self.tlb.insert(entry)
+            return entry
+
+        walk = self._walks[vpn] = self.env.process(walk_page(), name="walk")
+        return walk
 
     def prefill(self, vaddr: int, paddr: int, location: MemLocation, writable: bool = True) -> None:
         """Install a translation without a walk (driver-initiated, e.g. getMem)."""
@@ -216,7 +284,9 @@ class Mmu:
         return self.tlb.unpin(vaddr)
 
     def shootdown(self, vaddr: int) -> bool:
-        """TLB invalidation (driver-triggered on unmap/migration)."""
+        """TLB invalidation (driver-triggered on unmap/migration); a walk
+        in flight for the page is dropped and will not install."""
+        self._walks.pop(self.tlb.vpn_of(vaddr), None)
         return self.tlb.invalidate(vaddr)
 
     def flush(self) -> int:
@@ -224,6 +294,8 @@ class Mmu:
 
         Each vFPGA has its own MMU, so a full flush drops exactly the
         recovering region's entries — other tenants' TLBs are untouched.
-        Returns the number of entries invalidated.
+        Returns the number of entries invalidated.  Walks in flight are
+        dropped with them.
         """
+        self._walks.clear()
         return self.tlb.invalidate_all()

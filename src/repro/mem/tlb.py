@@ -115,6 +115,12 @@ class Tlb:
         self.hits += 1
         return entry
 
+    def probe(self, vaddr: int) -> Optional[TlbEntry]:
+        """The entry caching ``vaddr``, if resident, seen without an
+        access: no hit or miss is counted and LRU order is untouched."""
+        vpn = self.vpn_of(vaddr)
+        return self._set_for(vpn).get(vpn)
+
     def insert(self, entry: TlbEntry) -> Optional[TlbEntry]:
         """Insert a translation; returns the evicted entry, if any.
 

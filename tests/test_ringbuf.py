@@ -31,7 +31,7 @@ from repro.driver import (
     ZeroLengthDescriptorError,
 )
 from repro.faults import RING_DOORBELL_DROP, FaultInjector, FaultPlan, FaultRule
-from repro.mem import SegmentationFault
+from repro.mem import PAGE_4K, AllocType, MemLocation, MmuConfig, SegmentationFault, TlbConfig
 from repro.telemetry import SimProfiler, collect_card_metrics
 
 from .platforms import card, twice_sanitized
@@ -140,6 +140,27 @@ def test_register_mr_pins_tlb_and_deregister_unpins():
     assert mmu.tlb.pinned_occupancy == 0
     assert not mmu.tlb.lookup(alloc.vaddr).pinned  # still resident, unpinned
     assert driver.mrs_deregistered == 1
+
+
+def test_migrating_an_mr_page_keeps_its_pin():
+    """LOCAL_OFFLOAD and LOCAL_SYNC re-map a registered MR's page in the
+    TLB without dropping its pin: MR pages never take TLB-miss walks."""
+    mmu_config = MmuConfig(tlb=TlbConfig(page_size=PAGE_4K))
+    env, shell, driver, thread = make_thread(services=ServiceConfig(mmu=mmu_config))
+    mmu = shell.dynamic.mmus[0]
+    seen = []
+
+    def main():
+        alloc = yield from thread.get_mem(2 * PAGE_4K, AllocType.REG)
+        yield from thread.register_mr(alloc.vaddr, 2 * PAGE_4K)
+        page = SgEntry(local=LocalSg(src_addr=alloc.vaddr, src_len=PAGE_4K))
+        for oper in (Oper.LOCAL_OFFLOAD, Oper.LOCAL_SYNC):
+            yield from thread.invoke(oper, page)
+            entry = mmu.tlb.lookup(alloc.vaddr)
+            seen.append((mmu.tlb.pinned_occupancy, entry.location, entry.pinned))
+
+    env.run(env.process(main()))
+    assert seen == [(2, MemLocation.CARD, True), (2, MemLocation.HOST, True)]
 
 
 def test_register_mr_unmapped_page_rolls_back():
