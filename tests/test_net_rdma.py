@@ -66,7 +66,7 @@ def test_two_reads_on_one_qp_each_get_their_own_bytes():
     assert mem_a.read(0x1000, 8192) == b"X" * 8192
     assert mem_a.read(0x4000, 8192) == b"Y" * 8192
     assert a.qp_stats[1] == {"ops": 2, "bytes": 16384}
-    assert a._window.level == a.config.max_outstanding
+    assert a._reliability.window.level == a.config.max_outstanding
 
 
 def test_flush_fails_every_outstanding_read():
@@ -88,7 +88,7 @@ def test_flush_fails_every_outstanding_read():
     env.process(killer())
     env.run()
     assert outcomes == [(0x1000, "READ", "pulled"), (0x4000, "READ", "pulled")]
-    assert a._window.level == a.config.max_outstanding
+    assert a._reliability.window.level == a.config.max_outstanding
 
 
 def test_send_recv():

@@ -175,9 +175,9 @@ def test_qp_error_refunds_window_credits():
     proc = env.process(sender())
     proc.defuse()
     env.run(until=50_000.0)
-    assert a._window.level < a.config.max_outstanding  # credits held
+    assert a._reliability.window.level < a.config.max_outstanding  # credits held
     a.qp_error(1, reason="flush")
-    assert a._window.level == a.config.max_outstanding  # all refunded
+    assert a._reliability.window.level == a.config.max_outstanding  # all refunded
     env.run(until=60_000.0)
 
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro.cluster import FpgaCluster
 from repro.net import DcqcnConfig, QpState, QueuePair, RdmaConfig, RdmaError
-from repro.net.rdma import _QpContext
+from repro.net.rdma.context import _QpContext
 from repro.sim import Environment, Store
 from repro.telemetry.collect import collect_card_metrics
 
@@ -39,11 +39,17 @@ def owned_pair(a, b, memories):
 
 
 def container_sizes(stack):
-    """``len`` of every container the stack owns, by attribute name
-    (``stats`` is the fixed set of stack-wide counters, not per-QP)."""
+    """``len`` of every container the stack or one of its seams owns, by
+    attribute path (``stats`` is the fixed set of stack-wide counters, not
+    per-QP)."""
+    owners = [("", stack)] + [
+        (f"{name}.", value) for name, value in vars(stack).items()
+        if type(value).__module__.startswith("repro.net.rdma.")
+    ]
     return {
-        name: len(value)
-        for name, value in vars(stack).items()
+        prefix + name: len(value)
+        for prefix, owner in owners
+        for name, value in vars(owner).items()
         if isinstance(value, (dict, list, deque, set)) and name != "stats"
     }
 
@@ -156,7 +162,7 @@ def test_reset_qp_leaves_every_connection_slot_as_new():
     env.run()
     assert cut.value.opcode == "SEND"
     for stack in (a, b):
-        assert stack._window.level == CONFIG.max_outstanding
+        assert stack._reliability.window.level == CONFIG.max_outstanding
 
 
 # --------------------------------------------------- generated lifecycles
@@ -279,7 +285,7 @@ def test_generated_lifecycles_leak_nothing(steps):
         assert verb.triggered
         assert verb.value == "ok" or isinstance(verb.value, RdmaError)
     for stack in (a, b):
-        assert stack._window.level == CONFIG.max_outstanding
+        assert stack._reliability.window.level == CONFIG.max_outstanding
         assert set(stack.qp_stats) == set(stack.qp_rates) == set(stack.qps)
         for ctx in stack._contexts.values():
             assert not (ctx.unacked or ctx.pending or ctx.reads or ctx.atomics)
@@ -290,4 +296,4 @@ def test_generated_lifecycles_leak_nothing(steps):
     env.run()
     assert all(receiver.triggered for receiver in receivers)
     for stack in (a, b):
-        assert container_sizes(stack) == {"qps": 0, "_contexts": 0, "_read_requests": 0}
+        assert container_sizes(stack) == {"qps": 0, "_contexts": 0, "_responder.owed": 0}

@@ -65,7 +65,7 @@ def test_an_ack_waits_for_the_read_responses_its_qp_still_owes():
     # ... and nothing past the READ's range left before its last response.
     assert psns == list(range(first_psn, last_psn + 2))
     assert sent[-1][1].bth.opcode == RoceOpcode.ACKNOWLEDGE
-    assert not b._read_requests and not b._responding
+    assert not b._responder.owed and not b._responder.responding
 
 
 def test_two_reads_outstanding_on_one_qp_are_answered_in_request_order():
@@ -128,12 +128,12 @@ def cut_read(action):
     sent = tx_log(b)
     verb = env.process(guarded(a.rdma_read(1, 0x200000, 0x100000, 256 * KIB)))
     env.run(until=15_000)
-    assert b._responding and 0 < len(sent) < 64
+    assert b._responder.responding and 0 < len(sent) < 64
     action(b)
     cut_at = env.now
     env.run()  # returns: no exception out of a handler, no livelock
     late = [packet for when, packet in sent if when > cut_at and is_response(packet)]
-    assert not b._read_requests and not b._responding
+    assert not b._responder.owed and not b._responder.responding
     return env, (a, mem_a), (b, mem_b), late, verb
 
 
@@ -185,10 +185,10 @@ def test_destroy_qp_drops_its_queued_request_and_the_next_qp_is_served():
     ]
     other = env.process(guarded(a.rdma_read(3, 0x300000, 0x180000, 64 * KIB)))
     env.run(until=15_000)
-    assert [owed[0].qpn for owed in b._read_requests] == [2, 2, 4]
+    assert [owed[0].qpn for owed in b._responder.owed] == [2, 2, 4]
     b.destroy_qp(2)
     cut_at = env.now
-    assert [owed[0].qpn for owed in b._read_requests] == [4]
+    assert [owed[0].qpn for owed in b._responder.owed] == [4]
     env.run()
     for verb in doomed:
         assert isinstance(verb.value, RdmaError) and "retry exhausted" in str(verb.value)
@@ -196,7 +196,7 @@ def test_destroy_qp_drops_its_queued_request_and_the_next_qp_is_served():
     assert mem_a.read(0x300000, 64 * KIB) == pattern(64 * KIB, salt=4)
     late = [p for when, p in sent if when > cut_at and is_response(p) and p.bth.dest_qp == 1]
     assert len(late) <= 1
-    assert not b._read_requests and not b._responding
+    assert not b._responder.owed and not b._responder.responding
     reconnect_and_read(env, a, mem_a, b, mem_b)
 
 
