@@ -272,7 +272,7 @@ class HostDataMover(_DataMover):
         while True:
             desc = yield queue.get()
             region.mmu.probe(desc.pid, desc.vaddr)
-            for packet in self.packetizer.split(desc):
+            for packet in self.packetizer.split(desc, region.mmu.tlb.config.page_size):
                 # repro: allow[RES001] split-phase: VFpga.recv releases this credit when the deposited flit is consumed
                 yield from vfpga.rd_credits[StreamType.HOST].acquire()
                 yield from port.put(packet)
@@ -295,7 +295,7 @@ class HostDataMover(_DataMover):
         while True:
             desc = yield queue.get()
             region.mmu.probe(desc.pid, desc.vaddr, writable=True)
-            for packet in self.packetizer.split(desc):
+            for packet in self.packetizer.split(desc, region.mmu.tlb.config.page_size):
                 # repro: allow[RES001] split-phase: _wr_dma releases this credit when the packet's host write lands
                 yield from vfpga.wr_credits[StreamType.HOST].acquire()
                 while staged.available < packet.length:
@@ -405,7 +405,7 @@ class CardDataMover(_DataMover):
         vfpga, mmu = region.vfpga, region.mmu
         while True:
             desc = yield queue.get()
-            for packet in self.packetizer.split(desc):
+            for packet in self.packetizer.split(desc, mmu.tlb.config.page_size):
                 # repro: allow[RES001] split-phase: VFpga.recv releases this credit when the deposited flit is consumed
                 yield from vfpga.rd_credits[StreamType.CARD].acquire()
                 # Inlined per-packet ops: no throwaway Process events on
@@ -431,7 +431,7 @@ class CardDataMover(_DataMover):
         guard = vfpga.wr_credits[StreamType.CARD].guard()
         while True:
             desc = yield queue.get()
-            for packet in self.packetizer.split(desc):
+            for packet in self.packetizer.split(desc, mmu.tlb.config.page_size):
                 yield from guard.acquire()
                 try:
                     while staged.available < packet.length:

@@ -12,6 +12,11 @@ round-robin interleaving granularity, the size that won the host sweep of
 the packet-size ablation.  A card packet is one HBM stripe
 (``HbmConfig.stripe_bytes``, 4 KiB, the paper's default): one translation
 and one channel booking, derived by ``CardDataMover``, not configured.
+
+A packet is translated once, at its first byte, so it must not cross a
+page: a mover passes its region's MMU page size to :meth:`Packetizer.split`
+and a packet then also ends at each page boundary.  A buffer that starts
+on a packet boundary of a page never needs that cut.
 """
 
 from __future__ import annotations
@@ -50,30 +55,33 @@ class Packetizer:
             raise ValueError("packet size must be positive")
         self.packet_bytes = packet_bytes
 
-    def split(self, descriptor: Descriptor) -> Iterator[Packet]:
-        if 0 < descriptor.length <= self.packet_bytes:
+    def split(self, descriptor: Descriptor, page_bytes: int = 0) -> Iterator[Packet]:
+        """The descriptor's packets, in order; with ``page_bytes`` (a power
+        of two), none crosses a page boundary."""
+        vaddr, length = descriptor.vaddr, descriptor.length
+        if 0 < length <= self.packet_bytes and (
+            not page_bytes or (vaddr ^ (vaddr + length - 1)) < page_bytes
+        ):
             # Single-packet fast path: most control-plane transfers fit in
-            # one packet, so skip the offset loop entirely.
-            yield Packet(
-                descriptor=descriptor,
-                vaddr=descriptor.vaddr,
-                length=descriptor.length,
-                last=True,
-            )
+            # one packet (of one page), so skip the offset loop entirely.
+            yield Packet(descriptor=descriptor, vaddr=vaddr, length=length, last=True)
             return
         offset = 0
-        while offset < descriptor.length:
-            take = min(self.packet_bytes, descriptor.length - offset)
+        while offset < length:
+            take = min(self.packet_bytes, length - offset)
+            if page_bytes:
+                take = min(take, page_bytes - (vaddr + offset) % page_bytes)
             offset += take
             yield Packet(
                 descriptor=descriptor,
-                vaddr=descriptor.vaddr + offset - take,
+                vaddr=vaddr + offset - take,
                 length=take,
-                last=offset >= descriptor.length,
+                last=offset >= length,
             )
 
     def count(self, length: int) -> int:
-        """Number of packets a request of ``length`` bytes produces."""
+        """Number of packets a request of ``length`` bytes produces when
+        no page boundary cuts one."""
         return -(-length // self.packet_bytes)
 
     def split_all(self, descriptor: Descriptor) -> List[Packet]:

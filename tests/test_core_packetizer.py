@@ -123,3 +123,39 @@ def test_count_matches_split(packets, short_by, chunk):
     length = packets * chunk - short_by % chunk
     p = Packetizer(chunk)
     assert p.count(length) == len(p.split_all(desc(length))) == packets
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    vaddr=st.integers(min_value=0, max_value=1 << 16),
+    length=st.integers(min_value=1, max_value=1 << 15),
+    chunk=st.sampled_from([512, 2048, 4096]),
+    page=st.sampled_from([1024, 4096, 8192]),
+)
+@example(vaddr=1024, length=4096, chunk=2048, page=4096)  # 1 KiB into a page
+def test_page_bytes_cut_packets_at_page_boundaries(vaddr, length, chunk, page):
+    """With ``page_bytes``, packets still tile the request in order, and
+    each lies in one page (it is translated once, at its first byte).  A
+    packet is cut short only by a page boundary or the request's end."""
+    packets = list(Packetizer(chunk).split(desc(length, vaddr=vaddr), page))
+    expected_vaddr = vaddr
+    for p in packets:
+        assert p.vaddr == expected_vaddr
+        assert 0 < p.length <= chunk
+        end = p.vaddr + p.length
+        assert p.vaddr // page == (end - 1) // page
+        assert p.length == chunk or end % page == 0 or p.last
+        expected_vaddr = end
+    assert expected_vaddr == vaddr + length
+    assert [p.last for p in packets] == [False] * (len(packets) - 1) + [True]
+
+
+def test_page_aligned_requests_split_as_without_pages():
+    """A request that starts on a page splits exactly as with no page
+    size: every benchmark buffer is page-aligned, so none moves."""
+    request = desc(3 * 4096 + 100, vaddr=0x4000)
+    plain = Packetizer(2048).split_all(request)
+    paged = list(Packetizer(2048).split(request, 4096))
+    assert [(p.vaddr, p.length, p.last) for p in paged] == [
+        (p.vaddr, p.length, p.last) for p in plain
+    ]

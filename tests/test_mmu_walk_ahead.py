@@ -232,18 +232,51 @@ def test_recovery_mid_walk_drops_the_walk():
     assert stale == []
 
 
+# ------------------------------------------------------ the page boundary
+
+
+def test_a_packet_that_straddles_a_page_is_translated_at_both():
+    """A 4 KiB TRANSFER at a 1 KiB offset: its second packet straddles
+    the pages.  With both buffers' second page offloaded to the card, the
+    part past the boundary must be read from and written to where that
+    page lives, not to the host frame that follows the first page; after
+    the pages are synced back the bytes are exact."""
+    env, shell, driver, (thread,) = tenants()
+    image = bytes((i * 7 + 3) % 251 for i in range(2 * PAGE_4K))
+    offset = 1024
+
+    def main():
+        src = yield from thread.get_mem(2 * PAGE_4K, AllocType.REG)
+        dst = yield from thread.get_mem(2 * PAGE_4K, AllocType.REG)
+        thread.write_buffer(src.vaddr, image)
+        pages = [
+            SgEntry(local=LocalSg(src_addr=alloc.vaddr + PAGE_4K, src_len=PAGE_4K))
+            for alloc in (src, dst)
+        ]
+        for page in pages:
+            yield from thread.invoke(Oper.LOCAL_OFFLOAD, page)
+        yield from thread.invoke(
+            Oper.LOCAL_TRANSFER, transfer(src.vaddr + offset, dst.vaddr + offset, PAGE_4K)
+        )
+        for page in pages:
+            yield from thread.invoke(Oper.LOCAL_SYNC, page)
+        return thread.read_buffer(dst.vaddr + offset, PAGE_4K)
+
+    assert env.run(env.process(main())) == image[offset : offset + PAGE_4K]
+
+
 # ---------------------------------------------------------- the property
 
 PAGES = 64  # per tenant: 8x its TLB's reach
-PACKET = 2048  # host packets start on this grid, so none crosses a page
 
-#: One tenant's requests: (kind, source packet, destination packet,
-#: length, which of a READ/WRITE pair is posted first).
+#: One tenant's requests: (kind, source offset, destination offset,
+#: length, which of a READ/WRITE pair is posted first).  Offsets are any
+#: byte, so packets straddle pages.
 REQUESTS = st.lists(
     st.tuples(
         st.sampled_from(["transfer", "read_write", "offload", "sync"]),
-        st.integers(0, PAGES * PAGE_4K // PACKET - 1),
-        st.integers(0, PAGES * PAGE_4K // PACKET - 1),
+        st.integers(0, PAGES * PAGE_4K - 1),
+        st.integers(0, PAGES * PAGE_4K - 1),
         st.integers(1, 2 * PAGE_4K),
         st.booleans(),
     ),
@@ -266,8 +299,7 @@ def run_tenants(plans):
         alloc = yield from thread.get_mem(size, AllocType.REG)
         image = bytearray((salt + i * 7) % 251 for i in range(size))
         thread.write_buffer(alloc.vaddr, bytes(image))
-        for kind, src_packet, dst_packet, length, write_first in requests:
-            src, dst = src_packet * PACKET, dst_packet * PACKET
+        for kind, src, dst, length, write_first in requests:
             length = min(length, size - max(src, dst))
             page = alloc.vaddr + src - src % PAGE_4K
             if kind == "offload":
