@@ -56,11 +56,11 @@ class Packetizer:
         self.packet_bytes = packet_bytes
 
     def split(self, descriptor: Descriptor, page_bytes: int = 0) -> Iterator[Packet]:
-        """The descriptor's packets, in order; with ``page_bytes`` (a power
-        of two), none crosses a page boundary."""
+        """The descriptor's packets, in order; with ``page_bytes``, none
+        crosses a page boundary."""
         vaddr, length = descriptor.vaddr, descriptor.length
         if 0 < length <= self.packet_bytes and (
-            not page_bytes or (vaddr ^ (vaddr + length - 1)) < page_bytes
+            not page_bytes or vaddr // page_bytes == (vaddr + length - 1) // page_bytes
         ):
             # Single-packet fast path: most control-plane transfers fit in
             # one packet (of one page), so skip the offset loop entirely.

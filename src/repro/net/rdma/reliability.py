@@ -3,7 +3,7 @@ the go-back-N retransmit buffer and the retransmit timer."""
 
 from __future__ import annotations
 
-from typing import Callable, Generator, Optional
+from typing import Callable, Generator, List, Optional
 
 from ...sim.engine import Event
 from ...sim.resources import Container
@@ -34,31 +34,32 @@ class Reliability:
             raise WrFlushError(ctx.qpn, 0, "SQ", ctx.qp.error_reason)
 
     def send_queue(
-        self, ctx: _QpContext, ops: tuple, verb: str, length: int, wr_id: int,
+        self, ctx: _QpContext, ops: tuple, verb: str, segments: List[int], wr_id: int,
         source, remote_vaddr: int = 0,
     ) -> Generator:
         """The send queue (blue-rdma's ``SendQ``): a WRITE or SEND message
-        as MTU segments, each staged, given a window credit and a PSN,
-        buffered for retransmission and sent.  ``source`` is the
+        as its MTU ``segments``, each staged, given a window credit and a
+        PSN, buffered for retransmission and sent.  ``source`` is the
         payload generator's lanes of a WRITE, or the bytes of a SEND.
         Returns the completion, once the message's last PSN is acked."""
         stack = self.stack
         qp = ctx.qp
         mtu = stack.config.mtu
-        segments = stack._segments(length)
+        length = sum(segments)
+        lanes = source if isinstance(source, list) else None
         done = Event(self.env)
         last = len(segments) - 1
         for index, seg_len in enumerate(segments):
             opcode = ops[(index == 0) + 2 * (index == last)]
-            if isinstance(source, list):
+            if lanes is None:
+                payload = source[index * mtu : index * mtu + seg_len]
+            else:
                 # Stage first, then take the credit: with no yield between
                 # the credit grant and track(), a concurrent flush can
                 # account for every held credit from the retransmit buffer.
-                payload = yield source[index & 1].get()
+                payload = yield lanes[index & 1].get()
                 if not isinstance(payload, (bytes, bytearray)):
                     payload = None
-            else:
-                payload = source[index * mtu : index * mtu + seg_len]
             yield from self.credit(ctx)
             psn = qp.next_psn()
             # Request an ack on every packet so the window drains
@@ -109,8 +110,7 @@ class Reliability:
             self.timer_parked.succeed()
 
     def flush(self, ctx: _QpContext) -> None:
-        """Drop ``ctx``'s retransmit buffer and refund the credits it held,
-        so other QPs keep their bandwidth."""
+        """Drop ``ctx``'s retransmit buffer, refunding the credits it held."""
         if ctx.unacked:
             self.window.put(len(ctx.unacked))
             ctx.unacked.clear()

@@ -15,9 +15,8 @@ from .context import (
 )
 
 #: Request opcodes that end a message, and so take an MSN when admitted.
-_MESSAGE_ENDS = (
-    _WRITE_OPS[2:] + _SEND_OPS[2:]
-    + (RoceOpcode.RDMA_READ_REQUEST, RoceOpcode.FETCH_ADD, RoceOpcode.COMPARE_SWAP)
+_MESSAGE_ENDS = _WRITE_OPS[2:] + _SEND_OPS[2:] + (
+    RoceOpcode.RDMA_READ_REQUEST, RoceOpcode.FETCH_ADD, RoceOpcode.COMPARE_SWAP,
 )
 
 
@@ -38,8 +37,7 @@ class Responder:
         self.responding = False
 
     def drop(self, ctx: _QpContext) -> None:
-        """What a dead connection's peer was still owed goes with it; the
-        responder finds its request gone and moves on to the next."""
+        """What a dead connection's peer was still owed goes with it."""
         if self.owed:
             self.owed = deque(o for o in self.owed if o[0] is not ctx)
 
@@ -91,8 +89,9 @@ class Responder:
                 stack._reliability.on_ack(ctx, packet)
             elif opcode in _READ_RESPONSE_OPS:
                 self._read_response(ctx, packet)
-            elif not (yield from self._admit(ctx, packet)):
-                continue
+            elif (verdict := self._admit(ctx, packet)) is not True:
+                if verdict:  # the refusal's re-ack or NAK
+                    yield from self.ack(ctx, *verdict)
             elif opcode == RoceOpcode.RDMA_READ_REQUEST:
                 # Answered by ``_respond``: the loop goes on to the next frame.
                 self.owed.append((ctx, packet, ctx.qp.msn))
@@ -118,8 +117,9 @@ class Responder:
         stack.stats["cnps_sent"] += 1
         self.env.process(stack._send_packet(cnp), name=f"{stack.name}-cnp")
 
-    def _admit(self, ctx: _QpContext, packet: RocePacket) -> Generator:
-        """PSN admission of an inbound request: True if a handler may run.
+    def _admit(self, ctx: _QpContext, packet: RocePacket) -> bool | tuple | None:
+        """PSN admission of an inbound request: True if a handler may run,
+        else the ``ack`` arguments of the reply the refusal owes, if any.
         The expected PSN takes the request (a READ one PSN per response)
         and, if it ends a message, an MSN.  A duplicate from a go-back-N
         rewind is re-acked, a duplicate READ answered again (IB): its
@@ -140,12 +140,11 @@ class Responder:
             if read:
                 return True
             if not RoceOpcode.has_atomic_eth(opcode):
-                yield from self.ack(ctx, (qp.epsn - 1) % PSN_MOD)
-                return False
+                return ((qp.epsn - 1) % PSN_MOD,)
         if not ctx.nak_sent:
             ctx.nak_sent = True
-            yield from self.ack(ctx, qp.epsn, syndrome=AethHeader.NAK_PSN_SEQUENCE_ERROR)
-        return False
+            return (qp.epsn, AethHeader.NAK_PSN_SEQUENCE_ERROR)
+        return None
 
     # ----------------------------------------------------------- responder
 

@@ -61,11 +61,11 @@ class RdmaStack:
         self._responder = Responder(self, rx_queue if rx_queue is not None else cmac.rx_queue)
         #: True after :meth:`halt` — the whole stack is down (node crash).
         self.halted = False
-        self.stats = dict.fromkeys((
-            "tx_packets", "rx_packets", "retransmissions", "naks_sent", "naks_received",
-            "acks_sent", "qp_errors", "wr_flushes", "ecn_ce_received", "cnps_sent",
-            "cnps_received", "pfc_storm_drops",
-        ), 0)
+        self.stats = {
+            "tx_packets": 0, "rx_packets": 0, "retransmissions": 0, "naks_sent": 0,
+            "naks_received": 0, "acks_sent": 0, "qp_errors": 0, "wr_flushes": 0,
+            "ecn_ce_received": 0, "cnps_sent": 0, "cnps_received": 0, "pfc_storm_drops": 0,
+        }
         env.process(self._responder.loop(), name=f"{name}-rx")
         env.process(self._reliability.timer(), name=f"{name}-timer")
 
@@ -284,9 +284,10 @@ class RdmaStack:
     ) -> Generator:
         """One-sided RDMA WRITE; returns once the peer acked the last packet."""
         ctx = self._armed(qpn)
-        lanes = self._payload_gen(self._mem(ctx)[0], local_vaddr, self._segments(length))
+        read_fn, segments = self._mem(ctx)[0], self._segments(length)
+        lanes = self._payload_gen(read_fn, local_vaddr, segments)
         return (yield from self._reliability.send_queue(
-            ctx, _WRITE_OPS, "WRITE", length, wr_id, lanes, remote_vaddr
+            ctx, _WRITE_OPS, "WRITE", segments, wr_id, lanes, remote_vaddr
         ))
 
     def rdma_read(
@@ -334,7 +335,7 @@ class RdmaStack:
         """Two-sided SEND of a single message."""
         ctx = self._armed(qpn)
         return (yield from self._reliability.send_queue(
-            ctx, _SEND_OPS, "SEND", len(payload), wr_id, payload
+            ctx, _SEND_OPS, "SEND", self._segments(len(payload)), wr_id, payload
         ))
 
     def recv(self, qpn: int) -> Generator:
