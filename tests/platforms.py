@@ -4,7 +4,7 @@ The same designs the benchmarks and the paper figures run, scaled down
 to where checking them exactly is cheap (ZynqParrot's scale-down idea,
 PAPERS.md): a bare RDMA group on one switch, a card, a card with the HLL
 and AES kernels under an :class:`~repro.api.AppScheduler`, and an
-RDMA-enabled cluster.  A test file asks for one here instead of wiring
+RDMA-enabled cluster, bare or with a scheduler per node.  A test file asks for one here instead of wiring
 its own, so a model's constructor changes in one place.
 
 :func:`twice_sanitized` is the double run under a fresh
@@ -135,6 +135,20 @@ def rdma_cluster(nodes=2, plan=None, page_size=None, retransmit_timeout_ns=50_00
     if plan is not None:
         FaultInjector(plan).arm_cluster(built)
     return env, built
+
+
+def scheduled_cluster(nodes=2, plan=None):
+    """:func:`rdma_cluster` on 4 KiB pages whose every node has a
+    scheduler on region 0 serving ``"aes"`` (idempotent) and ``"hll"``
+    (not).  Returns ``(env, cluster, schedulers)``, one per node."""
+    env, built = rdma_cluster(nodes, plan=plan, page_size=4096)
+    schedulers = []
+    for node in built.nodes:
+        scheduler = AppScheduler(node.driver)
+        scheduler.register("aes", bitstream(node.shell, "aes_ecb"), AesEcbApp, idempotent=True)
+        scheduler.register("hll", bitstream(node.shell, "hll"), HllApp)
+        schedulers.append(scheduler)
+    return env, built, schedulers
 
 
 # ------------------------------------------------------------- sanitizer
