@@ -88,7 +88,7 @@ class AppScheduler:
         self.cached_bitstreams = cached_bitstreams
         self.admission = admission
         self.max_queue_depth = max_queue_depth
-        self._kernels: Dict[str, KernelRegistration] = {}
+        self.kernels: Dict[str, KernelRegistration] = {}
         self._queue: List[_Request] = []
         #: Edge-triggered wakeup: armed (a pending Event) only while the
         #: loop is idle with an empty queue.  Submitters fire the edge at
@@ -152,9 +152,24 @@ class AppScheduler:
         factory: Callable[[], UserApp],
         idempotent: bool = False,
     ) -> None:
-        if name in self._kernels:
+        if name in self.kernels:
             raise SchedulerError(f"kernel {name!r} already registered")
-        self._kernels[name] = KernelRegistration(name, bitstream, factory, idempotent)
+        self.kernels[name] = KernelRegistration(name, bitstream, factory, idempotent)
+
+    def load(self, kernel: str, cached: bool) -> Generator:
+        """Program the region with registered ``kernel`` through the PR
+        path — the one place that sets ``loaded``/``loaded_app``.  A load
+        that replaces another kernel counts as a reconfiguration;
+        reloading the resident one (after a reset or an upgrade) does not."""
+        registration = self.kernels[kernel]
+        switch = kernel != self.loaded
+        yield from self.driver.reconfigure_app(
+            registration.bitstream, self.vfpga_id, registration.factory(), cached=cached
+        )
+        if switch:
+            self.reconfigurations += 1
+        self.loaded = kernel
+        self.loaded_app = self.driver.shell.vfpgas[self.vfpga_id].app
 
     @property
     def has_work(self) -> bool:
@@ -169,7 +184,7 @@ class AppScheduler:
         ``body(app)`` must be a generator function receiving the loaded
         :class:`UserApp`; it runs once the kernel is resident.
         """
-        if kernel not in self._kernels:
+        if kernel not in self.kernels:
             raise SchedulerError(f"unknown kernel {kernel!r}")
         if self.quarantined:
             raise QuarantinedError(self.vfpga_id)
@@ -269,22 +284,14 @@ class AppScheduler:
     def _serve(self, request: _Request) -> Generator:
         """Serve one picked request: reconfigure if needed, run the body,
         deliver the result/failure to the submitter."""
-        if self._slots is not None and request.holds_slot:
-            self._slots.put(1)
-            request.holds_slot = False
+        self._refund(request)
         self._running = request
         self.queue_wait.observe(self.env.now - request.submitted_at)
         try:
             if request.kernel != self.loaded:
-                registration = self._kernels[request.kernel]
                 try:
                     yield self.env.process(
-                        self.driver.reconfigure_app(
-                            registration.bitstream,
-                            self.vfpga_id,
-                            registration.factory(),
-                            cached=self.cached_bitstreams,
-                        )
+                        self.load(request.kernel, self.cached_bitstreams)
                     )
                 except Exception as exc:
                     # A reconfiguration that exhausted the driver's
@@ -294,9 +301,6 @@ class AppScheduler:
                     self.reconfig_failures += 1
                     request.done.fail(exc)
                     return
-                self.loaded = request.kernel
-                self.loaded_app = self.driver.shell.vfpgas[self.vfpga_id].app
-                self.reconfigurations += 1
             else:
                 self.affinity_hits += 1
             # A recovery may have started while this request was
@@ -338,10 +342,11 @@ class AppScheduler:
     def quiesce(self, exc: Exception) -> None:
         """Pause the loop and abort the in-flight request (recovery step 1).
 
-        Called synchronously by :class:`repro.health.RecoveryManager`
-        while the region is being decoupled.  A request mid-PR is left to
-        finish its reconfiguration (the ICAP is a shared shell resource;
-        the pause gate holds its body until the region is re-coupled).
+        Called synchronously by :meth:`repro.driver.Driver.quiesce_region`
+        (and by a node crash) while the region is being decoupled.  A
+        request mid-PR is left to finish its reconfiguration (the ICAP is
+        a shared shell resource; the pause gate holds its body until the
+        region is re-coupled).
         """
         self._paused = True
         proc = self._running_proc
@@ -360,31 +365,17 @@ class AppScheduler:
         aborted, self._aborted = self._aborted, None
         if quarantined:
             self.quarantined = True
-            failed = list(self._queue)
-            self._queue.clear()
+            failed, self._queue = self._queue, []
             if aborted is not None:
                 failed.append(aborted)
             for request in failed:
-                if self._slots is not None and request.holds_slot:
-                    self._slots.put(1)
-                    request.holds_slot = False
+                self._refund(request)
                 if not request.done.triggered:
                     request.done.fail(QuarantinedError(self.vfpga_id))
-        elif aborted is not None:
-            if self._kernels[aborted.kernel].idempotent:
-                self._queue.insert(0, aborted)
-                self._notify()
-                self.replayed += 1
-            else:
-                self.replay_rejected += 1
-                if not aborted.done.triggered:
-                    aborted.done.fail(
-                        RecoveredError(self.vfpga_id, "in-flight request aborted")
-                    )
-        self._paused = False
-        gate, self._gate = self._gate, None
-        if gate is not None and not gate.triggered:
-            gate.succeed()
+        elif aborted is not None and self._replays(aborted, self, "in-flight request aborted"):
+            self._queue.insert(0, aborted)
+            self._notify()
+        self._reopen()
         if self.driver.health is not None:
             self.driver.health.notify_activity()
 
@@ -411,23 +402,15 @@ class AppScheduler:
         aborted, self._aborted = self._aborted, None
         moved: List[_Request] = []
         rejected = 0
-        replayed = 0
         if aborted is not None:
-            registration = dst._kernels.get(aborted.kernel)
-            if registration is not None and registration.idempotent:
+            if self._replays(aborted, dst, "aborted by migration"):
                 moved.append(aborted)
-                replayed += 1
-                dst.replayed += 1
             else:
                 rejected += 1
-                self.replay_rejected += 1
-                if not aborted.done.triggered:
-                    aborted.done.fail(
-                        RecoveredError(self.vfpga_id, "aborted by migration")
-                    )
+        replayed = len(moved)
         queued, self._queue = self._queue, []
         for request in queued:
-            if request.kernel in dst._kernels:
+            if request.kernel in dst.kernels:
                 moved.append(request)
             else:
                 rejected += 1
@@ -439,13 +422,9 @@ class AppScheduler:
                             f"the migration destination",
                         )
                     )
+        # The aborted request gave its slot back when it was served.
         for request in queued:
-            if self._slots is not None and request.holds_slot:
-                self._slots.put(1)
-            request.holds_slot = False
-        if aborted is not None and self._slots is not None and aborted.holds_slot:
-            self._slots.put(1)
-            aborted.holds_slot = False
+            self._refund(request)
         dst._queue.extend(moved)
         if len(dst._queue) > dst.queue_depth_high_water:
             dst.queue_depth_high_water = len(dst._queue)
@@ -453,11 +432,34 @@ class AppScheduler:
         dst.transplanted_in += len(moved)
         dst._notify()
         # Re-open this loop: its queue is empty, so it parks idle.
+        self._reopen()
+        return len(moved), replayed, rejected
+
+    def _replays(self, request: _Request, dst: "AppScheduler", reason: str) -> bool:
+        """The replay-or-reject decision for a request aborted in flight:
+        it replays on ``dst`` iff its kernel is registered idempotent
+        there; otherwise its submitter gets a :class:`RecoveredError`."""
+        registration = dst.kernels.get(request.kernel)
+        if registration is not None and registration.idempotent:
+            dst.replayed += 1
+            return True
+        self.replay_rejected += 1
+        if not request.done.triggered:
+            request.done.fail(RecoveredError(self.vfpga_id, reason))
+        return False
+
+    def _refund(self, request: _Request) -> None:
+        """Give back the admission slot ``request`` holds, if any."""
+        if self._slots is not None and request.holds_slot:
+            self._slots.put(1)
+        request.holds_slot = False
+
+    def _reopen(self) -> None:
+        """Lift the recovery pause and wake a loop parked on its gate."""
         self._paused = False
         gate, self._gate = self._gate, None
         if gate is not None and not gate.triggered:
             gate.succeed()
-        return len(moved), replayed, rejected
 
     # ------------------------------------------------------------ telemetry
 

@@ -150,7 +150,7 @@ class FpgaCluster:
         node.driver.node_down = True
         for vfpga in node.shell.vfpgas:
             node.driver.fail_pending(vfpga.vfpga_id, exc)
-        for scheduler in node.driver.schedulers:
+        for scheduler in node.driver.schedulers.values():
             scheduler.quiesce(exc)
         self.note_admin_event("node_crashed", index, reason)
 
@@ -171,7 +171,7 @@ class FpgaCluster:
             for qpn in sorted(rdma.qps):
                 rdma.reset_qp(qpn)
         node.driver.node_down = False
-        for scheduler in node.driver.schedulers:
+        for scheduler in node.driver.schedulers.values():
             scheduler.resume_after_recovery(quarantined=False)
         if self.monitor is not None:
             self.monitor.on_node_restored(index)
@@ -240,35 +240,26 @@ class FpgaCluster:
                 except TransferAbortedError:
                     # The tenant fell back to the source; try another peer.
                     tried.append(dst)
-        for scheduler in sorted(
-            node.driver.schedulers, key=lambda s: s.vfpga_id
-        ):
+        for vfpga_id, scheduler in sorted(node.driver.schedulers.items()):
             if not scheduler.has_work:
                 continue
             for dst in sorted(
                 targets, key=lambda i: (len(self.nodes[i].driver.processes), i)
             ):
-                if migrator._scheduler(self.nodes[dst], scheduler.vfpga_id) is not None:
-                    yield from migrator.migrate_queue(
-                        index, dst, scheduler.vfpga_id
-                    )
+                if vfpga_id in self.nodes[dst].driver.schedulers:
+                    yield from migrator.migrate_queue(index, dst, vfpga_id)
                     break
         return records
 
-    def rolling_upgrade(
-        self,
-        bitstreams: Optional[Dict[str, object]] = None,
-        reason: str = "upgrade",
-    ) -> Generator:
+    def rolling_upgrade(self, reason: str = "upgrade") -> Generator:
         """Upgrade every live node in sequence, under live traffic.
 
         Per node: drain its tenants to peers, fence it like a crash
         (ports black-holed, heartbeats see it down), re-program each
-        loaded region through the ICAP bitstream cache (``bitstreams``
-        maps kernel name -> replacement bitstream; defaults to the
-        registered one), bump ``shell_version``, rejoin the fabric
-        (heartbeat pairs re-arm), and rebalance tenants back.  Returns a
-        per-node summary list.
+        scheduler's resident kernel through the ICAP bitstream cache,
+        bump ``shell_version``, rejoin the fabric (heartbeat pairs
+        re-arm), and rebalance tenants back.  Returns a per-node summary
+        list.
         """
         if len(self.alive_indices()) < 2:
             raise ValueError("rolling upgrade needs at least two live nodes")
@@ -280,23 +271,10 @@ class FpgaCluster:
             records = yield from self.drain_node(index, reason=reason)
             self.crash_node(index, reason=reason)
             regions = 0
-            for scheduler in sorted(
-                node.driver.schedulers, key=lambda s: s.vfpga_id
-            ):
-                if scheduler.loaded is None:
-                    continue
-                registration = scheduler._kernels[scheduler.loaded]
-                bitstream = (bitstreams or {}).get(
-                    scheduler.loaded, registration.bitstream
-                )
-                yield from node.driver.reconfigure_app(
-                    bitstream,
-                    scheduler.vfpga_id,
-                    registration.factory(),
-                    cached=True,
-                )
-                scheduler.loaded_app = node.shell.vfpgas[scheduler.vfpga_id].app
-                regions += 1
+            for _vfpga_id, scheduler in sorted(node.driver.schedulers.items()):
+                if scheduler.loaded is not None:
+                    yield from scheduler.load(scheduler.loaded, cached=True)
+                    regions += 1
             node.shell_version += 1
             self.restore_node(index, reason=reason)
             self.upgrades += 1

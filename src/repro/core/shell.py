@@ -9,7 +9,7 @@ reconfiguration with the linked-shell safety check.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Generator, List, Optional, Tuple
+from typing import Generator, List, Optional
 
 from ..net.headers import MacAddress
 from ..net.switch import Switch
@@ -87,9 +87,6 @@ class Shell:
         self.app_reconfigs = 0
         #: Armed :class:`repro.faults.FaultInjector`, or ``None``.
         self.fault_injector = None
-        #: Last successfully programmed (bitstream, app) per vFPGA, the
-        #: rollback target after an ICAP CRC failure.
-        self._last_good_app: Dict[int, Tuple[Bitstream, UserApp]] = {}
         self.icap_rollbacks = 0
 
     # -------------------------------------------------------------- wiring
@@ -176,7 +173,7 @@ class Shell:
             yield self.env.process(self._rollback_app(vfpga_id))
             raise
         self.vfpgas[vfpga_id].load_app(app)
-        self._last_good_app[vfpga_id] = (bitstream, app)
+        self.vfpgas[vfpga_id].last_good = (bitstream, app)
         self.app_reconfigs += 1
 
     #: Bound on back-to-back CRC failures while restoring a region.
@@ -184,7 +181,7 @@ class Shell:
 
     def _rollback_app(self, vfpga_id: int) -> Generator:
         """Re-program the last-good bitstream after a CRC failure."""
-        last = self._last_good_app.get(vfpga_id)
+        last = self.vfpgas[vfpga_id].last_good
         if last is None:
             # Nothing to roll back to: leave the region empty.
             self.vfpgas[vfpga_id].unload_app()
@@ -248,7 +245,6 @@ class Shell:
             switch=self._switch, mac=self._mac, ip=self._ip,
         )
         self.vfpgas = []
-        self._last_good_app.clear()
         for index in range(self.config.num_vfpgas):
             self._make_vfpga(index)
         if self.fault_injector is not None:
@@ -273,9 +269,7 @@ class Shell:
             )
         vfpga = self.vfpgas[vfpga_id]
         vfpga.load_app(app)
-        # Recovery/rollback target: a None bitstream marks an app loaded
-        # at initial configuration (restoring it charges no PR).
-        self._last_good_app[vfpga_id] = (None, app)
+        vfpga.last_good = (None, app)
         return vfpga
 
     # ----------------------------------------------------------- host entry

@@ -9,7 +9,7 @@ through which the hardware can source its own DMA.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Generator, List, Optional
+from typing import Callable, Dict, Generator, List, Optional, Tuple
 
 from ..axi.lite import RegisterFile
 from ..axi.stream import AxiStream
@@ -17,6 +17,7 @@ from ..axi.types import Flit
 from ..faults.plan import APP_HANG, APP_WEDGE_CREDIT
 from ..sim.engine import Environment, Event, Process
 from ..sim.resources import Store
+from .bitstream import Bitstream
 from .credit import CreditConfig, Crediter
 from .interfaces import CompletionEntry, Descriptor, StreamType
 
@@ -103,6 +104,10 @@ class VFpga:
             StreamType.NET: Crediter(env, credits.net_credits, f"v{vfpga_id}-net-wr"),
         }
         self.app: Optional[UserApp] = None
+        #: ``(bitstream, app)`` last programmed successfully, the rollback
+        #: and recovery target; a ``None`` bitstream marks an app loaded at
+        #: initial configuration (restoring it charges no PR).
+        self.last_good: Optional[Tuple[Optional[Bitstream], UserApp]] = None
         self._app_proc: Optional[Process] = None
         self._children: List[Process] = []
         self.interrupts_sent = 0

@@ -135,9 +135,9 @@ class Driver:
         self.mrs_registered = 0
         self.mrs_deregistered = 0
         self._wr_ids = itertools.count(1)
-        #: AppSchedulers driving this card's regions; they register
-        #: themselves so card_report() can harvest their telemetry.
-        self.schedulers: List = []
+        #: The AppScheduler driving each region, by vFPGA id; they
+        #: register themselves, at most one per region.
+        self.schedulers: Dict[int, object] = {}
         #: Per-region completions demuxed to software — a forward-progress
         #: signal the health watchdogs sample.
         self.completions_delivered: Dict[int, int] = {}
@@ -157,9 +157,10 @@ class Driver:
         self.cluster_health = None
 
     def attach_scheduler(self, scheduler) -> None:
-        """Register an :class:`repro.api.AppScheduler` for telemetry."""
-        if scheduler not in self.schedulers:
-            self.schedulers.append(scheduler)
+        """Register the :class:`repro.api.AppScheduler` of one region."""
+        if scheduler.vfpga_id in self.schedulers:
+            raise DriverError(f"vFPGA {scheduler.vfpga_id} already has a scheduler")
+        self.schedulers[scheduler.vfpga_id] = scheduler
 
     def attach_health(self, monitor) -> None:
         """Register the card's :class:`repro.health.HealthMonitor`."""
@@ -941,6 +942,26 @@ class Driver:
             ctx.rings.fail_all(exc)
             for ctx in self.processes.values()
             if ctx.vfpga_id == vfpga_id
+        )
+
+    def quiesce_region(self, vfpga_id: int, exc: Exception, drain_ns: float) -> Generator:
+        """Stop a region for a reset or a move: pause its scheduler (its
+        in-flight request aborts with ``exc``), stop its mover units, then
+        wait ``drain_ns`` for packets already in the shared pipeline to
+        retire."""
+        scheduler = self.schedulers.get(vfpga_id)
+        if scheduler is not None:
+            scheduler.quiesce(exc)
+        for mover in self.shell.dynamic.movers.values():
+            mover.quiesce_region(vfpga_id)
+        yield self.env.timeout(drain_ns)
+
+    def restart_region(self, vfpga_id: int) -> int:
+        """Respawn a quiesced region's mover units with empty queues;
+        returns how many queued descriptors they dropped."""
+        return sum(
+            mover.restart_region(vfpga_id)
+            for mover in self.shell.dynamic.movers.values()
         )
 
     def recover(self, vfpga_id: int, reason: str = "manual") -> Generator:

@@ -100,9 +100,9 @@ class HealthMonitor:
                 total += crediter.acquired_total
             for crediter in vfpga.wr_credits.values():
                 total += crediter.acquired_total
-            for scheduler in driver.schedulers:
-                if scheduler.vfpga_id == vfpga_id:
-                    total += scheduler.requests_served + scheduler.reconfigurations
+            scheduler = driver.schedulers.get(vfpga_id)
+            if scheduler is not None:
+                total += scheduler.requests_served + scheduler.reconfigurations
             return total
 
         return progress
@@ -122,10 +122,8 @@ class HealthMonitor:
         for ctx in driver.processes.values():
             if ctx.vfpga_id == vfpga_id and ctx.rings.outstanding:
                 return True
-        for scheduler in driver.schedulers:
-            if scheduler.vfpga_id == vfpga_id and scheduler.has_work:
-                return True
-        return False
+        scheduler = driver.schedulers.get(vfpga_id)
+        return scheduler is not None and scheduler.has_work
 
     def _stuck_pids(self, vfpga_id: int, now: float) -> Tuple[int, ...]:
         """Per-cThread watchdog: pids with a work request in flight

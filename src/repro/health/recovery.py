@@ -33,7 +33,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Deque, Dict, Generator, List
+from typing import Deque, Dict, Generator
 
 from .errors import RecoveredError
 
@@ -146,18 +146,10 @@ class RecoveryManager:
 
     def _recover(self, region: _RegionRecovery, vfpga_id: int, reason: str) -> Generator:
         driver = self.driver
-        shell = driver.shell
-        vfpga = shell.vfpgas[vfpga_id]
+        vfpga = driver.shell.vfpgas[vfpga_id]
+        scheduler = driver.schedulers.get(vfpga_id)
         region.state = RegionState.RECOVERING
         vfpga.decoupled = True
-
-        # 1. Decouple: fail software's pending completions and pause the
-        # region's scheduler (it hands over its in-flight request).
-        exc = RecoveredError(vfpga_id, reason)
-        self.completions_failed += driver.fail_pending(vfpga_id, exc)
-        schedulers = [s for s in driver.schedulers if s.vfpga_id == vfpga_id]
-        for scheduler in schedulers:
-            scheduler.quiesce(exc)
 
         # Circuit breaker: decide up front whether this attempt trips it,
         # so a tenant being evicted never costs another ICAP program.
@@ -167,73 +159,60 @@ class RecoveryManager:
             window.popleft()
         quarantine = len(window) >= self.config.breaker_threshold
 
-        # 2. Quiesce: stop the region's request units, then let packets
-        # already in the shared pipeline retire.
-        movers = list(shell.dynamic.movers.values())
-        for mover in movers:
-            mover.quiesce_region(vfpga_id)
-        yield self.env.timeout(self.config.drain_ns)
+        # 1. Decouple: fail software's pending completions; 2. quiesce:
+        # pause the region's scheduler (it hands over its in-flight
+        # request), stop its request units, let the shared pipeline drain.
+        exc = RecoveredError(vfpga_id, reason)
+        self.completions_failed += driver.fail_pending(vfpga_id, exc)
+        yield from driver.quiesce_region(vfpga_id, exc, self.config.drain_ns)
 
         # 3. Reset: wipe user logic, stream FIFOs, queues and credits;
         # invalidate the tenant's TLB entries.
         vfpga.unload_app()
         self.descriptors_dropped += vfpga.reset_datapath()
-        mmu = shell.dynamic.mmus.get(vfpga_id)
+        mmu = driver.shell.dynamic.mmus.get(vfpga_id)
         if mmu is not None:
             self.tlb_entries_flushed += mmu.flush()
-        for mover in movers:
-            self.descriptors_dropped += mover.restart_region(vfpga_id)
+        self.descriptors_dropped += driver.restart_region(vfpga_id)
 
         # 4. Reprogram or quarantine.
         if not quarantine:
             try:
-                yield from self._restore(vfpga_id, schedulers)
+                yield from self._restore(vfpga_id, scheduler)
             except Exception:
                 # The region cannot be restored (e.g. persistent ICAP CRC
                 # failures): take it out of service instead of crashing.
                 quarantine = True
+        vfpga.decoupled = False
         if quarantine:
             vfpga.quarantined = True
-            vfpga.decoupled = False
             self.quarantines += 1
             region.state = RegionState.QUARANTINED
-            for scheduler in schedulers:
-                scheduler.resume_after_recovery(quarantined=True)
-            return
-
-        vfpga.decoupled = False
-        region.recoveries += 1
-        region.state = RegionState.DEGRADED
+        else:
+            region.recoveries += 1
+            region.state = RegionState.DEGRADED
 
         # 5. Replay or reject queued work per the idempotency policy.
-        for scheduler in schedulers:
-            scheduler.resume_after_recovery(quarantined=False)
+        if scheduler is not None:
+            scheduler.resume_after_recovery(quarantined=quarantine)
 
-    def _restore(self, vfpga_id: int, schedulers: List) -> Generator:
-        """Reprogram the region through the existing reconfig path."""
-        driver = self.driver
-        shell = driver.shell
-        scheduler = schedulers[0] if schedulers else None
+    def _restore(self, vfpga_id: int, scheduler) -> Generator:
+        """Reprogram the region: the scheduler's resident kernel, else the
+        region's last-good app."""
         if scheduler is not None and scheduler.loaded is not None:
-            registration = scheduler._kernels[scheduler.loaded]
-            yield driver.env.process(
-                driver.reconfigure_app(
-                    registration.bitstream,
-                    vfpga_id,
-                    registration.factory(),
-                    cached=scheduler.cached_bitstreams,
-                )
+            yield self.env.process(
+                scheduler.load(scheduler.loaded, scheduler.cached_bitstreams)
             )
-            scheduler.loaded_app = shell.vfpgas[vfpga_id].app
             return
-        last = shell._last_good_app.get(vfpga_id)
+        driver = self.driver
+        last = driver.shell.vfpgas[vfpga_id].last_good
         if last is None:
             return  # region was empty; leave it empty
         bitstream, app = last
         if bitstream is None:
             # Loaded at initial configuration: no PR charge, plain reload.
-            shell.load_app(vfpga_id, app)
+            driver.shell.load_app(vfpga_id, app)
         else:
-            yield driver.env.process(
+            yield self.env.process(
                 driver.reconfigure_app(bitstream, vfpga_id, app, cached=True)
             )

@@ -105,16 +105,9 @@ class LiveMigrator:
         return self._channels[key]
 
     @staticmethod
-    def _scheduler(node, vfpga_id: int):
-        for scheduler in node.driver.schedulers:
-            if scheduler.vfpga_id == vfpga_id:
-                return scheduler
-        return None
-
-    def _resume_source(self, node, vfpga_id: int, scheduler) -> None:
+    def _resume_source(node, vfpga_id: int, scheduler) -> None:
         """Fallback-to-source: restart the region and replay-or-reject."""
-        for mover in node.shell.dynamic.movers.values():
-            mover.restart_region(vfpga_id)
+        node.driver.restart_region(vfpga_id)
         if scheduler is not None:
             scheduler.resume_after_recovery(quarantined=False)
 
@@ -147,8 +140,8 @@ class LiveMigrator:
         if pid in dst_node.driver.processes:
             raise MigrateError(f"pid {pid} already registered on node {dst}")
 
-        src_sched = self._scheduler(src_node, vfpga_id)
-        dst_sched = self._scheduler(dst_node, vfpga_id)
+        src_sched = src_node.driver.schedulers.get(vfpga_id)
+        dst_sched = dst_node.driver.schedulers.get(vfpga_id)
         kernel = src_sched.loaded if src_sched is not None else None
         channel = self._channel(src, dst)
         record = MigrationRecord(pid=pid, src=src, dst=dst, started_ns=self.env.now)
@@ -178,11 +171,9 @@ class LiveMigrator:
         record.state = "QUIESCING"
         pause_start = self.env.now
         quiesce_exc = MigratedError(vfpga_id, f"pid {pid} migrating to node {dst}")
-        if src_sched is not None:
-            src_sched.quiesce(quiesce_exc)
-        for mover in src_node.shell.dynamic.movers.values():
-            mover.quiesce_region(vfpga_id)
-        yield self.env.timeout(self.config.drain_ns)
+        yield from src_node.driver.quiesce_region(
+            vfpga_id, quiesce_exc, self.config.drain_ns
+        )
 
         # SNAPSHOT: capture control state (including still-pending WR
         # keys), then flush those waiters, then diff the dirty pages.
@@ -240,8 +231,7 @@ class LiveMigrator:
             self.replay_rejects += rejected
         elif src_sched is not None:
             src_sched.resume_after_recovery(quarantined=False)
-        for mover in src_node.shell.dynamic.movers.values():
-            mover.restart_region(vfpga_id)
+        src_node.driver.restart_region(vfpga_id)
         src_node.driver.close(pid, reason=f"migrated to node {dst}")
         record.pause_ns = self.env.now - pause_start
         self.pause_hist.observe(record.pause_ns)
@@ -261,19 +251,10 @@ class LiveMigrator:
         if (
             kernel is not None
             and dst_sched is not None
-            and kernel in dst_sched._kernels
+            and kernel in dst_sched.kernels
             and dst_sched.loaded != kernel
         ):
-            registration = dst_sched._kernels[kernel]
-            yield from dst_node.driver.reconfigure_app(
-                registration.bitstream,
-                vfpga_id,
-                registration.factory(),
-                cached=True,
-            )
-            dst_sched.loaded = kernel
-            dst_sched.loaded_app = dst_node.shell.vfpgas[vfpga_id].app
-            dst_sched.reconfigurations += 1
+            yield from dst_sched.load(kernel, cached=True)
         elif app_factory is not None and dst_node.shell.vfpgas[vfpga_id].app is None:
             dst_node.shell.load_app(vfpga_id, app_factory())
 
@@ -307,8 +288,8 @@ class LiveMigrator:
         """
         src_node = self.cluster.nodes[src]
         dst_node = self.cluster.nodes[dst]
-        src_sched = self._scheduler(src_node, vfpga_id)
-        dst_sched = self._scheduler(dst_node, vfpga_id)
+        src_sched = src_node.driver.schedulers.get(vfpga_id)
+        dst_sched = dst_node.driver.schedulers.get(vfpga_id)
         if src_sched is None or dst_sched is None:
             raise MigrateError(
                 f"queue migration needs schedulers on region {vfpga_id} of "
@@ -316,17 +297,13 @@ class LiveMigrator:
             )
         pause_start = self.env.now
         exc = MigratedError(vfpga_id, f"region {vfpga_id} draining to node {dst}")
-        src_sched.quiesce(exc)
-        for mover in src_node.shell.dynamic.movers.values():
-            mover.quiesce_region(vfpga_id)
-        yield self.env.timeout(self.config.drain_ns)
+        yield from src_node.driver.quiesce_region(vfpga_id, exc, self.config.drain_ns)
         src_node.driver.fail_pending(vfpga_id, exc)
         moved, replayed, rejected = src_sched.transplant_to(dst_sched)
         self.queue_transplants += moved
         self.replays += replayed
         self.replay_rejects += rejected
-        for mover in src_node.shell.dynamic.movers.values():
-            mover.restart_region(vfpga_id)
+        src_node.driver.restart_region(vfpga_id)
         self.pause_hist.observe(self.env.now - pause_start)
         return moved
 

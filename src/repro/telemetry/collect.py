@@ -35,7 +35,7 @@ def collect_card_metrics(driver, registry: MetricsRegistry = None) -> MetricsReg
     queue = reg.gauge("sim.event_queue")
     queue.set(env.pending)
     queue.high_water = max(queue.high_water, env.queue_high_water)
-    requests_served = sum(s.requests_served for s in driver.schedulers)
+    requests_served = sum(s.requests_served for s in driver.schedulers.values())
     if requests_served:
         reg.gauge("sim.events_per_request").set(
             env.events_processed / requests_served
@@ -126,7 +126,7 @@ def collect_card_metrics(driver, registry: MetricsRegistry = None) -> MetricsReg
             _set_counter(reg, f"net.tcp_{key}", value)
 
     # -- scheduler: every AppScheduler attached to this driver -----------
-    for scheduler in driver.schedulers:
+    for scheduler in driver.schedulers.values():
         scheduler.export_metrics(reg)
 
     # -- health: watchdog verdicts + recovery pipeline -------------------
@@ -223,7 +223,7 @@ class ClusterTelemetry:
             rx = rdma.stats["rx_packets"]
             flushes = rdma.stats["wr_flushes"]
         sched = 0
-        for scheduler in driver.schedulers:
+        for scheduler in driver.schedulers.values():
             sched += (
                 scheduler.requests_served
                 + scheduler.reconfigurations
