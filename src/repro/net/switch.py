@@ -155,6 +155,9 @@ class _EgressPort:
         self.paused_since: Optional[float] = None
         self.pfc_muted = False  # storm mitigation: ignore further pauses
         self._parked: Optional[Event] = None
+        #: What a paused drain waits on: its hold timer, an XON or a storm
+        #: break, whichever comes first, triggers it.
+        self._held: Optional[Event] = None
         switch.env.process(self._drain(), name=self.name)
 
     # -- downstream-asserted PFC ----------------------------------------
@@ -180,12 +183,21 @@ class _EgressPort:
         self.switch.pause_resumes_received += 1
         self.paused_since = None
         self.paused_until = self.switch.env.now
+        self._release()
 
     def break_pause(self, _exc: Exception) -> None:
         """Storm mitigation: drop the pause and ignore future ones."""
         self.pfc_muted = True
         self.paused_since = None
         self.paused_until = self.switch.env.now
+        self._release()
+
+    def _release(self, _timer: Optional[Event] = None) -> None:
+        """Wake a drain held by the pause; it re-checks whether the pause
+        still holds (a stale hold timer may fire after a newer XOFF)."""
+        held = self._held
+        if held is not None and not held.triggered:
+            held.succeed()
 
     # -- queue ----------------------------------------------------------
 
@@ -232,7 +244,10 @@ class _EgressPort:
                 self._parked = None
                 continue
             while env.now < self.paused_until and not self.pfc_muted:
-                yield env.timeout(self.paused_until - env.now)
+                self._held = Event(env)
+                env.timeout(self.paused_until - env.now).callbacks.append(self._release)
+                yield self._held
+                self._held = None
             packet, counted, wire_len, source, extra_delay = self.queue.popleft()
             # Cut-through: the head of the frame leaves after the fixed
             # forwarding latency (plus any fault detour), while the queue
