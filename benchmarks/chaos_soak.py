@@ -6,7 +6,9 @@ test seeds miss: every seed arms ``app.hang`` + ``net.drop`` against a
 two-node cluster (compute on one region, RDMA across the lossy switch)
 and checks the safety invariants the unit tests assert for a single
 seed.  A per-seed wall-clock alarm converts any simulation livelock into
-a loud failure instead of a hung CI job.
+a loud failure instead of a hung CI job.  With ``REPRO_SANITIZE=1``
+every seed also runs under the process-wide SimSanitizer, and a seed
+that records any violation fails.
 
 Usage::
 
@@ -26,6 +28,7 @@ sys.path.insert(0, "src")
 import numpy as np  # noqa: E402
 
 from repro import CThread, Environment, Oper, RdmaSg, SgEntry  # noqa: E402
+from repro.analysis import sanitizer as _sanitizer  # noqa: E402
 from repro.api import AppScheduler  # noqa: E402
 from repro.apps import AesEcbApp, PassThroughApp  # noqa: E402
 from repro.cluster import FpgaCluster  # noqa: E402
@@ -565,12 +568,18 @@ def run_congestion_seed(seed: int) -> dict:
 
 
 def _soak(name, fn, seeds, timeout, render) -> int:
+    """Run ``fn`` for every seed; a seed fails on a broken invariant, a
+    wall-clock timeout or — under ``REPRO_SANITIZE=1`` — any violation
+    the process-wide sanitizer recorded during it."""
     failures = 0
+    sanitizer = _sanitizer.current()
     for seed in range(seeds):
         start = time.monotonic()
         signal.alarm(timeout)
         try:
             row = fn(seed)
+            if sanitizer is not None and sanitizer.violations:
+                raise AssertionError(sanitizer.report())
         except SoakTimeout:
             failures += 1
             print(f"{name} seed {seed:4d}  TIMEOUT after {timeout}s "
@@ -582,6 +591,8 @@ def _soak(name, fn, seeds, timeout, render) -> int:
             continue
         finally:
             signal.alarm(0)
+            if sanitizer is not None:
+                sanitizer.reset()
         elapsed = time.monotonic() - start
         print(f"{name} seed {seed:4d}  ok  {render(row)} "
               f"sim={row['sim_ns']:.0f}ns wall={elapsed:.1f}s", flush=True)
