@@ -32,7 +32,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from .modules import SourceModule
+from .modules import SourceModule, own_nodes
 
 __all__ = ["ProjectIndex", "FunctionInfo", "EventUse", "build_index"]
 
@@ -144,7 +144,7 @@ class ProjectIndex:
         info = FunctionInfo(
             name=node.name, class_name=class_name, module=module, node=node
         )
-        info.own_nodes = _own_nodes(node)
+        info.own_nodes = own_nodes(node)
         info.is_generator = any(
             isinstance(n, (ast.Yield, ast.YieldFrom)) for n in info.own_nodes
         )
@@ -357,18 +357,6 @@ class ProjectIndex:
                 continue
             uses.append(EventUse("escape", node.lineno, fn))
         return uses
-
-
-def _own_nodes(func: ast.AST) -> List[ast.AST]:
-    """Every node in the function body excluding nested function scopes."""
-    out: List[ast.AST] = []
-    stack: List[ast.AST] = list(ast.iter_child_nodes(func))
-    while stack:
-        node = stack.pop()
-        out.append(node)
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            stack.extend(ast.iter_child_nodes(node))
-    return out
 
 
 def build_index(modules: Iterable[SourceModule]) -> ProjectIndex:

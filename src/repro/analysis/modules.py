@@ -27,7 +27,7 @@ from typing import Dict, List, Optional
 
 from .waivers import WaiverSet
 
-__all__ = ["SourceModule", "load_module", "iter_python_files"]
+__all__ = ["SourceModule", "load_module", "iter_python_files", "own_nodes"]
 
 _SIM_MODULE_MARKERS = ("repro.sim", ".sim", "sim.engine")
 
@@ -66,6 +66,18 @@ class SourceModule:
             if local is not None:
                 return f"{local}.{inner.attr}.{node.attr}" == dotted
         return False
+
+
+def own_nodes(func: ast.AST) -> List[ast.AST]:
+    """Every node in a function body, excluding nested function scopes."""
+    out: List[ast.AST] = []
+    stack: List[ast.AST] = list(ast.iter_child_nodes(func))
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+    return out
 
 
 def _collect_imports(module: SourceModule) -> None:

@@ -24,7 +24,7 @@ import ast
 from typing import List
 
 from .findings import Finding, make_finding
-from .modules import SourceModule
+from .modules import SourceModule, own_nodes
 
 __all__ = ["check_det001", "check_det002", "check_sim001"]
 
@@ -185,18 +185,6 @@ def check_det002(module: SourceModule) -> List[Finding]:
     return findings
 
 
-def _own_nodes(func: ast.AST) -> List[ast.AST]:
-    """Nodes of a function body excluding nested function scopes."""
-    out: List[ast.AST] = []
-    stack: List[ast.AST] = list(ast.iter_child_nodes(func))
-    while stack:
-        node = stack.pop()
-        out.append(node)
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            stack.extend(ast.iter_child_nodes(node))
-    return out
-
-
 def check_sim001(module: SourceModule) -> List[Finding]:
     if not module.schedules_events:
         return []
@@ -205,10 +193,10 @@ def check_sim001(module: SourceModule) -> List[Finding]:
         if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
         # A generator: yields in its own body (nested defs excluded).
-        own_nodes = _own_nodes(func)
-        if not any(isinstance(n, (ast.Yield, ast.YieldFrom)) for n in own_nodes):
+        own = own_nodes(func)
+        if not any(isinstance(n, (ast.Yield, ast.YieldFrom)) for n in own):
             continue
-        for node in own_nodes:
+        for node in own:
             if not isinstance(node, ast.Call):
                 continue
             for dotted in _SIM001_CALLS:

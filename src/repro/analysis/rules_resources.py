@@ -24,7 +24,7 @@ import ast
 from typing import List, Optional, Tuple
 
 from .findings import Finding, make_finding
-from .modules import SourceModule
+from .modules import SourceModule, own_nodes
 
 __all__ = ["check_res001"]
 
@@ -45,17 +45,6 @@ def _calls_with_attr(scope_nodes, attr: str) -> List[ast.Call]:
         and node.func.attr == attr
         and _is_credit_receiver(node.func.value)
     ]
-
-
-def _own_nodes(func: ast.AST):
-    out = []
-    stack = list(ast.iter_child_nodes(func))
-    while stack:
-        node = stack.pop()
-        out.append(node)
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            stack.extend(ast.iter_child_nodes(node))
-    return out
 
 
 def _contains(node: ast.AST, target: ast.AST) -> bool:
@@ -119,7 +108,7 @@ def check_res001(module: SourceModule) -> List[Finding]:
     for func in ast.walk(module.tree):
         if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
-        own = _own_nodes(func)
+        own = own_nodes(func)
         acquires = _calls_with_attr(own, "acquire")
         if not acquires:
             continue
