@@ -26,7 +26,7 @@ from ..sim.engine import Environment, Event
 from ..sim.resources import Resource, Store
 from .packet import RocePacket
 
-__all__ = ["Cmac", "CMAC_BANDWIDTH", "PAUSE_QUANTA_NS"]
+__all__ = ["Cmac", "CMAC_BANDWIDTH", "PAUSE_QUANTA_NS", "PfcPause"]
 
 #: 100 Gbit/s in bytes per nanosecond.
 CMAC_BANDWIDTH = 12.5
@@ -37,6 +37,73 @@ FRAME_OVERHEAD_BYTES = 20
 #: 100G.  The hold timer makes pause *leaky*: an unrefreshed pause
 #: expires on its own, which is what keeps storm detection live.
 PAUSE_QUANTA_NS = 10_000.0
+
+
+class PfcPause:
+    """How a transmitter honours PFC: the one pause that a :class:`Cmac`
+    and a switch egress port each hold.
+
+    :meth:`hold` (XOFF) extends ``until``; :meth:`release` (XON, or a
+    storm break with ``exc``) ends it at once.  Every waiter parks on one
+    shared wake event, woken by the release or by the hold timer — one
+    ``timeout(until - now)`` callback, armed by the first waiter and
+    re-armed while refreshes keep pushing ``until`` out.  A release
+    disarms it, so a later, shorter hold arms its own.  ``name`` is what
+    profilers book the timer under.
+    """
+
+    __slots__ = ("env", "name", "until", "_wake", "_timer")
+
+    def __init__(self, env: Environment, name: str):
+        self.env = env
+        self.name = name
+        self.until = 0.0
+        self._wake: Optional[Event] = None
+        self._timer: Optional[Event] = None
+
+    def hold(self, duration_ns: float) -> None:
+        until = self.env.now + duration_ns
+        if until > self.until:
+            self.until = until
+
+    def release(self, exc: Optional[Exception] = None) -> None:
+        """End the hold; with ``exc``, fail every parked waiter with it."""
+        self.until = self.env.now
+        self._timer = None
+        wake, self._wake = self._wake, None
+        if wake is None:
+            return
+        if exc is None:
+            wake.succeed()
+        else:
+            # Pre-defuse: the failure must reach parked waiters without
+            # crashing the loop if one abandoned the wait meanwhile.
+            wake.defuse().fail(exc)
+
+    def wait(self) -> Generator:
+        """Park until the hold lifts; re-raises a storm break."""
+        env = self.env
+        while env.now < self.until:
+            if self._wake is None:
+                self._wake = Event(env)
+            if self._timer is None:
+                self._arm()
+            yield self._wake
+
+    def _arm(self) -> None:
+        self._timer = self.env.timeout(self.until - self.env.now)
+        self._timer.callbacks.append(self._expire)
+
+    def _expire(self, timer: Event) -> None:
+        if timer is not self._timer:
+            return  # disarmed by a release
+        if self.env.now < self.until:
+            self._arm()  # refreshed since it was armed: sleep out the rest
+            return
+        self._timer = None
+        wake, self._wake = self._wake, None
+        if wake is not None:
+            wake.succeed()
 
 
 class Cmac:
@@ -62,9 +129,7 @@ class Cmac:
         self.tx_bytes = 0
         self.rx_bytes = 0
         # -- PFC: honoring pause (transmit side) -------------------------
-        self._paused_until = 0.0
-        self._pause_evt: Optional[Event] = None
-        self._pause_timer_active = False
+        self.pfc = PfcPause(env, f"{name}-pfc-hold")
         self.pause_frames_rx = 0  # XOFFs this MAC honored
         self.pause_resumes_rx = 0  # explicit XONs received
         # -- PFC: asserting pause (receive side) --------------------------
@@ -86,66 +151,21 @@ class Cmac:
 
     # ------------------------------------------------------ PFC honoring
 
-    @property
-    def paused(self) -> bool:
-        return self.env.now < self._paused_until
-
     def pause(self, duration_ns: float = PAUSE_QUANTA_NS) -> None:
         """Honor a PFC XOFF: hold the transmitter for ``duration_ns``
         (refreshes extend the hold; the timer expiring resumes on its own)."""
         self.pause_frames_rx += 1
-        until = self.env.now + duration_ns
-        if until > self._paused_until:
-            self._paused_until = until
+        self.pfc.hold(duration_ns)
 
     def resume(self) -> None:
         """Honor a PFC XON: release the transmitter immediately."""
         self.pause_resumes_rx += 1
-        self._release_pause(None)
+        self.pfc.release()
 
     def break_pause(self, exc: Exception) -> None:
         """Storm mitigation: tear the pause down, delivering ``exc`` (a
         typed ``PfcStormError``) to every sender parked on it."""
-        self._release_pause(exc)
-
-    def _release_pause(self, exc: Optional[Exception]) -> None:
-        self._paused_until = self.env.now
-        evt = self._pause_evt
-        self._pause_evt = None
-        if evt is None or evt.triggered:
-            return
-        if exc is None:
-            evt.succeed()
-        else:
-            # Pre-defuse: the failure must reach parked senders without
-            # crashing the loop if one abandoned the wait meanwhile.
-            evt.defuse().fail(exc)
-
-    def _pause_gate(self) -> Generator:
-        """Park until the pause lifts; re-raises a storm break."""
-        while self.env.now < self._paused_until:
-            if self._pause_evt is None or self._pause_evt.triggered:
-                self._pause_evt = Event(self.env)
-            if not self._pause_timer_active:
-                self._pause_timer_active = True
-                self.env.process(self._pause_timer(), name=f"{self.name}-pfc-hold")
-            yield self._pause_evt
-
-    def _pause_timer(self) -> Generator:
-        """Hold timer: wakes the gate when the (possibly refreshed) pause
-        expires without an explicit XON."""
-        try:
-            while True:
-                remaining = self._paused_until - self.env.now
-                if remaining <= 0:
-                    break
-                yield self.env.timeout(remaining)
-        finally:
-            self._pause_timer_active = False
-        evt = self._pause_evt
-        self._pause_evt = None
-        if evt is not None and not evt.triggered:
-            evt.succeed()
+        self.pfc.release(exc)
 
     # ---------------------------------------------------------- datapath
 
@@ -153,14 +173,15 @@ class Cmac:
         """Serialise one frame onto the wire."""
         if self._wire is None:
             raise RuntimeError(f"{self.name}: not attached to a wire")
-        if self.env.now < self._paused_until:
-            yield from self._pause_gate()
+        pause = self.pfc
+        if self.env.now < pause.until:
+            yield from pause.wait()
         grant = self._tx_port.request()
         yield grant
         try:
             # The pause may have landed while we queued for the port.
-            if self.env.now < self._paused_until:
-                yield from self._pause_gate()
+            if self.env.now < pause.until:
+                yield from pause.wait()
             wire_bytes = packet.wire_length + FRAME_OVERHEAD_BYTES
             yield self.env.timeout(wire_bytes / CMAC_BANDWIDTH)
         finally:

@@ -6,6 +6,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Dict, Generator, List, Optional, Tuple
 
+from ...health.errors import PfcStormError
 from ...sim.engine import Environment
 from ...sim.resources import Store
 from ..cmac import FRAME_OVERHEAD_BYTES, Cmac
@@ -20,19 +21,6 @@ from .context import (
 )
 from .reliability import Reliability
 from .responder import Responder
-
-#: Lazily resolved ``repro.health.PfcStormError`` — the health package
-#: imports this module at init, so the reverse import must be deferred.
-_PFC_STORM_ERROR = None
-
-
-def _pfc_storm_error():
-    global _PFC_STORM_ERROR
-    if _PFC_STORM_ERROR is None:
-        from ...health.errors import PfcStormError
-
-        _PFC_STORM_ERROR = PfcStormError
-    return _PFC_STORM_ERROR
 
 
 class RdmaStack:
@@ -240,7 +228,7 @@ class RdmaStack:
         yield self.env.sleep(self.config.per_packet_processing_ns)
         try:
             yield from self.cmac.tx(packet)
-        except _pfc_storm_error():
+        except PfcStormError:
             # The switch's storm watchdog broke our pause: the frame is
             # treated as lost (the retransmit machinery re-drives tracked
             # PSNs once the fabric recovers) instead of parking forever.

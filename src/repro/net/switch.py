@@ -47,8 +47,9 @@ from ..faults.plan import (
     NET_REORDER,
     NODE_CRASH,
 )
+from ..health.errors import PfcStormError
 from ..sim.engine import Environment, Event
-from .cmac import CMAC_BANDWIDTH, FRAME_OVERHEAD_BYTES, PAUSE_QUANTA_NS, Cmac
+from .cmac import CMAC_BANDWIDTH, FRAME_OVERHEAD_BYTES, PAUSE_QUANTA_NS, Cmac, PfcPause
 from .headers import ECN_CE, ECN_ECT0, ECN_ECT1, MacAddress
 from .packet import RocePacket
 
@@ -122,6 +123,18 @@ class _Ingress:
         self.paused_since: Optional[float] = None
         self.pfc_muted = False
 
+    @property
+    def label(self) -> str:
+        return str(self.key)
+
+    def break_pause(self, err: Exception) -> None:
+        """Storm mitigation: stop pausing this source and fail its parked
+        senders with ``err``."""
+        self.pfc_muted = True
+        self.paused_since = None
+        if self.upstream is not None:
+            self.upstream.break_pause(err)
+
 
 class _EgressPort:
     """One output queue: byte-accounted FIFO drained at line rate.
@@ -151,13 +164,10 @@ class _EgressPort:
         self.queued_bytes = 0
         self.queue_high_water = 0
         # PFC asserted *against* this port by its downstream.
-        self.paused_until = 0.0
+        self.pfc = PfcPause(switch.env, self.name)
         self.paused_since: Optional[float] = None
         self.pfc_muted = False  # storm mitigation: ignore further pauses
         self._parked: Optional[Event] = None
-        #: What a paused drain waits on: its hold timer, an XON or a storm
-        #: break, whichever comes first, triggers it.
-        self._held: Optional[Event] = None
         switch.env.process(self._drain(), name=self.name)
 
     # -- downstream-asserted PFC ----------------------------------------
@@ -166,38 +176,22 @@ class _EgressPort:
         """PFC XOFF from the downstream device (refreshable hold)."""
         switch = self.switch
         switch.pause_frames_received += 1
-        if self.pfc_muted:
+        if self.pfc_muted or switch._storm_clock(self):
             return
-        now = switch.env.now
-        if self.paused_since is None:
-            self.paused_since = now
-        elif now - self.paused_since >= switch.config.storm_threshold_ns:
-            switch._record_storm(self.label, now - self.paused_since, self)
-            return
-        until = now + (duration_ns if duration_ns is not None else switch.config.pause_quanta_ns)
-        if until > self.paused_until:
-            self.paused_until = until
+        self.pfc.hold(duration_ns if duration_ns is not None else switch.config.pause_quanta_ns)
 
     def resume(self) -> None:
         """PFC XON: the downstream caught up."""
         self.switch.pause_resumes_received += 1
         self.paused_since = None
-        self.paused_until = self.switch.env.now
-        self._release()
+        self.pfc.release()
 
     def break_pause(self, _exc: Exception) -> None:
-        """Storm mitigation: drop the pause and ignore future ones."""
+        """Storm mitigation: drop the pause and ignore future ones.  The
+        drain is the switch's own process, so it is woken, not failed."""
         self.pfc_muted = True
         self.paused_since = None
-        self.paused_until = self.switch.env.now
-        self._release()
-
-    def _release(self, _timer: Optional[Event] = None) -> None:
-        """Wake a drain held by the pause; it re-checks whether the pause
-        still holds (a stale hold timer may fire after a newer XOFF)."""
-        held = self._held
-        if held is not None and not held.triggered:
-            held.succeed()
+        self.pfc.release()
 
     # -- queue ----------------------------------------------------------
 
@@ -243,11 +237,8 @@ class _EgressPort:
                 yield self._parked
                 self._parked = None
                 continue
-            while env.now < self.paused_until and not self.pfc_muted:
-                self._held = Event(env)
-                env.timeout(self.paused_until - env.now).callbacks.append(self._release)
-                yield self._held
-                self._held = None
+            if env.now < self.pfc.until:
+                yield from self.pfc.wait()
             packet, counted, wire_len, source, extra_delay = self.queue.popleft()
             # Cut-through: the head of the frame leaves after the fixed
             # forwarding latency (plus any fault detour), while the queue
@@ -576,12 +567,7 @@ class Switch:
             return
         if source.bytes < config.xoff_bytes:
             return
-        now = self.env.now
-        since = source.paused_since
-        if since is None:
-            source.paused_since = now
-        elif now - since >= config.storm_threshold_ns:
-            self._record_storm(str(source.key), now - since, source=source)
+        if self._storm_clock(source):
             return
         if self.faults is not None and self.faults.fires(NET_PAUSE_DROP, packet):
             self.pause_frames_dropped += 1
@@ -601,29 +587,24 @@ class Switch:
                 self.pause_resumes_sent += 1
                 source.upstream.resume()
 
-    def _record_storm(
-        self, port_label: str, paused_ns: float, port=None, source=None
-    ) -> None:
-        """A port crossed the storm threshold: record the typed error,
-        mute PFC on it (mitigation) and unblock whatever it froze."""
-        from ..health.errors import PfcStormError  # deferred: health imports net
-
-        err = PfcStormError(
-            port=port_label,
-            paused_ns=paused_ns,
-            threshold_ns=self.config.storm_threshold_ns,
-        )
+    def _storm_clock(self, holder) -> bool:
+        """Start or advance ``holder``'s continuous pause — an
+        :class:`_Ingress` this switch pauses, or an :class:`_EgressPort`
+        its downstream pauses.  Past ``storm_threshold_ns`` the pause is a
+        storm: record the typed error, mute PFC on the holder and unblock
+        whatever it froze.  Returns whether it stormed."""
+        now = self.env.now
+        since = holder.paused_since
+        if since is None:
+            holder.paused_since = now
+            return False
+        threshold = self.config.storm_threshold_ns
+        if now - since < threshold:
+            return False
+        err = PfcStormError(port=holder.label, paused_ns=now - since, threshold_ns=threshold)
         self.pfc_storms += 1
         self.pfc_storm_errors.append(err)
-        if source is not None:
-            # Upstream-facing storm: this switch paused the source past
-            # the threshold.  Stop pausing it and fail parked senders.
-            source.pfc_muted = True
-            source.paused_since = None
-            if source.upstream is not None:
-                source.upstream.break_pause(err)
-        if port is not None:
-            # Downstream-facing storm: our egress stayed paused too long.
-            port.break_pause(err)
+        holder.break_pause(err)
         if self.on_pfc_storm is not None:
             self.on_pfc_storm(err)
+        return True

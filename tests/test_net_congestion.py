@@ -58,6 +58,15 @@ def wire_ns(pkt):
     return (pkt.wire_length + FRAME_OVERHEAD_BYTES) / CMAC_BANDWIDTH
 
 
+def muted(switch):
+    """The PFC holders a storm muted on ``switch``: egress ports by label,
+    ingress sources by key."""
+    return sorted(
+        [label for label, port in switch.egress_ports() if port.pfc_muted]
+        + [source.label for source in switch._sources.values() if source.pfc_muted]
+    )
+
+
 # --------------------------------------------------------- egress queueing
 
 
@@ -199,6 +208,10 @@ def test_pfc_storm_is_typed_error_not_a_hang():
     assert storms and isinstance(storms[0], PfcStormError)
     assert isinstance(switch.pfc_storm_errors[0], PfcStormError)
     assert switch.pfc_storm_errors[0].paused_ns >= 50_000.0
+    # One storm, on the egress port the wedged receiver paused, and only
+    # that port is muted.
+    assert [err.port for err in switch.pfc_storm_errors] == [f"host-{MAC_B!r}"]
+    assert muted(switch) == [f"host-{MAC_B!r}"]
     # Muting the port let the backlog drain to the wedged host.
     assert wedged.rx_frames == 150
     assert switch.counters()["pfc_storms"] == switch.pfc_storms
@@ -258,6 +271,10 @@ def test_replugged_port_is_paused_like_a_first_time_port():
     env.run(env.process(blast(first, 200)))
     env.run()
     assert leaf.pfc_storms == 1 and first.pause_frames_rx > 0
+    # The switch paused the source past the threshold: one storm naming
+    # it, and only that source is muted, on either switch.
+    assert [err.port for err in leaf.pfc_storm_errors] == [str(MAC_A)]
+    assert muted(leaf) == [str(MAC_A)] and muted(spine) == []
     drops = leaf.tail_drops
 
     leaf.detach(MAC_A)

@@ -56,11 +56,8 @@ class _ProcessEgressPort(_EgressPort):
                 yield self._parked
                 self._parked = None
                 continue
-            while env.now < self.paused_until and not self.pfc_muted:
-                self._held = Event(env)
-                env.timeout(self.paused_until - env.now).callbacks.append(self._release)
-                yield self._held
-                self._held = None
+            if env.now < self.pfc.until:
+                yield from self.pfc.wait()
             packet, counted, wire_len, source, extra_delay = self.queue.popleft()
             env.process(
                 self._deliver_later(packet, counted, self.switch.latency_ns + extra_delay)
