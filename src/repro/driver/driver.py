@@ -267,7 +267,7 @@ class Driver:
         ctx.rings.fail_all(ProcessClosedError(pid, reason))
         if ctx.mrs is not None:
             for mr in sorted(ctx.mrs, key=lambda m: m.key):
-                self._unpin(ctx, self._mr_pages(ctx, mr))
+                self._unpin(ctx, self._pages(ctx, mr.vaddr, mr.end))
                 self.mrs_deregistered += 1
         for alloc in ctx.allocations:
             self._free_pages(ctx, alloc)
@@ -725,7 +725,7 @@ class Driver:
         mmu = self.shell.dynamic.mmus[ctx.vfpga_id]
         pinned = []
         try:
-            for vaddr in self._mr_pages(ctx, mr):
+            for vaddr in self._pages(ctx, mr.vaddr, mr.end):
                 entry = ctx.page_table.walk(vaddr)
                 mmu.prefill(
                     vaddr, entry.paddr_in(entry.location), entry.location
@@ -741,10 +741,10 @@ class Driver:
         yield self.env.timeout(MR_REGISTER_LATENCY_PER_PAGE_NS * len(pinned))
 
     @staticmethod
-    def _mr_pages(ctx: ProcessContext, mr: MemoryRegion) -> range:
-        """Base vaddr of every page ``mr`` touches."""
+    def _pages(ctx: ProcessContext, vaddr: int, end: int) -> range:
+        """Base vaddr of every page ``[vaddr, end)`` touches."""
         page = ctx.page_table.page_size
-        return range(mr.vaddr - (mr.vaddr % page), mr.end, page)
+        return range(vaddr - (vaddr % page), end, page)
 
     def _unpin(self, ctx: ProcessContext, pages) -> None:
         """Unpin ``pages`` in the process's vFPGA TLB (a shell swap may
@@ -758,7 +758,7 @@ class Driver:
         """Drop an MR: unpin its pages and retire the MTT entry (untimed)."""
         ctx = self._ctx(pid)
         mr = ctx.mrs.deregister(key)
-        self._unpin(ctx, self._mr_pages(ctx, mr))
+        self._unpin(ctx, self._pages(ctx, mr.vaddr, mr.end))
         self.mrs_deregistered += 1
         return mr
 
@@ -919,6 +919,12 @@ class Driver:
             gates.append((write, wr_id))
         for desc, write in descs:
             self.shell.check_descriptor(desc, write)
+            if desc.mr_key is None:
+                # A raw vaddr must be mapped now: the shared translation
+                # stage that would fault on it later serves every tenant.
+                # MR-keyed slices were walked at registration.
+                for page in self._pages(ctx, desc.vaddr, desc.vaddr + desc.length):
+                    ctx.page_table.walk(page)
 
         for desc, write in descs:
             post(desc, write)

@@ -286,7 +286,7 @@ def snapshot_tenant(
                     "num_pages": mr.num_pages,
                 }
             )
-            pinned.update(driver._mr_pages(ctx, mr))
+            pinned.update(driver._pages(ctx, mr.vaddr, mr.end))
     ckpt.pinned_pages = sorted(pinned)
 
     ring = ctx.rings.cmd

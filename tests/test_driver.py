@@ -80,6 +80,48 @@ def test_unmapped_access_is_segfault():
         driver.read_buffer(1, 0xDEAD000, 16)
 
 
+def test_unmapped_invoke_faults_in_the_submitter_not_the_card():
+    """An invoke naming an unmapped vaddr raises SegmentationFault in the
+    submitter's frame before anything is posted.  The card's shared
+    translation stage never meets the address, so another tenant's
+    transfer still completes and the run ends."""
+    env, shell, driver = card(PassThroughApp(), PassThroughApp())
+    bad, good = CThread(driver, 0, pid=1), CThread(driver, 1, pid=2)
+    posted, outcome = [], {}
+    post = driver.post_descriptor
+
+    def spy(desc, write):
+        posted.append(desc.pid)
+        return post(desc, write)
+
+    driver.post_descriptor = spy
+
+    def faulting():
+        dst = yield from bad.get_mem(4096)
+        sg = SgEntry(local=LocalSg(src_addr=0xDEAD000, src_len=4096,
+                                   dst_addr=dst.vaddr, dst_len=4096))
+        try:
+            yield from bad.invoke(Oper.LOCAL_TRANSFER, sg)
+        except SegmentationFault as exc:
+            outcome["error"] = exc
+
+    def healthy():
+        src = yield from good.get_mem(4096)
+        dst = yield from good.get_mem(4096)
+        good.write_buffer(src.vaddr, b"tenant two" + bytes(4086))
+        sg = SgEntry(local=LocalSg(src_addr=src.vaddr, src_len=4096,
+                                   dst_addr=dst.vaddr, dst_len=4096))
+        yield from good.invoke(Oper.LOCAL_TRANSFER, sg)
+        return good.read_buffer(dst.vaddr, 10)
+
+    env.process(faulting())
+    tenant_two = env.process(healthy())
+    env.run()
+    assert isinstance(outcome["error"], SegmentationFault)
+    assert 1 not in posted and len(driver.processes[1].rings) == 0
+    assert tenant_two.value == b"tenant two"
+
+
 def test_free_mem_invalidates_tlb():
     env, shell, driver = card()
     driver.open(1, 0)
