@@ -324,6 +324,7 @@ class CThread:
         stack = self.driver.shell.dynamic.rdma
         if stack is None:
             raise ValueError("shell has no RDMA service")
+        self.driver.check_qp(self.pid, sg.qpn)
         verb = stack.rdma_write if write else stack.rdma_read
         wr_id = next(_rdma_wr_ids)
         proc = self.env.process(

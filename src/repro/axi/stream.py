@@ -5,6 +5,11 @@ stream: a sender occupies the bus for the flit's beat count, and is blocked
 when the downstream FIFO is full (deasserted ``tready``), which is how
 back-pressure propagates through the shell and, via the credit system, is
 contained to the offending vFPGA.
+
+The bus is a booked station (:class:`repro.sim.rate.FifoServer`): a
+flit's beats are known when it is offered, and the shell sizes every
+destination FIFO by its credits, so a sender holding a credit never
+finds the FIFO full and its slot ends when its beats do.
 """
 
 from __future__ import annotations
@@ -13,7 +18,8 @@ from typing import Generator, Optional
 
 from ..sim.clock import FABRIC_CLOCK, Clock
 from ..sim.engine import Environment
-from ..sim.resources import Resource, Store
+from ..sim.rate import FifoServer
+from ..sim.resources import Store
 from .types import STREAM_WIDTH_BYTES, Flit
 
 __all__ = ["AxiStream"]
@@ -43,28 +49,37 @@ class AxiStream:
         self.env = env
         self.name = name
         self.width_bytes = width_bytes
-        self.clock = clock
+        self._beat_ns = clock.period_ns
         self._fifo = Store(env, capacity=depth_flits)
-        self._bus = Resource(env, capacity=1)
+        self._bus = FifoServer(env)
         self.bytes_sent = 0
         self.flits_sent = 0
 
     # -- producer side ----------------------------------------------------
 
+    def book(self, flit: Flit) -> float:
+        """Book the bus for ``flit``'s beat count, behind every flit
+        booked before it; returns when its last beat is across."""
+        return self._bus.book(flit.beats(self.width_bytes) * self._beat_ns)
+
     def send(self, flit: Flit) -> Generator:
-        """Transmit one flit; holds the bus for its beat count.
+        """Transmit one flit: its beats on the bus, then into the FIFO,
+        waiting there while the FIFO is full.
 
         Usage from a process: ``yield from stream.send(flit)``.
         """
-        grant = self._bus.request()
-        yield grant
-        try:
-            yield self.env.timeout(self.clock.cycles_to_ns(flit.beats(self.width_bytes)))
-            yield self._fifo.put(flit)
-            self.bytes_sent += flit.length
-            self.flits_sent += 1
-        finally:
-            self._bus.release(grant)
+        yield self.env.timeout_at(self.book(flit))
+        yield self._fifo.put(flit)
+        self.bytes_sent += flit.length
+        self.flits_sent += 1
+
+    def deposit(self, flit: Flit) -> None:
+        """Land a flit whose :meth:`book` finish has come, for a sender
+        that does not wait: one holding a credit, which guarantees the
+        FIFO has room."""
+        self._fifo.put(flit)
+        self.bytes_sent += flit.length
+        self.flits_sent += 1
 
     def send_bytes(
         self,

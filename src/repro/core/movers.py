@@ -24,7 +24,7 @@ from ..axi.types import Flit
 from ..mem.hbm import HbmController
 from ..mem.mmu import MemLocation, Mmu
 from ..pcie.xdma import Xdma
-from ..sim.engine import Environment
+from ..sim.engine import Environment, Event
 from ..sim.resources import Store
 from .arbiter import RoundRobinArbiter
 from .interfaces import CompletionEntry, Descriptor, StreamType
@@ -230,6 +230,25 @@ class _DataMover:
         return dropped
 
 
+class _Deposit:
+    """Where a host read packet's flit lands once its stream's bus has
+    carried it, and where a last packet completes.  One in flight is a
+    bare timer, which the profilers book by its callback owner's
+    ``name`` (DESIGN.md "Names the benchmark depends on")."""
+
+    __slots__ = ("mover",)
+    name = "_deposit"
+
+    def __init__(self, mover: HostDataMover):
+        self.mover = mover
+
+    def land(self, event: Event) -> None:
+        stream, vfpga, packet, flit = event.value
+        stream.deposit(flit)
+        if packet.last:
+            self.mover._complete(vfpga, packet, write=False)
+
+
 class HostDataMover(_DataMover):
     """Fair, credited host-memory datapath over the XDMA streaming channel."""
 
@@ -243,6 +262,7 @@ class HostDataMover(_DataMover):
         config: MoverConfig = MoverConfig(),
     ):
         super().__init__(env, xdma, config, config.packet_bytes)
+        self._deposit = _Deposit(self)
         self.rd_arbiter = RoundRobinArbiter(env, "host-rd-arb")
         self.wr_arbiter = RoundRobinArbiter(env, "host-wr-arb")
         #: Optional GPU for peer-to-peer transfers to GPU-resident pages
@@ -352,14 +372,13 @@ class HostDataMover(_DataMover):
                 last=packet.last,
             )
             # Credits guarantee FIFO space, so the deposit happens on the
-            # (parallel) crossbar without holding up the DMA engine; per-
-            # stream ordering is preserved by the stream's bus FIFO.
-            self.env.process(self._deposit(vfpga, packet, flit))
-
-    def _deposit(self, vfpga: VFpga, packet: Packet, flit: Flit) -> Generator:
-        yield from vfpga.host_in[packet.dest].send(flit)
-        if packet.last:
-            self._complete(vfpga, packet, write=False)
+            # (parallel) crossbar without holding up the DMA engine: one
+            # timer, due when the stream's bus has carried the flit, whose
+            # booking keeps the stream's flits in order.
+            stream = vfpga.host_in[packet.dest]
+            self.env.timeout_at(
+                stream.book(flit), (stream, vfpga, packet, flit)
+            ).callbacks.append(self._deposit.land)
 
     def _wr_translate(self) -> Generator:
         while True:

@@ -7,6 +7,7 @@ from .errors import (
     MrError,
     MrKeyError,
     MrOverlapError,
+    QpOwnerError,
     RingError,
     RingFullError,
     ZeroLengthDescriptorError,
@@ -37,6 +38,7 @@ __all__ = [
     "MrBoundsError",
     "MrAccessError",
     "MrOverlapError",
+    "QpOwnerError",
     "DEFAULT_RING_SLOTS",
     "CommandRing",
     "CompletionBatch",

@@ -36,6 +36,7 @@ from .errors import (
     DriverError,
     MrError,
     ProcessClosedError,
+    QpOwnerError,
     RingError,
     RingFullError,
     ZeroLengthDescriptorError,
@@ -99,6 +100,9 @@ class Driver:
         self.shell = shell
         self.retry_policy = retry_policy
         self.processes: Dict[int, ProcessContext] = {}
+        #: qpn -> the pid that created it (``bind_qp``), until that pid
+        #: closes: a verb is posted only by its QP's owner.
+        self._qp_owners: Dict[int, int] = {}
         # Host frame allocators per page size.
         self._host_frames = {
             PAGE_4K: FrameAllocator(_HOST_REGION_4K[1], PAGE_4K, "host-4k"),
@@ -258,13 +262,15 @@ class Driver:
         batch (an invoke's or a doorbell's) fails with a typed
         :class:`ProcessClosedError` before the pages go away, so a
         cThread closed mid-batch flushes instead of parking forever.
-        Registered MRs are dropped (unpinning their TLB entries) and all
-        allocations freed.
+        Registered MRs are dropped (unpinning their TLB entries), the
+        QPs it created lose their owner, and all allocations are freed.
         """
         ctx = self.processes.pop(pid, None)
         if ctx is None:
             raise DriverError(f"pid {pid} not registered")
         ctx.rings.fail_all(ProcessClosedError(pid, reason))
+        for qpn in [q for q, owner in self._qp_owners.items() if owner == pid]:
+            del self._qp_owners[qpn]
         if ctx.mrs is not None:
             for mr in sorted(ctx.mrs, key=lambda m: m.key):
                 self._unpin(ctx, self._pages(ctx, mr.vaddr, mr.end))
@@ -499,11 +505,13 @@ class Driver:
     # ----------------------------------------------------- RDMA memory hooks
 
     def bind_qp(self, pid: int, qpn: int) -> None:
-        """Route a QP's local memory through its owner's MMU context."""
+        """Make ``pid`` the QP's owner and route the QP's local memory
+        through its MMU context."""
         ctx = self._ctx(pid)
         stack = self.shell.dynamic.rdma
         if stack is None:
             raise DriverError("shell has no RDMA service")
+        self._qp_owners[qpn] = pid
         mmu = self.shell.dynamic.mmus[ctx.vfpga_id]
         xdma = self.shell.static.xdma
 
@@ -518,6 +526,12 @@ class Driver:
             yield self.env.process(xdma.write_host(paddr, payload, overhead=False))
 
         stack.bind_qp_memory(qpn, read_local, write_local)
+
+    def check_qp(self, pid: int, qpn: int) -> None:
+        """Refuse a verb ``pid`` posts on a QP it does not own."""
+        owner = self._qp_owners.get(qpn)
+        if owner != pid:
+            raise QpOwnerError(pid, qpn, owner)
 
     # -------------------------------------------------------- reconfiguration
 

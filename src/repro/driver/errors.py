@@ -8,6 +8,8 @@ other.  All ring/MR errors derive from :class:`DriverError`, so existing
 
 from __future__ import annotations
 
+from typing import Optional
+
 __all__ = [
     "DriverError",
     "ProcessClosedError",
@@ -19,6 +21,7 @@ __all__ = [
     "MrBoundsError",
     "MrAccessError",
     "MrOverlapError",
+    "QpOwnerError",
 ]
 
 
@@ -73,3 +76,16 @@ class MrAccessError(MrError):
 
 class MrOverlapError(MrError):
     """A registration overlapped an existing region of the same process."""
+
+
+class QpOwnerError(DriverError):
+    """A verb named a queue pair its caller's process does not own: it
+    was never bound to the caller by ``create_qp``, or its owner closed.
+    Refused in the submitter's frame, before anything runs."""
+
+    def __init__(self, pid: int, qpn: int, owner: Optional[int]):
+        held = "no process" if owner is None else f"pid {owner}"
+        super().__init__(f"pid {pid} posted on QP {qpn}, which {held} owns")
+        self.pid = pid
+        self.qpn = qpn
+        self.owner = owner

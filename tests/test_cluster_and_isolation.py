@@ -5,7 +5,7 @@ import pytest
 from repro import CThread, Descriptor, Environment, LocalSg, Oper, RdmaSg, SgEntry
 from repro.apps import PassThroughApp
 from repro.cluster import FpgaCluster
-from repro.driver import DriverError
+from repro.driver import DriverError, QpOwnerError
 from repro.net import RdmaError
 from repro.sim import AllOf
 
@@ -81,6 +81,44 @@ def test_one_sided_verb_on_a_qp_with_no_memory_fails_in_the_submitter():
 
 
 # ---------------------------------------------------------------- isolation
+
+def test_a_tenant_cannot_post_a_verb_on_another_tenants_qp():
+    """Pid 1 on region 0 owns QP 1.  Pid 3 on region 1, and pid 4 on
+    pid 1's own region, name QP 1 with pid 1's buffer as the local side:
+    both verbs are refused in the submitter's frame, before any process
+    starts, and nothing of pid 1's lands at the remote.  The owner's own
+    WRITE then goes through; once the owner closes, nobody owns QP 1."""
+    env = Environment()
+    cluster = FpgaCluster(env, 2, num_vfpgas=2)
+    owner, remote = cluster.connect_qps(0, 1, pid_a=1, pid_b=2, qpn_a=1, qpn_b=2)
+    driver = cluster.nodes[0].driver
+    stack = cluster.nodes[0].shell.dynamic.rdma
+    intruders = [CThread(driver, 1, pid=3), CThread(driver, 0, pid=4)]
+    secret = b"S" * 8
+
+    def main():
+        src = yield from owner.get_mem(4096)
+        far = yield from remote.get_mem(4096)
+        owner.write_buffer(src.vaddr, secret)
+        sg = SgEntry(rdma=RdmaSg(local_addr=src.vaddr, remote_addr=far.vaddr, len=8, qpn=1))
+        for intruder in intruders:
+            for oper in (Oper.REMOTE_RDMA_WRITE, Oper.REMOTE_RDMA_READ):
+                with pytest.raises(QpOwnerError) as refused:
+                    yield from intruder.invoke(oper, sg)
+                assert (refused.value.pid, refused.value.qpn, refused.value.owner) == (
+                    intruder.pid, 1, 1,
+                )
+        yield env.timeout(100_000)
+        assert stack.stats["tx_packets"] == 0
+        assert remote.read_buffer(far.vaddr, 8) == bytes(8)
+        yield from owner.invoke(Oper.REMOTE_RDMA_WRITE, sg)
+        assert remote.read_buffer(far.vaddr, 8) == secret
+        owner.close()
+        with pytest.raises(QpOwnerError, match="no process owns"):
+            yield from CThread(driver, 0, pid=1).invoke(Oper.REMOTE_RDMA_WRITE, sg)
+
+    env.run(env.process(main()))
+
 
 def test_descriptor_for_foreign_vfpga_rejected():
     env, shell, driver = card(PassThroughApp(), PassThroughApp())

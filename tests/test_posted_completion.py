@@ -6,7 +6,8 @@ Pins what that buys — small host writes at the link's rate, no
 cross-tenant stall on the one C2H engine — and what it must keep: one
 counter bump per completion entry, for host and card movers, with the
 writeback off, and across a recovery that lands mid-flight; the landing
-timer booked to ``writeback`` by both profilers.
+timer booked to ``writeback`` by both profilers, and a host read's
+deposit timer to ``_deposit``.
 """
 
 from collections import Counter
@@ -273,3 +274,16 @@ def test_profiler_books_one_writeback_event_per_completion():
     assert completions == BATCH + BATCH // 2
     assert profiler.events["writeback"] == completions
     assert sum(_counters(shell).values()) == completions
+
+
+def test_profiler_books_one_deposit_event_per_host_read_packet():
+    """A host read packet's flit lands by a bare timer whose callback
+    owner is named ``_deposit``: the name ``bench_e2e``'s ledger books
+    to the movers.  One event a packet, no process."""
+    env, _shell, _driver, (thread,), _entries = _platform()
+    with SimProfiler().attach(env) as profiler:
+        _ring_batch(env, thread, HOST_SMALL_MIX)
+        env.run()
+    reads = sum(kind is not RingOpcode.WRITE for kind in HOST_SMALL_MIX)
+    assert reads == BATCH * 3 // 4
+    assert profiler.events["_deposit"] == reads

@@ -8,6 +8,13 @@ form stays here as the oracle: under generated arrival schedules both
 must finish every client at the **bit-equal** float, in the same order.
 Two end-to-end pins hold the whole shell to the simulated times the
 queued stations gave (recorded at 754b2e6, the last commit with them).
+
+An :class:`~repro.axi.AxiStream`'s bus is the same kind of station with
+a FIFO put behind it: it was a ``Resource`` held across the beats *and*
+the put.  While the FIFO has room — which the shell's credits guarantee
+— the booked bus lands every flit at the bit-equal time, in the same
+order, whether a sender waits on ``send`` or a host read deposits by
+timer; a full FIFO is where the two part, and that is pinned too.
 """
 
 import os
@@ -17,9 +24,10 @@ from hypothesis import strategies as st
 
 from repro import CThread, Driver, Environment, Shell, ShellConfig
 from repro.apps import PassThroughApp
+from repro.axi import AxiStream, Flit
 from repro.core import LocalSg, Oper, SgEntry
 from repro.experiments.microbench import hbm_throughput
-from repro.sim import AllOf, Resource
+from repro.sim import FABRIC_CLOCK, AllOf, Resource, Store
 from repro.sim.rate import FifoServer
 
 #: The CI ``engine-conformance`` job runs this file under the long profile.
@@ -124,6 +132,158 @@ def test_same_instant_burst_on_four_servers():
     done = _finishes(_booked_station, 4, [(0.0, 100.0)] * 9)
     assert done == _finishes(_queued_station, 4, [(0.0, 100.0)] * 9)
     assert [when for _index, when in done] == [100.0] * 4 + [200.0] * 4 + [300.0]
+
+
+# ------------------------------------------------- the AXI stream's bus
+
+
+def _queued_bus(env, depth):
+    """The reference: ``AxiStream.send`` as it was, the bus a
+    ``Resource`` held across the flit's beats and its FIFO put.
+    Returns ``(send, deposit, recv)``; a deposit was a process a flit."""
+    fifo = Store(env, capacity=depth)
+    bus = Resource(env, capacity=1)
+
+    def send(flit):
+        grant = bus.request()
+        yield grant
+        try:
+            yield env.timeout(FABRIC_CLOCK.cycles_to_ns(flit.beats()))
+            yield fifo.put(flit)
+        finally:
+            bus.release(grant)
+
+    def recv():
+        return (yield fifo.get())
+
+    return send, lambda flit: env.process(send(flit)), recv
+
+
+def _booked_bus(env, depth):
+    """The model: ``AxiStream.send``, and the host mover's deposit — a
+    booking and one timer whose callback lands the flit."""
+    stream = AxiStream(env, depth_flits=depth)
+
+    def deposit(flit):
+        env.timeout_at(stream.book(flit), flit).callbacks.append(
+            lambda event: stream.deposit(event.value)
+        )
+
+    return stream.send, deposit, stream.recv
+
+
+def _landings(bus, senders, depth=None, deposit=False, consume_at=0.0):
+    """Run ``senders`` — each a list of ``(gap, flit length)`` — through
+    one stream, each sender in its own process.  The consumer starts at
+    ``consume_at`` and drains as fast as flits land; ``depth`` defaults
+    to every flit (room guaranteed).  With ``deposit`` a sender hands
+    each flit over without waiting (the host read's shape).  Returns
+    ``(sender, index, time)`` in the order the consumer got them, and
+    each sender's ``(sender, time)`` when its last hand-over returned."""
+    env = Environment()
+    total = sum(len(flits) for flits in senders)
+    send, post, recv = bus(env, depth or total)
+    landed, finished = [], []
+
+    def sender(tag, flits):
+        for index, (gap, length) in enumerate(flits):
+            if gap:
+                yield env.timeout(gap)
+            flit = Flit(length=length, tid=tag, tdest=index)
+            if deposit:
+                post(flit)
+            else:
+                yield from send(flit)
+        finished.append((tag, env.now))
+
+    def consumer():
+        if consume_at:
+            yield env.timeout(consume_at)
+        for _ in range(total):
+            flit = yield from recv()
+            landed.append((flit.tid, flit.tdest, env.now))
+
+    for tag, flits in enumerate(senders):
+        env.process(sender(tag, flits))
+    env.process(consumer())
+    env.run()
+    assert len(landed) == total
+    return landed, finished
+
+
+#: Zero (same-instant), under a beat, a beat, fractions that land a
+#: booked finish between binades, a 2 KiB flit's 128 ns, and idle gaps.
+_flit_gap = st.sampled_from([0.0, 0.0, 0.0, 1 / 3, 4.0, 7.3, 100 / 3, 128.0, 1_000.7])
+#: Mixed flit sizes: one beat, one byte past it, odd tails, the host
+#: packet (2 KiB) and the card packet (4 KiB).
+_flit_length = st.sampled_from([1, 64, 65, 100, 1000, 2048, 4000, 4096])
+_flits = st.lists(st.tuples(_flit_gap, _flit_length), min_size=1, max_size=12)
+
+
+@settings(max_examples=MAX_EXAMPLES)
+@given(flits=_flits, consume_at=st.sampled_from([0.0, 500.0]))
+def test_axi_one_sender_is_bit_equal_to_the_queued_bus(flits, consume_at):
+    assert _landings(_booked_bus, [flits], consume_at=consume_at) == _landings(
+        _queued_bus, [flits], consume_at=consume_at
+    )
+
+
+#: Waiting with ``timeout(finish - now)`` lands sender 1's second flit at
+#: 208.33333333333337, an ulp past the queued bus's 208.33333333333334.
+_AXI_ULP_TRAP = [[(1 / 3, 100), (4.0, 2048)], [(4.0, 100), (100 / 3, 1000)]]
+
+
+@settings(max_examples=MAX_EXAMPLES)
+@given(senders=st.lists(_flits, min_size=2, max_size=4), deposit=st.booleans())
+@example(senders=_AXI_ULP_TRAP, deposit=False)
+def test_axi_contended_senders_with_room_are_bit_equal_to_the_queued_bus(senders, deposit):
+    """k senders, or k deposit sources, on one bus; the FIFO has room."""
+    assert _landings(_booked_bus, senders, deposit=deposit) == _landings(
+        _queued_bus, senders, deposit=deposit
+    )
+
+
+def test_axi_same_instant_burst_takes_turns_on_the_bus():
+    """Four senders offer three 2 KiB flits each at t=0: one flit per
+    128 ns, round robin, on both buses."""
+    senders = [[(0.0, 2048)] * 3 for _ in range(4)]
+    landed, finished = _landings(_booked_bus, senders)
+    assert (landed, finished) == _landings(_queued_bus, senders)
+    assert [(tag, index) for tag, index, _t in landed] == [
+        (tag, index) for index in range(3) for tag in range(4)
+    ]
+    assert [when for _tag, _index, when in landed] == [128.0 * n for n in range(1, 13)]
+
+
+def test_axi_mixed_sizes_deposited_at_one_instant_land_in_booking_order():
+    """The host DMA's shape: one source deposits flits of every size in
+    one instant; each lands when its own beats are across."""
+    flits = [(0.0, n) for n in (4096, 1, 65, 2048, 100, 64)]
+    landed, _finished = _landings(_booked_bus, [flits], deposit=True)
+    assert landed == _landings(_queued_bus, [flits], deposit=True)[0]
+    beats = [-(-n // 64) for _gap, n in flits]
+    assert [when for _tag, _index, when in landed] == [
+        4.0 * sum(beats[: i + 1]) for i in range(len(beats))
+    ]
+
+
+def test_axi_full_fifo_no_longer_stalls_the_bus():
+    """The one declared divergence.  Two senders into a one-flit FIFO
+    that nobody drains before t=1000: A's first flit fills it, B's flit
+    and then A's second both find it full.  The queued bus stayed held
+    by B's blocked put, so A's second flit only got the bus — and 4 ns
+    of beats — after B's flit went in at 1000.  The booked bus carried
+    A's second flit at 8-12 ns; it waits at the FIFO and goes in at 1000
+    beside B's.  Same order; the shell's credits keep every FIFO it
+    deposits into from filling, so no run of the shell sees the
+    difference."""
+    senders = [[(0.0, 64), (0.0, 64)], [(0.0, 64)]]
+    booked = _landings(_booked_bus, senders, depth=1, consume_at=1_000.0)
+    queued = _landings(_queued_bus, senders, depth=1, consume_at=1_000.0)
+    assert queued == ([(0, 0, 1_000.0), (1, 0, 1_000.0), (0, 1, 1_004.0)],
+                      [(1, 1_000.0), (0, 1_004.0)])
+    assert booked == ([(0, 0, 1_000.0), (1, 0, 1_000.0), (0, 1, 1_000.0)],
+                      [(1, 1_000.0), (0, 1_000.0)])
 
 
 # ------------------------------------------------------- end-to-end pins
