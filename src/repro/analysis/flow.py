@@ -32,9 +32,9 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from .modules import SourceModule, own_nodes
+from .modules import SourceModule
 
-__all__ = ["ProjectIndex", "FunctionInfo", "EventUse", "build_index"]
+__all__ = ["ProjectIndex", "FunctionInfo", "EventUse"]
 
 #: Receiver-attribute names that create an Event-like value.
 _EVENT_FACTORY_ATTRS = frozenset({"event"})
@@ -43,6 +43,8 @@ _EVENT_CTOR_NAMES = frozenset({"Event"})
 _GUARD_FACTORY_ATTRS = frozenset({"guard"})
 _GUARD_CTOR_NAMES = frozenset({"CreditGuard"})
 _QP_CTOR_NAMES = frozenset({"QueuePair"})
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 #: Event-producing / consuming method names.
 _PRODUCE_ATTRS = frozenset({"succeed", "fail"})
@@ -58,6 +60,14 @@ def _is_env_receiver(expr: ast.expr) -> bool:
             return True
         tail = tail.value
     return isinstance(tail, ast.Name) and tail.id in ("env", "_env", "environment")
+
+
+def _enclosing_class(module: SourceModule, func: ast.AST) -> Optional[str]:
+    """The class a def is a method of; a def nested in a function is not."""
+    node = module.parents[id(func)]
+    while not isinstance(node, (ast.ClassDef, ast.Module, *_DEFS)):
+        node = module.parents[id(node)]
+    return node.name if isinstance(node, ast.ClassDef) else None
 
 
 @dataclass
@@ -77,7 +87,6 @@ class FunctionInfo:
     class_name: Optional[str]
     module: SourceModule
     node: ast.AST  # FunctionDef | AsyncFunctionDef
-    own_nodes: List[ast.AST] = field(default_factory=list)
     is_generator: bool = False
     #: Call sites resolvable inside the project: (call node, callee).
     resolved_calls: List[Tuple[ast.Call, "FunctionInfo"]] = field(
@@ -87,6 +96,10 @@ class FunctionInfo:
     qp_locals: Set[str] = field(default_factory=set)
     #: Local names assigned an event construction.
     event_locals: Set[str] = field(default_factory=set)
+
+    def of(self, kind: type) -> List[ast.AST]:
+        """This function's own nodes of one AST type (nested defs excluded)."""
+        return self.module.own_of(self.node, kind)
 
     @property
     def qualname(self) -> str:
@@ -109,34 +122,17 @@ class ProjectIndex:
         self._by_key: Dict[Tuple[str, str, str], FunctionInfo] = {}
         #: bare function name -> every FunctionInfo carrying it
         self.by_name: Dict[str, List[FunctionInfo]] = {}
-        #: child AST node -> parent, per module (for use classification)
-        self._parents: Dict[int, ast.AST] = {}
         #: attribute event symbols: attr name -> uses across the project
         self.attr_events: Dict[str, List[EventUse]] = {}
         for module in self.modules:
-            self._index_module(module)
-        for module in self.modules:
-            self._resolve_calls(module)
+            # Defs in source order: a later def of the same key wins.
+            defs = module.of(*_DEFS)
+            for node in sorted(defs, key=lambda n: (n.lineno, n.col_offset)):
+                self._add_function(module, node, _enclosing_class(module, node))
+        self._resolve_calls()
         self._classify_attr_events()
 
     # ------------------------------------------------------------ building
-
-    def _index_module(self, module: SourceModule) -> None:
-        for parent in ast.walk(module.tree):
-            for child in ast.iter_child_nodes(parent):
-                self._parents[id(child)] = parent
-
-        def visit(node: ast.AST, class_name: Optional[str]) -> None:
-            for child in ast.iter_child_nodes(node):
-                if isinstance(child, ast.ClassDef):
-                    visit(child, child.name)
-                elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    self._add_function(module, child, class_name)
-                    visit(child, None)  # nested defs lose the class
-                else:
-                    visit(child, class_name)
-
-        visit(module.tree, None)
 
     def _add_function(
         self, module: SourceModule, node: ast.AST, class_name: Optional[str]
@@ -144,12 +140,9 @@ class ProjectIndex:
         info = FunctionInfo(
             name=node.name, class_name=class_name, module=module, node=node
         )
-        info.own_nodes = own_nodes(node)
-        info.is_generator = any(
-            isinstance(n, (ast.Yield, ast.YieldFrom)) for n in info.own_nodes
-        )
-        for n in info.own_nodes:
-            if isinstance(n, ast.Assign) and len(n.targets) == 1:
+        info.is_generator = bool(info.of(ast.Yield) or info.of(ast.YieldFrom))
+        for n in info.of(ast.Assign):
+            if len(n.targets) == 1:
                 target = n.targets[0]
                 if isinstance(target, ast.Name):
                     if self._is_event_ctor(module, n.value):
@@ -195,14 +188,10 @@ class ProjectIndex:
 
     # ----------------------------------------------------- call resolution
 
-    def _resolve_calls(self, module: SourceModule) -> None:
+    def _resolve_calls(self) -> None:
         for info in self.functions:
-            if info.module is not module:
-                continue
-            for node in info.own_nodes:
-                if not isinstance(node, ast.Call):
-                    continue
-                callee = self._resolve_call(module, info, node)
+            for node in info.of(ast.Call):
+                callee = self._resolve_call(info.module, info, node)
                 if callee is not None:
                     info.resolved_calls.append((node, callee))
 
@@ -254,17 +243,12 @@ class ProjectIndex:
 
     # ---------------------------------------------- event use classification
 
-    def parent(self, node: ast.AST) -> Optional[ast.AST]:
-        return self._parents.get(id(node))
-
-    def classify_attr_use(
-        self, attr_node: ast.Attribute
-    ) -> str:
+    def classify_attr_use(self, module: SourceModule, attr_node: ast.Attribute) -> str:
         """How is this ``<expr>.X`` attribute read used?  One of
         ``produce`` / ``defuse`` / ``await`` / ``escape`` / ``store``."""
-        parent = self.parent(attr_node)
+        parent = module.parents.get(id(attr_node))
         if isinstance(parent, ast.Attribute):
-            grand = self.parent(parent)
+            grand = module.parents.get(id(parent))
             if isinstance(grand, ast.Call) and grand.func is parent:
                 if parent.attr in _PRODUCE_ATTRS:
                     return "produce"
@@ -284,8 +268,8 @@ class ProjectIndex:
         # Pass 1: which self-attributes are assigned fresh events anywhere?
         defined: Set[str] = set()
         for fn in self.functions:
-            for node in fn.own_nodes:
-                if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            for node in fn.of(ast.Assign):
+                if len(node.targets) == 1:
                     target = node.targets[0]
                     if (
                         isinstance(target, ast.Attribute)
@@ -303,10 +287,10 @@ class ProjectIndex:
         # project-wide (attribute identity is by name: `a.done` in one
         # module and `b.done` in another conservatively share a symbol).
         for fn in self.functions:
-            for node in fn.own_nodes:
-                if not isinstance(node, ast.Attribute) or node.attr not in defined:
+            for node in fn.of(ast.Attribute):
+                if node.attr not in defined:
                     continue
-                parent = self.parent(node)
+                parent = fn.module.parents.get(id(node))
                 if isinstance(parent, ast.Assign) and node in parent.targets:
                     # Assignment target: fresh-event def-sites were taken
                     # in pass 1; a plain ``= None`` reset is neutral; any
@@ -321,7 +305,7 @@ class ProjectIndex:
                             EventUse("escape", node.lineno, fn)
                         )
                     continue
-                kind = self.classify_attr_use(node)
+                kind = self.classify_attr_use(fn.module, node)
                 if kind == "store":
                     kind = "escape"
                 self.attr_events[node.attr].append(
@@ -335,14 +319,14 @@ class ProjectIndex:
     ) -> List[EventUse]:
         """Classified uses of a local event variable inside ``fn``."""
         uses: List[EventUse] = []
-        for node in fn.own_nodes:
-            if not isinstance(node, ast.Name) or node.id != var:
+        for node in fn.of(ast.Name):
+            if node.id != var:
                 continue
-            parent = self.parent(node)
+            parent = fn.module.parents.get(id(node))
             if isinstance(parent, ast.Assign) and node in parent.targets:
                 continue  # the def-site (or a rebind: handled by caller)
             if isinstance(parent, ast.Attribute) and parent.value is node:
-                grand = self.parent(parent)
+                grand = fn.module.parents.get(id(parent))
                 if isinstance(grand, ast.Call) and grand.func is parent:
                     if parent.attr in _PRODUCE_ATTRS:
                         uses.append(EventUse("produce", node.lineno, fn))
@@ -358,6 +342,3 @@ class ProjectIndex:
             uses.append(EventUse("escape", node.lineno, fn))
         return uses
 
-
-def build_index(modules: Iterable[SourceModule]) -> ProjectIndex:
-    return ProjectIndex(modules)

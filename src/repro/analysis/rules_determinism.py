@@ -24,7 +24,7 @@ import ast
 from typing import List
 
 from .findings import Finding, make_finding
-from .modules import SourceModule, own_nodes
+from .modules import SourceModule
 
 __all__ = ["check_det001", "check_det002", "check_sim001"]
 
@@ -75,6 +75,9 @@ _SIM001_CALLS = (
 )
 
 
+_COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
 def _is_global_random_call(module: SourceModule, func: ast.expr) -> bool:
     if (
         isinstance(func, ast.Attribute)
@@ -93,32 +96,28 @@ def check_det001(module: SourceModule) -> List[Finding]:
     if not module.is_sim_scope:
         return []
     findings: List[Finding] = []
-    for node in ast.walk(module.tree):
-        if not isinstance(node, ast.Call):
-            continue
-        for dotted in _DET001_CALLS:
-            if module.resolves_to(node.func, dotted):
-                findings.append(
-                    make_finding(
-                        module.display_path,
-                        node.lineno,
-                        "DET001",
-                        f"call to {dotted}() leaks wall-clock/entropy into "
-                        "sim-reachable code",
-                    )
+    for node in module.of(ast.Call):
+        dotted = module.dotted(node.func)
+        if dotted in _DET001_CALLS:
+            findings.append(
+                make_finding(
+                    module.display_path,
+                    node.lineno,
+                    "DET001",
+                    f"call to {dotted}() leaks wall-clock/entropy into "
+                    "sim-reachable code",
                 )
-                break
-        else:
-            if _is_global_random_call(module, node.func):
-                name = ast.unparse(node.func)
-                findings.append(
-                    make_finding(
-                        module.display_path,
-                        node.lineno,
-                        "DET001",
-                        f"{name}() draws from the unseeded global RNG",
-                    )
+            )
+        elif _is_global_random_call(module, node.func):
+            name = ast.unparse(node.func)
+            findings.append(
+                make_finding(
+                    module.display_path,
+                    node.lineno,
+                    "DET001",
+                    f"{name}() draws from the unseeded global RNG",
                 )
+            )
     return findings
 
 
@@ -140,43 +139,32 @@ def _obviously_set(node: ast.expr, local_sets: set) -> bool:
     return False
 
 
-def _local_set_names(scope: ast.AST) -> set:
-    """Names assigned an obviously-set value anywhere in this scope."""
-    names: set = set()
-    for node in ast.walk(scope):
-        if isinstance(node, ast.Assign) and _obviously_set(node.value, names):
-            for target in node.targets:
-                if isinstance(target, ast.Name):
-                    names.add(target.id)
-    return names
-
-
 def check_det002(module: SourceModule) -> List[Finding]:
+    """One pass over the whole module.  A name counts as a set when any
+    assignment in the module binds it to one.  The names a function's
+    assignments make sets are a subset of those, so a pass per function
+    could only re-flag lines this pass has already flagged."""
     if not module.schedules_events:
         return []
+    local_sets: set = set()
+    for node in module.of(ast.Assign):
+        if _obviously_set(node.value, local_sets):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    local_sets.add(target.id)
     findings: List[Finding] = []
-    scopes = [module.tree] + [
-        n
-        for n in ast.walk(module.tree)
-        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
-    ]
     flagged = set()
-    for scope in scopes:
-        local_sets = _local_set_names(scope)
-        iterations = []
-        for node in ast.walk(scope):
-            if isinstance(node, ast.For):
-                iterations.append((node.lineno, node.iter))
-            elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
-                for gen in node.generators:
-                    iterations.append((node.lineno, gen.iter))
-        for lineno, it in iterations:
-            if _obviously_set(it, local_sets) and (module.display_path, lineno) not in flagged:
-                flagged.add((module.display_path, lineno))
+    for node in module.of(ast.For, *_COMPREHENSIONS):
+        iters = [node.iter] if isinstance(node, ast.For) else [
+            gen.iter for gen in node.generators
+        ]
+        for it in iters:
+            if _obviously_set(it, local_sets) and node.lineno not in flagged:
+                flagged.add(node.lineno)
                 findings.append(
                     make_finding(
                         module.display_path,
-                        lineno,
+                        node.lineno,
                         "DET002",
                         f"iteration over unordered set `{ast.unparse(it)}` in "
                         "an event-scheduling module",
@@ -189,26 +177,20 @@ def check_sim001(module: SourceModule) -> List[Finding]:
     if not module.schedules_events:
         return []
     findings: List[Finding] = []
-    for func in ast.walk(module.tree):
-        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
+    for func in module.of(ast.FunctionDef, ast.AsyncFunctionDef):
         # A generator: yields in its own body (nested defs excluded).
-        own = own_nodes(func)
-        if not any(isinstance(n, (ast.Yield, ast.YieldFrom)) for n in own):
+        if not (module.own_of(func, ast.Yield) or module.own_of(func, ast.YieldFrom)):
             continue
-        for node in own:
-            if not isinstance(node, ast.Call):
-                continue
-            for dotted in _SIM001_CALLS:
-                if module.resolves_to(node.func, dotted):
-                    findings.append(
-                        make_finding(
-                            module.display_path,
-                            node.lineno,
-                            "SIM001",
-                            f"blocking call {dotted}() inside simulation "
-                            f"generator `{func.name}`",
-                        )
+        for node in module.own_of(func, ast.Call):
+            dotted = module.dotted(node.func)
+            if dotted in _SIM001_CALLS:
+                findings.append(
+                    make_finding(
+                        module.display_path,
+                        node.lineno,
+                        "SIM001",
+                        f"blocking call {dotted}() inside simulation "
+                        f"generator `{func.name}`",
                     )
-                    break
+                )
     return findings

@@ -103,10 +103,9 @@ def check_evt001(index: ProjectIndex) -> List[Finding]:
 def _produce_lines(fn: FunctionInfo, receiver: str, attr: str) -> List[int]:
     """Lines in ``fn`` where ``<receiver>.succeed(...)`` is called."""
     out = []
-    for node in fn.own_nodes:
+    for node in fn.of(ast.Call):
         if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
+            isinstance(node.func, ast.Attribute)
             and node.func.attr == attr
             and ast.unparse(node.func.value) == receiver
         ):
@@ -120,10 +119,9 @@ def check_evt002(index: ProjectIndex) -> List[Finding]:
         if not _flow_scoped(fn):
             continue
         defuses: List[Tuple[int, str]] = []
-        for node in fn.own_nodes:
+        for node in fn.of(ast.Call):
             if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
+                isinstance(node.func, ast.Attribute)
                 and node.func.attr == "defuse"
             ):
                 defuses.append((node.lineno, ast.unparse(node.func.value)))

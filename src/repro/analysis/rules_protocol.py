@@ -27,7 +27,8 @@ from typing import Dict, List, Optional, Tuple
 
 from .findings import Finding, make_finding
 from .flow import FunctionInfo, ProjectIndex
-from .rules_resources import _guarded_by_finally, _is_credit_receiver
+from .modules import load_module
+from .rules_resources import _calls_with_attr, _guarded_by_finally
 
 __all__ = [
     "check_stm001",
@@ -59,11 +60,9 @@ def find_qp_protocol_path(roots: List[Path]) -> Optional[Path]:
 
 def load_qp_protocol(qp_path: Path) -> QpProtocol:
     """Extract the ``QP_PROTOCOL`` literal without importing the tree."""
-    tree = ast.parse(qp_path.read_text(encoding="utf-8"))
-    for node in ast.walk(tree):
+    for node in load_module(qp_path).of(ast.Assign):
         if (
-            isinstance(node, ast.Assign)
-            and len(node.targets) == 1
+            len(node.targets) == 1
             and isinstance(node.targets[0], ast.Name)
             and node.targets[0].id == "QP_PROTOCOL"
         ):
@@ -83,10 +82,9 @@ def _qp_receivers(fn: FunctionInfo, protocol: QpProtocol) -> set:
     ``QueuePair(...)`` assignments, names that look like a qp, and any
     receiver a distinctive ladder method is called on."""
     receivers = set(fn.qp_locals)
-    for node in fn.own_nodes:
+    for node in fn.of(ast.Call):
         if not (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
+            isinstance(node.func, ast.Attribute)
             and node.func.attr in protocol
         ):
             continue
@@ -116,6 +114,16 @@ class _StmInterp:
         self.fn = fn
         self.protocol = protocol
         self.receivers = receivers
+        module = fn.module
+        #: Ladder calls on a QP receiver anywhere below the function.
+        self.calls = [
+            node
+            for node in module.of(ast.Call)
+            if isinstance(node.func, ast.Attribute)
+            and node.func.attr in protocol
+            and ast.unparse(node.func.value) in receivers
+            and module.encloses(fn.node, node)
+        ]
         self.findings: List[Finding] = []
 
     def run(self) -> List[Finding]:
@@ -172,14 +180,8 @@ class _StmInterp:
         self._calls_in(stmt, states, check)
 
     def _calls_in(self, stmt: ast.stmt, states, check: bool) -> None:
-        calls = [
-            node
-            for node in ast.walk(stmt)
-            if isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in self.protocol
-            and ast.unparse(node.func.value) in self.receivers
-        ]
+        module = self.fn.module
+        calls = [call for call in self.calls if module.encloses(stmt, call)]
         for call in sorted(calls, key=lambda c: (c.lineno, c.col_offset)):
             receiver = ast.unparse(call.func.value)
             method = call.func.attr
@@ -248,25 +250,8 @@ def check_stm001(index: ProjectIndex, protocol: QpProtocol) -> List[Finding]:
 # ---------------------------------------------------------------- RES002
 
 
-def _own_credit_acquires(fn: FunctionInfo) -> List[ast.Call]:
-    return [
-        node
-        for node in fn.own_nodes
-        if isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
-        and node.func.attr == "acquire"
-        and _is_credit_receiver(node.func.value)
-    ]
-
-
 def _has_credit_release(fn: FunctionInfo) -> bool:
-    return any(
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
-        and node.func.attr in ("release", "release_all")
-        and _is_credit_receiver(node.func.value)
-        for node in fn.own_nodes
-    )
+    return bool(_calls_with_attr(fn.of(ast.Call), "release", "release_all"))
 
 
 def check_res002(index: ProjectIndex) -> List[Finding]:
@@ -284,7 +269,7 @@ def check_res002(index: ProjectIndex) -> List[Finding]:
         visiting.add(key)
         result = False
         if not _has_credit_release(fn):
-            for acquire in _own_credit_acquires(fn):
+            for acquire in _calls_with_attr(fn.of(ast.Call), "acquire"):
                 if fn.module.waivers.covers(
                     acquire.lineno, ("RES001", "RES002")
                 ):
@@ -296,7 +281,7 @@ def check_res002(index: ProjectIndex) -> List[Finding]:
                     if callee is fn:
                         continue
                     if opens_credit(callee) and not _guarded_by_finally(
-                        fn.node, call, ""
+                        fn.module, fn.node, call
                     ):
                         result = True
                         break
@@ -311,7 +296,7 @@ def check_res002(index: ProjectIndex) -> List[Finding]:
         for call, callee in fn.resolved_calls:
             if callee is fn or not opens_credit(callee):
                 continue
-            if _guarded_by_finally(fn.node, call, ""):
+            if _guarded_by_finally(fn.module, fn.node, call):
                 continue
             findings.append(
                 make_finding(

@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .findings import Finding, make_finding
-from .modules import SourceModule
+from .modules import SourceModule, load_module
 
 __all__ = [
     "check_flt001",
@@ -56,19 +56,19 @@ def find_fault_registry_path(roots: List[Path]) -> Optional[Path]:
 def load_fault_registry(plan_path: Path) -> Dict[str, Tuple[str, str]]:
     """Extract ``site -> (model, effect)`` from ``FAULT_SITE_DOCS`` (and
     bare string constants feeding ``FAULT_SITES``) without importing."""
-    tree = ast.parse(plan_path.read_text(encoding="utf-8"))
+    assigns = load_module(plan_path).of(ast.Assign)
     constants: Dict[str, str] = {}
     docs: Dict[str, Tuple[str, str]] = {}
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Assign) or len(node.targets) != 1:
+    for node in assigns:
+        if len(node.targets) != 1:
             continue
         target = node.targets[0]
         if not isinstance(target, ast.Name):
             continue
         if isinstance(node.value, ast.Constant) and isinstance(node.value.value, str):
             constants[target.id] = node.value.value
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Assign) or len(node.targets) != 1:
+    for node in assigns:
+        if len(node.targets) != 1:
             continue
         target = node.targets[0]
         if not isinstance(target, ast.Name) or target.id != "FAULT_SITE_DOCS":
@@ -127,9 +127,7 @@ def check_flt001(module: SourceModule, sites: FrozenSet[str]) -> List[Finding]:
             )
         )
 
-    for node in ast.walk(module.tree):
-        if not isinstance(node, ast.Call):
-            continue
+    for node in module.of(ast.Call):
         func = node.func
         # injector.fires("site", ...)
         if isinstance(func, ast.Attribute) and func.attr == "fires" and node.args:
@@ -164,9 +162,7 @@ def check_flt001(module: SourceModule, sites: FrozenSet[str]) -> List[Finding]:
 
 def check_tel001(module: SourceModule) -> List[Finding]:
     findings: List[Finding] = []
-    for node in ast.walk(module.tree):
-        if not isinstance(node, ast.Call):
-            continue
+    for node in module.of(ast.Call):
         func = node.func
         if not (isinstance(func, ast.Attribute) and func.attr in _METRIC_METHODS):
             continue

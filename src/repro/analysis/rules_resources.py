@@ -21,10 +21,10 @@ in host-side tooling) are not this rule's business.
 from __future__ import annotations
 
 import ast
-from typing import List, Optional, Tuple
+from typing import List
 
 from .findings import Finding, make_finding
-from .modules import SourceModule, own_nodes
+from .modules import SourceModule
 
 __all__ = ["check_res001"]
 
@@ -36,85 +36,64 @@ def _is_credit_receiver(expr: ast.expr) -> bool:
     return any(marker in text for marker in _RECEIVER_MARKERS)
 
 
-def _calls_with_attr(scope_nodes, attr: str) -> List[ast.Call]:
+def _calls_with_attr(calls, *attrs: str) -> List[ast.Call]:
     return [
         node
-        for node in scope_nodes
-        if isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
-        and node.func.attr == attr
+        for node in calls
+        if isinstance(node.func, ast.Attribute)
+        and node.func.attr in attrs
         and _is_credit_receiver(node.func.value)
     ]
 
 
-def _contains(node: ast.AST, target: ast.AST) -> bool:
-    return any(candidate is target for candidate in ast.walk(node))
+def _finally_releases(module: SourceModule, try_node: ast.AST) -> bool:
+    """Does any credit release sit in this ``try``'s ``finally`` block?"""
+    return any(
+        module.encloses(stmt, call)
+        for call in _calls_with_attr(module.of(ast.Call), "release", "release_all")
+        for stmt in try_node.finalbody
+    )
 
 
-def _finally_releases(try_node: ast.Try, receiver_text: str) -> bool:
-    for stmt in try_node.finalbody:
-        for node in ast.walk(stmt):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in ("release", "release_all")
-                and _is_credit_receiver(node.func.value)
-            ):
-                released = ast.unparse(node.func.value)
-                if released == receiver_text or receiver_text == "":
-                    return True
-    return False
-
-
-def _statement_blocks(func: ast.AST):
-    """Yield every statement list in the function (bodies of ifs, loops,
-    trys, withs, ...), so sibling order can be inspected."""
-    for node in ast.walk(func):
-        for field in ("body", "orelse", "finalbody"):
-            block = getattr(node, field, None)
-            if isinstance(block, list) and block and isinstance(block[0], ast.stmt):
-                yield block
-
-
-def _guarded_by_finally(func: ast.AST, acquire: ast.Call, receiver_text: str) -> bool:
-    """Acquire is safe when a try/finally releasing its receiver either
-    encloses it or is the immediately following sibling statement."""
-    for node in ast.walk(func):
-        if not isinstance(node, ast.Try) or not node.finalbody:
-            continue
-        if not _finally_releases(node, receiver_text) and not _finally_releases(node, ""):
-            continue
-        if any(_contains(stmt, acquire) for stmt in node.body):
+def _guarded_by_finally(module: SourceModule, func: ast.AST, acquire: ast.AST) -> bool:
+    """Acquire is safe when a try/finally releasing a credit either
+    encloses it or is the statement right after one that encloses it,
+    anywhere between it and ``func``."""
+    child = acquire
+    while child is not func:
+        parent = module.parents[id(child)]
+        if (
+            isinstance(parent, ast.Try)
+            and parent.finalbody
+            and any(stmt is child for stmt in parent.body)
+            and _finally_releases(module, parent)
+        ):
             return True
-    for block in _statement_blocks(func):
-        for index, stmt in enumerate(block[:-1]):
-            if not _contains(stmt, acquire):
+        for field in ("body", "orelse", "finalbody"):
+            block = getattr(parent, field, None)
+            if not isinstance(block, list):
                 continue
-            follower = block[index + 1]
-            if (
-                isinstance(follower, ast.Try)
-                and follower.finalbody
-                and (
-                    _finally_releases(follower, receiver_text)
-                    or _finally_releases(follower, "")
-                )
-            ):
-                return True
+            for index, stmt in enumerate(block[:-1]):
+                follower = block[index + 1]
+                if (
+                    stmt is child
+                    and isinstance(follower, ast.Try)
+                    and follower.finalbody
+                    and _finally_releases(module, follower)
+                ):
+                    return True
+        child = parent
     return False
 
 
 def check_res001(module: SourceModule) -> List[Finding]:
     findings: List[Finding] = []
-    for func in ast.walk(module.tree):
-        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        own = own_nodes(func)
+    for func in module.of(ast.FunctionDef, ast.AsyncFunctionDef):
+        own = module.own_of(func, ast.Call)
         acquires = _calls_with_attr(own, "acquire")
         if not acquires:
             continue
-        releases = _calls_with_attr(own, "release") + _calls_with_attr(
-            own, "release_all"
-        )
+        releases = _calls_with_attr(own, "release", "release_all")
         for acquire in acquires:
             receiver_text = ast.unparse(acquire.func.value)
             if not releases:
@@ -129,7 +108,7 @@ def check_res001(module: SourceModule) -> List[Finding]:
                     )
                 )
                 continue
-            if not _guarded_by_finally(func, acquire, receiver_text):
+            if not _guarded_by_finally(module, func, acquire):
                 findings.append(
                     make_finding(
                         module.display_path,

@@ -12,7 +12,6 @@ methods.
 
 from __future__ import annotations
 
-import itertools
 from typing import Generator, Iterable, List, Optional
 
 from ..core.interfaces import (
@@ -45,9 +44,6 @@ CSR_READ_NS = 900.0
 #: Completion-polling interval when writeback is disabled.
 POLL_INTERVAL_NS = 1_000.0
 
-#: Work-request ids of RDMA verbs (the QP's namespace; local operations
-#: draw theirs from the driver's counter).
-_rdma_wr_ids = itertools.count(1)
 #: The local operations ``invoke`` submits through the driver.
 _LOCAL_OPCODES = {
     Oper.LOCAL_READ: RingOpcode.READ,
@@ -325,8 +321,11 @@ class CThread:
         if stack is None:
             raise ValueError("shell has no RDMA service")
         self.driver.check_qp(self.pid, sg.qpn)
+        # The local side faults here, not later in the stack's shared
+        # fetch or landing process.
+        self.driver.walk_range(self.ctx, sg.local_addr, sg.len)
         verb = stack.rdma_write if write else stack.rdma_read
-        wr_id = next(_rdma_wr_ids)
+        wr_id = next(stack.wr_ids)
         proc = self.env.process(
             verb(sg.qpn, sg.local_addr, sg.remote_addr, sg.len, wr_id=wr_id)
         )

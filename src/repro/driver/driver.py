@@ -263,14 +263,20 @@ class Driver:
         :class:`ProcessClosedError` before the pages go away, so a
         cThread closed mid-batch flushes instead of parking forever.
         Registered MRs are dropped (unpinning their TLB entries), the
-        QPs it created lose their owner, and all allocations are freed.
+        QPs it created lose their owner and move to ERROR (flushing their
+        verbs), and all allocations are freed.
         """
         ctx = self.processes.pop(pid, None)
         if ctx is None:
             raise DriverError(f"pid {pid} not registered")
         ctx.rings.fail_all(ProcessClosedError(pid, reason))
+        stack = self.shell.dynamic.rdma
         for qpn in [q for q, owner in self._qp_owners.items() if owner == pid]:
             del self._qp_owners[qpn]
+            # ERROR before the pages go: the QP's memory hooks walk this
+            # pid's context, so no verb may reach them once it is gone.
+            if stack is not None and qpn in stack.qps:
+                stack.qp_error(qpn, reason)
         if ctx.mrs is not None:
             for mr in sorted(ctx.mrs, key=lambda m: m.key):
                 self._unpin(ctx, self._pages(ctx, mr.vaddr, mr.end))
@@ -760,6 +766,13 @@ class Driver:
         page = ctx.page_table.page_size
         return range(vaddr - (vaddr % page), end, page)
 
+    def walk_range(self, ctx: ProcessContext, vaddr: int, length: int) -> None:
+        """Raise :class:`~repro.mem.mmu.SegmentationFault` now, in the
+        submitter's frame, if any page of the range is unmapped: a shared
+        translation stage that met it later would fault for every tenant."""
+        for page in self._pages(ctx, vaddr, vaddr + length):
+            ctx.page_table.walk(page)
+
     def _unpin(self, ctx: ProcessContext, pages) -> None:
         """Unpin ``pages`` in the process's vFPGA TLB (a shell swap may
         have dropped the MMU; then there is nothing left to unpin)."""
@@ -934,11 +947,8 @@ class Driver:
         for desc, write in descs:
             self.shell.check_descriptor(desc, write)
             if desc.mr_key is None:
-                # A raw vaddr must be mapped now: the shared translation
-                # stage that would fault on it later serves every tenant.
                 # MR-keyed slices were walked at registration.
-                for page in self._pages(ctx, desc.vaddr, desc.vaddr + desc.length):
-                    ctx.page_table.walk(page)
+                self.walk_range(ctx, desc.vaddr, desc.length)
 
         for desc, write in descs:
             post(desc, write)

@@ -3,6 +3,7 @@
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from typing import Callable, Dict, Generator, List, Optional, Tuple
 
@@ -40,6 +41,9 @@ class RdmaStack:
         #: Everything else per QP, one record each (same keys as ``qps``).
         self._contexts: Dict[int, _QpContext] = {}
         self.cq: Store = Store(env)
+        #: ``wr_id``s for verbs a cThread posts: the QPs' namespace, so two
+        #: identical stacks hand out identical ids.
+        self.wr_ids = itertools.count(1)
         # Injected local memory access, ``(read_local, write_local)``:
         # generator functions over virtual addresses, running in simulated
         # time.  A QP that belongs to a cThread has its own pair through

@@ -1,0 +1,137 @@
+"""The cThread's RDMA invoke path (``CThread._rdma``) and the QPs it owns.
+
+Every failure here must reach the submitter as a typed error, or the
+verb's own completion, and never escape ``env.run()`` from one of the
+stack's shared processes: those serve every tenant on the node.
+"""
+
+import pytest
+
+from repro import Environment, Oper, RdmaSg, SgEntry
+from repro.cluster import FpgaCluster
+from repro.mem.mmu import SegmentationFault
+from repro.net import WrFlushError
+from repro.net.qp import QpState
+
+from .platforms import twice_sanitized
+
+
+def _pair():
+    env = Environment()
+    cluster = FpgaCluster(env, 2)
+    a, b = cluster.connect_qps(0, 1, pid_a=1, pid_b=2, qpn_a=1, qpn_b=2)
+    return env, cluster, a, b
+
+
+def _sg(local, remote, length, qpn):
+    return SgEntry(rdma=RdmaSg(local_addr=local, remote_addr=remote, len=length, qpn=qpn))
+
+
+def test_close_errors_the_owners_qps_so_a_peer_write_flushes():
+    """Pid 1 closes; the peer then WRITEs 16 KiB into pid 1's old QP.
+    The closed QP is in ERROR, so the inbound WRITE is never landed
+    through pid 1's freed MMU context: the peer's verb ends in a typed
+    flush, and ``env.run()`` drains without an error."""
+    env, cluster, a, b = _pair()
+    stack_a = cluster.nodes[0].shell.dynamic.rdma
+    seen = {}
+
+    def main():
+        mine = yield from a.get_mem(16384)
+        theirs = yield from b.get_mem(16384)
+        a.close()
+        assert stack_a.qps[1].state is QpState.ERROR
+        try:
+            yield from b.invoke(Oper.REMOTE_RDMA_WRITE, _sg(theirs.vaddr, mine.vaddr, 16384, 2))
+        except WrFlushError as exc:
+            seen["flush"] = exc
+
+    env.process(main())
+    env.run()
+    assert seen["flush"].qpn == 2
+    assert stack_a.stats["qp_errors"] == 1
+
+
+@pytest.mark.parametrize("oper", [Oper.REMOTE_RDMA_WRITE, Oper.REMOTE_RDMA_READ])
+def test_an_unmapped_local_address_faults_in_the_submitter(oper):
+    """A WRITE's source and a READ's landing buffer are walked at
+    submit: the invoke raises, nothing goes on the wire, and the node's
+    stack keeps serving (the same thread's next verb completes)."""
+    env, cluster, a, b = _pair()
+    stack_a = cluster.nodes[0].shell.dynamic.rdma
+
+    def main():
+        mine = yield from a.get_mem(4096)
+        theirs = yield from b.get_mem(4096)
+        before = env.now
+        with pytest.raises(SegmentationFault):
+            yield from a.invoke(oper, _sg(0xDEAD0000, theirs.vaddr, 4096, 1))
+        assert env.now == before
+        assert stack_a.stats["tx_packets"] == 0
+        yield from a.invoke(oper, _sg(mine.vaddr, theirs.vaddr, 4096, 1))
+
+    env.run(env.process(main()))
+    assert [c.opcode for c in stack_a.cq.items] == [oper.name.rsplit("_", 1)[1]]
+
+
+def test_rdma_wr_ids_do_not_depend_on_what_ran_before():
+    """Two identical clusters built in one interpreter number their
+    verbs alike: the ids come from the node's stack, not a process-wide
+    counter."""
+
+    def run():
+        env, cluster, a, b = _pair()
+
+        def main():
+            mine = yield from a.get_mem(4096)
+            theirs = yield from b.get_mem(4096)
+            for _ in range(3):
+                yield from a.invoke(Oper.REMOTE_RDMA_WRITE, _sg(mine.vaddr, theirs.vaddr, 64, 1))
+
+        env.run(env.process(main()))
+        return [c.wr_id for c in cluster.nodes[0].shell.dynamic.rdma.cq.items]
+
+    assert run() == run() == [1, 2, 3]
+
+
+def test_an_rdma_invoke_timeout_returns_an_entry_and_leaves_the_qp_usable():
+    """A 256 KiB WRITE given 3 us returns a ``"timeout"`` entry.  Once
+    the simulation drains, the stack's window is back at capacity with
+    nothing unacked, and a second verb on the same QP completes."""
+
+    def run():
+        env, cluster, a, b = _pair()
+        stack = cluster.nodes[0].shell.dynamic.rdma
+        window = stack._reliability.window
+        out = {}
+
+        def main():
+            mine = yield from a.get_mem(1 << 18)
+            theirs = yield from b.get_mem(1 << 18)
+            sg = _sg(mine.vaddr, theirs.vaddr, 1 << 18, 1)
+            entry = yield from a.invoke(Oper.REMOTE_RDMA_WRITE, sg, timeout_ns=3000)
+            out["timeout"] = (entry.status, env.now)
+            out["ids"] = [entry.wr_id]
+            yield env.timeout(1_000_000)
+            out["drained"] = (window.level, window.capacity, len(stack._contexts[1].unacked))
+            yield from a.invoke(Oper.REMOTE_RDMA_WRITE, _sg(mine.vaddr, theirs.vaddr, 4096, 1))
+            out["second"] = env.now
+
+        env.process(main())
+        env.run()
+        out["ids"] += [c.wr_id for c in stack.cq.items]
+        out["cq"] = [(c.opcode, c.length) for c in stack.cq.items]
+        out["invoke_timeouts"] = cluster.nodes[0].driver.invoke_timeouts
+        return out
+
+    first, second = twice_sanitized(run)
+    timed_out, completed = first.pop("ids")
+    assert completed == timed_out + 1
+    second.pop("ids")
+    assert first == second
+    # Two one-page get_mems (800 ns each), then the 3 us deadline.
+    assert first["timeout"] == ("timeout", 1600.0 + 3000)
+    level, capacity, unacked = first["drained"]
+    assert level == capacity and unacked == 0
+    assert first["cq"] == [("WRITE", 4096)]
+    assert first["invoke_timeouts"] == 1
