@@ -98,9 +98,16 @@ def main() -> None:
     env.run(env.process(scenario()))
 
     print(f"\ninjected faults: {injector.summary()}")
-    print("\ncard report (faults section):")
+    print("\ncard report (the counters the faults moved, and the injector's sites):")
     report = card_report(node.driver)
-    for line in format_report({"faults": report["faults"]}).splitlines():
+    telemetry = report["telemetry"]
+    moved = {
+        "pcie": {key: telemetry["pcie"][key] for key in ("replays", "interrupts_lost")},
+        "reconfig": telemetry["reconfig"],
+        "net": {"rdma_retransmissions": telemetry["net"]["rdma_retransmissions"]},
+    }
+    view = {"telemetry": moved, "faults": report["faults"]}
+    for line in format_report(view).splitlines():
         print(f"  {line}")
 
 

@@ -16,46 +16,39 @@ Quick start::
     # ... load an app, create a CThread, invoke kernels; see examples/.
 """
 
-from .api import AppScheduler, CRcnfg, CThread
-from .cluster import FpgaCluster, FpgaNode
-from .core import (
-    Bitstream,
-    BitstreamKind,
-    Descriptor,
-    LocalSg,
-    Oper,
-    RdmaSg,
-    ServiceConfig,
-    SgEntry,
-    Shell,
-    ShellConfig,
-    StreamType,
-    UserApp,
-    VFpga,
-    VFpgaConfig,
-)
-from .driver import Driver
-from .faults import FaultInjector, FaultPlan, FaultRule, RetryPolicy
-from .health import (
-    AdmissionError,
-    DecoupledError,
-    HealthConfig,
-    HealthMonitor,
-    HealthReport,
-    QuarantinedError,
-    RecoveredError,
-)
-from .mem import AllocType, MemLocation, TlbConfig
-from .sim import Environment
-from .telemetry import (
-    MetricsRegistry,
-    SimProfiler,
-    SpanRecorder,
-    collect_card_metrics,
-    collect_cluster_metrics,
-)
+import importlib
 
 __version__ = "2.0.0"
+
+# The subpackage that defines each export.  They load on first use
+# (PEP 562), so ``import repro.analysis`` or ``import repro.sim`` does not
+# pull in the whole simulator.
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "api": ("AppScheduler", "CRcnfg", "CThread"),
+        "cluster": ("FpgaCluster", "FpgaNode"),
+        "core": (
+            "Bitstream", "BitstreamKind", "Descriptor", "LocalSg", "Oper", "RdmaSg",
+            "ServiceConfig", "SgEntry", "Shell", "ShellConfig", "StreamType",
+            "UserApp", "VFpga", "VFpgaConfig",
+        ),
+        "driver": ("Driver",),
+        "faults": ("FaultInjector", "FaultPlan", "FaultRule", "RetryPolicy"),
+        "health": (
+            "AdmissionError", "DecoupledError", "HealthConfig", "HealthMonitor",
+            "HealthReport", "QuarantinedError", "RecoveredError",
+        ),
+        "mem": ("AllocType", "MemLocation", "TlbConfig"),
+        "sim": ("Environment",),
+        "telemetry": (
+            "MetricsRegistry", "SimProfiler", "SpanRecorder",
+            "collect_card_metrics", "collect_cluster_metrics",
+        ),
+    }.items()
+    for name in names
+}
+
 
 __all__ = [
     "Environment",
@@ -100,3 +93,12 @@ __all__ = [
     "collect_cluster_metrics",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value

@@ -769,9 +769,10 @@ class Driver:
     def walk_range(self, ctx: ProcessContext, vaddr: int, length: int) -> None:
         """Raise :class:`~repro.mem.mmu.SegmentationFault` now, in the
         submitter's frame, if any page of the range is unmapped: a shared
-        translation stage that met it later would fault for every tenant."""
+        translation stage that met it later would fault for every tenant.
+        The fault names the first unmapped address of the range."""
         for page in self._pages(ctx, vaddr, vaddr + length):
-            ctx.page_table.walk(page)
+            ctx.page_table.walk(max(page, vaddr))
 
     def _unpin(self, ctx: ProcessContext, pages) -> None:
         """Unpin ``pages`` in the process's vFPGA TLB (a shell swap may

@@ -16,9 +16,8 @@ edge-triggered ``node_down`` / ``node_up`` events:
 A peer is declared down only when *every* live observer suspects it, so
 a two-node ``net.partition`` does not take down a node the rest of the
 fabric can still hear.  Events land in ``card_report()["health"]`` (via
-``driver.cluster_health``) and in the ``cluster.*`` telemetry namespace;
-when a :class:`repro.telemetry.ClusterTelemetry` is attached, every poll
-also refreshes its delta-aware fabric snapshot (first consumer).
+``driver.cluster_health``) and in the ``cluster.*`` namespace of
+:func:`repro.telemetry.collect_cluster_metrics`.
 """
 
 from __future__ import annotations
@@ -60,15 +59,10 @@ class ClusterMonitor:
     otherwise keep the event queue alive forever.
     """
 
-    def __init__(self, cluster, config: ClusterHealthConfig = ClusterHealthConfig(),
-                 telemetry=None):
+    def __init__(self, cluster, config: ClusterHealthConfig = ClusterHealthConfig()):
         self.cluster = cluster
         self.env = cluster.env
         self.config = config
-        #: Optional :class:`repro.telemetry.ClusterTelemetry`; refreshed
-        #: once per poll when attached (the delta path keeps it cheap).
-        self.telemetry = telemetry
-        self.last_snapshot = None
 
         self._stacks = []
         for node in cluster.nodes:
@@ -319,8 +313,6 @@ class ClusterMonitor:
                     self._down[peer] = False
                     self.up_events += 1
                     self._record("node_up", peer, "heartbeats resumed")
-        if self.telemetry is not None:
-            self.last_snapshot = self.telemetry.snapshot()
 
     # ----------------------------------------------------------- report
 

@@ -199,54 +199,51 @@ class HealthMonitor:
 
     # -------------------------------------------------------------- report
 
+    @property
+    def watchdog_trips(self) -> int:
+        """Trips across every region's watchdog (cThread-level included)."""
+        return sum(watchdog.trips for watchdog in self._watchdogs.values())
+
     def report(self) -> HealthReport:
         now = self.env.now
-        regions = []
-        for vfpga_id, watchdog in sorted(self._watchdogs.items()):
-            state = self.recovery.state_of(vfpga_id)
-            regions.append(
-                RegionHealth(
-                    vfpga_id=vfpga_id,
-                    state=state.value,
-                    recoveries=self.recovery.recovery_count(vfpga_id),
-                    watchdog_trips=watchdog.trips,
-                    stuck_pids=self._stuck_pids(vfpga_id, now),
-                )
+        regions = tuple(
+            RegionHealth(
+                vfpga_id=vfpga_id,
+                state=self.recovery.state_of(vfpga_id).value,
+                recoveries=self.recovery.recovery_count(vfpga_id),
+                watchdog_trips=watchdog.trips,
+                stuck_pids=self._stuck_pids(vfpga_id, now),
             )
-        states = {region.state for region in regions}
-        if states <= {RegionState.HEALTHY.value}:
-            card = "healthy"
-        elif states == {RegionState.QUARANTINED.value}:
-            card = "quarantined"
-        else:
-            card = "degraded"
-        return HealthReport(card=card, regions=tuple(regions))
+            for vfpga_id, watchdog in sorted(self._watchdogs.items())
+        )
+        return HealthReport(card=_card_verdict(r.state for r in regions), regions=regions)
+
+
+def _card_verdict(states) -> str:
+    """Healthy while every region is, quarantined once all are, else
+    degraded (a card with no regions counts as healthy)."""
+    states = set(states)
+    if states <= {RegionState.HEALTHY.value}:
+        return "healthy"
+    if states == {RegionState.QUARANTINED.value}:
+        return "quarantined"
+    return "degraded"
 
 
 def health_section(driver) -> Dict:
     """The ``card_report()["health"]`` section for one driver."""
-    section = _card_section(driver)
-    cluster = getattr(driver, "cluster_health", None)
-    if cluster is not None:
-        section["cluster"] = cluster.section()
-    return section
-
-
-def _card_section(driver) -> Dict:
     if driver.health is not None:
-        return driver.health.report().as_dict()
-    if driver.recovery is not None:
+        section = driver.health.report().as_dict()
+    elif driver.recovery is not None:
         # Manual recovery without a monitor: report states, no watchdogs.
         regions = [
             driver.recovery.region_dict(vfpga.vfpga_id)
             for vfpga in driver.shell.vfpgas
         ]
-        states = {region["state"] for region in regions}
-        if states <= {"healthy"}:
-            card = "healthy"
-        elif states == {"quarantined"}:
-            card = "quarantined"
-        else:
-            card = "degraded"
-        return {"card": card, "regions": regions}
-    return {"card": "unmonitored", "regions": []}
+        section = {"card": _card_verdict(r["state"] for r in regions), "regions": regions}
+    else:
+        section = {"card": "unmonitored", "regions": []}
+    cluster = getattr(driver, "cluster_health", None)
+    if cluster is not None:
+        section["cluster"] = cluster.section()
+    return section

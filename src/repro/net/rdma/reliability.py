@@ -24,14 +24,15 @@ class Reliability:
         self.window = Container(self.env, capacity=config.max_outstanding, init=config.max_outstanding)
         self.timer_parked: Optional[Event] = None
 
-    def credit(self, ctx: _QpContext) -> Generator:
+    def credit(self, ctx: _QpContext, wr_id: int, verb: str) -> Generator:
         """Take one window credit for ``ctx``'s next packet.  A flush that
         landed while the requester was parked on it refunds the fresh
-        credit and raises — that beats transmitting into the void."""
+        credit and raises for the verb — that beats transmitting into
+        the void."""
         yield self.window.get(1)
         if ctx.qp.in_error:
             self.window.put(1)
-            raise WrFlushError(ctx.qpn, 0, "SQ", ctx.qp.error_reason)
+            raise WrFlushError(ctx.qpn, wr_id, verb, ctx.qp.error_reason)
 
     def send_queue(
         self, ctx: _QpContext, ops: tuple, verb: str, segments: List[int], wr_id: int,
@@ -60,7 +61,12 @@ class Reliability:
                 payload = yield lanes[index & 1].get()
                 if not isinstance(payload, (bytes, bytearray)):
                     payload = None
-            yield from self.credit(ctx)
+            try:
+                yield from self.credit(ctx, wr_id, verb)
+            except WrFlushError:
+                for lane in lanes or ():
+                    lane.clear()  # a fetch parked on a full lane sees the flush
+                raise
             psn = qp.next_psn()
             # Request an ack on every packet so the window drains
             # continuously; real responders coalesce these replies.
@@ -79,7 +85,9 @@ class Reliability:
         yield done
         return stack._complete(ctx, wr_id, verb, length)
 
-    def request(self, ctx: _QpContext, opcode: int, span: int, register: Callable, **extension) -> Generator:
+    def request(
+        self, ctx: _QpContext, opcode: int, wr_id: int, verb: str, span: int, register: Callable, **extension
+    ) -> Generator:
         """A READ or atomic request: one packet, one credit and ``span``
         PSNs; returns what its ``done`` carries.  ``register(first PSN,
         done)`` files the verb's record before ``track``, with no yield
@@ -88,7 +96,7 @@ class Reliability:
         responses ack cumulatively, so a READ stays retransmittable until
         its last response arrived — a responder that stops answering ends
         in "retry exhausted", not a hang."""
-        yield from self.credit(ctx)
+        yield from self.credit(ctx, wr_id, verb)
         qp = ctx.qp
         psn = qp.sq_psn
         qp.sq_psn = (psn + span) % PSN_MOD

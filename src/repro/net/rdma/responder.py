@@ -5,6 +5,7 @@
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from typing import Deque, Generator, Optional, Tuple
 
 from ..headers import ECN_CE, AethHeader, AtomicAckEthHeader, RoceOpcode
@@ -238,7 +239,9 @@ class Responder:
             else:
                 psn = packet.bth.psn
                 segments = stack._segments(packet.reth.dma_length)
-                lanes = stack._payload_gen(stack._mem(ctx)[0], packet.reth.vaddr, segments, owed)
+                lanes = stack._payload_gen(
+                    stack._mem(ctx)[0], packet.reth.vaddr, segments, "rd", partial(self.answering, owed)
+                )
                 last = len(segments) - 1
                 for index, seg_len in enumerate(segments):
                     payload = yield lanes[index & 1].get()

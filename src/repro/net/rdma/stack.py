@@ -241,7 +241,7 @@ class RdmaStack:
         self.stats["tx_packets"] += 1
 
     def _payload_gen(
-        self, read_fn: ReadLocal, vaddr: int, segments: List[int], owed: Optional[tuple] = None
+        self, read_fn: ReadLocal, vaddr: int, segments: List[int], side: str, live: Callable[[], bool]
     ) -> List[Store]:
         """Start the payload generator (blue-rdma's ``PayloadGen``): local
         reads of ``segments`` running ahead of the wire, as the hardware's
@@ -249,18 +249,24 @@ class RdmaStack:
         in one and odd in the other, so segment *k+1* is translated while
         segment *k*'s DMA is in flight; segment *i* arrives in
         ``lanes[i & 1]``.  Depth 2 per lane keeps at most 16 KB staged.
-        With ``owed``, a READ being answered, a lane stops with that
-        answer."""
+        A lane stops once ``live()`` is false: a WRITE's QP went to ERROR,
+        or the READ being answered is no longer owed.  A read that fails
+        after that (its pages went with the flush) is dropped: the lane
+        puts ``None`` so a waiting consumer wakes and sees the stop."""
         mtu = self.config.mtu
-        side = "wr" if owed is None else "rd"
         lanes = []
 
         def fetch(first: int, lane: Store):
             for index in range(first, len(segments), 2):
-                data = yield from read_fn(vaddr + index * mtu, segments[index])
+                try:
+                    data = yield from read_fn(vaddr + index * mtu, segments[index])
+                except Exception:
+                    if live():
+                        raise
+                    data = None
                 # Put first, look second: the consumer may be waiting.
                 yield lane.put(data)
-                if owed is not None and not self._responder.answering(owed):
+                if not live():
                     return
 
         for first in range(min(2, len(segments))):
@@ -277,7 +283,7 @@ class RdmaStack:
         """One-sided RDMA WRITE; returns once the peer acked the last packet."""
         ctx = self._armed(qpn)
         read_fn, segments = self._mem(ctx)[0], self._segments(length)
-        lanes = self._payload_gen(read_fn, local_vaddr, segments)
+        lanes = self._payload_gen(read_fn, local_vaddr, segments, "wr", lambda: not ctx.qp.in_error)
         return (yield from self._reliability.send_queue(
             ctx, _WRITE_OPS, "WRITE", segments, wr_id, lanes, remote_vaddr
         ))
@@ -291,7 +297,7 @@ class RdmaStack:
         # A READ request consumes one PSN per response packet, and one
         # window credit for the request (released when responses ack it).
         yield from self._reliability.request(
-            ctx, RoceOpcode.RDMA_READ_REQUEST, len(self._segments(length)),
+            ctx, RoceOpcode.RDMA_READ_REQUEST, wr_id, "READ", len(self._segments(length)),
             lambda psn, done: ctx.reads.append(_ReadOp(done, write_fn, local_vaddr, length, psn)),
             reth=RethHeader(vaddr=remote_vaddr, rkey=ctx.qp.remote.rkey, dma_length=length),
         )
@@ -313,7 +319,7 @@ class RdmaStack:
     ) -> Generator:
         ctx = self._armed(qpn)
         original = yield from self._reliability.request(
-            ctx, opcode, 1, ctx.atomics.__setitem__,
+            ctx, opcode, wr_id, "ATOMIC", 1, ctx.atomics.__setitem__,
             atomic_eth=AtomicEthHeader(
                 vaddr=remote_vaddr, rkey=ctx.qp.remote.rkey,
                 swap_add=swap_add & 0xFFFFFFFFFFFFFFFF,

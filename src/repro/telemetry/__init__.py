@@ -10,10 +10,11 @@ statistics and debug registers the Coyote v2 shell exposes to operators:
 * :class:`SimProfiler` — events / wall-time / sim-time per simulated
   component, for finding hot paths in the DES engine,
 * :func:`collect_card_metrics` — fold one card's live hardware counters
-  into a registry (what ``card_report()['telemetry']`` shows).
+  into a registry (what ``card_report()['telemetry']`` shows), and
+  :func:`collect_cluster_metrics` — the one fabric-wide roll-up.
 """
 
-from .collect import ClusterTelemetry, collect_card_metrics, collect_cluster_metrics
+from .collect import collect_card_metrics, collect_cluster_metrics
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .profiler import SimProfiler
 from .spans import Span, SpanRecorder
@@ -28,5 +29,4 @@ __all__ = [
     "SimProfiler",
     "collect_card_metrics",
     "collect_cluster_metrics",
-    "ClusterTelemetry",
 ]

@@ -3,18 +3,17 @@
 Every hardware model keeps plain integer counters on itself (the same
 pattern the fault subsystem uses) so the hot paths never pay for metric
 plumbing; this module is the read side that folds them into the canonical
-``domain.metric`` namespace.  ``card_report()`` calls it to populate the
-report's ``telemetry`` section, and a cluster can ``merge()`` the
-per-node registries for a fabric-wide view.
+``domain.metric`` namespace.  It is the only path from a counter to a reader:
+``card_report()`` embeds it as the report's ``telemetry`` section, and
+``collect_cluster_metrics`` merges every node's registry for the
+fabric-wide view.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
-
 from .metrics import MetricsRegistry
 
-__all__ = ["collect_card_metrics", "collect_cluster_metrics", "ClusterTelemetry"]
+__all__ = ["collect_card_metrics", "collect_cluster_metrics"]
 
 
 def _set_counter(registry: MetricsRegistry, name: str, value: int) -> None:
@@ -63,6 +62,19 @@ def collect_card_metrics(driver, registry: MetricsRegistry = None) -> MetricsReg
     _set_counter(reg, "pcie.migrated_bytes", xdma.migration_bytes)
     _set_counter(reg, "pcie.interrupts_raised", xdma.interrupts_raised)
     _set_counter(reg, "pcie.interrupts_lost", xdma.interrupts_lost)
+    # Host-mapped completion counters, one per vFPGA stream direction.
+    for name, writeback in xdma.writebacks.items():
+        _set_counter(reg, f"pcie.writebacks.{name.replace('-', '_')}", writeback.count)
+
+    # -- reconfig: shell and app swaps through the ICAP ------------------
+    icap = shell.static.icap
+    _set_counter(reg, "reconfig.shell_swaps", shell.shell_reconfigs)
+    _set_counter(reg, "reconfig.app_swaps", shell.app_reconfigs)
+    _set_counter(reg, "reconfig.icap_bytes", icap.bytes_programmed)
+    _set_counter(reg, "reconfig.icap_crc_failures", icap.crc_failures)
+    _set_counter(reg, "reconfig.icap_rollbacks", shell.icap_rollbacks)
+    _set_counter(reg, "reconfig.retries", driver.reconfig_retries)
+    _set_counter(reg, "reconfig.irq_timeouts", driver.irq_timeouts)
 
     # -- mem: HBM + TLB + driver paging ----------------------------------
     hbm = shell.dynamic.hbm
@@ -102,6 +114,7 @@ def collect_card_metrics(driver, registry: MetricsRegistry = None) -> MetricsReg
     _set_counter(reg, "ring.full_stalls", driver.ring_full_stalls)
     _set_counter(reg, "ring.mr_registered", driver.mrs_registered)
     _set_counter(reg, "ring.mr_deregistered", driver.mrs_deregistered)
+    _set_counter(reg, "ring.invoke_timeouts", driver.invoke_timeouts)
     if driver.ring_doorbells:
         reg.gauge("ring.descriptors_per_doorbell").set(
             driver.ring_descriptors / driver.ring_doorbells
@@ -124,6 +137,10 @@ def collect_card_metrics(driver, registry: MetricsRegistry = None) -> MetricsReg
     if tcp is not None:
         for key, value in tcp.stats.items():
             _set_counter(reg, f"net.tcp_{key}", value)
+    sniffer = shell.dynamic.sniffer
+    if sniffer is not None:
+        _set_counter(reg, "net.sniffer_captured", sniffer.captured)
+        _set_counter(reg, "net.sniffer_dropped", sniffer.dropped)
 
     # -- scheduler: every AppScheduler attached to this driver -----------
     for scheduler in driver.schedulers.values():
@@ -134,11 +151,7 @@ def collect_card_metrics(driver, registry: MetricsRegistry = None) -> MetricsReg
     if monitor is not None:
         _set_counter(reg, "health.polls", monitor.polls)
         _set_counter(reg, "health.hung_verdicts", monitor.hung_verdicts)
-        _set_counter(
-            reg,
-            "health.watchdog_trips",
-            sum(w.trips for w in monitor._watchdogs.values()),
-        )
+        _set_counter(reg, "health.watchdog_trips", monitor.watchdog_trips)
     recovery = driver.recovery
     if recovery is not None:
         _set_counter(reg, "health.recoveries", recovery.total_recoveries())
@@ -150,9 +163,12 @@ def collect_card_metrics(driver, registry: MetricsRegistry = None) -> MetricsReg
     return reg
 
 
-def _collect_fabric(reg: MetricsRegistry, cluster) -> None:
-    """Fabric-scope metrics shared by the full and incremental roll-ups:
-    switch counters plus the cluster fault-tolerance layer."""
+def collect_cluster_metrics(cluster) -> MetricsRegistry:
+    """Fabric-wide roll-up: merge every node's registry, then add the
+    switch counters and the cluster fault-tolerance layer."""
+    reg = MetricsRegistry()
+    for node in cluster.nodes:
+        reg.merge(collect_card_metrics(node.driver))
     switch = cluster.switch
     for name, value in switch.counters().items():
         _set_counter(reg, f"net.switch_{name}", value)
@@ -178,82 +194,4 @@ def _collect_fabric(reg: MetricsRegistry, cluster) -> None:
             continue
         seen_stats.append(group.stats)
         group.export_metrics(reg)
-
-
-def collect_cluster_metrics(cluster) -> MetricsRegistry:
-    """Fabric-wide roll-up: merge every node's registry, add the switch."""
-    reg = MetricsRegistry()
-    for node in cluster.nodes:
-        reg.merge(collect_card_metrics(node.driver))
-    _collect_fabric(reg, cluster)
     return reg
-
-
-class ClusterTelemetry:
-    """Incremental cluster snapshots for monitoring loops.
-
-    A monitoring tick over a big cluster must not rescan every node's QP
-    dicts when nothing moved.  Each node gets a cheap *fingerprint* — a
-    tuple of its busiest plain-int counters — and its full registry is
-    re-collected only when the fingerprint changed since the last
-    snapshot; unchanged nodes reuse the cached registry (their
-    env-global ``sim.*`` values go stale until the next change, by
-    design).  Fabric-scope metrics (switch, cluster health, collectives)
-    are cheap and always fresh.  :class:`repro.health.ClusterMonitor` is
-    the first consumer.
-    """
-
-    def __init__(self, cluster):
-        self.cluster = cluster
-        self._node_regs: Dict[int, MetricsRegistry] = {}
-        self._fingerprints: Dict[int, Tuple] = {}
-        self.refreshes = 0
-        self.node_rescans = 0
-        self.node_skips = 0
-
-    @staticmethod
-    def _fingerprint(node) -> Tuple:
-        driver = node.driver
-        shell = driver.shell
-        link = shell.static.xdma.link
-        rdma = shell.dynamic.rdma
-        tx = rx = flushes = 0
-        if rdma is not None:
-            tx = rdma.stats["tx_packets"]
-            rx = rdma.stats["rx_packets"]
-            flushes = rdma.stats["wr_flushes"]
-        sched = 0
-        for scheduler in driver.schedulers.values():
-            sched += (
-                scheduler.requests_served
-                + scheduler.reconfigurations
-                + scheduler.rejected_submits
-            )
-        return (
-            tx,
-            rx,
-            flushes,
-            link.h2c_bytes,
-            link.c2h_bytes,
-            driver.page_faults,
-            driver.node_down,
-            sched,
-        )
-
-    def snapshot(self) -> MetricsRegistry:
-        """Delta-aware :func:`collect_cluster_metrics` equivalent."""
-        self.refreshes += 1
-        reg = MetricsRegistry()
-        for node in self.cluster.nodes:
-            fingerprint = self._fingerprint(node)
-            cached = self._node_regs.get(node.index)
-            if cached is None or fingerprint != self._fingerprints.get(node.index):
-                cached = collect_card_metrics(node.driver)
-                self._node_regs[node.index] = cached
-                self._fingerprints[node.index] = fingerprint
-                self.node_rescans += 1
-            else:
-                self.node_skips += 1
-            reg.merge(cached)
-        _collect_fabric(reg, self.cluster)
-        return reg

@@ -25,7 +25,6 @@ from repro.health import (
 )
 from repro.net import CollectiveAbortError, QpState, WrFlushError
 from repro.sim import AllOf, Environment
-from repro.telemetry import ClusterTelemetry
 
 from .platforms import bitstream, rdma_cluster, twice_sanitized
 
@@ -195,38 +194,6 @@ def test_health_section_gains_a_cluster_key():
     # Nodes without a monitor attached report the card-only shape.
     bare_env, bare_cluster = rdma_cluster(2)
     assert "cluster" not in health_section(bare_cluster[0].driver)
-    monitor.stop()
-    env.run()
-
-
-def test_cluster_telemetry_delta_skips_idle_nodes():
-    env, cluster = rdma_cluster(3)
-    telemetry = ClusterTelemetry(cluster)
-    telemetry.snapshot()
-    assert telemetry.node_rescans == 3  # cold: everything collected
-    telemetry.snapshot()
-    assert telemetry.node_skips == 3  # idle: every fingerprint unchanged
-    connect_stacks(cluster)
-    send_proc, recv_proc, outcome = ping(env, cluster)
-    env.run(AllOf(env, [send_proc, recv_proc]))
-    snap = telemetry.snapshot()
-    # Traffic moved two nodes' fingerprints; the idle third is reused.
-    assert telemetry.node_rescans == 5
-    assert telemetry.node_skips == 4
-    assert snap.counter("net.rdma_tx_packets").value > 0
-
-
-def test_monitor_poll_refreshes_attached_telemetry():
-    env, cluster = rdma_cluster(2)
-    telemetry = ClusterTelemetry(cluster)
-    monitor = ClusterMonitor(
-        cluster, ClusterHealthConfig(interval_ns=50_000.0),
-        telemetry=telemetry,
-    )
-    env.run(until=200_000.0)
-    assert monitor.last_snapshot is not None
-    assert telemetry.refreshes == monitor.polls
-    assert monitor.last_snapshot.counter("cluster.heartbeats_sent").value > 0
     monitor.stop()
     env.run()
 

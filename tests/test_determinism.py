@@ -79,6 +79,7 @@ def run_workload(plan=None):
     procs = [env.process(tenant(v)) for v in range(2)] + [env.process(writer())]
     env.run(AllOf(env, procs))
     switch = cluster.switch
+    report = card_report(node0.driver)
     return {
         "finished_at": env.now,
         "trace": [(r.time, r.source, r.kind, r.payload) for r in tracer.records],
@@ -86,7 +87,12 @@ def run_workload(plan=None):
         "switch": (switch.forwarded, switch.dropped, switch.corrupted,
                    switch.duplicated, switch.reordered),
         "rdma_stats": dict(node0.shell.dynamic.rdma.stats),
-        "faults_report": card_report(node0.driver)["faults"],
+        # Every fault and recovery counter, plus the injector's sites;
+        # the engine's own ``sim.*`` counters differ under the sanitizer.
+        "faults_report": {
+            "faults": report["faults"],
+            **{d: v for d, v in report["telemetry"].items() if d != "sim"},
+        },
         "injected": injector.summary() if injector is not None else None,
     }
 

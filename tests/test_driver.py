@@ -76,7 +76,7 @@ def test_buffer_write_read_via_page_table():
 def test_unmapped_access_is_segfault():
     env, shell, driver = card()
     driver.open(1, 0)
-    with pytest.raises(SegmentationFault):
+    with pytest.raises(SegmentationFault, match="no mapping for vaddr 0xdead000$"):
         driver.read_buffer(1, 0xDEAD000, 16)
 
 
@@ -84,7 +84,8 @@ def test_unmapped_invoke_faults_in_the_submitter_not_the_card():
     """An invoke naming an unmapped vaddr raises SegmentationFault in the
     submitter's frame before anything is posted.  The card's shared
     translation stage never meets the address, so another tenant's
-    transfer still completes and the run ends."""
+    transfer still completes and the run ends.  The fault names the
+    address asked for, not its page base."""
     env, shell, driver = card(PassThroughApp(), PassThroughApp())
     bad, good = CThread(driver, 0, pid=1), CThread(driver, 1, pid=2)
     posted, outcome = [], {}
@@ -98,7 +99,7 @@ def test_unmapped_invoke_faults_in_the_submitter_not_the_card():
 
     def faulting():
         dst = yield from bad.get_mem(4096)
-        sg = SgEntry(local=LocalSg(src_addr=0xDEAD000, src_len=4096,
+        sg = SgEntry(local=LocalSg(src_addr=0xDEAD1234, src_len=4096,
                                    dst_addr=dst.vaddr, dst_len=4096))
         try:
             yield from bad.invoke(Oper.LOCAL_TRANSFER, sg)
@@ -118,6 +119,7 @@ def test_unmapped_invoke_faults_in_the_submitter_not_the_card():
     tenant_two = env.process(healthy())
     env.run()
     assert isinstance(outcome["error"], SegmentationFault)
+    assert str(outcome["error"]).endswith("no mapping for vaddr 0xdead1234")
     assert 1 not in posted and len(driver.processes[1].rings) == 0
     assert tenant_two.value == b"tenant two"
 
@@ -133,7 +135,7 @@ def test_free_mem_invalidates_tlb():
     alloc = env.run(env.process(main()))
     driver.free_mem(1, alloc)
     assert shell.dynamic.mmus[0].tlb.lookup(alloc.vaddr) is None
-    with pytest.raises(SegmentationFault):
+    with pytest.raises(SegmentationFault, match=f"no mapping for vaddr {alloc.vaddr:#x}$"):
         driver.read_buffer(1, alloc.vaddr, 4)
 
 

@@ -36,7 +36,7 @@ from repro.net import (
 from repro.net.cmac import CMAC_BANDWIDTH, FRAME_OVERHEAD_BYTES
 from repro.net.qp import DcqcnState
 from repro.sim import Environment
-from repro.telemetry import ClusterTelemetry
+from repro.telemetry import collect_cluster_metrics
 
 from .platforms import connect, rdma_group, rdma_pair
 
@@ -611,7 +611,7 @@ def test_congestion_telemetry_in_card_report_and_cluster_snapshot():
 
     # Fabric congestion counters + per-port queue gauges in the cluster
     # roll-up.
-    snap = ClusterTelemetry(cluster).snapshot()
+    snap = collect_cluster_metrics(cluster)
     for name in (
         "net.switch_tail_drops", "net.switch_ecn_marks",
         "net.switch_ecn_suppressed", "net.switch_pause_frames_sent",

@@ -7,18 +7,18 @@ stack's shared processes: those serve every tenant on the node.
 
 import pytest
 
-from repro import Environment, Oper, RdmaSg, SgEntry
+from repro import Environment, Oper, RdmaSg, ServiceConfig, SgEntry
 from repro.cluster import FpgaCluster
 from repro.mem.mmu import SegmentationFault
-from repro.net import WrFlushError
+from repro.net import RdmaConfig, WrFlushError
 from repro.net.qp import QpState
 
 from .platforms import twice_sanitized
 
 
-def _pair():
+def _pair(services=None):
     env = Environment()
-    cluster = FpgaCluster(env, 2)
+    cluster = FpgaCluster(env, 2, services=services)
     a, b = cluster.connect_qps(0, 1, pid_a=1, pid_b=2, qpn_a=1, qpn_b=2)
     return env, cluster, a, b
 
@@ -52,6 +52,52 @@ def test_close_errors_the_owners_qps_so_a_peer_write_flushes():
     assert stack_a.stats["qp_errors"] == 1
 
 
+@pytest.mark.parametrize("close_ns, window", [
+    (1_700, 64),  # a fetch's read in flight across the close
+    (2_000, 64),  # the first packet not yet out
+    (20_000, 1),  # packets on the wire, both lanes full behind a credit
+])
+def test_closing_a_writer_mid_write_stops_its_fetch_lanes(close_ns, window):
+    """Pid 1 posts a 1 MiB WRITE at 1.6 us and is closed while most of
+    the message is still unfetched.  The submitter's flush names the verb
+    (its wr_id and opcode, not the window credit it was parked on), the
+    payload generator's lanes stop instead of reading pid 1's freed
+    pages, ``env.run()`` drains, and no fetch is left parked on a lane."""
+
+    def run():
+        rdma = RdmaConfig(max_outstanding=window)
+        env, cluster, a, b = _pair(ServiceConfig(en_memory=True, en_rdma=True, rdma=rdma))
+        stack_a = cluster.nodes[0].shell.dynamic.rdma
+        seen = {}
+
+        def writer():
+            mine = yield from a.get_mem(1 << 20)
+            theirs = yield from b.get_mem(1 << 20)
+            try:
+                yield from a.invoke(Oper.REMOTE_RDMA_WRITE, _sg(mine.vaddr, theirs.vaddr, 1 << 20, 1))
+            except WrFlushError as exc:
+                seen["flush"] = (exc.qpn, exc.wr_id, exc.opcode, exc.reason)
+
+        def closer():
+            yield env.timeout(close_ns)
+            seen["on_wire"] = stack_a.stats["tx_packets"] > 0
+            a.close()
+
+        env.process(writer())
+        env.process(closer())
+        env.run()
+        seen["parked"] = [
+            entry.process for entry in env.sanitizer.stuck_ledger(env) if "fetch" in entry.process
+        ]
+        return seen
+
+    first, second = twice_sanitized(run)
+    assert first == second
+    assert first["flush"] == (1, 1, "WRITE", "closed")
+    assert first["on_wire"] == (close_ns > 2_000)
+    assert first["parked"] == []
+
+
 @pytest.mark.parametrize("oper", [Oper.REMOTE_RDMA_WRITE, Oper.REMOTE_RDMA_READ])
 def test_an_unmapped_local_address_faults_in_the_submitter(oper):
     """A WRITE's source and a READ's landing buffer are walked at
@@ -64,8 +110,8 @@ def test_an_unmapped_local_address_faults_in_the_submitter(oper):
         mine = yield from a.get_mem(4096)
         theirs = yield from b.get_mem(4096)
         before = env.now
-        with pytest.raises(SegmentationFault):
-            yield from a.invoke(oper, _sg(0xDEAD0000, theirs.vaddr, 4096, 1))
+        with pytest.raises(SegmentationFault, match="no mapping for vaddr 0xdead1234$"):
+            yield from a.invoke(oper, _sg(0xDEAD1234, theirs.vaddr, 4096, 1))
         assert env.now == before
         assert stack_a.stats["tx_packets"] == 0
         yield from a.invoke(oper, _sg(mine.vaddr, theirs.vaddr, 4096, 1))

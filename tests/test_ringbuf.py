@@ -171,6 +171,7 @@ def test_register_mr_unmapped_page_rolls_back():
 
     def main():
         alloc = yield from thread.get_mem(page)
+        outcome["second"] = alloc.vaddr + page
         try:
             # Second page of the range was never mapped: the walk faults
             # and registration must undo the pins it already took.
@@ -180,6 +181,7 @@ def test_register_mr_unmapped_page_rolls_back():
 
     env.run(env.process(main()))
     assert isinstance(outcome["error"], SegmentationFault)
+    assert str(outcome["error"]).endswith(f"no mapping for vaddr {outcome['second']:#x}")
     assert len(driver.processes[1].mrs) == 0
     assert mmu.tlb.pinned_occupancy == 0
     assert driver.mrs_registered == 0
