@@ -334,10 +334,10 @@ class CThread:
             return None
         yield AnyOf(self.env, [proc, self.env.timeout(timeout_ns)])
         if not proc.triggered:
-            # Abort the stuck verb; defuse so the interrupt never
-            # propagates out of the simulation as an unhandled failure.
+            # Abandon, not abort (as ``RingState.abandon`` does for a host
+            # invoke): a posted verb cannot be recalled, so it runs to its
+            # end; defused, so its late failure is nobody's to handle.
             proc.defuse()
-            proc.interrupt("invoke timeout")
             return self._timeout_entry(wr_id, StreamType.NET)
         return None
 

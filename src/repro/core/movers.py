@@ -110,7 +110,7 @@ class _DataMover:
     """What the host and card datapaths share, per stream kind.
 
     Per region (vFPGA) and direction there is one dispatch queue — where
-    the shell's send-queue dispatch hands descriptors — a relay that
+    the shell's checked door puts each descriptor — a relay that
     fans them out by ``dest``, and one unit per parallel stream.  The
     subclasses supply the units (:meth:`_rd_unit` / :meth:`_wr_unit`);
     registration, the relay, completion bookkeeping and the health
@@ -175,7 +175,7 @@ class _DataMover:
         return len(self._regions[vfpga_id].lanes[write][1])
 
     def dispatch_queue(self, vfpga_id: int, write: bool) -> Store:
-        """Where the shell hands a region's checked descriptors."""
+        """Where ``Shell.post_descriptor`` puts a region's descriptors."""
         return self._regions[vfpga_id].lanes[write][0]
 
     @staticmethod

@@ -1,8 +1,8 @@
 """The Coyote v2 shell: static + dynamic + application layers (paper §3).
 
 :class:`Shell` is the top-level hardware object: it wires the XDMA link,
-the service layer, and the vFPGAs together, routes send-queue descriptors
-to the right data movers, and implements shell/app run-time
+the service layer, and the vFPGAs together, hands each checked
+descriptor straight to its data mover, and implements shell/app run-time
 reconfiguration with the linked-shell safety check.
 """
 
@@ -14,11 +14,11 @@ from typing import Generator, List, Optional
 from ..net.headers import MacAddress
 from ..net.switch import Switch
 from ..sim.engine import Environment, Event
-from ..sim.resources import Store
 from .bitstream import Bitstream, BitstreamKind
 from .dynamic_layer import DynamicLayer, ServiceConfig
 from .floorplan import DEVICES, Floorplan
 from .interfaces import Descriptor, DescriptorError, StreamType
+from .movers import _DataMover
 from .reconfig import IcapCrcError, ReconfigError
 from .static_layer import StaticLayer
 from .vfpga import UserApp, VFpga, VFpgaConfig
@@ -109,25 +109,8 @@ class Shell:
         mmu = self.dynamic.mmu_for(index)
         for mover in self.dynamic.movers.values():
             mover.register(vfpga, mmu)
-        self.env.process(
-            self._sq_dispatch(vfpga, vfpga.sq_rd, write=False),
-            name=f"v{index}-sq-rd-dispatch",
-        )
-        self.env.process(
-            self._sq_dispatch(vfpga, vfpga.sq_wr, write=True),
-            name=f"v{index}-sq-wr-dispatch",
-        )
         self.vfpgas.append(vfpga)
         return vfpga
-
-    def _sq_dispatch(self, vfpga: VFpga, queue: Store, write: bool) -> Generator:
-        """Route send-queue descriptors to the matching service datapath
-        (each was checked at :meth:`post_descriptor`)."""
-        vfpga_id = vfpga.vfpga_id
-        while True:
-            desc: Descriptor = yield queue.get()
-            mover = self.dynamic.movers[desc.stream]
-            yield mover.dispatch_queue(vfpga_id, write).put(desc)
 
     # ------------------------------------------------------- identification
 
@@ -274,10 +257,11 @@ class Shell:
 
     # ----------------------------------------------------------- host entry
 
-    def check_descriptor(self, desc: Descriptor, write: bool) -> None:
+    def check_descriptor(self, desc: Descriptor, write: bool) -> _DataMover:
         """Raise :class:`DescriptorError` unless this shell can serve
         ``desc``: a datapath exists for its stream kind, and ``dest``
-        names one of the region's parallel streams."""
+        names one of the region's parallel streams.  Returns that
+        datapath's mover."""
         mover = self.dynamic.movers.get(desc.stream)
         if mover is None:
             raise DescriptorError(_NO_DATAPATH[desc.stream])
@@ -287,6 +271,7 @@ class Shell:
                 f"descriptor targets {desc.stream.value} stream {desc.dest}, "
                 f"but vFPGA {desc.vfpga_id} has only {streams}"
             )
+        return mover
 
     def post_descriptor(self, desc: Descriptor, write: bool) -> Event:
         """The one checked entry to the datapath, for software-issued
@@ -295,10 +280,9 @@ class Shell:
 
         An unservable descriptor raises :class:`DescriptorError` here,
         synchronously, in the submitter's own frame — nothing is queued,
-        so no relay process behind the door can die on it.  Returns the
-        send-queue put event.
+        so nothing behind the door can die on it.  A served descriptor
+        goes straight onto its mover's dispatch queue; returns that put
+        event.
         """
-        self.check_descriptor(desc, write)
-        vfpga = self.vfpgas[desc.vfpga_id]
-        queue = vfpga.sq_wr if write else vfpga.sq_rd
-        return queue.put(desc)
+        mover = self.check_descriptor(desc, write)
+        return mover.dispatch_queue(desc.vfpga_id, write).put(desc)

@@ -87,9 +87,7 @@ class VFpga:
             StreamType.CARD: (self.card_in, self.card_out),
             StreamType.NET: (self.net_in, self.net_out),
         }
-        # Send and completion queues.
-        self.sq_rd: Store = Store(env)
-        self.sq_wr: Store = Store(env)
+        # Completion queues; requests go through the shell's door.
         self.cq_rd: Store = Store(env)
         self.cq_wr: Store = Store(env)
         # Per-stream-kind crediters (independent, paper §7.2).
@@ -174,7 +172,7 @@ class VFpga:
     def reset_datapath(self) -> int:
         """Hot-reset the region's datapath state (health recovery).
 
-        Wipes every stream FIFO, drains the send/completion queues, and
+        Wipes every stream FIFO, drains the completion queues, and
         refills all credit pools to capacity — the simulation equivalent
         of asserting the PR region's reset while it is decoupled.  Call
         after :meth:`unload_app` (the app processes must be gone first).
@@ -185,7 +183,7 @@ class VFpga:
                       self.card_out, self.net_in, self.net_out):
             for stream in group:
                 dropped += stream.reset()
-        for queue in (self.sq_rd, self.sq_wr, self.cq_rd, self.cq_wr):
+        for queue in (self.cq_rd, self.cq_wr):
             dropped += queue.clear()
         for crediters in (self.rd_credits, self.wr_credits):
             for crediter in crediters.values():
@@ -200,7 +198,7 @@ class VFpga:
         post_fn: Callable[[Descriptor, bool], Event],
     ) -> None:
         """Wire the region to its shell: the interrupt line and the
-        checked door its send queues sit behind (``Shell.post_descriptor``)."""
+        checked door its requests pass (``Shell.post_descriptor``)."""
         self._irq_fn = irq_fn
         self._post_fn = post_fn
 
@@ -225,7 +223,8 @@ class VFpga:
         Goes through the same checked door as software-issued work: a
         request the shell cannot serve raises
         :class:`~repro.core.interfaces.DescriptorError` here, in the
-        kernel's own frame.  Returns the send-queue put event.
+        kernel's own frame.  Returns the put event of the data mover's
+        dispatch queue.
         """
         return self._request(False, pid, vaddr, length, stream, dest, wr_id)
 

@@ -70,6 +70,18 @@ _HOST_REGION_2M = (8 << 30, 24 << 30)
 _HOST_REGION_1G = (32 << 30, 32 << 30)
 
 
+def _check_length(pid: int, op: RingOp) -> None:
+    """Reject an op with nothing to move, before any descriptor is built:
+    an empty descriptor emits no packets, so no completion, so its
+    submitter would hang."""
+    dst_length = op.dst[1]
+    if op.length <= 0 or (op.opcode is RingOpcode.TRANSFER and dst_length <= 0):
+        raise ZeroLengthDescriptorError(
+            f"pid {pid}: {op.opcode.value} op has nothing to transfer "
+            f"(length={op.length}, dst_length={dst_length})"
+        )
+
+
 @dataclass
 class ProcessContext:
     """Driver state for one registered host process (cThread)."""
@@ -842,13 +854,9 @@ class Driver:
         """
         ctx = self._ctx(pid)
         ring = self._ring(ctx)
+        _check_length(pid, op)
         transfer = op.opcode is RingOpcode.TRANSFER
         dst_key, dst_length = op.dst
-        if op.length <= 0 or (transfer and dst_length <= 0):
-            raise ZeroLengthDescriptorError(
-                f"pid {pid}: ring {op.opcode.value} op has nothing to "
-                f"transfer (length={op.length}, dst_length={dst_length})"
-            )
         vaddr = ctx.mrs.resolve(
             op.mr_key, op.offset, op.length, write=op.opcode is RingOpcode.WRITE
         )
@@ -927,6 +935,8 @@ class Driver:
         # frame, and a TRANSFER never runs as a read half alone.
         descs, absorbed, gates = [], [], []
         for op, vaddr, dst_vaddr in ops:
+            if not admitted:
+                _check_length(ctx.pid, op)  # a ring slot passed it at post
             wr_id = next(self._wr_ids)
             write = op.opcode is RingOpcode.WRITE
             descs.append((

@@ -97,6 +97,7 @@ class _ReadOp:
     local_vaddr: int
     length: int
     psn: int  # of its first response
+    wr_id: int
     received: int = 0  # responses taken, each the next PSN of its range
 
 
@@ -145,7 +146,7 @@ class _QpContext:
         # requester-side signal that the peer (or the path to it) is dead.
         "retries",
         "reads",  # outstanding READs, oldest first (responses come in PSN order)
-        "atomics",  # psn -> event of the waiting atomic verb
+        "atomics",  # psn -> (event, wr_id) of the waiting atomic verb
         # Responder.
         "recv_queue",  # reassembled SEND messages
         "send_parts",  # segments of the SEND being reassembled
@@ -183,7 +184,7 @@ class _QpContext:
         self.last_progress = env.now
         self.retries = 0
         self.reads: Deque[_ReadOp] = deque()
-        self.atomics: Dict[int, Event] = {}
+        self.atomics: Dict[int, Tuple[Event, int]] = {}
         self.recv_queue = Store(env)
         self.send_parts: List[bytes] = []
         self.write_cursor = 0

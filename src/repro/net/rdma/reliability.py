@@ -135,7 +135,7 @@ class Reliability:
         if packet.bth.opcode == RoceOpcode.ATOMIC_ACKNOWLEDGE:
             # The response also carries the original value back to the
             # waiting verb.
-            waiter = ctx.atomics.pop(packet.bth.psn, None)
+            waiter, _wr_id = ctx.atomics.pop(packet.bth.psn, (None, 0))
             if waiter is not None and not waiter.triggered:
                 waiter.succeed(packet.atomic_ack.original)
 

@@ -133,8 +133,8 @@ class RdmaStack:
         self._responder.drop(ctx)
         getters = ctx.recv_queue._getters
         flushing = [(msg.event, msg.wr_id, msg.opcode) for msg in ctx.pending]
-        flushing += [(op.event, 0, "READ") for op in ctx.reads]
-        flushing += [(ctx.atomics[psn], 0, "ATOMIC") for psn in sorted(ctx.atomics)]
+        flushing += [(op.event, op.wr_id, "READ") for op in ctx.reads]
+        flushing += [(*ctx.atomics[psn], "ATOMIC") for psn in sorted(ctx.atomics)]
         # Posted receives with no data yet: flush the parked getters.
         flushing += [
             (getter, 0, "RECV") for getter in getters
@@ -298,7 +298,7 @@ class RdmaStack:
         # window credit for the request (released when responses ack it).
         yield from self._reliability.request(
             ctx, RoceOpcode.RDMA_READ_REQUEST, wr_id, "READ", len(self._segments(length)),
-            lambda psn, done: ctx.reads.append(_ReadOp(done, write_fn, local_vaddr, length, psn)),
+            lambda psn, done: ctx.reads.append(_ReadOp(done, write_fn, local_vaddr, length, psn, wr_id)),
             reth=RethHeader(vaddr=remote_vaddr, rkey=ctx.qp.remote.rkey, dma_length=length),
         )
         return self._complete(ctx, wr_id, "READ", length)
@@ -319,7 +319,8 @@ class RdmaStack:
     ) -> Generator:
         ctx = self._armed(qpn)
         original = yield from self._reliability.request(
-            ctx, opcode, wr_id, "ATOMIC", 1, ctx.atomics.__setitem__,
+            ctx, opcode, wr_id, "ATOMIC", 1,
+            lambda psn, done: ctx.atomics.__setitem__(psn, (done, wr_id)),
             atomic_eth=AtomicEthHeader(
                 vaddr=remote_vaddr, rkey=ctx.qp.remote.rkey,
                 swap_add=swap_add & 0xFFFFFFFFFFFFFFFF,

@@ -4,11 +4,15 @@ A descriptor the shell cannot serve — a stream index past the region's
 geometry, a CARD stream on a shell built without the memory service, a
 NET stream — is refused synchronously with a typed
 :class:`DescriptorError` in the submitter's own frame: nothing is
-queued, nothing is registered in the in-flight table, no relay process
+queued, nothing is registered in the in-flight table, no mover process
 dies, and neighbouring tenants never notice.  Covers both software
-submit paths (``invoke`` and ``post_many``) and the hardware-issued
-send queues (``VFpga.read`` / ``VFpga.write``).
+submit paths (``invoke`` and ``post_many``) and hardware-issued requests
+(``VFpga.read`` / ``VFpga.write``).  A served descriptor goes from the
+door straight onto its data mover's dispatch queue, with no relay
+process between.
 """
+
+import re
 
 import pytest
 
@@ -18,7 +22,7 @@ from repro.axi import Flit
 from repro.core import Descriptor, DescriptorError, UserApp
 from repro.driver import RingOp, RingOpcode
 
-from .platforms import card
+from .platforms import card, twice_sanitized
 
 LENGTH = 4096
 PAYLOAD = bytes(range(256)) * (LENGTH // 256)
@@ -119,8 +123,6 @@ def test_transfer_with_a_bad_write_half_posts_neither_half(via):
         yield from tenant.setup()
         with pytest.raises(DescriptorError, match="stream 9"):
             yield from tenant.transfer(dest=0, dst_dest=9)
-        vfpga = shell.vfpgas[0]
-        assert len(vfpga.sq_rd) == 0 and len(vfpga.sq_wr) == 0
         assert len(tenant.thread.ctx.rings) == 0
         return (yield from tenant.transfer())
 
@@ -128,6 +130,38 @@ def test_transfer_with_a_bad_write_half_posts_neither_half(via):
     env.run()
     assert tenant.result() == PAYLOAD
     assert shell.vfpgas[0].app.flits_moved == LENGTH // 2048  # only the valid request's
+
+
+def test_the_door_puts_a_descriptor_straight_on_its_mover():
+    """One 2 KiB TRANSFER invoke dispatches 39 events, from submit to
+    completion.  A send-queue relay process between the door and the
+    mover cost 43: a get and a put per descriptor.  No such relay is
+    started, so none is left parked at drain."""
+
+    def run():
+        env, shell, driver = card(PassThroughApp())
+        client = Client(driver, 0, pid=1, via="invoke")
+        out = {}
+
+        def main():
+            yield from client.setup()
+            before = env.events_processed
+            sg = LocalSg(src_addr=client.src, src_len=2048, dst_addr=client.dst, dst_len=2048)
+            entry = yield from client.thread.invoke(Oper.LOCAL_TRANSFER, SgEntry(local=sg))
+            out["invoke"] = (entry.status, env.events_processed - before)
+
+        env.run(env.process(main()))
+        env.run()
+        out["relays"] = [
+            entry.process for entry in env.sanitizer.stuck_ledger(env)
+            if re.fullmatch(r"v\d+-sq-(rd|wr)-dispatch", entry.process)
+        ]
+        out["bytes"] = client.thread.read_buffer(client.dst, 2048) == PAYLOAD[:2048]
+        return out
+
+    first, second = twice_sanitized(run)
+    assert first == second
+    assert first == {"invoke": ("success", 39), "relays": [], "bytes": True}
 
 
 def test_ring_batch_with_one_bad_op_posts_nothing():
@@ -210,8 +244,8 @@ def test_bad_hardware_issued_descriptor_leaves_the_region_serving():
         yield from owner.setup()
         shell.load_app(0, rogue)
         yield env.timeout(1_000)
-        # The kernel's own frame got the error; the send-queue dispatch
-        # process is alive and serves software work on the same region.
+        # The kernel's own frame got the error; the region's movers
+        # are alive and serve software work on the same region.
         shell.load_app(0, PassThroughApp())
         return (yield from owner.transfer())
 

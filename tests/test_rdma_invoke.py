@@ -98,6 +98,36 @@ def test_closing_a_writer_mid_write_stops_its_fetch_lanes(close_ns, window):
     assert first["parked"] == []
 
 
+@pytest.mark.parametrize("verb", ["READ", "ATOMIC"])
+def test_a_flushed_read_or_atomic_names_its_wr_id(verb):
+    """A READ posted by ``invoke`` (wr_id 1, from the stack's counter) or
+    a FETCH_ADD posted as wr_id 7 is still waiting on its response when
+    its QP errors at 2.5 us: the flush names the verb's own wr_id."""
+    env, cluster, a, b = _pair()
+    stack_a = cluster.nodes[0].shell.dynamic.rdma
+    seen = {}
+
+    def main():
+        mine = yield from a.get_mem(4096)
+        theirs = yield from b.get_mem(4096)
+        try:
+            if verb == "READ":
+                yield from a.invoke(Oper.REMOTE_RDMA_READ, _sg(mine.vaddr, theirs.vaddr, 4096, 1))
+            else:
+                yield from stack_a.fetch_add(1, theirs.vaddr, 1, wr_id=7)
+        except WrFlushError as exc:
+            seen["flush"] = (exc.qpn, exc.wr_id, exc.opcode, exc.reason)
+
+    def breaker():
+        yield env.timeout(2_500)
+        stack_a.qp_error(1, "test")
+
+    env.process(main())
+    env.process(breaker())
+    env.run()
+    assert seen["flush"] == (1, 1 if verb == "READ" else 7, verb, "test")
+
+
 @pytest.mark.parametrize("oper", [Oper.REMOTE_RDMA_WRITE, Oper.REMOTE_RDMA_READ])
 def test_an_unmapped_local_address_faults_in_the_submitter(oper):
     """A WRITE's source and a READ's landing buffer are walked at
@@ -141,9 +171,12 @@ def test_rdma_wr_ids_do_not_depend_on_what_ran_before():
 
 
 def test_an_rdma_invoke_timeout_returns_an_entry_and_leaves_the_qp_usable():
-    """A 256 KiB WRITE given 3 us returns a ``"timeout"`` entry.  Once
-    the simulation drains, the stack's window is back at capacity with
-    nothing unacked, and a second verb on the same QP completes."""
+    """A 256 KiB WRITE given 3 us returns a ``"timeout"`` entry.  The
+    invoke abandons the verb, it does not abort it: a posted WRITE cannot
+    be recalled, so it runs to its end and completes late, and none of
+    its fetch processes is left parked.  Once the simulation drains, the
+    stack's window is back at capacity with nothing unacked, and a
+    second verb on the same QP completes."""
 
     def run():
         env, cluster, a, b = _pair()
@@ -168,16 +201,20 @@ def test_an_rdma_invoke_timeout_returns_an_entry_and_leaves_the_qp_usable():
         out["ids"] += [c.wr_id for c in stack.cq.items]
         out["cq"] = [(c.opcode, c.length) for c in stack.cq.items]
         out["invoke_timeouts"] = cluster.nodes[0].driver.invoke_timeouts
+        out["parked"] = [
+            entry.process for entry in env.sanitizer.stuck_ledger(env) if "fetch" in entry.process
+        ]
         return out
 
     first, second = twice_sanitized(run)
-    timed_out, completed = first.pop("ids")
-    assert completed == timed_out + 1
+    timed_out, late, completed = first.pop("ids")
+    assert late == timed_out and completed == timed_out + 1
     second.pop("ids")
     assert first == second
     # Two one-page get_mems (800 ns each), then the 3 us deadline.
     assert first["timeout"] == ("timeout", 1600.0 + 3000)
     level, capacity, unacked = first["drained"]
     assert level == capacity and unacked == 0
-    assert first["cq"] == [("WRITE", 4096)]
+    assert first["cq"] == [("WRITE", 1 << 18), ("WRITE", 4096)]
     assert first["invoke_timeouts"] == 1
+    assert first["parked"] == []
