@@ -220,6 +220,8 @@ class CThread:
         opcode = _LOCAL_OPCODES.get(oper)
         if opcode is not None:
             return (yield from self._local(opcode, sg.local, timeout_ns))
+        # offload/sync are spawned on purpose: a scheduler's quiesce
+        # interrupts the request body invoking them, never a migration.
         elif oper is Oper.LOCAL_OFFLOAD:
             yield self.env.process(
                 self.driver.offload(self.pid, sg.local.src_addr, sg.local.src_len)
@@ -246,19 +248,16 @@ class CThread:
     def _writeback_enabled(self) -> bool:
         return self.driver.shell.config.services.mover.writeback
 
+    def _entry(self, wr_id: int, length: int, stream: StreamType, status: str) -> CompletionEntry:
+        return CompletionEntry(
+            vfpga_id=self.vfpga_id, pid=self.pid, wr_id=wr_id, length=length,
+            stream=stream, dest=self.stream_dest, timestamp_ns=self.env.now, status=status,
+        )
+
     def _timeout_entry(self, wr_id: int, stream: StreamType) -> CompletionEntry:
         """Give up on a completion and report the error."""
         self.driver.invoke_timeouts += 1
-        return CompletionEntry(
-            vfpga_id=self.vfpga_id,
-            pid=self.pid,
-            wr_id=wr_id,
-            length=0,
-            stream=stream,
-            dest=self.stream_dest,
-            timestamp_ns=self.env.now,
-            status="timeout",
-        )
+        return self._entry(wr_id, 0, stream, "timeout")
 
     def _local(
         self, opcode: RingOpcode, sg: LocalSg, timeout_ns: Optional[float] = None
@@ -331,15 +330,15 @@ class CThread:
         )
         if timeout_ns is None:
             yield proc
-            return None
-        yield AnyOf(self.env, [proc, self.env.timeout(timeout_ns)])
+        else:
+            yield AnyOf(self.env, [proc, self.env.timeout(timeout_ns)])
         if not proc.triggered:
             # Abandon, not abort (as ``RingState.abandon`` does for a host
             # invoke): a posted verb cannot be recalled, so it runs to its
             # end; defused, so its late failure is nobody's to handle.
             proc.defuse()
             return self._timeout_entry(wr_id, StreamType.NET)
-        return None
+        return self._entry(wr_id, sg.len, StreamType.NET, "success")
 
     # ----------------------------------------------------------------- RDMA
 

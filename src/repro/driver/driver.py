@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Generator, List, Optional
+from typing import Dict, Generator, List, Optional
 
 from ..core.bitstream import Bitstream, BitstreamKind
 from ..core.interfaces import CompletionEntry, Descriptor
@@ -198,9 +198,8 @@ class Driver:
         walk callbacks, the card allocator, the GPU hook and the
         completion demux of each region's fresh queues."""
         page = self.shell.config.services.mmu.tlb.page_size
-        walk, walk_any = self._make_walk_fn(), self._make_walk_any_fn()
         for mmu in self.shell.dynamic.mmus.values():
-            mmu.bind_driver(walk, walk_any)
+            mmu.bind_driver(self._walk, self._walk_any)
         if self.shell.dynamic.hbm is not None:
             hbm = self.shell.dynamic.hbm
             usable = hbm.config.total_bytes - (64 << 20)  # minus sniffer region
@@ -399,22 +398,14 @@ class Driver:
 
     # ----------------------------------------------------- MMU walk service
 
-    def _make_walk_fn(self) -> Callable:
-        def walk(pid: int, vaddr: int, location: MemLocation, writable: bool) -> Generator:
-            return (yield self.env.process(self._walk(pid, vaddr, location, writable)))
-
-        return walk
-
-    def _make_walk_any_fn(self) -> Callable:
-        def walk_any(pid: int, vaddr: int, writable: bool) -> Generator:
-            yield self.env.timeout(0)
-            ctx = self._ctx(pid)
-            self.tlb_walks += 1
-            entry = ctx.page_table.walk(vaddr)
-            offset = vaddr & (ctx.page_table.page_size - 1)
-            return entry.location, entry.paddr_in(entry.location) + offset
-
-        return walk_any
+    def _walk_any(self, pid: int, vaddr: int, writable: bool) -> Generator:
+        """Host-side page-table walk to wherever the page lives."""
+        yield self.env.timeout(0)
+        ctx = self._ctx(pid)
+        self.tlb_walks += 1
+        entry = ctx.page_table.walk(vaddr)
+        offset = vaddr & (ctx.page_table.page_size - 1)
+        return entry.location, entry.paddr_in(entry.location) + offset
 
     def _walk(self, pid: int, vaddr: int, location: MemLocation, writable: bool) -> Generator:
         """Host-side page-table walk; migrates on location mismatch."""
@@ -422,7 +413,7 @@ class Driver:
         self.tlb_walks += 1
         entry = ctx.page_table.walk(vaddr)  # raises SegmentationFault if unmapped
         if entry.paddr_in(location) is None or entry.location is not location:
-            yield self.env.process(self._fault_migrate(ctx, entry, location))
+            yield from self._fault_migrate(ctx, entry, location)
         offset = vaddr & (ctx.page_table.page_size - 1)
         return entry.paddr_in(location) + offset
 
@@ -438,24 +429,22 @@ class Driver:
                 raise DriverError("page fault to card, but shell has no memory service")
             if entry.card_paddr is None:
                 entry.card_paddr = self._card_frames.allocate()
-            yield self.env.process(xdma.migrate(page, to_card=True))
+            yield from xdma.migrate(page, to_card=True)
             hbm.write_now(entry.card_paddr, xdma.host_mem.read(entry.host_paddr, page))
         elif to is MemLocation.GPU:
             if self.gpu is None:
                 raise DriverError("page fault to GPU, but no GPU attached")
             if entry.gpu_paddr is None:
                 entry.gpu_paddr = self.gpu.allocate_page()
-            yield self.env.process(self.gpu.write(
-                entry.gpu_paddr, xdma.host_mem.read(entry.host_paddr, page)
-            ))
+            yield from self.gpu.write(entry.gpu_paddr, xdma.host_mem.read(entry.host_paddr, page))
         else:
             if entry.host_paddr is None:
                 raise DriverError("page has no host frame to migrate back to")
             if entry.location is MemLocation.GPU and self.gpu is not None:
-                data = yield self.env.process(self.gpu.read(entry.gpu_paddr, page))
+                data = yield from self.gpu.read(entry.gpu_paddr, page)
                 xdma.host_mem.write(entry.host_paddr, data)
             else:
-                yield self.env.process(xdma.migrate(page, to_card=False))
+                yield from xdma.migrate(page, to_card=False)
                 if hbm is not None and entry.card_paddr is not None:
                     xdma.host_mem.write(
                         entry.host_paddr, hbm.read_now(entry.card_paddr, page)
@@ -465,11 +454,11 @@ class Driver:
 
     def offload(self, pid: int, vaddr: int, length: int) -> Generator:
         """Explicit host -> card migration (``LOCAL_OFFLOAD``)."""
-        yield self.env.process(self._migrate_range(pid, vaddr, length, MemLocation.CARD))
+        yield from self._migrate_range(pid, vaddr, length, MemLocation.CARD)
 
     def sync(self, pid: int, vaddr: int, length: int) -> Generator:
         """Explicit card -> host migration (``LOCAL_SYNC``)."""
-        yield self.env.process(self._migrate_range(pid, vaddr, length, MemLocation.HOST))
+        yield from self._migrate_range(pid, vaddr, length, MemLocation.HOST)
 
     def _migrate_range(self, pid: int, vaddr: int, length: int, to: MemLocation) -> Generator:
         ctx = self._ctx(pid)
@@ -479,7 +468,7 @@ class Driver:
         while start < vaddr + length:
             entry = ctx.page_table.walk(start)
             if entry.location is not to:
-                yield self.env.process(self._fault_migrate(ctx, entry, to))
+                yield from self._fault_migrate(ctx, entry, to)
                 held = mmu.tlb.probe(start)
                 mmu.shootdown(start)
                 mmu.prefill(start, entry.paddr_in(to), to)
@@ -535,13 +524,12 @@ class Driver:
 
         def read_local(vaddr: int, length: int) -> Generator:
             paddr = yield from mmu.translate(pid, vaddr, MemLocation.HOST)
-            data = yield self.env.process(xdma.read_host(paddr, length, overhead=False))
-            return data
+            return (yield from xdma.read_host(paddr, length, overhead=False))
 
         def write_local(vaddr: int, data: Optional[bytes], length: int) -> Generator:
             paddr = yield from mmu.translate(pid, vaddr, MemLocation.HOST, writable=True)
             payload = data if data is not None else bytes(length)
-            yield self.env.process(xdma.write_host(paddr, payload, overhead=False))
+            yield from xdma.write_host(paddr, payload, overhead=False)
 
         stack.bind_qp_memory(qpn, read_local, write_local)
 
@@ -563,6 +551,7 @@ class Driver:
         ICAP + rebind."""
         yield from self._evacuate_card()
         yield self.env.timeout(IcapController.host_overhead_ns(bitstream))
+        # Spawned on purpose: off the request path (DESIGN.md "Await, don't spawn").
         yield self.env.process(self.shell.reconfigure_shell(bitstream, services, apps))
         self._bind_shell()
 
@@ -611,6 +600,7 @@ class Driver:
             attempt = 0
             while True:
                 try:
+                    # Spawned on purpose: off the request path (DESIGN.md "Await, don't spawn").
                     yield self.env.process(
                         self._reconfigure_app_once(bitstream, vfpga_id, app)
                     )
@@ -651,6 +641,7 @@ class Driver:
         waiter = Event(self.env)
         self._reconfig_done_waiters.append(waiter)
         try:
+            # Spawned on purpose: off the request path (DESIGN.md "Await, don't spawn").
             yield self.env.process(
                 self.shell.reconfigure_app(bitstream, vfpga_id, app)
             )
@@ -1013,4 +1004,5 @@ class Driver:
             from ..health.recovery import RecoveryManager
 
             self.recovery = RecoveryManager(self)
+        # Spawned on purpose: off the request path (DESIGN.md "Await, don't spawn").
         yield self.env.process(self.recovery.recover(vfpga_id, reason=reason))

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Generator, Optional, Tuple
 
-from ..sim.engine import Environment, Process
+from ..sim.engine import Environment, Interrupt, Process
 from ..sim.rate import FifoServer
 from .tlb import MemLocation, Tlb, TlbConfig, TlbEntry
 
@@ -184,14 +184,24 @@ class Mmu:
             raise SegmentationFault(f"{self.name}: no driver bound")
         self.walks += 1
         yield self.env.timeout(TLB_MISS_WALK_NS)
-        paddr = yield self.env.process(self.walk_fn(pid, vaddr, location, writable))
-        ppn = paddr >> self.tlb.config.page_shift
-        self.tlb.insert(
-            TlbEntry(
-                vpn=self.tlb.vpn_of(vaddr), ppn=ppn, location=location, writable=writable
+        # A process, not ``yield from``: it shields a page migration from
+        # ``quiesce_region``'s interrupt of the card unit translating here.
+        walk = self.env.process(self.walk_fn(pid, vaddr, location, writable))
+        try:
+            paddr = yield walk
+        except Interrupt:
+            # The unit stops, the walk runs on: it caches where the page
+            # went, or the TLB would keep the frame the page left.
+            walk.callbacks.append(
+                lambda done: done.ok and self._fill(vaddr, done.value, location, writable)
             )
-        )
+            raise
+        self._fill(vaddr, paddr, location, writable)
         return paddr
+
+    def _fill(self, vaddr: int, paddr: int, location: MemLocation, writable: bool) -> None:
+        vpn, ppn = self.tlb.vpn_of(vaddr), paddr >> self.tlb.config.page_shift
+        self.tlb.insert(TlbEntry(vpn=vpn, ppn=ppn, location=location, writable=writable))
 
     def translate_any(self, pid: int, vaddr: int, writable: bool = False) -> Generator:
         """Translate to wherever the page currently lives.
@@ -262,14 +272,7 @@ class Mmu:
 
     def prefill(self, vaddr: int, paddr: int, location: MemLocation, writable: bool = True) -> None:
         """Install a translation without a walk (driver-initiated, e.g. getMem)."""
-        self.tlb.insert(
-            TlbEntry(
-                vpn=self.tlb.vpn_of(vaddr),
-                ppn=paddr >> self.tlb.config.page_shift,
-                location=location,
-                writable=writable,
-            )
-        )
+        self._fill(vaddr, paddr, location, writable)
 
     def pin(self, vaddr: int) -> bool:
         """Pin ``vaddr``'s cached translation against capacity eviction.

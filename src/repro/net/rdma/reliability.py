@@ -219,4 +219,4 @@ class Reliability:
                     stack.qp_error(ctx.qpn, reason="retry exhausted")
                     continue
                 oldest = min(buffered, key=lambda p: (p - ctx.qp.acked_psn) % PSN_MOD)
-                yield self.env.process(self._go_back_n(ctx, oldest))
+                yield from self._go_back_n(ctx, oldest)

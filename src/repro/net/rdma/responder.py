@@ -98,6 +98,7 @@ class Responder:
                 self.owed.append((ctx, packet, ctx.qp.msn))
                 if not self.responding:
                     self.responding = True
+                    # Spawned on purpose: responses go out beside the receive loop.
                     self.env.process(self._respond(), name=f"{stack.name}-rd-resp")
             elif RoceOpcode.has_atomic_eth(opcode):
                 yield from self._atomic(ctx, packet)
@@ -209,13 +210,13 @@ class Responder:
         the original value in an ATOMIC_ACKNOWLEDGE."""
         read_local, write_local = self.stack._mem(ctx)
         ath = packet.atomic_eth
-        raw = yield self.env.process(read_local(ath.vaddr, 8))
+        raw = yield from read_local(ath.vaddr, 8)
         original = int.from_bytes(raw, "little") if raw is not None else 0
         if packet.bth.opcode == RoceOpcode.FETCH_ADD:
             updated = (original + ath.swap_add) & 0xFFFFFFFFFFFFFFFF
         else:  # COMPARE_SWAP
             updated = ath.swap_add if original == ath.compare else original
-        yield self.env.process(write_local(ath.vaddr, updated.to_bytes(8, "little"), 8))
+        yield from write_local(ath.vaddr, updated.to_bytes(8, "little"), 8)
         yield from self.ack(ctx, packet.bth.psn, atomic_ack=AtomicAckEthHeader(original=original))
 
     def answering(self, owed: tuple) -> bool:
@@ -312,4 +313,5 @@ class Responder:
                 yield from self.ack(ctx, psn, msn=msn)
             lane.popleft()
 
+        # Spawned on purpose: a landing runs beside the receive loop.
         lane.append(self.env.process(landing(), name=f"{self.stack.name}-land"))

@@ -272,6 +272,7 @@ class RdmaStack:
         for first in range(min(2, len(segments))):
             lane = Store(self.env, capacity=2)
             lanes.append(lane)
+            # Spawned on purpose: the two lanes fetch concurrently, ahead of the wire.
             self.env.process(fetch(first, lane), name=f"{self.name}-{side}-fetch")
         return lanes
 

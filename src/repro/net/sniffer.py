@@ -156,7 +156,7 @@ class TrafficSniffer:
         """Background vFPGA logic draining capture records into HBM."""
         while True:
             offset, record = yield self._queue.get()
-            yield self.env.process(self.hbm.write(self.buffer_addr + offset, record))
+            yield from self.hbm.write(self.buffer_addr + offset, record)
 
     # ------------------------------------------------------------ host side
 

@@ -1,0 +1,150 @@
+"""A helper the caller waits on at once runs inline, not as a process.
+
+``yield from helper()`` costs no event; ``yield env.process(helper())``
+costs two, a kick-off and a finish, and both resume a generator.  The
+request path's helpers run inline: an RDMA verb's local DMA
+(``Driver.bind_qp``'s ``read_local``/``write_local``), a page fault's
+migration chain (``_walk`` → ``_fault_migrate`` → ``Xdma.migrate``) and
+``offload``/``sync``.  The budgets below are exact and each case
+checks the processes it starts, so a helper turned back into a process
+fails here.
+
+One spawn on that path stays: ``Mmu.translate`` runs the migrating walk
+as its own process.  A region quiesce interrupts the card unit that is
+waiting on the walk; the walk, and the page migration inside it, must
+run to its end, or the page is left half moved.
+"""
+
+from collections import Counter
+
+from repro import CThread, LocalSg, Oper, RdmaSg, SgEntry, StreamType
+from repro.apps import PassThroughApp
+from repro.mem import MemLocation
+
+from .platforms import card, rdma_cluster, twice_sanitized
+
+RDMA_LENGTH = 64 * 1024
+PAGE = 2 * 1024 * 1024
+PATTERN = bytes(range(256))
+
+
+def _spawned(env, since):
+    """Names of the processes ``env`` started after the sanitizer's
+    ``since``-th; with the counts, in creation order."""
+    return Counter(p.name for p in env.sanitizer._processes[since:] if p.env is env)
+
+
+def test_an_rdma_verb_moves_its_local_memory_inline():
+    """One 64 KiB WRITE, then one READ of it back, on a two-node
+    cluster: 750 events from the WRITE's post to the READ's completion,
+    and no ``read_host``/``write_host`` process.  When each 4 KiB
+    segment's local DMA (16 read and 16 written at each end) was a
+    process of its own, the pair cost 878."""
+
+    def run():
+        env, cluster = rdma_cluster(2)
+        a, b = cluster.connect_qps(0, 1, pid_a=1, pid_b=2, qpn_a=1, qpn_b=2)
+        out = {}
+
+        def main():
+            src = (yield from a.get_mem(RDMA_LENGTH)).vaddr
+            back = (yield from a.get_mem(RDMA_LENGTH)).vaddr
+            remote = (yield from b.get_mem(RDMA_LENGTH)).vaddr
+            a.write_buffer(src, PATTERN * (RDMA_LENGTH // len(PATTERN)))
+            since, before = len(env.sanitizer._processes), env.events_processed
+            for oper, local in ((Oper.REMOTE_RDMA_WRITE, src), (Oper.REMOTE_RDMA_READ, back)):
+                sg = SgEntry(rdma=RdmaSg(local_addr=local, remote_addr=remote, len=RDMA_LENGTH, qpn=1))
+                yield from a.invoke(oper, sg)
+            out["events"] = env.events_processed - before
+            out["spawned"] = _spawned(env, since)
+            out["bytes"] = a.read_buffer(back, RDMA_LENGTH) == a.read_buffer(src, RDMA_LENGTH)
+
+        env.run(env.process(main()))
+        env.run()
+        return out
+
+    first, second = twice_sanitized(run)
+    assert first == second
+    assert first["bytes"]
+    assert first["events"] == 750
+    assert not {"read_host", "write_host"} & set(first["spawned"])
+
+
+def _card_read(quiesce_at=None):
+    """A 4 KiB card-stream READ of a host page on a 2 MiB-page card: the
+    card unit's translation faults the page to card memory.  With
+    ``quiesce_at``, region 0 is quiesced that long after the READ is
+    posted (its unit interrupted while it waits on the walk)."""
+    env, shell, driver = card(PassThroughApp())
+    thread = CThread(driver, 0, pid=1)
+    out = {}
+
+    def main():
+        buf = out["buf"] = (yield from thread.get_mem(4096)).vaddr
+        thread.write_buffer(buf, PATTERN * 16)
+        if quiesce_at is not None:
+            env.process(quiesce(env.now + quiesce_at))
+        since, before = len(env.sanitizer._processes), env.events_processed
+        sg = LocalSg(src_addr=buf, src_len=4096, src_stream=StreamType.CARD)
+        timeout_ns = None if quiesce_at is None else 1_000_000
+        entry = yield from thread.invoke(Oper.LOCAL_READ, SgEntry(local=sg), timeout_ns=timeout_ns)
+        out["entry"] = entry.status
+        out["events"] = env.events_processed - before
+        out["spawned"] = _spawned(env, since)
+
+    def quiesce(when):
+        yield env.timeout_at(when)
+        yield from driver.quiesce_region(0, RuntimeError("reset"), 0)
+
+    env.run(env.process(main()))
+    env.run()
+    return env, shell, driver, out
+
+
+def test_a_page_fault_starts_one_process():
+    """The fault costs one process, the walk ``Mmu.translate`` shields,
+    and 17 events from post to completion.  As a chain of processes
+    (the walk, ``_walk``, ``_fault_migrate``, ``migrate``) it cost four
+    and 23 events."""
+
+    def run():
+        env, shell, driver, out = _card_read()
+        out["faults"] = (driver.page_faults, driver.migrated_bytes)
+        return out
+
+    first, second = twice_sanitized(run)
+    assert first == second
+    assert first == {
+        "buf": first["buf"], "entry": "success", "events": 17,
+        "spawned": Counter({"_walk": 1}), "faults": (1, PAGE),
+    }
+
+
+def test_a_quiesce_mid_fault_leaves_the_page_whole():
+    """Region 0 is quiesced 50 us into the READ, while its card unit
+    waits on a 2 MiB page's migration to card memory (which takes
+    ~190 us).  The unit stops; the READ times out.  The walk is its own
+    process, so the migration still ends: the page is on the card, its
+    card frame holds the page's bytes, and the TLB caches the page
+    where it now lives, not the host frame it left."""
+
+    def run():
+        env, shell, driver, out = _card_read(quiesce_at=50_000)
+        entry = driver._ctx(1).page_table.walk(out["buf"])
+        cached = shell.dynamic.mmus[0].tlb.probe(out["buf"])
+        return {
+            "entry": out["entry"],
+            "location": entry.location,
+            "card_bytes": shell.dynamic.hbm.read_now(entry.card_paddr, 4096) == PATTERN * 16,
+            "faults": (driver.page_faults, driver.migrated_bytes),
+            "tlb": (cached.location, cached.ppn * PAGE) if cached is not None else None,
+            "card_paddr": entry.card_paddr,
+        }
+
+    first, second = twice_sanitized(run)
+    assert first == second
+    assert first["entry"] == "timeout"
+    assert first["location"] is MemLocation.CARD
+    assert first["card_bytes"]
+    assert first["faults"] == (1, PAGE)
+    assert first["tlb"] in (None, (MemLocation.CARD, first["card_paddr"]))

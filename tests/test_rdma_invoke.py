@@ -7,7 +7,7 @@ stack's shared processes: those serve every tenant on the node.
 
 import pytest
 
-from repro import Environment, Oper, RdmaSg, ServiceConfig, SgEntry
+from repro import Environment, Oper, RdmaSg, ServiceConfig, SgEntry, StreamType
 from repro.cluster import FpgaCluster
 from repro.mem.mmu import SegmentationFault
 from repro.net import RdmaConfig, WrFlushError
@@ -218,3 +218,29 @@ def test_an_rdma_invoke_timeout_returns_an_entry_and_leaves_the_qp_usable():
     assert first["cq"] == [("WRITE", 1 << 18), ("WRITE", 4096)]
     assert first["invoke_timeouts"] == 1
     assert first["parked"] == []
+
+
+@pytest.mark.parametrize("oper", [Oper.REMOTE_RDMA_WRITE, Oper.REMOTE_RDMA_READ])
+@pytest.mark.parametrize("timeout_ns", [None, 1e9])
+def test_a_completed_verb_returns_a_success_entry(oper, timeout_ns):
+    """A verb that completes returns a ``"success"`` entry, as a host
+    invoke does: the verb's wr_id (the one its stack completion
+    carries), the message length and the NET stream, stamped when the
+    submitter resumed.  A deadline that is never reached changes
+    nothing."""
+    env, cluster, a, b = _pair()
+    stack_a = cluster.nodes[0].shell.dynamic.rdma
+    seen = {}
+
+    def main():
+        mine = yield from a.get_mem(16384)
+        theirs = yield from b.get_mem(16384)
+        entry = yield from a.invoke(oper, _sg(mine.vaddr, theirs.vaddr, 16384, 1), timeout_ns=timeout_ns)
+        seen["entry"] = (entry.status, entry.wr_id, entry.length, entry.stream, entry.pid)
+        seen["stamped"] = entry.timestamp_ns == env.now
+
+    env.run(env.process(main()))
+    [completion] = stack_a.cq.items
+    assert seen["entry"] == ("success", completion.wr_id, 16384, StreamType.NET, 1)
+    assert seen["stamped"]
+    assert cluster.nodes[0].driver.invoke_timeouts == 0
