@@ -57,10 +57,12 @@ class AxiStream:
 
     # -- producer side ----------------------------------------------------
 
-    def book(self, flit: Flit) -> float:
+    def book(self, flit: Flit, earliest: float = 0.0) -> float:
         """Book the bus for ``flit``'s beat count, behind every flit
-        booked before it; returns when its last beat is across."""
-        return self._bus.book(flit.beats(self.width_bytes) * self._beat_ns)
+        booked before it and not before ``earliest``; returns when its
+        last beat is across.  A stream's only sender may book ahead of
+        the time its flit is ready (see ``FifoServer.book``)."""
+        return self._bus.book(flit.beats(self.width_bytes) * self._beat_ns, earliest)
 
     def send(self, flit: Flit) -> Generator:
         """Transmit one flit: its beats on the bus, then into the FIFO,
@@ -76,8 +78,8 @@ class AxiStream:
     def deposit(self, flit: Flit) -> None:
         """Land a flit whose :meth:`book` finish has come, for a sender
         that does not wait: one holding a credit, which guarantees the
-        FIFO has room."""
-        self._fifo.put(flit)
+        FIFO has room.  Eventless: it wakes a waiting receiver, if any."""
+        self._fifo.put_nowait(flit)
         self.bytes_sent += flit.length
         self.flits_sent += 1
 

@@ -4,11 +4,17 @@ Implements the architecture of paper §6.3/§7.2:
 
 * **Host path** (PCIe, bandwidth-constrained): per-vFPGA request units
   packetize descriptors and acquire credits, a round-robin interleaver
-  grants one packet at a time, and a pipelined mover translates (MMU) and
-  DMAs each packet.  Fairness across tenants emerges here (Figure 8).
+  grants one packet at a time, a translation stage per direction
+  translates it (MMU) into a 4-deep staging store, and a DMA engine per
+  direction moves it.  Fairness across tenants emerges here (Figure 8).
+  A DMA engine is a FIFO server on its link direction driven by its own
+  completion timer, not a process: the timer lands one packet and books
+  the link for the next staged one.
 * **Card path** (HBM, bandwidth-rich): dedicated per-stream workers, no
   interleaving, still credited and MMU-translated.  Parallel workers are
-  what make per-vFPGA throughput scale with channels (Figure 7a).
+  what make per-vFPGA throughput scale with channels (Figure 7a).  A
+  read unit books HBM and then its own stream's bus behind it, and
+  waits on one timer for the flit to land.
 
 Read credits are released when the vFPGA consumes the deposited flit
 (destination-queue crediting); write credits when the packet's write
@@ -93,14 +99,17 @@ class _Region:
     indexed by ``write``: both tenant-side, rebuilt empty by every
     :meth:`_DataMover._spawn_region`.  ``ports`` is the host path's
     ``(read, write)`` arbiter ports, added on first use: the fabric is
-    shared, so they outlive a region restart.
+    shared, so they outlive a region restart.  ``credits`` is the
+    region's ``(read, write)`` crediters of the mover's stream kind,
+    looked up once here rather than per packet.
     """
 
-    __slots__ = ("vfpga", "mmu", "procs", "lanes", "ports")
+    __slots__ = ("vfpga", "mmu", "procs", "lanes", "ports", "credits")
 
-    def __init__(self, vfpga: VFpga, mmu: Mmu):
+    def __init__(self, vfpga: VFpga, mmu: Mmu, kind: StreamType):
         self.vfpga = vfpga
         self.mmu = mmu
+        self.credits = (vfpga.rd_credits[kind], vfpga.wr_credits[kind])
         self.procs: List = []
         self.lanes: List[Tuple] = []
         self.ports: Optional[Tuple] = None
@@ -136,7 +145,7 @@ class _DataMover:
     def register(self, vfpga: VFpga, mmu: Mmu) -> None:
         if vfpga.vfpga_id in self._regions:
             raise ValueError(f"vFPGA {vfpga.vfpga_id} already registered")
-        region = self._regions[vfpga.vfpga_id] = _Region(vfpga, mmu)
+        region = self._regions[vfpga.vfpga_id] = _Region(vfpga, mmu, self.stream)
         self._spawn_region(region)
 
     def _spawn_region(self, region: _Region) -> None:
@@ -249,6 +258,133 @@ class _Deposit:
             self.mover._complete(vfpga, packet, write=False)
 
 
+class _DmaEngine:
+    """One direction of the host path's DMA: a FIFO server on its PCIe
+    link direction (or the GPU's P2P port), fed by the 4-deep staging
+    store its translation stage fills, and driven by its own completion
+    timer rather than a process.
+
+    Taking a staged packet books the link at once and arms one timer at
+    the transfer's finish.  The timer's callback lands the packet
+    (:meth:`_land`), then takes the next staged packet with ``try_get``
+    and books it: a backlogged engine costs one event per packet.  An
+    idle engine waits on a ``get`` of the store.  In-flight accounting
+    on the link counts up at the booking and down in the callback.
+
+    ``name`` is what the profilers book the timers by (DESIGN.md "Names
+    the benchmark depends on").
+    """
+
+    __slots__ = ("mover", "name", "staged")
+
+    def __init__(self, mover: HostDataMover, name: str, staged: Store):
+        self.mover = mover
+        self.name = name
+        self.staged = staged
+        staged.get().callbacks.append(self._take)
+
+    def _take(self, event: Event) -> None:
+        self._start(event.value)
+
+    def _landed(self, event: Event) -> None:
+        self._land(event.value)
+        item = self.staged.try_get()
+        if item is None:
+            self.staged.get().callbacks.append(self._take)
+        else:
+            self._start(item)
+
+    def _start(self, item: Tuple) -> None:
+        raise NotImplementedError
+
+    def _land(self, item: Tuple) -> None:
+        raise NotImplementedError
+
+
+class _ReadDma(_DmaEngine):
+    """H2C: a staged ``(packet, location, paddr)`` is read from host
+    memory (or a GPU peer-to-peer), and its flit booked onto the
+    destination stream's bus; the deposit timer lands it."""
+
+    __slots__ = ()
+
+    def _start(self, item: Tuple) -> None:
+        packet, location, paddr = item
+        mover = self.mover
+        if location is MemLocation.GPU:
+            finish = mover.gpu.book(packet.length)
+        else:
+            finish = mover.xdma.link.book("h2c", packet.length, overhead=False)
+        mover.env.timeout_at(finish, item).callbacks.append(self._landed)
+
+    def _land(self, item: Tuple) -> None:
+        packet, location, paddr = item
+        mover = self.mover
+        length = packet.length
+        if location is MemLocation.GPU:
+            data = mover.gpu.land_read(paddr, length)
+        else:
+            xdma = mover.xdma
+            xdma.link.land("h2c", length)
+            data = xdma.host_mem.read(paddr, length)
+        mover.bytes_read += length
+        vfpga = mover._regions[packet.vfpga_id].vfpga
+        flit = Flit(
+            length=length,
+            data=data if mover.config.carry_data else None,
+            tid=packet.dest,
+            last=packet.last,
+        )
+        # Credits guarantee FIFO space, so the deposit happens on the
+        # (parallel) crossbar without holding up the DMA engine: one
+        # timer, due when the stream's bus has carried the flit, whose
+        # booking keeps the stream's flits in order.
+        stream = vfpga.host_in[packet.dest]
+        mover.env.timeout_at(
+            stream.book(flit), (stream, vfpga, packet, flit)
+        ).callbacks.append(mover._deposit.land)
+
+
+class _WriteDma(_DmaEngine):
+    """C2H: a staged ``(packet, flit, location, paddr)`` is written to
+    host memory (or a GPU peer-to-peer); landing releases the packet's
+    write credit and completes a last packet."""
+
+    __slots__ = ()
+
+    def _start(self, item: Tuple) -> None:
+        packet, flit, location, paddr = item
+        mover = self.mover
+        if not mover.config.carry_data:
+            data = bytes(min(flit.length, packet.length))
+        elif flit.data is not None:
+            data = flit.data
+        else:
+            data = bytes(flit.length)
+        if location is MemLocation.GPU:
+            finish = mover.gpu.book(len(data))
+        else:
+            finish = mover.xdma.link.book("c2h", len(data), overhead=False)
+        mover.env.timeout_at(
+            finish, (packet, location, paddr, data)
+        ).callbacks.append(self._landed)
+
+    def _land(self, item: Tuple) -> None:
+        packet, location, paddr, data = item
+        mover = self.mover
+        if location is MemLocation.GPU:
+            mover.gpu.land_write(paddr, data)
+        else:
+            xdma = mover.xdma
+            xdma.link.land("c2h", len(data))
+            xdma.host_mem.write(paddr, data)
+        mover.bytes_written += packet.length
+        region = mover._regions[packet.vfpga_id]
+        region.credits[1].release()
+        if packet.last:
+            mover._complete(region.vfpga, packet, write=True)
+
+
 class HostDataMover(_DataMover):
     """Fair, credited host-memory datapath over the XDMA streaming channel."""
 
@@ -268,13 +404,14 @@ class HostDataMover(_DataMover):
         #: Optional GPU for peer-to-peer transfers to GPU-resident pages
         #: (set by Driver.attach_gpu).
         self.gpu = None
-        # Translate/DMA pipeline stages.
+        # Translate/DMA pipeline stages: a translation process per
+        # direction feeds its DMA engine's 4-deep staging store.
         self._rd_staged: Store = Store(env, capacity=4)
         self._wr_staged: Store = Store(env, capacity=4)
         env.process(self._rd_translate(), name="host-rd-xlat")
-        env.process(self._rd_dma(), name="host-rd-dma")
         env.process(self._wr_translate(), name="host-wr-xlat")
-        env.process(self._wr_dma(), name="host-wr-dma")
+        self._rd_dma = _ReadDma(self, "host-rd-dma", self._rd_staged)
+        self._wr_dma = _WriteDma(self, "host-wr-dma", self._wr_staged)
 
     def _ports(self, region: _Region) -> Tuple:
         """The region's (read, write) arbiter ports, added on first use."""
@@ -287,14 +424,16 @@ class HostDataMover(_DataMover):
     def _rd_unit(self, region: _Region, dest: int, queue: Store) -> Generator:
         """Probe the MMU for each descriptor's first page (see
         :meth:`_wr_unit`), packetize + credit it, then interleave."""
-        vfpga = region.vfpga
+        mmu = region.mmu
+        credits = region.credits[0]
         port = self._ports(region)[0]
+        page_size = mmu.tlb.config.page_size
         while True:
             desc = yield queue.get()
-            region.mmu.probe(desc.pid, desc.vaddr)
-            for packet in self.packetizer.split(desc, region.mmu.tlb.config.page_size):
+            mmu.probe(desc.pid, desc.vaddr)
+            for packet in self.packetizer.split(desc, page_size):
                 # repro: allow[RES001] split-phase: VFpga.recv releases this credit when the deposited flit is consumed
-                yield from vfpga.rd_credits[StreamType.HOST].acquire()
+                yield from credits.acquire()
                 yield from port.put(packet)
 
     def _wr_unit(self, region: _Region, dest: int, queue: Store) -> Generator:
@@ -309,17 +448,20 @@ class HostDataMover(_DataMover):
         (e.g. the NN kernel emits one small flit per input chunk), so the
         unit reassembles the byte stream into packet-sized writes.
         """
-        vfpga = region.vfpga
+        mmu = region.mmu
+        credits = region.credits[1]
+        source = region.vfpga.host_out[dest]
         port = self._ports(region)[1]
+        page_size = mmu.tlb.config.page_size
         staged = _FlitAssembler()
         while True:
             desc = yield queue.get()
-            region.mmu.probe(desc.pid, desc.vaddr, writable=True)
-            for packet in self.packetizer.split(desc, region.mmu.tlb.config.page_size):
-                # repro: allow[RES001] split-phase: _wr_dma releases this credit when the packet's host write lands
-                yield from vfpga.wr_credits[StreamType.HOST].acquire()
+            mmu.probe(desc.pid, desc.vaddr, writable=True)
+            for packet in self.packetizer.split(desc, page_size):
+                # repro: allow[RES001] split-phase: _WriteDma._land releases this credit when the packet's host write lands
+                yield from credits.acquire()
                 while staged.available < packet.length:
-                    flit = yield from vfpga.host_out[dest].recv()
+                    flit = yield from source.recv()
                     staged.push(flit)
                 data = staged.take(packet.length)
                 yield from port.put((packet, Flit(length=packet.length, data=data, tid=dest)))
@@ -354,53 +496,11 @@ class HostDataMover(_DataMover):
             location, paddr = yield from self._locate(packet, writable=False)
             yield self._rd_staged.put((packet, location, paddr))
 
-    def _rd_dma(self) -> Generator:
-        while True:
-            packet, location, paddr = yield self._rd_staged.get()
-            vfpga = self._regions[packet.vfpga_id].vfpga
-            if location is MemLocation.GPU:
-                data = yield from self.gpu.read(paddr, packet.length)
-            else:
-                data = yield from self.xdma.read_host(
-                    paddr, packet.length, overhead=False
-                )
-            self.bytes_read += packet.length
-            flit = Flit(
-                length=packet.length,
-                data=data if self.config.carry_data else None,
-                tid=packet.dest,
-                last=packet.last,
-            )
-            # Credits guarantee FIFO space, so the deposit happens on the
-            # (parallel) crossbar without holding up the DMA engine: one
-            # timer, due when the stream's bus has carried the flit, whose
-            # booking keeps the stream's flits in order.
-            stream = vfpga.host_in[packet.dest]
-            self.env.timeout_at(
-                stream.book(flit), (stream, vfpga, packet, flit)
-            ).callbacks.append(self._deposit.land)
-
     def _wr_translate(self) -> Generator:
         while True:
             packet, flit = yield from self.wr_arbiter.get()
             location, paddr = yield from self._locate(packet, writable=True)
             yield self._wr_staged.put((packet, flit, location, paddr))
-
-    def _wr_dma(self) -> Generator:
-        while True:
-            packet, flit, location, paddr = yield self._wr_staged.get()
-            vfpga = self._regions[packet.vfpga_id].vfpga
-            data = flit.data if flit.data is not None else bytes(flit.length)
-            if not self.config.carry_data:
-                data = bytes(min(flit.length, packet.length))
-            if location is MemLocation.GPU:
-                yield from self.gpu.write(paddr, data)
-            else:
-                yield from self.xdma.write_host(paddr, data, overhead=False)
-            self.bytes_written += packet.length
-            vfpga.wr_credits[StreamType.HOST].release()
-            if packet.last:
-                self._complete(vfpga, packet, write=True)
 
 
 class CardDataMover(_DataMover):
@@ -421,40 +521,56 @@ class CardDataMover(_DataMover):
         self.hbm = hbm
 
     def _rd_unit(self, region: _Region, dest: int, queue: Store) -> Generator:
+        """Per packet: a credit, a translation, then HBM and this
+        stream's bus booked back to back, and one timer at the bus's
+        finish that lands the flit.
+
+        The unit is its stream's only sender, so booking the bus now
+        with the HBM finish as its earliest start lands in the slot a
+        send at that finish would take.  Two things move with the
+        booking (DESIGN.md "Stations: booked, not queued"): the HBM
+        bytes are read now, not at the HBM finish
+        (``HbmController.book_read``), and the landing timer takes its
+        place among the events of its instant now."""
         vfpga, mmu = region.vfpga, region.mmu
+        credits = region.credits[0]
+        stream = vfpga.card_in[dest]
+        page_size = mmu.tlb.config.page_size
+        carry_data = self.config.carry_data
         while True:
             desc = yield queue.get()
-            for packet in self.packetizer.split(desc, mmu.tlb.config.page_size):
+            for packet in self.packetizer.split(desc, page_size):
                 # repro: allow[RES001] split-phase: VFpga.recv releases this credit when the deposited flit is consumed
-                yield from vfpga.rd_credits[StreamType.CARD].acquire()
-                # Inlined per-packet ops: no throwaway Process events on
-                # the HBM hot path; booked slots leave nothing to release.
+                yield from credits.acquire()
                 paddr = yield from mmu.translate(
                     desc.pid, packet.vaddr, MemLocation.CARD
                 )
-                data = yield from self.hbm.read(paddr, packet.length)
+                ready, data = self.hbm.book_read(paddr, packet.length)
                 self.bytes_read += packet.length
                 flit = Flit(
                     length=packet.length,
-                    data=data if self.config.carry_data else None,
+                    data=data if carry_data else None,
                     tid=packet.dest,
                     last=packet.last,
                 )
-                yield from vfpga.card_in[packet.dest].send(flit)
+                yield self.env.timeout_at(stream.book(flit, ready))
+                stream.deposit(flit)
                 if packet.last:
                     self._complete(vfpga, packet, write=False)
 
     def _wr_unit(self, region: _Region, dest: int, queue: Store) -> Generator:
         vfpga, mmu = region.vfpga, region.mmu
+        source = vfpga.card_out[dest]
+        page_size = mmu.tlb.config.page_size
         staged = _FlitAssembler()
-        guard = vfpga.wr_credits[StreamType.CARD].guard()
+        guard = region.credits[1].guard()
         while True:
             desc = yield queue.get()
-            for packet in self.packetizer.split(desc, mmu.tlb.config.page_size):
+            for packet in self.packetizer.split(desc, page_size):
                 yield from guard.acquire()
                 try:
                     while staged.available < packet.length:
-                        flit = yield from vfpga.card_out[dest].recv()
+                        flit = yield from source.recv()
                         staged.push(flit)
                     payload = staged.take(packet.length)
                     paddr = yield from mmu.translate(

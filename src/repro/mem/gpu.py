@@ -59,24 +59,30 @@ class GpuDevice:
 
     # -- P2P DMA (FPGA-initiated, host never touched) ------------------------
 
-    def _transfer(self, nbytes: int) -> Generator:
-        yield self.env.timeout_at(
-            self._p2p.book(
-                self.config.p2p_latency_ns + nbytes / self.config.p2p_bandwidth
-            )
+    def book(self, nbytes: int) -> float:
+        """Book one P2P transfer on the port now; returns when it
+        finishes.  Land it with :meth:`land_read` or :meth:`land_write`."""
+        return self._p2p.book(
+            self.config.p2p_latency_ns + nbytes / self.config.p2p_bandwidth
         )
 
-    def read(self, paddr: int, length: int) -> Generator:
-        """P2P read from device memory; returns the bytes."""
-        yield from self._transfer(length)
+    def land_read(self, paddr: int, length: int) -> bytes:
         self.bytes_read += length
         return self.mem.read(paddr, length)
 
-    def write(self, paddr: int, data: bytes) -> Generator:
-        """P2P write into device memory."""
-        yield from self._transfer(len(data))
+    def land_write(self, paddr: int, data: bytes) -> None:
         self.mem.write(paddr, data)
         self.bytes_written += len(data)
+
+    def read(self, paddr: int, length: int) -> Generator:
+        """P2P read from device memory; returns the bytes."""
+        yield self.env.timeout_at(self.book(length))
+        return self.land_read(paddr, length)
+
+    def write(self, paddr: int, data: bytes) -> Generator:
+        """P2P write into device memory."""
+        yield self.env.timeout_at(self.book(len(data)))
+        self.land_write(paddr, data)
 
     # -- host-side (CUDA-style) access, untimed ------------------------------
 

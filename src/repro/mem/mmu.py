@@ -116,7 +116,10 @@ class Mmu:
     vaddr, writable)``, which returns ``(location, paddr)`` wherever the
     page lives.  Both are generators (they run in simulated time).
 
-    Walks that do not migrate go through the miss table (``{vpn: walk}``,
+    A walk that migrates is a process of its own, one per page and
+    target memory in flight: a translation that faults the page while
+    it migrates, after its own driver walk latency, joins it.  Walks that
+    do not migrate go through the miss table (``{vpn: walk}``,
     one process per page in flight): a host request unit starts one with
     :meth:`probe` when its descriptor arrives, and a translation that
     misses joins it instead of walking again.  A walk installs its
@@ -139,6 +142,9 @@ class Mmu:
         self.tlb = Tlb(config.tlb)
         self._xlat = FifoServer(env, servers=config.xlat_stations)
         self._walks: Dict[int, Process] = {}
+        #: Migrating walks in flight, by ``(vpn, location)``: a second
+        #: fault on the page joins the migration rather than repeating it.
+        self._migrating: Dict[Tuple[int, MemLocation], Process] = {}
         self.walk_fn: Optional[Callable] = None
         self.walk_any_fn: Optional[Callable] = None
         self.page_faults = 0
@@ -149,7 +155,8 @@ class Mmu:
         self.walk_any_fn = walk_any_fn
 
     def _paddr(self, entry: TlbEntry, vaddr: int) -> int:
-        return (entry.ppn << self.tlb.config.page_shift) | self.tlb.offset_of(vaddr)
+        tlb = self.tlb
+        return (entry.ppn << tlb.page_shift) | (vaddr & tlb.offset_mask)
 
     def _lookup(self, vaddr: int) -> Generator:
         """TLB lookup; on a miss, join the page's walk in flight (if
@@ -184,9 +191,15 @@ class Mmu:
             raise SegmentationFault(f"{self.name}: no driver bound")
         self.walks += 1
         yield self.env.timeout(TLB_MISS_WALK_NS)
-        # A process, not ``yield from``: it shields a page migration from
-        # ``quiesce_region``'s interrupt of the card unit translating here.
-        walk = self.env.process(self.walk_fn(pid, vaddr, location, writable))
+        key = (vaddr >> self.tlb.page_shift, location)
+        walk = self._migrating.get(key)
+        if walk is None:
+            # A process, not ``yield from``: it shields a page migration from
+            # ``quiesce_region``'s interrupt of the card unit translating here.
+            walk = self._migrating[key] = self.env.process(
+                self.walk_fn(pid, vaddr, location, writable)
+            )
+            walk.callbacks.append(lambda _done: self._migrating.pop(key))
         try:
             paddr = yield walk
         except Interrupt:
@@ -196,12 +209,17 @@ class Mmu:
                 lambda done: done.ok and self._fill(vaddr, done.value, location, writable)
             )
             raise
+        # The walk gave its first caller's address; a joiner's differs in
+        # the page offset only.
+        paddr = (paddr & ~self.tlb.offset_mask) | (vaddr & self.tlb.offset_mask)
         self._fill(vaddr, paddr, location, writable)
         return paddr
 
     def _fill(self, vaddr: int, paddr: int, location: MemLocation, writable: bool) -> None:
-        vpn, ppn = self.tlb.vpn_of(vaddr), paddr >> self.tlb.config.page_shift
-        self.tlb.insert(TlbEntry(vpn=vpn, ppn=ppn, location=location, writable=writable))
+        shift = self.tlb.page_shift
+        self.tlb.insert(TlbEntry(
+            vpn=vaddr >> shift, ppn=paddr >> shift, location=location, writable=writable,
+        ))
 
     def translate_any(self, pid: int, vaddr: int, writable: bool = False) -> Generator:
         """Translate to wherever the page currently lives.
@@ -259,7 +277,7 @@ class Mmu:
                 return None
             entry = TlbEntry(
                 vpn=vpn,
-                ppn=paddr >> self.tlb.config.page_shift,
+                ppn=paddr >> self.tlb.page_shift,
                 location=location,
                 writable=writable,
             )

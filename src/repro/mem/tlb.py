@@ -88,6 +88,11 @@ class Tlb:
 
     def __init__(self, config: TlbConfig = TlbConfig()):
         self.config = config
+        #: ``config.page_shift`` and the in-page offset mask, as plain
+        #: ints: every translation reads them.
+        self.page_shift = config.page_shift
+        self.offset_mask = config.page_size - 1
+        self._num_sets = config.num_sets
         # One ordered dict per set: vpn -> TlbEntry, LRU first.
         self._sets = [OrderedDict() for _ in range(config.num_sets)]
         self.hits = 0
@@ -96,17 +101,17 @@ class Tlb:
         self.pinned_evictions = 0
 
     def _set_for(self, vpn: int) -> "OrderedDict[int, TlbEntry]":
-        return self._sets[vpn % self.config.num_sets]
+        return self._sets[vpn % self._num_sets]
 
     def vpn_of(self, vaddr: int) -> int:
-        return vaddr >> self.config.page_shift
+        return vaddr >> self.page_shift
 
     def offset_of(self, vaddr: int) -> int:
-        return vaddr & (self.config.page_size - 1)
+        return vaddr & self.offset_mask
 
     def lookup(self, vaddr: int) -> Optional[TlbEntry]:
-        vpn = self.vpn_of(vaddr)
-        entries = self._set_for(vpn)
+        vpn = vaddr >> self.page_shift
+        entries = self._sets[vpn % self._num_sets]
         entry = entries.get(vpn)
         if entry is None:
             self.misses += 1

@@ -68,34 +68,51 @@ class PcieLink:
             return self.config.replay_latency_ns
         return 0.0
 
-    def _occupy(self, name: str, duration_ns: float) -> Generator:
-        finish = self._directions[name].book(duration_ns)
-        self._in_flight[name] = depth = self._in_flight[name] + 1
-        if depth > self.in_flight_high_water[name]:
-            self.in_flight_high_water[name] = depth
+    def book(self, direction: str, nbytes: int, overhead: bool = True) -> float:
+        """Book one transfer of ``nbytes`` on ``direction`` (``"h2c"`` or
+        ``"c2h"``) now, behind every transfer booked before it; returns
+        when it finishes.  It counts in flight until :meth:`land`."""
+        config = self.config
+        if direction == "h2c":
+            duration = nbytes / config.h2c_bandwidth
+        else:
+            duration = nbytes / config.c2h_bandwidth
+        if overhead:
+            duration += config.descriptor_overhead_ns
+        duration += self._replay_penalty_ns(direction)
+        finish = self._directions[direction].book(duration)
+        self._in_flight[direction] = depth = self._in_flight[direction] + 1
+        if depth > self.in_flight_high_water[direction]:
+            self.in_flight_high_water[direction] = depth
+        return finish
+
+    def land(self, direction: str, nbytes: int) -> None:
+        """A booked transfer finished: it leaves the in-flight count and
+        its bytes are counted."""
+        self._in_flight[direction] -= 1
+        if direction == "h2c":
+            self.h2c_bytes += nbytes
+            self.h2c_transfers += 1
+        else:
+            self.c2h_bytes += nbytes
+            self.c2h_transfers += 1
+
+    def _transfer(self, direction: str, nbytes: int, overhead: bool) -> Generator:
+        finish = self.book(direction, nbytes, overhead)
         try:
             yield self.env.timeout_at(finish)
-        finally:
-            # An interrupted waiter leaves the count at once; its booked
-            # slot on the link stays (the TLPs were already issued).
-            self._in_flight[name] -= 1
+        except BaseException:
+            # An interrupted waiter leaves the count at once and moves
+            # nothing; its booked slot on the link stays (the TLPs were
+            # already issued).
+            self._in_flight[direction] -= 1
+            raise
+        self.land(direction, nbytes)
 
     def h2c(self, nbytes: int, overhead: bool = True) -> Generator:
         """Move ``nbytes`` from host memory to the card."""
-        duration = nbytes / self.config.h2c_bandwidth
-        if overhead:
-            duration += self.config.descriptor_overhead_ns
-        duration += self._replay_penalty_ns("h2c")
-        yield from self._occupy("h2c", duration)
-        self.h2c_bytes += nbytes
-        self.h2c_transfers += 1
+        yield from self._transfer("h2c", nbytes, overhead)
 
     def c2h(self, nbytes: int, overhead: bool = True) -> Generator:
         """Move ``nbytes`` from the card to host memory."""
-        duration = nbytes / self.config.c2h_bandwidth
-        if overhead:
-            duration += self.config.descriptor_overhead_ns
-        duration += self._replay_penalty_ns("c2h")
-        yield from self._occupy("c2h", duration)
-        self.c2h_bytes += nbytes
-        self.c2h_transfers += 1
+        yield from self._transfer("c2h", nbytes, overhead)

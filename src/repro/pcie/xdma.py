@@ -121,7 +121,9 @@ class Xdma:
     def writeback(self, name: str) -> None:
         """Post a host-mapped completion counter update (avoids PCIe
         polling): the counter moves ``WRITEBACK_LATENCY_NS`` from now."""
-        wb = self.writebacks.setdefault(name, Writeback(name))
+        wb = self.writebacks.get(name)
+        if wb is None:
+            wb = self.writebacks[name] = Writeback(name)
         self.env.timeout(WRITEBACK_LATENCY_NS, wb).callbacks.append(_POSTED.land)
 
     # -- interrupts ------------------------------------------------------------

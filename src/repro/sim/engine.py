@@ -24,8 +24,10 @@ full account is DESIGN.md "Event engine internals"):
   orders them by C tuple comparison (``seq`` is unique: the event is
   never compared) and makes no call back into Python.
 * The hot ways of arming or triggering an event — ``Event.succeed``,
-  ``Timeout``, ``timeout_at``, ``_relay`` — write the key and push
-  themselves: one engine frame between model code and the container.
+  ``Timeout``, ``timeout_at``, ``_relay``, ``_succeeded`` (the
+  immediate outcome of a ``Store``/``Container`` operation) — write
+  the key and push themselves: one engine frame between model code and
+  the container.
   Each is a copy of :meth:`Environment._schedule`, which stays the one
   general door (``fail``, :meth:`Environment.sleep`, forced delays, an
   event already scheduled) and the one used while a sanitizer is
@@ -480,7 +482,8 @@ class Environment:
         """Key ``event`` and put it in its container.  ``Event.succeed``,
         ``Timeout``, ``timeout_at`` and ``_relay`` carry flat copies of
         this body for the no-sanitizer case (``timeout_at`` always: its
-        key time is given, not ``now + delay``); change them together."""
+        key time is given, not ``now + delay``), as does ``_succeeded``;
+        change them together."""
         if event._scheduled:
             return
         if self.sanitizer is not None:
@@ -536,6 +539,30 @@ class Environment:
             self._urgent.append(event)
         else:
             self._normal.append(event)
+        pending = seq + 1 - self.events_processed
+        if pending > self.queue_high_water:
+            self.queue_high_water = pending
+        return event
+
+    def _succeeded(self, value: Any = None) -> Event:
+        """``Event(self).succeed(value)``, flat: a new event, already
+        triggered, in the NORMAL lane.  The immediate outcome of a
+        ``Store``/``Container`` put or get that did not have to wait."""
+        if self.sanitizer is not None:
+            return Event(self).succeed(value)
+        event = Event.__new__(Event)
+        event.env = self
+        event.callbacks = []
+        event._value = value
+        event._ok = True
+        event._abandoned = False
+        event._defused = False
+        event._recycle = False
+        event._scheduled = True
+        event._time = self.now
+        event._prio = NORMAL
+        event._seq = seq = next(self._seq)
+        self._normal.append(event)
         pending = seq + 1 - self.events_processed
         if pending > self.queue_high_water:
             self.queue_high_water = pending

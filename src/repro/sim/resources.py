@@ -117,37 +117,47 @@ class Store:
         return None
 
     def put(self, item: Any) -> Event:
-        event = Event(self.env)
         getter = self._next_getter() if self._getters else None
         if getter is not None:
             # Hand the item straight to the oldest waiting getter.
             getter.succeed(item)
-            event.succeed()
-        elif len(self.items) < self.capacity:
+            return self.env._succeeded()
+        if len(self.items) < self.capacity:
             self.items.append(item)
-            event.succeed()
-        else:
-            self._putters.append((event, item))
+            return self.env._succeeded()
+        event = Event(self.env)
+        self._putters.append((event, item))
         return event
 
+    def put_nowait(self, item: Any) -> None:
+        """:meth:`put` for a producer that never waits on it — one whose
+        credit guarantees room — with no event of its own.  Should the
+        store be full after all, the item queues as a blocked put would."""
+        getter = self._next_getter() if self._getters else None
+        if getter is not None:
+            getter.succeed(item)
+        elif len(self.items) < self.capacity:
+            self.items.append(item)
+        else:
+            self._putters.append((Event(self.env), item))
+
     def get(self) -> Event:
-        event = Event(self.env)
         if self.items:
-            event.succeed(self.items.popleft())
+            event = self.env._succeeded(self.items.popleft())
             # A slot freed up: admit a blocked putter, if any.
             entry = self._next_putter() if self._putters else None
             if entry is not None:
                 put_event, item = entry
                 self.items.append(item)
                 put_event.succeed()
-        else:
-            entry = self._next_putter() if self._putters else None
-            if entry is not None:
-                put_event, item = entry
-                put_event.succeed()
-                event.succeed(item)
-            else:
-                self._getters.append(event)
+            return event
+        entry = self._next_putter() if self._putters else None
+        if entry is not None:
+            put_event, item = entry
+            put_event.succeed()
+            return self.env._succeeded(item)
+        event = Event(self.env)
+        self._getters.append(event)
         return event
 
     def try_get(self) -> Optional[Any]:
@@ -199,16 +209,15 @@ class Container:
     def put(self, amount: float) -> Event:
         if amount <= 0:
             raise SimulationError("put amount must be positive")
-        event = Event(self.env)
-        if self._putters or self._getters:
-            self._putters.append((event, amount))
-            self._settle()
-        elif self.level + amount <= self.capacity:
+        queued = self._putters or self._getters
+        if not queued and self.level + amount <= self.capacity:
             # Nobody queued: the outcome _settle() would reach, directly.
             self.level += amount
-            event.succeed()
-        else:
-            self._putters.append((event, amount))
+            return self.env._succeeded()
+        event = Event(self.env)
+        self._putters.append((event, amount))
+        if queued:
+            self._settle()
         return event
 
     def get(self, amount: float) -> Event:
@@ -216,15 +225,14 @@ class Container:
             raise SimulationError("get amount must be positive")
         if amount > self.capacity:
             raise SimulationError("get amount exceeds capacity")
-        event = Event(self.env)
-        if self._putters or self._getters:
-            self._getters.append((event, amount))
-            self._settle()
-        elif self.level >= amount:
+        queued = self._putters or self._getters
+        if not queued and self.level >= amount:
             self.level -= amount
-            event.succeed()
-        else:
-            self._getters.append((event, amount))
+            return self.env._succeeded()
+        event = Event(self.env)
+        self._getters.append((event, amount))
+        if queued:
+            self._settle()
         return event
 
     def _settle(self) -> None:

@@ -12,14 +12,25 @@ fails here.
 One spawn on that path stays: ``Mmu.translate`` runs the migrating walk
 as its own process.  A region quiesce interrupts the card unit that is
 waiting on the walk; the walk, and the page migration inside it, must
-run to its end, or the page is left half moved.
+run to its end, or the page is left half moved.  A second fault on the
+page joins that walk rather than migrating the page again.
+
+The data movers' stages are booked, not waited on by a process of
+their own: the host path's DMA engines run on their completion timers,
+and a card read unit books HBM and its stream's bus back to back and
+waits on one timer.  The budgets below pin both, and the declared
+divergence a request can see: a card read takes its HBM bytes when it
+books the channels.
 """
 
 from collections import Counter
 
+import pytest
+
 from repro import CThread, LocalSg, Oper, RdmaSg, SgEntry, StreamType
 from repro.apps import PassThroughApp
 from repro.mem import MemLocation
+from repro.telemetry import SimProfiler
 
 from .platforms import card, rdma_cluster, twice_sanitized
 
@@ -103,9 +114,10 @@ def _card_read(quiesce_at=None):
 
 def test_a_page_fault_starts_one_process():
     """The fault costs one process, the walk ``Mmu.translate`` shields,
-    and 17 events from post to completion.  As a chain of processes
+    and 15 events from post to completion.  As a chain of processes
     (the walk, ``_walk``, ``_fault_migrate``, ``migrate``) it cost four
-    and 23 events."""
+    and 23 events; with the card read unit sending its flit, not
+    booking it behind HBM, 17."""
 
     def run():
         env, shell, driver, out = _card_read()
@@ -115,7 +127,7 @@ def test_a_page_fault_starts_one_process():
     first, second = twice_sanitized(run)
     assert first == second
     assert first == {
-        "buf": first["buf"], "entry": "success", "events": 17,
+        "buf": first["buf"], "entry": "success", "events": 15,
         "spawned": Counter({"_walk": 1}), "faults": (1, PAGE),
     }
 
@@ -148,3 +160,146 @@ def test_a_quiesce_mid_fault_leaves_the_page_whole():
     assert first["card_bytes"]
     assert first["faults"] == (1, PAGE)
     assert first["tlb"] in (None, (MemLocation.CARD, first["card_paddr"]))
+
+
+def test_a_second_fault_on_a_migrating_page_joins_its_migration():
+    """Two 4 KiB card-stream READs, on streams 0 and 1, of the two
+    halves of one 2 MiB host page fault it at the same time.  The page
+    migrates once, and both READs complete when it has (~190 us).  When
+    each fault migrated the page again, it took 2 faults and 4 MiB, and
+    the second READ was done at ~365 us."""
+
+    def run():
+        env, shell, driver = card(PassThroughApp(num_streams=2, stream=StreamType.CARD))
+        thread = CThread(driver, 0, pid=1)
+        done = {}
+
+        def read(buf, half):
+            sg = LocalSg(
+                src_addr=buf + half * PAGE // 2, src_len=4096,
+                src_stream=StreamType.CARD, src_dest=half,
+            )
+            entry = yield from thread.invoke(Oper.LOCAL_READ, SgEntry(local=sg))
+            done[half] = (entry.status, round(env.now))
+
+        def main():
+            buf = (yield from thread.get_mem(PAGE)).vaddr
+            thread.write_buffer(buf, PATTERN * (PAGE // len(PATTERN)))
+            yield env.all_of([env.process(read(buf, half)) for half in (0, 1)])
+
+        env.run(env.process(main()))
+        env.run()
+        return done, (driver.page_faults, driver.migrated_bytes)
+
+    first, second = twice_sanitized(run)
+    assert first == second
+    done, faults = first
+    assert faults == (1, PAGE)
+    assert [status for status, _ in done.values()] == ["success", "success"]
+    assert max(at for _, at in done.values()) < 200_000
+
+
+def _one_request(stream, oper, size, between=None):
+    """One ``oper`` of ``size`` bytes (a packet each way) through a
+    pass-through kernel on ``stream``; a card stream's buffers are
+    offloaded to HBM first.  ``between(env, shell, driver, src)`` runs
+    just before the request is posted.  Returns the events from post to
+    completion, the events the profiler booked by callback owner, the
+    names of every process the card started and the destination's
+    bytes (synced back to the host for a card stream)."""
+    env, shell, driver = card(PassThroughApp(stream=stream))
+    thread = CThread(driver, 0, pid=1)
+    out = {}
+
+    def main():
+        src = (yield from thread.get_mem(size)).vaddr
+        dst = (yield from thread.get_mem(size)).vaddr
+        thread.write_buffer(src, PATTERN * (size // len(PATTERN)))
+        if stream is StreamType.CARD:
+            for buf in (src, dst):
+                yield from thread.invoke(
+                    Oper.LOCAL_OFFLOAD, SgEntry(local=LocalSg(src_addr=buf, src_len=size))
+                )
+        if between is not None:
+            between(env, shell, driver, src)
+        sg = LocalSg(
+            src_addr=src, src_len=size, dst_addr=dst, dst_len=size,
+            src_stream=stream, dst_stream=stream,
+        )
+        before = env.events_processed
+        with SimProfiler().attach(env) as profiler:
+            entry = yield from thread.invoke(oper, SgEntry(local=sg))
+        out["entry"] = entry.status
+        out["events"] = env.events_processed - before
+        out["booked"] = dict(profiler.events)
+        if stream is StreamType.CARD:
+            yield from thread.invoke(
+                Oper.LOCAL_SYNC, SgEntry(local=LocalSg(src_addr=dst, src_len=size))
+            )
+        out["dst"] = thread.read_buffer(dst, size)
+
+    env.run(env.process(main()))
+    env.run()
+    out["processes"] = set(_spawned(env, 0))
+    return out
+
+
+@pytest.mark.parametrize("stream, oper, size, events, booked", [
+    (StreamType.HOST, Oper.LOCAL_TRANSFER, 2048, 38,
+     {"host-rd-dma": 2, "host-wr-dma": 2, "_deposit": 1}),
+    (StreamType.CARD, Oper.LOCAL_READ, 4096, 12, {"v0-card-rd": 4}),
+], ids=["host-pair", "card-read"])
+def test_a_packet_moves_on_booked_stations(stream, oper, size, events, booked):
+    """Exact budgets, from post to completion, and the events each
+    station's owner was booked.
+
+    A 2 KiB host TRANSFER is one read packet and one write packet: 38
+    events.  Each idle DMA engine is woken once by its staged packet and
+    once by its link timer, which lands the packet; the read's flit
+    lands on one more timer, ``_deposit``.  Neither engine is a process
+    (each was, with a get and a wake per packet, and the deposit's put
+    was an event of its own: 39).
+
+    A 4 KiB card READ is one card read packet: 12 events, four of them
+    the unit's (its descriptor, its credit, its translation and the one
+    timer that lands the flit).  Waiting on HBM, then on the bus, then
+    on the FIFO put cost it six and the READ 14."""
+    first, second = twice_sanitized(lambda: _one_request(stream, oper, size))
+    assert first == second
+    assert first["entry"] == "success"
+    assert first["events"] == events
+    assert {owner: first["booked"][owner] for owner in booked} == booked
+    assert not {"host-rd-dma", "host-wr-dma"} & first["processes"]
+    if oper is Oper.LOCAL_TRANSFER:
+        assert first["dst"] == PATTERN * (size // len(PATTERN))
+
+
+def test_a_card_read_takes_its_bytes_when_it_books_hbm():
+    """The booked card read's one declared divergence: the unit takes
+    the HBM bytes when it books the channels, not when their access
+    ends (``HbmController.book_read``).  A write to the source 1 ns
+    after the booking, inside the ~400 ns access, is not in what the
+    TRANSFER moves; the unit that waited on HBM moved the new bytes.
+    Only a write racing the read can tell, and that order is a race in
+    hardware too."""
+    new = bytes(4096)
+
+    def overwrite_after_booking(env, shell, driver, src):
+        hbm = shell.dynamic.hbm
+        paddr = driver._ctx(1).page_table.walk(src).card_paddr
+        stripes = hbm._stripes
+
+        def spied(addr, length):
+            if addr == paddr and hbm._stripes is spied:
+                hbm._stripes = stripes
+                env.timeout(1.0).callbacks.append(lambda _event: hbm.write_now(paddr, new))
+            return stripes(addr, length)
+
+        hbm._stripes = spied
+
+    first, second = twice_sanitized(lambda: _one_request(
+        StreamType.CARD, Oper.LOCAL_TRANSFER, 4096, overwrite_after_booking
+    ))
+    assert first == second
+    assert first["entry"] == "success"
+    assert first["dst"] == PATTERN * 16

@@ -133,9 +133,10 @@ def test_transfer_with_a_bad_write_half_posts_neither_half(via):
 
 
 def test_the_door_puts_a_descriptor_straight_on_its_mover():
-    """One 2 KiB TRANSFER invoke dispatches 39 events, from submit to
+    """One 2 KiB TRANSFER invoke dispatches 38 events, from submit to
     completion.  A send-queue relay process between the door and the
-    mover cost 43: a get and a put per descriptor.  No such relay is
+    mover cost 43: a get and a put per descriptor (39 while the read's
+    deposit still put its flit with an event).  No such relay is
     started, so none is left parked at drain."""
 
     def run():
@@ -161,7 +162,7 @@ def test_the_door_puts_a_descriptor_straight_on_its_mover():
 
     first, second = twice_sanitized(run)
     assert first == second
-    assert first == {"invoke": ("success", 39), "relays": [], "bytes": True}
+    assert first == {"invoke": ("success", 38), "relays": [], "bytes": True}
 
 
 def test_ring_batch_with_one_bad_op_posts_nothing():

@@ -14,7 +14,9 @@ a FIFO put behind it: it was a ``Resource`` held across the beats *and*
 the put.  While the FIFO has room — which the shell's credits guarantee
 — the booked bus lands every flit at the bit-equal time, in the same
 order, whether a sender waits on ``send`` or a host read deposits by
-timer; a full FIFO is where the two part, and that is pinned too.
+timer; a full FIFO is where the two part, and that is pinned too.  A
+station's only sender may book ahead, with its work's ready time as the
+earliest start (the card read unit's bus): that lands bit-equal too.
 """
 
 import os
@@ -132,6 +134,40 @@ def test_same_instant_burst_on_four_servers():
     done = _finishes(_booked_station, 4, [(0.0, 100.0)] * 9)
     assert done == _finishes(_queued_station, 4, [(0.0, 100.0)] * 9)
     assert [when for _index, when in done] == [100.0] * 4 + [200.0] * 4 + [300.0]
+
+
+@settings(max_examples=MAX_EXAMPLES)
+@given(steps=st.lists(st.tuples(_gap, _variable, _variable), min_size=1, max_size=40))
+@example(steps=[(gap, 0.0, duration) for gap, duration in _ULP_TRAP])
+def test_one_sender_booking_ahead_is_bit_equal_to_booking_when_ready(steps):
+    """The card read unit's bus: a station's only sender, whose work is
+    ready ``upstream`` ns from now (an HBM access), books it now with
+    that as ``earliest`` and waits once; every use finishes at the float
+    a booking made when the work was ready gives."""
+
+    def finishes(ahead):
+        env = Environment()
+        server = FifoServer(env)
+        done = []
+
+        def sender():
+            for gap, upstream, duration in steps:
+                if gap:
+                    yield env.timeout(gap)
+                ready = env.now + upstream
+                if ahead:
+                    finish = server.book(duration, ready)
+                else:
+                    yield env.timeout_at(ready)
+                    finish = server.book(duration)
+                yield env.timeout_at(finish)
+                done.append(env.now)
+
+        env.process(sender())
+        env.run()
+        return done
+
+    assert finishes(ahead=True) == finishes(ahead=False)
 
 
 # ------------------------------------------------- the AXI stream's bus
