@@ -57,12 +57,10 @@ class AxiStream:
 
     # -- producer side ----------------------------------------------------
 
-    def book(self, flit: Flit, earliest: float = 0.0) -> float:
+    def book(self, flit: Flit) -> float:
         """Book the bus for ``flit``'s beat count, behind every flit
-        booked before it and not before ``earliest``; returns when its
-        last beat is across.  A stream's only sender may book ahead of
-        the time its flit is ready (see ``FifoServer.book``)."""
-        return self._bus.book(flit.beats(self.width_bytes) * self._beat_ns, earliest)
+        booked before it; returns when its last beat is across."""
+        return self._bus.book(flit.beats(self.width_bytes) * self._beat_ns)
 
     def send(self, flit: Flit) -> Generator:
         """Transmit one flit: its beats on the bus, then into the FIFO,
@@ -72,6 +70,33 @@ class AxiStream:
         """
         yield self.env.timeout_at(self.book(flit))
         yield self._fifo.put(flit)
+        self.bytes_sent += flit.length
+        self.flits_sent += 1
+
+    def hand_over(self, flit: Flit) -> Generator:
+        """:meth:`send`, where a receiver already waiting for the flit
+        takes it with no put event: the sender goes on behind the
+        receiver's wake, where the put's own event would have fired, so
+        every step runs in the same order (``Environment._behind``).
+
+        The card read unit sends this way; its kernel waits for every
+        flit.  :meth:`send` keeps its put's event: handing over there
+        too drops the event of every kernel output flit a host write
+        unit waits for, which saves no host time (``host_bulk``
+        ``host_us_per_req`` -0.3 %) while ``host_ns_per_event`` rises
+        4.1 % (DESIGN.md "Request path").
+        """
+        env = self.env
+        yield env.timeout_at(self.book(flit))
+        fifo = self._fifo
+        woken = fifo.hand_off(flit)
+        if woken is None:
+            yield fifo.put(flit)
+        else:
+            yield woken
+            behind = env._behind(woken)
+            if behind is not None:
+                yield behind
         self.bytes_sent += flit.length
         self.flits_sent += 1
 

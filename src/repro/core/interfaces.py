@@ -33,6 +33,11 @@ class StreamType(Enum):
     CARD = "card"
     NET = "net"
 
+    # Members are singletons compared by identity, so the identity hash
+    # is a valid one; Enum's own hashes the name in Python, and every
+    # flit a kernel moves looks its stream and crediter up by kind.
+    __hash__ = object.__hash__
+
 
 class Oper(Enum):
     """Operations a cThread can invoke (subset of Coyote's ``CoyoteOper``)."""

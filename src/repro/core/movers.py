@@ -12,9 +12,7 @@ Implements the architecture of paper §6.3/§7.2:
   the link for the next staged one.
 * **Card path** (HBM, bandwidth-rich): dedicated per-stream workers, no
   interleaving, still credited and MMU-translated.  Parallel workers are
-  what make per-vFPGA throughput scale with channels (Figure 7a).  A
-  read unit books HBM and then its own stream's bus behind it, and
-  waits on one timer for the flit to land.
+  what make per-vFPGA throughput scale with channels (Figure 7a).
 
 Read credits are released when the vFPGA consumes the deposited flit
 (destination-queue crediting); write credits when the packet's write
@@ -521,17 +519,13 @@ class CardDataMover(_DataMover):
         self.hbm = hbm
 
     def _rd_unit(self, region: _Region, dest: int, queue: Store) -> Generator:
-        """Per packet: a credit, a translation, then HBM and this
-        stream's bus booked back to back, and one timer at the bus's
-        finish that lands the flit.
-
-        The unit is its stream's only sender, so booking the bus now
-        with the HBM finish as its earliest start lands in the slot a
-        send at that finish would take.  Two things move with the
-        booking (DESIGN.md "Stations: booked, not queued"): the HBM
-        bytes are read now, not at the HBM finish
-        (``HbmController.book_read``), and the landing timer takes its
-        place among the events of its instant now."""
+        """Per packet: a credit, a translation, an HBM read, then the
+        flit handed over on this stream: the kernel waits for it, so the
+        FIFO put makes no event of its own and the unit goes on behind
+        the kernel's wake (``AxiStream.hand_over``).  Not waiting at all
+        (an eventless ``AxiStream.deposit``, as the host read's timer
+        does) would run the unit's next steps ahead of the kernel's and
+        move Figure 7(a)'s 12-channel cell."""
         vfpga, mmu = region.vfpga, region.mmu
         credits = region.credits[0]
         stream = vfpga.card_in[dest]
@@ -545,7 +539,7 @@ class CardDataMover(_DataMover):
                 paddr = yield from mmu.translate(
                     desc.pid, packet.vaddr, MemLocation.CARD
                 )
-                ready, data = self.hbm.book_read(paddr, packet.length)
+                data = yield from self.hbm.read(paddr, packet.length)
                 self.bytes_read += packet.length
                 flit = Flit(
                     length=packet.length,
@@ -553,8 +547,7 @@ class CardDataMover(_DataMover):
                     tid=packet.dest,
                     last=packet.last,
                 )
-                yield self.env.timeout_at(stream.book(flit, ready))
-                stream.deposit(flit)
+                yield from stream.hand_over(flit)
                 if packet.last:
                     self._complete(vfpga, packet, write=False)
 

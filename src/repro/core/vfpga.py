@@ -281,8 +281,10 @@ class VFpga:
         return flit
 
     def send(self, flit: Flit, stream: StreamType = StreamType.HOST, dest: int = 0) -> Generator:
-        """Produce one outbound flit onto stream ``dest``."""
-        yield from self.streams(stream, True)[dest].send(flit)
+        """Produce one outbound flit onto stream ``dest``: the stream's
+        own ``send``, handed back rather than wrapped, so a kernel's
+        ``yield from vfpga.send(...)`` resumes through no extra frame."""
+        return self._by_kind[stream][True][dest].send(flit)
 
     # ---------------------------------------------- software-facing helpers
 

@@ -11,11 +11,11 @@ Figure 7(a).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, Tuple
+from typing import Generator, Optional
 
 from ..faults.plan import HBM_ECC_DOUBLE, HBM_ECC_SINGLE
 from ..sim.clock import HBM_CLOCK, Clock
-from ..sim.engine import Environment
+from ..sim.engine import Environment, Timeout
 from ..sim.rate import FifoServer
 from .sparse import SparseMemory
 
@@ -90,9 +90,9 @@ class HbmController:
 
     # -- timed access --------------------------------------------------------
 
-    def _book(self, addr: int, length: int) -> float:
-        """Book every stripe on its channel, now; when the last of them
-        finishes."""
+    def _access(self, addr: int, length: int) -> Timeout:
+        """Book every stripe on its channel, now; the event that fires
+        when the last of them finishes."""
         config = self.config
         faults = self.faults
         done = self.env.now
@@ -114,27 +114,17 @@ class HbmController:
             finish = self._channels[channel].book(delay)
             if finish > done:
                 done = finish
-        return done
+        return self.env.timeout_at(done)
 
     def read(self, addr: int, length: int) -> Generator:
         """Timed read returning the stored bytes."""
-        yield self.env.timeout_at(self._book(addr, length))
+        yield self._access(addr, length)
         self.bytes_read += length
         return self._mem.read(addr, length)
 
-    def book_read(self, addr: int, length: int) -> Tuple[float, bytes]:
-        """A read for a caller that waits on a later station anyway:
-        books the channels now and returns ``(finish, bytes)``.  The
-        bytes are taken at booking, not at the finish; only a write to
-        the same bytes in between could tell, and that order is a race
-        in hardware too."""
-        finish = self._book(addr, length)
-        self.bytes_read += length
-        return finish, self._mem.read(addr, length)
-
     def write(self, addr: int, data: bytes) -> Generator:
         """Timed write of a byte payload."""
-        yield self.env.timeout_at(self._book(addr, len(data)))
+        yield self._access(addr, len(data))
         self._mem.write(addr, data)
         self.bytes_written += len(data)
 

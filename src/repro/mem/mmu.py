@@ -155,19 +155,17 @@ class Mmu:
         self.walk_any_fn = walk_any_fn
 
     def _paddr(self, entry: TlbEntry, vaddr: int) -> int:
-        tlb = self.tlb
-        return (entry.ppn << tlb.page_shift) | (vaddr & tlb.offset_mask)
+        return (entry.ppn << self.tlb.page_shift) | self.tlb.offset_of(vaddr)
 
-    def _lookup(self, vaddr: int) -> Generator:
-        """TLB lookup; on a miss, join the page's walk in flight (if
-        any) and look again."""
-        entry = self.tlb.lookup(vaddr)
-        if entry is None:
-            walk = self._walks.get(self.tlb.vpn_of(vaddr))
-            if walk is not None:
-                yield walk
-                entry = self.tlb.lookup(vaddr)
-        return entry
+    def _rejoin(self, vaddr: int) -> Generator:
+        """After a TLB miss: join the page's walk in flight (if any)
+        and look again.  A generator only on the miss path, so a hit
+        costs no frame."""
+        walk = self._walks.get(self.tlb.vpn_of(vaddr))
+        if walk is None:
+            return None
+        yield walk
+        return self.tlb.lookup(vaddr)
 
     def translate(
         self,
@@ -184,14 +182,16 @@ class Mmu:
         which migrates the page if it lives elsewhere.
         """
         yield self.env.timeout_at(self._xlat.book(self.config.xlat_service_ns))
-        entry = yield from self._lookup(vaddr)
+        entry = self.tlb.lookup(vaddr)
+        if entry is None:
+            entry = yield from self._rejoin(vaddr)
         if entry is not None and entry.location is location:
             return self._paddr(entry, vaddr)
         if self.walk_fn is None:
             raise SegmentationFault(f"{self.name}: no driver bound")
         self.walks += 1
         yield self.env.timeout(TLB_MISS_WALK_NS)
-        key = (vaddr >> self.tlb.page_shift, location)
+        key = (self.tlb.vpn_of(vaddr), location)
         walk = self._migrating.get(key)
         if walk is None:
             # A process, not ``yield from``: it shields a page migration from
@@ -211,15 +211,13 @@ class Mmu:
             raise
         # The walk gave its first caller's address; a joiner's differs in
         # the page offset only.
-        paddr = (paddr & ~self.tlb.offset_mask) | (vaddr & self.tlb.offset_mask)
+        paddr += self.tlb.offset_of(vaddr) - self.tlb.offset_of(paddr)
         self._fill(vaddr, paddr, location, writable)
         return paddr
 
     def _fill(self, vaddr: int, paddr: int, location: MemLocation, writable: bool) -> None:
-        shift = self.tlb.page_shift
-        self.tlb.insert(TlbEntry(
-            vpn=vaddr >> shift, ppn=paddr >> shift, location=location, writable=writable,
-        ))
+        vpn, ppn = self.tlb.vpn_of(vaddr), paddr >> self.tlb.page_shift
+        self.tlb.insert(TlbEntry(vpn=vpn, ppn=ppn, location=location, writable=writable))
 
     def translate_any(self, pid: int, vaddr: int, writable: bool = False) -> Generator:
         """Translate to wherever the page currently lives.
@@ -229,7 +227,9 @@ class Mmu:
         peer-to-peer transfers to GPU-resident pages.
         """
         yield self.env.timeout_at(self._xlat.book(self.config.xlat_service_ns))
-        entry = yield from self._lookup(vaddr)
+        entry = self.tlb.lookup(vaddr)
+        if entry is None:
+            entry = yield from self._rejoin(vaddr)
         if entry is None:
             if self.walk_any_fn is None:
                 raise SegmentationFault(f"{self.name}: no driver bound")

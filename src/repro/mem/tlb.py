@@ -92,7 +92,6 @@ class Tlb:
         #: ints: every translation reads them.
         self.page_shift = config.page_shift
         self.offset_mask = config.page_size - 1
-        self._num_sets = config.num_sets
         # One ordered dict per set: vpn -> TlbEntry, LRU first.
         self._sets = [OrderedDict() for _ in range(config.num_sets)]
         self.hits = 0
@@ -101,7 +100,7 @@ class Tlb:
         self.pinned_evictions = 0
 
     def _set_for(self, vpn: int) -> "OrderedDict[int, TlbEntry]":
-        return self._sets[vpn % self._num_sets]
+        return self._sets[vpn % self.config.num_sets]
 
     def vpn_of(self, vaddr: int) -> int:
         return vaddr >> self.page_shift
@@ -110,8 +109,8 @@ class Tlb:
         return vaddr & self.offset_mask
 
     def lookup(self, vaddr: int) -> Optional[TlbEntry]:
-        vpn = vaddr >> self.page_shift
-        entries = self._sets[vpn % self._num_sets]
+        vpn = self.vpn_of(vaddr)
+        entries = self._set_for(vpn)
         entry = entries.get(vpn)
         if entry is None:
             self.misses += 1

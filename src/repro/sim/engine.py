@@ -568,6 +568,30 @@ class Environment:
             self.queue_high_water = pending
         return event
 
+    def _behind(self, event: Event) -> Optional[Event]:
+        """For a process that waits on ``event`` in place of an event
+        triggered right after it (``AxiStream.hand_over``: a put that hands
+        its flit to a waiting receiver makes no event of its own, and the
+        sender goes on behind the receiver's wake).  Call it on resuming,
+        as ``event``'s last callback.  The dispatcher would take that
+        event next, so None: go on now.  Unless ``event``'s callbacks
+        made URGENT events, which run first: then the event is made,
+        triggered, at the head of the NORMAL lane and keyed at
+        ``event``'s place, where it would sit; wait on it."""
+        if not self._urgent:
+            return None
+        follower = Event(self)
+        follower._ok = True
+        follower._scheduled = True
+        follower._time = self.now
+        follower._prio = NORMAL
+        # A number is drawn all the same, so the pending count (drawn
+        # minus dispatched) stays true.
+        next(self._seq)
+        follower._seq = event._seq
+        self._normal.appendleft(follower)
+        return follower
+
     # -- what is scheduled -------------------------------------------------
 
     @property

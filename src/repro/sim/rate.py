@@ -26,12 +26,6 @@ class FifoServer:
     lands on.  Wait for it with ``env.timeout_at(finish)``, never
     ``timeout(finish - now)``.  A booking is not recalled when its
     waiter is interrupted: the slot was already issued.
-
-    ``book(duration, earliest)`` books work that cannot start before
-    ``earliest`` (the finish of an earlier station it follows):
-    ``max(now, free, earliest) + duration``.  Made now for a station
-    with one sender, it is the slot a booking made at ``earliest``
-    would take, since nobody else can book in between.
     """
 
     __slots__ = ("env", "_free")
@@ -43,14 +37,12 @@ class FifoServer:
         #: When each station next falls idle; a heap (least first).
         self._free = [0.0] * servers
 
-    def book(self, duration: float, earliest: float = 0.0) -> float:
+    def book(self, duration: float) -> float:
         free = self._free
         now = self.env.now
         start = free[0]
         if start < now:
             start = now
-        if start < earliest:
-            start = earliest
         finish = start + duration
         heapreplace(free, finish)
         return finish

@@ -133,13 +133,21 @@ class Store:
         """:meth:`put` for a producer that never waits on it — one whose
         credit guarantees room — with no event of its own.  Should the
         store be full after all, the item queues as a blocked put would."""
-        getter = self._next_getter() if self._getters else None
-        if getter is not None:
-            getter.succeed(item)
-        elif len(self.items) < self.capacity:
+        if self.hand_off(item) is not None:
+            return
+        if len(self.items) < self.capacity:
             self.items.append(item)
         else:
             self._putters.append((Event(self.env), item))
+
+    def hand_off(self, item: Any) -> Optional[Event]:
+        """Give ``item`` to the oldest waiting getter, as :meth:`put`
+        would, and return that getter's wake; None, doing nothing, when
+        no getter waits."""
+        getter = self._next_getter() if self._getters else None
+        if getter is not None:
+            getter.succeed(item)
+        return getter
 
     def get(self) -> Event:
         if self.items:

@@ -17,10 +17,9 @@ page joins that walk rather than migrating the page again.
 
 The data movers' stages are booked, not waited on by a process of
 their own: the host path's DMA engines run on their completion timers,
-and a card read unit books HBM and its stream's bus back to back and
-waits on one timer.  The budgets below pin both, and the declared
-divergence a request can see: a card read takes its HBM bytes when it
-books the channels.
+and a card read unit's put, which its kernel always waits for, makes
+no event of its own (``AxiStream.hand_over``).  The budgets below pin
+both.
 """
 
 from collections import Counter
@@ -114,10 +113,9 @@ def _card_read(quiesce_at=None):
 
 def test_a_page_fault_starts_one_process():
     """The fault costs one process, the walk ``Mmu.translate`` shields,
-    and 15 events from post to completion.  As a chain of processes
+    and 17 events from post to completion.  As a chain of processes
     (the walk, ``_walk``, ``_fault_migrate``, ``migrate``) it cost four
-    and 23 events; with the card read unit sending its flit, not
-    booking it behind HBM, 17."""
+    and 23 events."""
 
     def run():
         env, shell, driver, out = _card_read()
@@ -127,7 +125,7 @@ def test_a_page_fault_starts_one_process():
     first, second = twice_sanitized(run)
     assert first == second
     assert first == {
-        "buf": first["buf"], "entry": "success", "events": 15,
+        "buf": first["buf"], "entry": "success", "events": 17,
         "spawned": Counter({"_walk": 1}), "faults": (1, PAGE),
     }
 
@@ -199,11 +197,10 @@ def test_a_second_fault_on_a_migrating_page_joins_its_migration():
     assert max(at for _, at in done.values()) < 200_000
 
 
-def _one_request(stream, oper, size, between=None):
+def _one_request(stream, oper, size):
     """One ``oper`` of ``size`` bytes (a packet each way) through a
     pass-through kernel on ``stream``; a card stream's buffers are
-    offloaded to HBM first.  ``between(env, shell, driver, src)`` runs
-    just before the request is posted.  Returns the events from post to
+    offloaded to HBM first.  Returns the events from post to
     completion, the events the profiler booked by callback owner, the
     names of every process the card started and the destination's
     bytes (synced back to the host for a card stream)."""
@@ -220,8 +217,6 @@ def _one_request(stream, oper, size, between=None):
                 yield from thread.invoke(
                     Oper.LOCAL_OFFLOAD, SgEntry(local=LocalSg(src_addr=buf, src_len=size))
                 )
-        if between is not None:
-            between(env, shell, driver, src)
         sg = LocalSg(
             src_addr=src, src_len=size, dst_addr=dst, dst_len=size,
             src_stream=stream, dst_stream=stream,
@@ -247,10 +242,12 @@ def _one_request(stream, oper, size, between=None):
 @pytest.mark.parametrize("stream, oper, size, events, booked", [
     (StreamType.HOST, Oper.LOCAL_TRANSFER, 2048, 38,
      {"host-rd-dma": 2, "host-wr-dma": 2, "_deposit": 1}),
-    (StreamType.CARD, Oper.LOCAL_READ, 4096, 12, {"v0-card-rd": 4}),
-], ids=["host-pair", "card-read"])
+    (StreamType.CARD, Oper.LOCAL_READ, 4096, 13, {"v0-card-rd": 6}),
+    (StreamType.CARD, Oper.LOCAL_TRANSFER, 4096, 27,
+     {"v0-card-rd": 6, "v0-card-wr": 5}),
+], ids=["host-pair", "card-read", "card-pair"])
 def test_a_packet_moves_on_booked_stations(stream, oper, size, events, booked):
-    """Exact budgets, from post to completion, and the events each
+    """Exact budgets, from post to completion, and the callbacks each
     station's owner was booked.
 
     A 2 KiB host TRANSFER is one read packet and one write packet: 38
@@ -260,10 +257,11 @@ def test_a_packet_moves_on_booked_stations(stream, oper, size, events, booked):
     (each was, with a get and a wake per packet, and the deposit's put
     was an event of its own: 39).
 
-    A 4 KiB card READ is one card read packet: 12 events, four of them
-    the unit's (its descriptor, its credit, its translation and the one
-    timer that lands the flit).  Waiting on HBM, then on the bus, then
-    on the FIFO put cost it six and the READ 14."""
+    A 4 KiB card READ is one card read packet: 13 events.  The unit is
+    booked six callbacks (its descriptor, credit, translation, HBM read,
+    bus timer, and the kernel's wake, which it goes on behind), as when
+    the sixth was its put's own event: the READ cost 14 then, and a card
+    TRANSFER 28, not 27."""
     first, second = twice_sanitized(lambda: _one_request(stream, oper, size))
     assert first == second
     assert first["entry"] == "success"
@@ -273,33 +271,3 @@ def test_a_packet_moves_on_booked_stations(stream, oper, size, events, booked):
     if oper is Oper.LOCAL_TRANSFER:
         assert first["dst"] == PATTERN * (size // len(PATTERN))
 
-
-def test_a_card_read_takes_its_bytes_when_it_books_hbm():
-    """The booked card read's one declared divergence: the unit takes
-    the HBM bytes when it books the channels, not when their access
-    ends (``HbmController.book_read``).  A write to the source 1 ns
-    after the booking, inside the ~400 ns access, is not in what the
-    TRANSFER moves; the unit that waited on HBM moved the new bytes.
-    Only a write racing the read can tell, and that order is a race in
-    hardware too."""
-    new = bytes(4096)
-
-    def overwrite_after_booking(env, shell, driver, src):
-        hbm = shell.dynamic.hbm
-        paddr = driver._ctx(1).page_table.walk(src).card_paddr
-        stripes = hbm._stripes
-
-        def spied(addr, length):
-            if addr == paddr and hbm._stripes is spied:
-                hbm._stripes = stripes
-                env.timeout(1.0).callbacks.append(lambda _event: hbm.write_now(paddr, new))
-            return stripes(addr, length)
-
-        hbm._stripes = spied
-
-    first, second = twice_sanitized(lambda: _one_request(
-        StreamType.CARD, Oper.LOCAL_TRANSFER, 4096, overwrite_after_booking
-    ))
-    assert first == second
-    assert first["entry"] == "success"
-    assert first["dst"] == PATTERN * 16

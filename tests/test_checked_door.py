@@ -135,9 +135,9 @@ def test_transfer_with_a_bad_write_half_posts_neither_half(via):
 def test_the_door_puts_a_descriptor_straight_on_its_mover():
     """One 2 KiB TRANSFER invoke dispatches 38 events, from submit to
     completion.  A send-queue relay process between the door and the
-    mover cost 43: a get and a put per descriptor (39 while the read's
-    deposit still put its flit with an event).  No such relay is
-    started, so none is left parked at drain."""
+    mover cost 43: a get and a put per descriptor (39 while the DMA
+    engines were processes).  No such relay is started, so none is
+    left parked at drain."""
 
     def run():
         env, shell, driver = card(PassThroughApp())

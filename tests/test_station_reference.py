@@ -14,9 +14,7 @@ a FIFO put behind it: it was a ``Resource`` held across the beats *and*
 the put.  While the FIFO has room — which the shell's credits guarantee
 — the booked bus lands every flit at the bit-equal time, in the same
 order, whether a sender waits on ``send`` or a host read deposits by
-timer; a full FIFO is where the two part, and that is pinned too.  A
-station's only sender may book ahead, with its work's ready time as the
-earliest start (the card read unit's bus): that lands bit-equal too.
+timer; a full FIFO is where the two part, and that is pinned too.
 """
 
 import os
@@ -134,40 +132,6 @@ def test_same_instant_burst_on_four_servers():
     done = _finishes(_booked_station, 4, [(0.0, 100.0)] * 9)
     assert done == _finishes(_queued_station, 4, [(0.0, 100.0)] * 9)
     assert [when for _index, when in done] == [100.0] * 4 + [200.0] * 4 + [300.0]
-
-
-@settings(max_examples=MAX_EXAMPLES)
-@given(steps=st.lists(st.tuples(_gap, _variable, _variable), min_size=1, max_size=40))
-@example(steps=[(gap, 0.0, duration) for gap, duration in _ULP_TRAP])
-def test_one_sender_booking_ahead_is_bit_equal_to_booking_when_ready(steps):
-    """The card read unit's bus: a station's only sender, whose work is
-    ready ``upstream`` ns from now (an HBM access), books it now with
-    that as ``earliest`` and waits once; every use finishes at the float
-    a booking made when the work was ready gives."""
-
-    def finishes(ahead):
-        env = Environment()
-        server = FifoServer(env)
-        done = []
-
-        def sender():
-            for gap, upstream, duration in steps:
-                if gap:
-                    yield env.timeout(gap)
-                ready = env.now + upstream
-                if ahead:
-                    finish = server.book(duration, ready)
-                else:
-                    yield env.timeout_at(ready)
-                    finish = server.book(duration)
-                yield env.timeout_at(finish)
-                done.append(env.now)
-
-        env.process(sender())
-        env.run()
-        return done
-
-    assert finishes(ahead=True) == finishes(ahead=False)
 
 
 # ------------------------------------------------- the AXI stream's bus
@@ -320,6 +284,103 @@ def test_axi_full_fifo_no_longer_stalls_the_bus():
                       [(1, 1_000.0), (0, 1_004.0)])
     assert booked == ([(0, 0, 1_000.0), (1, 0, 1_000.0), (0, 1, 1_000.0)],
                       [(1, 1_000.0), (0, 1_000.0)])
+
+
+# ------------------------------------ a FIFO put with no event of its own
+
+
+def _steps(hand_over, senders, relays, sinks):
+    """Every process step, in the order the engine ran it.
+
+    ``senders`` feed stream 0, each a list of ``(gap, flit length)``.
+    ``relays`` each forward that many flits from stream 0 to stream 1,
+    as a pass-through kernel does.  ``sinks`` drain stream 1, each a
+    list of reactions to a flit: nothing, ``spawn`` a child (whose start
+    is URGENT), ``zero`` (a zero timeout) or ``done`` (wait on an event
+    already dispatched: an URGENT relay).  Senders and relays put with
+    ``AxiStream.hand_over`` if ``hand_over``, else with ``send``.
+    Returns the steps, the final clock and the events dispatched."""
+    env = Environment()
+    streams = [AxiStream(env, depth_flits=64) for _ in range(2)]
+    put = [stream.hand_over if hand_over else stream.send for stream in streams]
+    steps = []
+    gone = env.event().succeed()
+
+    def sender(tag, flits):
+        for index, (gap, length) in enumerate(flits):
+            if gap:
+                yield env.timeout(gap)
+            yield from put[0](Flit(length=length, tid=tag, tdest=index))
+            steps.append((env.now, "send", tag, index))
+
+    def relay(tag, count):
+        for _ in range(count):
+            flit = yield from streams[0].recv()
+            steps.append((env.now, "relay-in", tag, flit.tid, flit.tdest))
+            yield from put[1](flit)
+            steps.append((env.now, "relay-out", tag, flit.tid, flit.tdest))
+
+    def child(tag):
+        steps.append((env.now, "child", tag))
+        yield env.timeout(0)
+        steps.append((env.now, "child-done", tag))
+
+    def sink(tag, reactions):
+        for reaction in reactions:
+            flit = yield from streams[1].recv()
+            steps.append((env.now, "sink", tag, flit.tid, flit.tdest))
+            if reaction == "spawn":
+                env.process(child(tag))
+            elif reaction == "zero":
+                yield env.timeout(0)
+            elif reaction == "done":
+                yield gone
+            steps.append((env.now, "sink-done", tag))
+
+    for tag, flits in enumerate(senders):
+        env.process(sender(tag, flits))
+    for tag, count in enumerate(relays):
+        env.process(relay(tag, count))
+    for tag, reactions in enumerate(sinks):
+        env.process(sink(tag, reactions))
+    env.run()
+    return steps, env.now, env.events_processed
+
+
+_reaction = st.sampled_from(["none", "spawn", "zero", "done"])
+
+
+@settings(max_examples=MAX_EXAMPLES)
+@given(
+    senders=st.lists(_flits, min_size=1, max_size=3),
+    relays=st.lists(st.integers(1, 12), min_size=1, max_size=3),
+    sinks=st.lists(st.lists(_reaction, min_size=1, max_size=12), min_size=1, max_size=3),
+)
+def test_a_handed_over_flit_keeps_every_step_in_order(senders, relays, sinks):
+    """``AxiStream.hand_over`` skips the put's event only where waiting
+    on it would change no order: every step of every process runs at
+    the same time and in the same order as when each put waits on its
+    own event (``send``)."""
+    steps, now, events = _steps(True, senders, relays, sinks)
+    ref_steps, ref_now, ref_events = _steps(False, senders, relays, sinks)
+    assert (steps, now) == (ref_steps, ref_now)
+    assert events <= ref_events
+
+
+def test_a_receiver_that_spawns_keeps_its_child_ahead_of_the_sender():
+    """A sink spawns a child for its flit.  The child's start is URGENT,
+    so it runs before the put's own event would have: the relay, riding
+    the sink's wake, waits for it (``Environment._behind``) and goes on
+    after the child's first step, as a waiting put did."""
+    senders, relays, sinks = [[(0.0, 64), (0.0, 64)]], [2], [["spawn", "spawn"]]
+    steps, now, events = _steps(True, senders, relays, sinks)
+    ref = _steps(False, senders, relays, sinks)
+    assert (steps, now) == ref[:2]
+    assert steps[2:6] == [
+        (8.0, "sink", 0, 0, 0), (8.0, "sink-done", 0),
+        (8.0, "child", 0), (8.0, "relay-out", 0, 0, 0),
+    ]
+    assert events < ref[2]
 
 
 # ------------------------------------------------------- end-to-end pins
