@@ -44,8 +44,9 @@ class PfcPause:
     and a switch egress port each hold.
 
     :meth:`hold` (XOFF) extends ``until``; :meth:`release` (XON, or a
-    storm break with ``exc``) ends it at once.  Every waiter parks on one
-    shared wake event, woken by the release or by the hold timer — one
+    storm break with ``exc``) ends it at once.  Every waiter — a sender
+    in :meth:`wait`, a station's callback in :meth:`park` — parks on one
+    shared wake event, woken by the release or by the hold timer: one
     ``timeout(until - now)`` callback, armed by the first waiter and
     re-armed while refreshes keep pushing ``until`` out.  A release
     disarms it, so a later, shorter hold arms its own.  ``name`` is what
@@ -82,13 +83,21 @@ class PfcPause:
 
     def wait(self) -> Generator:
         """Park until the hold lifts; re-raises a storm break."""
-        env = self.env
-        while env.now < self.until:
-            if self._wake is None:
-                self._wake = Event(env)
-            if self._timer is None:
-                self._arm()
-            yield self._wake
+        while self.env.now < self.until:
+            yield self._armed_wake()
+
+    def park(self, callback: Callable[[Event], None]) -> None:
+        """:meth:`wait` for a station with no process: ``callback`` runs
+        on the wake, where a waiter's resume would, and re-checks the
+        hold as :meth:`wait`'s loop does.  Call it only while held."""
+        self._armed_wake().callbacks.append(callback)
+
+    def _armed_wake(self) -> Event:
+        if self._wake is None:
+            self._wake = Event(self.env)
+        if self._timer is None:
+            self._arm()
+        return self._wake
 
     def _arm(self) -> None:
         self._timer = self.env.timeout(self.until - self.env.now)
@@ -173,19 +182,26 @@ class Cmac:
         """Serialise one frame onto the wire."""
         if self._wire is None:
             raise RuntimeError(f"{self.name}: not attached to a wire")
+        env = self.env
         pause = self.pfc
-        if self.env.now < pause.until:
+        if env.now < pause.until:
             yield from pause.wait()
-        grant = self._tx_port.request()
-        yield grant
+        port = self._tx_port
+        # A free port whose grant would be the next event dispatched is
+        # taken with no event: the sender goes on at this instant with
+        # nothing run in between, as it would on the grant's dispatch.
+        grant = port.take()
+        if grant is None:
+            grant = port.request()
+            yield grant
         try:
             # The pause may have landed while we queued for the port.
-            if self.env.now < pause.until:
+            if env.now < pause.until:
                 yield from pause.wait()
             wire_bytes = packet.wire_length + FRAME_OVERHEAD_BYTES
-            yield self.env.timeout(wire_bytes / CMAC_BANDWIDTH)
+            yield env.timeout(wire_bytes / CMAC_BANDWIDTH)
         finally:
-            self._tx_port.release(grant)
+            port.release(grant)
         self.tx_frames += 1
         self.tx_bytes += packet.wire_length
         for tap in self.tx_taps:

@@ -108,6 +108,9 @@ _WRITE_OPS = (
     RoceOpcode.RDMA_WRITE_LAST, RoceOpcode.RDMA_WRITE_ONLY,
 )
 _SEND_OPS = (RoceOpcode.SEND_MIDDLE, RoceOpcode.SEND_FIRST, RoceOpcode.SEND_LAST, RoceOpcode.SEND_ONLY)
+#: Opcodes carrying an AtomicETH (``RoceOpcode.has_atomic_eth``, without
+#: a call per received frame).
+_ATOMIC_OPS = (RoceOpcode.COMPARE_SWAP, RoceOpcode.FETCH_ADD)
 _READ_RESPONSE_OPS = (
     RoceOpcode.RDMA_READ_RESPONSE_MIDDLE, RoceOpcode.RDMA_READ_RESPONSE_FIRST,
     RoceOpcode.RDMA_READ_RESPONSE_LAST, RoceOpcode.RDMA_READ_RESPONSE_ONLY,
@@ -163,6 +166,9 @@ class _QpContext:
         "flushed",
         # DCQCN reaction point (None while DCQCN is off).
         "rate",
+        # (ecn, transport length) -> the Ethernet, IPv4 and UDP headers
+        # every such frame of the connection shares (``RdmaStack._build``).
+        "frames",
     )
 
     def __init__(self, qp: QueuePair, env: Environment, dcqcn: DcqcnConfig):
@@ -193,3 +199,4 @@ class _QpContext:
         self.landings: Deque[Event] = deque()
         # A re-connecting QP starts its congestion history over.
         self.rate: Optional[DcqcnState] = DcqcnState(dcqcn) if dcqcn.enabled else None
+        self.frames: Dict[Tuple[int, int], tuple] = {}

@@ -12,7 +12,7 @@ from ..headers import ECN_CE, AethHeader, AtomicAckEthHeader, RoceOpcode
 from ..packet import RocePacket
 from ..qp import PSN_MOD, QpState
 from .context import (
-    _READ_RESPONSE_OPS, _SEND_OPS, _WRITE_OPS, WriteLocal, _QpContext, _ReadOp, psn_leq,
+    _ATOMIC_OPS, _READ_RESPONSE_OPS, _SEND_OPS, _WRITE_OPS, WriteLocal, _QpContext, _ReadOp, psn_leq,
 )
 
 #: Request opcodes that end a message, and so take an MSN when admitted.
@@ -100,7 +100,7 @@ class Responder:
                     self.responding = True
                     # Spawned on purpose: responses go out beside the receive loop.
                     self.env.process(self._respond(), name=f"{stack.name}-rd-resp")
-            elif RoceOpcode.has_atomic_eth(opcode):
+            elif opcode in _ATOMIC_OPS:
                 yield from self._atomic(ctx, packet)
             else:
                 yield from self._data(ctx, packet)
@@ -141,7 +141,7 @@ class Responder:
         if psn_leq(psn, (qp.epsn - 1) % PSN_MOD):
             if read:
                 return True
-            if not RoceOpcode.has_atomic_eth(opcode):
+            if opcode not in _ATOMIC_OPS:
                 return ((qp.epsn - 1) % PSN_MOD,)
         if not ctx.nak_sent:
             ctx.nak_sent = True

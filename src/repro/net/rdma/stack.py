@@ -24,6 +24,11 @@ from .reliability import Reliability
 from .responder import Responder
 
 
+#: Header sets one connection keeps: its full segments, ACKs and
+#: requests come first; a message's odd tail beyond these is built anew.
+_FRAME_HEADER_SETS = 64
+
+
 class RdmaStack:
     """One node's RoCE v2 engine bound to a CMAC port."""
 
@@ -210,15 +215,27 @@ class RdmaStack:
     ) -> RocePacket:
         """Every frame of a QP is addressed here: this stack to the QP's
         peer on the QP's flow port, ECT(0) on data packets to announce
-        DCQCN when it is on."""
+        DCQCN when it is on.  Those headers depend on nothing else but
+        the frame's length, so the connection builds each set once and
+        its frames share it (``_QpContext.frames``, up to
+        ``_FRAME_HEADER_SETS`` lengths): nothing writes a header after
+        ``RocePacket.build``, and the switch's CE mark copies."""
         remote = ctx.qp.remote
-        return RocePacket.build(
-            src_mac=self.mac, dst_mac=remote.mac, src_ip=self.ip, dst_ip=remote.ip,
-            bth=BthHeader(opcode=opcode, dest_qp=remote.qpn, psn=psn, ack_request=ack_request),
-            src_port=ctx.flow_port,
-            ecn=ECN_ECT0 if data and self.config.dcqcn.enabled else ECN_NOT_ECT,
-            **extension,
-        )
+        bth = BthHeader(opcode=opcode, dest_qp=remote.qpn, psn=psn, ack_request=ack_request)
+        ecn = ECN_ECT0 if data and self.config.dcqcn.enabled else ECN_NOT_ECT
+        packet = RocePacket(None, None, None, bth, **extension)
+        key = (ecn, packet.transport_length)
+        headers = ctx.frames.get(key)
+        if headers is None:
+            first = RocePacket.build(
+                src_mac=self.mac, dst_mac=remote.mac, src_ip=self.ip, dst_ip=remote.ip,
+                bth=bth, src_port=ctx.flow_port, ecn=ecn, **extension,
+            )
+            headers = (first.eth, first.ip, first.udp)
+            if len(ctx.frames) < _FRAME_HEADER_SETS:
+                ctx.frames[key] = headers
+        packet.eth, packet.ip, packet.udp = headers
+        return packet
 
     def _send_packet(self, packet: RocePacket, ctx: Optional[_QpContext] = None) -> Generator:
         """Transmit one frame; with ``ctx``, paced by that QP's DCQCN rate."""

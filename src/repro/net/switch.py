@@ -33,7 +33,9 @@ from __future__ import annotations
 
 import zlib
 from collections import deque
-from dataclasses import dataclass, replace
+from copy import copy
+from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..faults.plan import (
@@ -48,7 +50,7 @@ from ..faults.plan import (
     NODE_CRASH,
 )
 from ..health.errors import PfcStormError
-from ..sim.engine import Environment, Event
+from ..sim.engine import NORMAL, Environment, Event
 from .cmac import CMAC_BANDWIDTH, FRAME_OVERHEAD_BYTES, PAUSE_QUANTA_NS, Cmac, PfcPause
 from .headers import ECN_CE, ECN_ECT0, ECN_ECT1, MacAddress
 from .packet import RocePacket
@@ -145,6 +147,12 @@ class _EgressPort:
     switch's ``forwarded`` count.  The port is itself pausable — a
     downstream receiver (CMAC rx watermark) or peer switch asserts PFC
     against it, freezing the drain.
+
+    The drain is a station on timers, not a process: :meth:`_start` puts
+    the head frame on the wire (its delivery timer and its serialisation
+    timer), :meth:`_serialised` frees its bytes and starts the next.
+    Each timer is drawn where the drain process drew it, so frames leave
+    and land at the times, and in the order, the process gave.
     """
 
     def __init__(
@@ -156,7 +164,7 @@ class _EgressPort:
     ):
         self.switch = switch
         self.label = label
-        #: The drain process's name: profilers book ``_deliver`` by it.
+        #: Profilers book the drain's callbacks by this name.
         self.name = f"{switch.name}-egress-{label}"
         self.deliver_fn = deliver_fn
         self.line_rate = line_rate
@@ -167,8 +175,9 @@ class _EgressPort:
         self.pfc = PfcPause(switch.env, self.name)
         self.paused_since: Optional[float] = None
         self.pfc_muted = False  # storm mitigation: ignore further pauses
-        self._parked: Optional[Event] = None
-        switch.env.process(self._drain(), name=self.name)
+        #: A frame is starting or on the wire, or the drain waits out a
+        #: pause: a new frame queues behind it with nothing to wake.
+        self._busy = False
 
     # -- downstream-asserted PFC ----------------------------------------
 
@@ -188,7 +197,7 @@ class _EgressPort:
 
     def break_pause(self, _exc: Exception) -> None:
         """Storm mitigation: drop the pause and ignore future ones.  The
-        drain is the switch's own process, so it is woken, not failed."""
+        drain is the switch's own station, so it is woken, not failed."""
         self.pfc_muted = True
         self.paused_since = None
         self.pfc.release()
@@ -218,42 +227,56 @@ class _EgressPort:
                 # Mark a *copy*: the original may sit in a sender's
                 # retransmit buffer, and a retransmission must not
                 # inherit a stale CE mark from a congested first try.
-                packet = replace(packet, ip=replace(packet.ip, ecn=ECN_CE))
+                # (The headers are shared with the frame's connection.)
+                packet = copy(packet)
+                packet.ip = ip = copy(packet.ip)
+                ip.ecn = ECN_CE
                 switch.ecn_marks += 1
         self.queue.append((packet, counted, wire_len, source, extra_delay))
         self.queued_bytes += wire_len
         if self.queued_bytes > self.queue_high_water:
             self.queue_high_water = self.queued_bytes
         source.bytes += wire_len
-        if self._parked is not None and not self._parked.triggered:
-            self._parked.succeed()
+        if not self._busy:
+            # An idle drain starts one relay later, where the drain
+            # process was woken: a frame arriving at the same instant
+            # still queues behind whatever that instant runs first.
+            self._busy = True
+            switch.env._relay(True, None, self._start, NORMAL)
         return True
 
-    def _drain(self):
+    def _start(self, _event: Optional[Event] = None) -> None:
+        """Put the head frame on the wire; while paused, park on the
+        pause's wake and try again when it lifts."""
         env = self.switch.env
-        while True:
-            if not self.queue:
-                self._parked = Event(env)
-                yield self._parked
-                self._parked = None
-                continue
-            if env.now < self.pfc.until:
-                yield from self.pfc.wait()
-            packet, counted, wire_len, source, extra_delay = self.queue.popleft()
-            # Cut-through: the head of the frame leaves after the fixed
-            # forwarding latency (plus any fault detour), while the queue
-            # stays occupied for the frame's full serialisation time.
-            # Nothing waits on a delivery and it cannot block, so the
-            # frame in flight is just this timer.
-            env.timeout(
-                self.switch.latency_ns + extra_delay, (packet, counted)
-            ).callbacks.append(self._deliver)
-            yield env.timeout(wire_len / self.line_rate)
-            self.queued_bytes -= wire_len
-            self.switch._drained(source, wire_len)
+        pfc = self.pfc
+        if env.now < pfc.until:
+            pfc.park(self._start)
+            return
+        entry = self.queue.popleft()
+        packet, counted, wire_len, _source, extra_delay = entry
+        # Cut-through: the head of the frame leaves after the fixed
+        # forwarding latency (plus any fault detour), while the queue
+        # stays occupied for the frame's full serialisation time.
+        # Nothing waits on a delivery and it cannot block, so the frame
+        # in flight is just this timer.
+        env.timeout(
+            self.switch.latency_ns + extra_delay, (packet, counted)
+        ).callbacks.append(self._deliver)
+        env.timeout(wire_len / self.line_rate, entry).callbacks.append(self._serialised)
+
+    def _serialised(self, event: Event) -> None:
+        """The frame is off the wire: free its bytes, start the next."""
+        _packet, _counted, wire_len, source, _extra_delay = event._value
+        self.queued_bytes -= wire_len
+        self.switch._drained(source, wire_len)
+        if self.queue:
+            self._start()
+        else:
+            self._busy = False
 
     def _deliver(self, event: Event) -> None:
-        self.deliver_fn(*event.value)
+        self.deliver_fn(*event._value)
 
 
 class Switch:
@@ -343,7 +366,7 @@ class Switch:
         self._egress[mac] = port
         source = self._sources[mac] = _Ingress(mac, cmac)
         cmac.link_partner = port
-        cmac.attach_wire(lambda pkt: self._ingress(pkt, source))
+        cmac.attach_wire(partial(self._ingress, source))
 
     def detach(self, mac: MacAddress) -> None:
         """Unplug a port (a shell reconfiguration swapping its CMAC)."""
@@ -386,7 +409,7 @@ class Switch:
         ``peer``, and ``peer``'s ingress record for what arrives over it —
         pausing a trunk ingress means pausing the queue that feeds it."""
         port = _EgressPort(
-            self, key, lambda pkt, _counted: peer._ingress(pkt, source), line_rate
+            self, key, lambda pkt, _counted: peer._ingress(source, pkt), line_rate
         )
         source = peer._sources[key] = _Ingress(key, port)
         return port
@@ -457,7 +480,7 @@ class Switch:
 
     # ------------------------------------------------------------ datapath
 
-    def _ingress(self, packet: RocePacket, source: _Ingress) -> None:
+    def _ingress(self, source: _Ingress, packet: RocePacket) -> None:
         src = packet.eth.src
         dst = packet.eth.dst
         # Standing cluster-fault state first: frames involving a dead
@@ -510,10 +533,14 @@ class Switch:
             if faults.fires(NET_DUPLICATE, packet):
                 self.duplicated += 1
                 copies = 2
-        egress = self._route(packet)
+        # An attached port's MAC keys its egress queue (trunk keys are
+        # strings, which no MAC equals); anything else is routed.
+        egress = self._egress.get(dst)
         if egress is None:
-            self.unroutable += 1
-            return
+            egress = self._route(packet)
+            if egress is None:
+                self.unroutable += 1
+                return
         admitted = False
         for copy in range(copies):
             # The first admitted copy carries the frame's count, so an
@@ -526,12 +553,13 @@ class Switch:
             # One per ingress frame (duplicate copies don't double-count),
             # matching the pre-queueing forwarding semantics.
             self.forwarded += 1
-        self._pfc_check(source, packet)
+        if self.config.pfc_enabled:
+            self._pfc_check(source, packet)
 
     def _route(self, packet: RocePacket) -> Optional[_EgressPort]:
+        """The egress toward a MAC that is not attached here: a static
+        route, else an ECMP uplink."""
         dst = packet.eth.dst
-        if dst in self._ports:
-            return self._egress.get(dst)
         key = self._routes.get(dst)
         if key is None:
             uplinks = self.ecmp_uplinks
@@ -559,11 +587,12 @@ class Switch:
     # ----------------------------------------------------------------- PFC
 
     def _pfc_check(self, source: _Ingress, packet: RocePacket) -> None:
-        """Ingress-pressure check, run on *every* frame from a source
-        (tail-dropped ones included — a full buffer is exactly when the
-        pause must be refreshed and the storm clock must advance)."""
+        """Ingress-pressure check, run while PFC is enabled on *every*
+        frame from a source (tail-dropped ones included — a full buffer
+        is exactly when the pause must be refreshed and the storm clock
+        must advance)."""
         config = self.config
-        if not config.pfc_enabled or source.pfc_muted:
+        if source.pfc_muted:
             return
         if source.bytes < config.xoff_bytes:
             return

@@ -24,15 +24,15 @@ full account is DESIGN.md "Event engine internals"):
   orders them by C tuple comparison (``seq`` is unique: the event is
   never compared) and makes no call back into Python.
 * The hot ways of arming or triggering an event — ``Event.succeed``,
-  ``Timeout``, ``timeout_at``, ``_relay``, ``_succeeded`` (the
-  immediate outcome of a ``Store``/``Container`` operation) — write
-  the key and push themselves: one engine frame between model code and
-  the container.
+  ``Timeout``, ``timeout``, ``timeout_at``, ``sleep``, ``_relay``,
+  ``_succeeded`` (the immediate outcome of a ``Store``/``Container``
+  operation) — write the key and push themselves: one engine frame
+  between model code and the container.
   Each is a copy of :meth:`Environment._schedule`, which stays the one
-  general door (``fail``, :meth:`Environment.sleep`, forced delays, an
-  event already scheduled) and the one used while a sanitizer is
-  attached, so its hooks fire on every path (``timeout_at``, whose key
-  time is given rather than ``now + delay``, fires them itself).
+  general door (``fail``, forced delays, an event already scheduled)
+  and the one used while a sanitizer is attached, so its hooks fire on
+  every path (``timeout_at``, whose key time is given rather than
+  ``now + delay``, fires them itself).
 * **One dispatch loop** (:meth:`Environment._dispatch`) takes the least
   of (lane head, heap top) and runs its callbacks.  ``step``,
   ``run_batch`` and all three forms of ``run`` are thin callers of it;
@@ -480,10 +480,10 @@ class Environment:
 
     def _schedule(self, event: Event, delay: float, priority: int) -> None:
         """Key ``event`` and put it in its container.  ``Event.succeed``,
-        ``Timeout``, ``timeout_at`` and ``_relay`` carry flat copies of
-        this body for the no-sanitizer case (``timeout_at`` always: its
-        key time is given, not ``now + delay``), as does ``_succeeded``;
-        change them together."""
+        ``Timeout``, ``timeout``, ``timeout_at``, ``sleep`` and ``_relay``
+        carry flat copies of this body for the no-sanitizer case
+        (``timeout_at`` always: its key time is given, not ``now +
+        delay``), as does ``_succeeded``; change them together."""
         if event._scheduled:
             return
         if self.sanitizer is not None:
@@ -628,7 +628,31 @@ class Environment:
         return Event(self)
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
-        return Timeout(self, delay, value)
+        if self.sanitizer is not None or not delay >= 0:
+            return Timeout(self, delay, value)
+        # Flat, like ``Timeout.__init__``: one frame fewer per timer.
+        event = Timeout.__new__(Timeout)
+        event.env = self
+        event.callbacks = []
+        event._value = value
+        event._ok = None
+        event._abandoned = False
+        event._defused = False
+        event._recycle = False
+        event.delay = delay
+        event._scheduled = True
+        now = self.now
+        event._time = when = now + delay
+        event._prio = NORMAL
+        event._seq = seq = next(self._seq)
+        if when == now:
+            self._normal.append(event)
+        else:
+            heappush(self._queue, (when, NORMAL, seq, event))
+        pending = seq + 1 - self.events_processed
+        if pending > self.queue_high_water:
+            self.queue_high_water = pending
+        return event
 
     def timeout_at(self, when: float, value: Any = None) -> Timeout:
         """A :class:`Timeout` due at the absolute time ``when``, keyed
@@ -686,7 +710,22 @@ class Environment:
         event = pool.pop() if pool else Event(self)
         event._recycle = True
         # _ok stays None: like a Timeout, it triggers at dispatch.
-        self._schedule(event, delay, NORMAL)
+        if self.sanitizer is not None:
+            self._schedule(event, delay, NORMAL)
+            return event
+        # ``_schedule``, flat.
+        event._scheduled = True
+        now = self.now
+        event._time = when = now + delay
+        event._prio = NORMAL
+        event._seq = seq = next(self._seq)
+        if when == now:
+            self._normal.append(event)
+        else:
+            heappush(self._queue, (when, NORMAL, seq, event))
+        pending = seq + 1 - self.events_processed
+        if pending > self.queue_high_water:
+            self.queue_high_water = pending
         return event
 
     def process(self, generator: Generator, name: str = "") -> Process:

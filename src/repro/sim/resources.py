@@ -66,6 +66,27 @@ class Resource:
             self._waiting.append(req)
         return req
 
+    def take(self) -> Optional[_Request]:
+        """:meth:`request` with no event, for a requester that goes on
+        the moment its grant is dispatched, when that grant would be the
+        next event dispatched anyway: a slot is free, nobody waits, and
+        nothing else is due at this instant (both lanes empty, the
+        heap's top later than now).  Then the holder is recorded and its
+        request returned, granted and processed; otherwise None, doing
+        nothing — :meth:`request` it.  Release it as any grant."""
+        env = self.env
+        if len(self.users) >= self.capacity or self._waiting or env._urgent or env._normal:
+            return None
+        queue = env._queue
+        if queue and queue[0][0] <= env.now:
+            return None
+        req = _Request(self)
+        req._ok = True
+        req._value = req
+        req.callbacks = None
+        self.users.append(req)
+        return req
+
     def release(self, req: _Request) -> None:
         try:
             self.users.remove(req)

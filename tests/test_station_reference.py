@@ -27,8 +27,11 @@ from repro.apps import PassThroughApp
 from repro.axi import AxiStream, Flit
 from repro.core import LocalSg, Oper, SgEntry
 from repro.experiments.microbench import hbm_throughput
+from repro.net import BthHeader, Cmac, MacAddress, RoceOpcode, RocePacket
 from repro.sim import FABRIC_CLOCK, AllOf, Resource, Store
 from repro.sim.rate import FifoServer
+
+from .platforms import twice_sanitized
 
 #: The CI ``engine-conformance`` job runs this file under the long profile.
 MAX_EXAMPLES = 500 if os.environ.get("HYPOTHESIS_PROFILE") == "long" else 60
@@ -381,6 +384,118 @@ def test_a_receiver_that_spawns_keeps_its_child_ahead_of_the_sender():
         (8.0, "child", 0), (8.0, "relay-out", 0, 0, 0),
     ]
     assert events < ref[2]
+
+
+# ------------------------------------- a free MAC port granted with no event
+
+
+def _mac_frame(tag, index, size):
+    return RocePacket.build(
+        src_mac=MacAddress(0x02_0000_0001), dst_mac=MacAddress(0x02_0000_0002),
+        src_ip=1, dst_ip=2, payload_length=size,
+        bth=BthHeader(opcode=RoceOpcode.SEND_ONLY, dest_qp=1, psn=100 * tag + index),
+    )
+
+
+def _mac_wire(eventless, senders, pause):
+    """Run ``senders`` — each a list of ``(gap, payload size)`` — through
+    one ``Cmac``, each sender in its own process; with ``pause``, a PFC
+    XOFF of ``hold`` ns lands at ``when`` (its timer younger than every
+    sender's due at that instant), and an XON ``release`` ns later.  The
+    port's grant is taken with no event where ``Resource.take`` allows
+    (``eventless``), else always by ``request()`` + ``yield``.  Returns
+    every frame put on the wire as ``(time, frame)``, the MAC's counters,
+    the events dispatched and the grants taken with no event."""
+    env = Environment()
+    cmac = Cmac(env, name="mac")
+    wire = []
+    cmac.attach_wire(lambda packet: wire.append((env.now, packet.bth.psn)))
+    port, taken = cmac._tx_port, []
+    take = port.take
+
+    def counted_take():
+        grant = take()
+        if grant is not None:
+            taken.append(env.now)
+        return grant
+
+    port.take = counted_take if eventless else (lambda: None)
+
+    def sender(tag, frames):
+        for index, (gap, size) in enumerate(frames):
+            if gap:
+                yield env.timeout(gap)
+            yield from cmac.tx(_mac_frame(tag, index, size))
+
+    def pauser(when, hold, release):
+        yield env.timeout(when)
+        cmac.pause(hold)
+        if release is not None:
+            yield env.timeout(release)
+            cmac.resume()
+
+    for tag, frames in enumerate(senders):
+        env.process(sender(tag, frames))
+    if pause is not None:
+        env.process(pauser(*pause))
+    env.run()
+    counters = (cmac.tx_frames, cmac.tx_bytes, cmac.pause_frames_rx, cmac.pause_resumes_rx)
+    return wire, counters, env.events_processed, len(taken)
+
+
+def _grant_matches_request(senders, pause):
+    wire, counters, events, taken = _mac_wire(True, senders, pause)
+    ref_wire, ref_counters, ref_events, ref_taken = _mac_wire(False, senders, pause)
+    assert (wire, counters) == (ref_wire, ref_counters)
+    assert ref_taken == 0
+    # One grant event fewer for each grant taken with none.
+    assert ref_events - events == taken
+    return wire, counters, taken
+
+
+#: Zero (same-instant requests), a third, one 64 B frame's wire time
+#: (the next request meets the port just freed), one 1 KiB frame's and
+#: 100 ns; pauses land on those same instants.
+_MAC_SIZES = [0, 64, 1024]
+_mac_gap = st.sampled_from([0.0, 0.0, 1 / 3, (64 + 78) / 12.5, 100.0, (1024 + 78) / 12.5])
+_mac_frames = st.lists(st.tuples(_mac_gap, st.sampled_from(_MAC_SIZES)), min_size=1, max_size=6)
+_mac_pause = st.none() | st.tuples(
+    st.sampled_from([0.0, 1 / 3, 100.0, (1024 + 78) / 12.5, 200.0]),
+    st.sampled_from([50.0, 400.0]),
+    st.none() | st.sampled_from([0.0, 30.0]),
+)
+#: The sender's timer and the XOFF's fall due at 100 ns, the sender's
+#: first: its grant would not be next, because the XOFF is, and the
+#: sender must find the MAC paused after its grant.
+_GRANT_TRAP = ([[(100.0, 64)]], (100.0, 400.0, None))
+
+
+@settings(max_examples=MAX_EXAMPLES)
+@given(senders=st.lists(_mac_frames, min_size=1, max_size=4), pause=_mac_pause)
+@example(senders=_GRANT_TRAP[0], pause=_GRANT_TRAP[1])
+def test_a_mac_grant_taken_with_no_event_is_bit_equal_to_the_request(senders, pause):
+    """``Cmac.tx`` takes a free port with no event where its grant would
+    be the next event dispatched: the same frames on the wire at the
+    same floats, the same counters, one event fewer a grant so taken —
+    plain and under the sanitizer."""
+    plain = _grant_matches_request(senders, pause)
+    assert twice_sanitized(lambda: _grant_matches_request(senders, pause)) == [plain, plain]
+
+
+def test_a_mac_grant_waits_for_a_pause_due_at_the_same_instant():
+    wire, _counters, taken = _grant_matches_request(*_GRANT_TRAP)
+    assert wire == [(500.0 + (64 + 78) / 12.5, 0)] and taken == 0
+
+
+def test_same_instant_senders_take_turns_and_only_the_first_grant_is_free():
+    """Three senders request at t=0: the first's grant is the next event
+    only once all three kick-offs have run — so none is free — and each
+    later grant comes at a release; a lone sender's every grant is."""
+    wire, _counters, taken = _grant_matches_request([[(0.0, 1024)] * 2] * 3, None)
+    assert [serial for _when, serial in wire] == [0, 100, 200, 1, 101, 201]
+    assert taken == 0
+    wire, _counters, taken = _grant_matches_request([[(0.0, 64), (100.0, 64)]], None)
+    assert taken == 2
 
 
 # ------------------------------------------------------- end-to-end pins

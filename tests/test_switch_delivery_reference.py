@@ -1,15 +1,19 @@
-"""Timer delivery at the switch egress against the process it replaced.
+"""The switch egress on timers against the processes it replaced.
 
 A forwarded frame used to be a whole ``Process`` — ``_deliver_later``: a
 generator, a start relay, a ``Timeout``, a process-end event nobody
-joined — only to call ``deliver_fn`` after a fixed delay.  It is now the
-``Timeout`` alone, with ``_EgressPort._deliver`` appended as a callback.
-The process form stays here as the oracle: under generated frame
-schedules both must hand over the identical ``(time, port, frame)``
-sequence with **bit-equal** floats, for two events fewer per frame.  Two
-end-to-end pins hold the RDMA stacks above the switch to the completion
-times the per-frame processes gave (recorded at 1042d48, the last commit
-with them).
+joined — only to call ``deliver_fn`` after a fixed delay; and each port
+drained its queue in a ``_drain`` process of its own, started with the
+port and woken per idle-to-busy frame.  The frame in flight is now the
+``Timeout`` alone, with ``_EgressPort._deliver`` appended as a callback,
+and the drain is a station on its serialisation timer: a relay starts an
+idle port where the process was woken, and ``_serialised`` starts the
+next frame.  The process forms stay here as the oracle: under generated
+frame schedules both must hand over the identical ``(time, port, frame)``
+sequence with **bit-equal** floats, for two events fewer per frame and
+one per port.  Two end-to-end pins hold the RDMA stacks above the switch
+to the completion times the per-frame processes gave (recorded at
+1042d48, the last commit with them).
 """
 
 import hashlib
@@ -46,7 +50,22 @@ MAX_EXAMPLES = 500 if os.environ.get("HYPOTHESIS_PROFILE") == "long" else 60
 
 
 class _ProcessEgressPort(_EgressPort):
-    """The reference: the drain as it was, a process per forwarded frame."""
+    """The reference: the drain as it was, a process started with the
+    port, and a process per forwarded frame.  The timer station never
+    starts: the port is busy from the first frame on, and ``enqueue``
+    wakes the parked drain where the station's relay is drawn."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._busy = True
+        self._parked = None
+        self.switch.env.process(self._drain(), name=self.name)
+
+    def enqueue(self, *args):
+        admitted = super().enqueue(*args)
+        if admitted and self._parked is not None and not self._parked.triggered:
+            self._parked.succeed()
+        return admitted
 
     def _drain(self):
         env = self.switch.env
@@ -152,8 +171,10 @@ def _assert_timer_matches_process(**scenario):
     )
     assert timer_log == process_log
     assert timer_counters == process_counters
-    # The start relay and the process-end event of every frame handed over.
-    assert process_events - timer_events == 2 * len(process_log)
+    # The start relay and the process-end event of every frame handed
+    # over, and each port's drain process's start.
+    ports = len(scenario["senders"])
+    assert process_events - timer_events == 2 * len(process_log) + ports
     return timer_log, timer_counters
 
 
