@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Generator, Optional
 
 from ..sim.clock import FABRIC_CLOCK, Clock
-from ..sim.engine import Environment
+from ..sim.engine import Environment, Event
 from ..sim.rate import FifoServer
 from ..sim.resources import Store
 from .types import STREAM_WIDTH_BYTES, Flit
@@ -132,10 +132,10 @@ class AxiStream:
 
     # -- consumer side ----------------------------------------------------
 
-    def recv(self) -> Generator:
-        """Receive one flit: ``flit = yield from stream.recv()``."""
-        flit = yield self._fifo.get()
-        return flit
+    def recv(self) -> Event:
+        """The FIFO's get: yield it for the next flit,
+        ``flit = yield stream.recv()``."""
+        return self._fifo.get()
 
     def recv_message(self) -> Generator:
         """Collect flits until ``last`` and return the assembled payload."""

@@ -10,8 +10,8 @@ for back-to-back transfers, which is the regime every benchmark runs in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 __all__ = ["Flit", "STREAM_WIDTH_BYTES"]
 
@@ -19,7 +19,7 @@ __all__ = ["Flit", "STREAM_WIDTH_BYTES"]
 STREAM_WIDTH_BYTES = 64
 
 
-@dataclass
+@dataclass(slots=True)
 class Flit:
     """A chunk of data moving through an AXI4-Stream channel.
 
@@ -33,7 +33,6 @@ class Flit:
     tid: int = 0
     tdest: int = 0
     last: bool = True
-    meta: Dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.data is not None and len(self.data) != self.length:

@@ -10,14 +10,20 @@ The PCIe and network data movers each own one
 :class:`RoundRobinArbiter`; every vFPGA gets a bounded input port and the
 arbiter hands the mover one packet per grant, cycling fairly across ports
 that have work.
+
+Both sides are an event plus a plain call, not a generator: a producer
+yields :meth:`ArbiterPort.slot`, then enqueues its item with
+:meth:`ArbiterPort.put`; a consumer yields :meth:`RoundRobinArbiter.token`,
+then takes the item with :meth:`RoundRobinArbiter.get`.  A packet's hop
+through the interleaver costs its two waits and no generator frame.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Generator, List, Optional, Tuple
+from typing import Any, Deque, List
 
-from ..sim.engine import Environment
+from ..sim.engine import Environment, Event
 from ..sim.resources import Container, Store
 
 __all__ = ["RoundRobinArbiter", "ArbiterPort"]
@@ -32,14 +38,19 @@ class ArbiterPort:
         self.depth = depth
         self.queue: Deque[Any] = deque()
         self._slots = Container(arbiter.env, capacity=depth, init=depth)
+        self._tokens = arbiter._tokens
         self.items_in = 0
 
-    def put(self, item: Any) -> Generator:
-        """Enqueue one item; blocks while the port is full."""
-        yield self._slots.get(1)
+    def slot(self) -> Event:
+        """The event that fires once the port has room for one more
+        item: yield it, then :meth:`put` the item."""
+        return self._slots.get(1)
+
+    def put(self, item: Any) -> None:
+        """Enqueue one item into the room a yielded :meth:`slot` made."""
         self.queue.append(item)
         self.items_in += 1
-        self.arbiter._notify()
+        self._tokens.put(object())
 
     def _pop(self) -> Any:
         item = self.queue.popleft()
@@ -67,12 +78,14 @@ class RoundRobinArbiter:
         self.ports.append(port)
         return port
 
-    def _notify(self) -> None:
-        self._tokens.put(object())
+    def token(self) -> Event:
+        """The event that fires once some port holds an item: yield it,
+        then take the item with :meth:`get`."""
+        return self._tokens.get()
 
-    def get(self) -> Generator:
-        """Return the next item, round-robin across non-empty ports."""
-        yield self._tokens.get()
+    def get(self) -> Any:
+        """The next item, round-robin across non-empty ports; one call
+        per yielded :meth:`token`."""
         nports = len(self.ports)
         for step in range(nports):
             port = self.ports[(self._next + step) % nports]
@@ -81,19 +94,3 @@ class RoundRobinArbiter:
                 self.grants += 1
                 return port._pop()
         raise RuntimeError(f"{self.name}: token with no queued item")
-
-    def try_get(self) -> Optional[Any]:
-        if self._tokens.try_get() is None:
-            return None
-        nports = len(self.ports)
-        for step in range(nports):
-            port = self.ports[(self._next + step) % nports]
-            if port.queue:
-                self._next = (self._next + step + 1) % nports
-                self.grants += 1
-                return port._pop()
-        return None
-
-    @property
-    def backlog(self) -> int:
-        return sum(len(p) for p in self.ports)

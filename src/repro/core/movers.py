@@ -21,8 +21,9 @@ completes.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Generator, List, Optional, Tuple
+from typing import Deque, Dict, Generator, List, Optional, Tuple
 
 from ..axi.types import Flit
 from ..mem.hbm import HbmController
@@ -36,6 +37,11 @@ from .packetizer import Packet, Packetizer
 from .vfpga import VFpga
 
 __all__ = ["HostDataMover", "CardDataMover", "MoverConfig"]
+
+# Per-packet code reads these module globals, and calls positionally: on
+# CPython 3.11 an Enum member looked up on its class is a metaclass call,
+# and a call with keywords takes the slow path.
+_HOST, _CARD, _GPU = MemLocation.HOST, MemLocation.CARD, MemLocation.GPU
 
 
 @dataclass(frozen=True)
@@ -58,18 +64,20 @@ class _FlitAssembler:
 
     Tracks payload bytes and byte counts separately so timing-only flits
     (``data is None``) interoperate: a chunk's data is returned only when
-    every contributing byte was real, otherwise ``None``.
+    every contributing byte was real, otherwise ``None``.  Payloads are
+    staged as they came, so a flit that is exactly the next chunk is
+    handed through uncopied.
     """
 
     def __init__(self) -> None:
         self.available = 0
-        self._data = bytearray()
+        self._data: Deque[bytes] = deque()
         self._all_real = True
 
     def push(self, flit: Flit) -> None:
         self.available += flit.length
         if flit.data is not None:
-            self._data += flit.data
+            self._data.append(flit.data)
         else:
             self._all_real = False
 
@@ -77,14 +85,17 @@ class _FlitAssembler:
         if length > self.available:
             raise ValueError("taking more bytes than assembled")
         self.available -= length
-        if self._all_real and len(self._data) >= length:
-            out = bytes(self._data[:length])
-            del self._data[:length]
-            return out
-        # Mixed or timing-only stream: drop any partial payload bytes.
-        drop = min(len(self._data), length)
-        del self._data[:drop]
-        if self.available == 0 and not self._data:
+        parts = self._data
+        if self._all_real and parts and len(parts[0]) == length:
+            return parts.popleft()
+        staged = b"".join(parts)
+        parts.clear()
+        if len(staged) > length:
+            parts.append(staged[length:])
+        if self._all_real and len(staged) >= length:
+            return staged[:length]
+        # Mixed or timing-only stream: the chunk's real bytes are dropped.
+        if self.available == 0 and not parts:
             self._all_real = True  # stream boundary: reset for next run
         return None
 
@@ -98,16 +109,19 @@ class _Region:
     :meth:`_DataMover._spawn_region`.  ``ports`` is the host path's
     ``(read, write)`` arbiter ports, added on first use: the fabric is
     shared, so they outlive a region restart.  ``credits`` is the
-    region's ``(read, write)`` crediters of the mover's stream kind,
-    looked up once here rather than per packet.
+    region's ``(read, write)`` crediters of the mover's stream kind and
+    ``writebacks`` the names of its ``(read, write)`` completion
+    writeback counters, both made once here rather than per packet.
     """
 
-    __slots__ = ("vfpga", "mmu", "procs", "lanes", "ports", "credits")
+    __slots__ = ("vfpga", "mmu", "procs", "lanes", "ports", "credits", "writebacks")
 
     def __init__(self, vfpga: VFpga, mmu: Mmu, kind: StreamType):
         self.vfpga = vfpga
         self.mmu = mmu
         self.credits = (vfpga.rd_credits[kind], vfpga.wr_credits[kind])
+        prefix = f"v{vfpga.vfpga_id}-{kind.value}"
+        self.writebacks = (f"{prefix}-rd", f"{prefix}-wr")
         self.procs: List = []
         self.lanes: List[Tuple] = []
         self.ports: Optional[Tuple] = None
@@ -192,10 +206,11 @@ class _DataMover:
             desc = yield source.get()
             yield queues[desc.dest].put(desc)
 
-    def _complete(self, vfpga: VFpga, packet: Packet, write: bool) -> None:
+    def _complete(self, region: _Region, packet: Packet, write: bool) -> None:
         """Completion bookkeeping: CQ entry + posted writeback.  Nothing
         here waits, so the calling unit goes straight to its next packet."""
         desc = packet.descriptor
+        vfpga = region.vfpga
         entry = CompletionEntry(
             vfpga_id=desc.vfpga_id,
             pid=desc.pid,
@@ -207,8 +222,7 @@ class _DataMover:
         )
         (vfpga.cq_wr if write else vfpga.cq_rd).put(entry)
         if self.config.writeback:
-            direction = "wr" if write else "rd"
-            self.xdma.writeback(f"v{desc.vfpga_id}-{desc.stream.value}-{direction}")
+            self.xdma.writeback(region.writebacks[write])
 
     # ------------------------------------- health recovery: quiesce/restart
 
@@ -250,10 +264,10 @@ class _Deposit:
         self.mover = mover
 
     def land(self, event: Event) -> None:
-        stream, vfpga, packet, flit = event.value
+        stream, region, packet, flit = event.value
         stream.deposit(flit)
         if packet.last:
-            self.mover._complete(vfpga, packet, write=False)
+            self.mover._complete(region, packet, write=False)
 
 
 class _DmaEngine:
@@ -300,87 +314,73 @@ class _DmaEngine:
 
 
 class _ReadDma(_DmaEngine):
-    """H2C: a staged ``(packet, location, paddr)`` is read from host
-    memory (or a GPU peer-to-peer), and its flit booked onto the
+    """H2C: a staged ``(packet, region, location, paddr)`` is read from
+    host memory (or a GPU peer-to-peer), and its flit booked onto the
     destination stream's bus; the deposit timer lands it."""
 
     __slots__ = ()
 
     def _start(self, item: Tuple) -> None:
-        packet, location, paddr = item
+        packet, _region, location, paddr = item
         mover = self.mover
-        if location is MemLocation.GPU:
+        if location is _GPU:
             finish = mover.gpu.book(packet.length)
         else:
-            finish = mover.xdma.link.book("h2c", packet.length, overhead=False)
+            finish = mover.xdma.link.book("h2c", packet.length, False)
         mover.env.timeout_at(finish, item).callbacks.append(self._landed)
 
     def _land(self, item: Tuple) -> None:
-        packet, location, paddr = item
+        packet, region, location, paddr = item
         mover = self.mover
         length = packet.length
-        if location is MemLocation.GPU:
+        if location is _GPU:
             data = mover.gpu.land_read(paddr, length)
         else:
             xdma = mover.xdma
             xdma.link.land("h2c", length)
             data = xdma.host_mem.read(paddr, length)
         mover.bytes_read += length
-        vfpga = mover._regions[packet.vfpga_id].vfpga
-        flit = Flit(
-            length=length,
-            data=data if mover.config.carry_data else None,
-            tid=packet.dest,
-            last=packet.last,
-        )
+        dest = packet.descriptor.dest
+        flit = Flit(length, data if mover.config.carry_data else None, dest, 0, packet.last)
         # Credits guarantee FIFO space, so the deposit happens on the
         # (parallel) crossbar without holding up the DMA engine: one
         # timer, due when the stream's bus has carried the flit, whose
         # booking keeps the stream's flits in order.
-        stream = vfpga.host_in[packet.dest]
+        stream = region.vfpga.host_in[dest]
         mover.env.timeout_at(
-            stream.book(flit), (stream, vfpga, packet, flit)
+            stream.book(flit), (stream, region, packet, flit)
         ).callbacks.append(mover._deposit.land)
 
 
 class _WriteDma(_DmaEngine):
-    """C2H: a staged ``(packet, flit, location, paddr)`` is written to
-    host memory (or a GPU peer-to-peer); landing releases the packet's
-    write credit and completes a last packet."""
+    """C2H: a staged ``((packet, data), region, location, paddr)`` is
+    written to host memory (or a GPU peer-to-peer); landing releases the
+    packet's write credit and completes a last packet."""
 
     __slots__ = ()
 
     def _start(self, item: Tuple) -> None:
-        packet, flit, location, paddr = item
+        (packet, data), _region, location, paddr = item
         mover = self.mover
-        if not mover.config.carry_data:
-            data = bytes(min(flit.length, packet.length))
-        elif flit.data is not None:
-            data = flit.data
-        else:
-            data = bytes(flit.length)
-        if location is MemLocation.GPU:
+        if location is _GPU:
             finish = mover.gpu.book(len(data))
         else:
-            finish = mover.xdma.link.book("c2h", len(data), overhead=False)
-        mover.env.timeout_at(
-            finish, (packet, location, paddr, data)
-        ).callbacks.append(self._landed)
+            finish = mover.xdma.link.book("c2h", len(data), False)
+        mover.env.timeout_at(finish, item).callbacks.append(self._landed)
 
     def _land(self, item: Tuple) -> None:
-        packet, location, paddr, data = item
+        (packet, data), region, location, paddr = item
         mover = self.mover
-        if location is MemLocation.GPU:
+        if location is _GPU:
             mover.gpu.land_write(paddr, data)
         else:
             xdma = mover.xdma
             xdma.link.land("c2h", len(data))
             xdma.host_mem.write(paddr, data)
         mover.bytes_written += packet.length
-        region = mover._regions[packet.vfpga_id]
         region.credits[1].release()
         if packet.last:
-            mover._complete(region.vfpga, packet, write=True)
+            mover._complete(region, packet, write=True)
 
 
 class HostDataMover(_DataMover):
@@ -406,8 +406,8 @@ class HostDataMover(_DataMover):
         # direction feeds its DMA engine's 4-deep staging store.
         self._rd_staged: Store = Store(env, capacity=4)
         self._wr_staged: Store = Store(env, capacity=4)
-        env.process(self._rd_translate(), name="host-rd-xlat")
-        env.process(self._wr_translate(), name="host-wr-xlat")
+        env.process(self._translate(False), name="host-rd-xlat")
+        env.process(self._translate(True), name="host-wr-xlat")
         self._rd_dma = _ReadDma(self, "host-rd-dma", self._rd_staged)
         self._wr_dma = _WriteDma(self, "host-wr-dma", self._wr_staged)
 
@@ -432,7 +432,8 @@ class HostDataMover(_DataMover):
             for packet in self.packetizer.split(desc, page_size):
                 # repro: allow[RES001] split-phase: VFpga.recv releases this credit when the deposited flit is consumed
                 yield from credits.acquire()
-                yield from port.put(packet)
+                yield port.slot()
+                port.put(packet)
 
     def _wr_unit(self, region: _Region, dest: int, queue: Store) -> Generator:
         """Pull data from the vFPGA *before* propagating write packets.
@@ -444,13 +445,15 @@ class HostDataMover(_DataMover):
 
         The kernel's output flits need not align with packet boundaries
         (e.g. the NN kernel emits one small flit per input chunk), so the
-        unit reassembles the byte stream into packet-sized writes.
+        unit reassembles the byte stream into packet-sized writes.  A
+        timing-only packet (or any, without ``carry_data``) writes zeros.
         """
         mmu = region.mmu
         credits = region.credits[1]
         source = region.vfpga.host_out[dest]
         port = self._ports(region)[1]
         page_size = mmu.tlb.config.page_size
+        carry_data = self.config.carry_data
         staged = _FlitAssembler()
         while True:
             desc = yield queue.get()
@@ -459,46 +462,42 @@ class HostDataMover(_DataMover):
                 # repro: allow[RES001] split-phase: _WriteDma._land releases this credit when the packet's host write lands
                 yield from credits.acquire()
                 while staged.available < packet.length:
-                    flit = yield from source.recv()
-                    staged.push(flit)
+                    staged.push((yield source.recv()))
                 data = staged.take(packet.length)
-                yield from port.put((packet, Flit(length=packet.length, data=data, tid=dest)))
+                if data is None or not carry_data:
+                    data = bytes(packet.length)
+                yield port.slot()
+                port.put((packet, data))
 
     # ------------------------------------------------------ shared movers
 
-    def _locate(self, packet: Packet, writable: bool) -> Generator:
-        """Location-aware translation: GPU-resident pages are served
-        peer-to-peer; card-resident pages migrate to host first
-        (GPU-style fault), host pages go straight to the DMA.
+    def _translate(self, writable: bool) -> Generator:
+        """One direction's translation stage: per granted packet, the
+        location and address of its first byte, into the DMA engine's
+        staging store with the packet's region.
 
-        Inlined (no throwaway Process per packet): the translate
-        generator runs inside the pipeline stage; it holds nothing a
-        reset's interrupt could leak (the station slot is booked, not
-        granted).
+        Location-aware: GPU-resident pages are served peer-to-peer;
+        card-resident pages (and GPU pages with no GPU attached) migrate
+        to host first (a GPU-style fault), host pages go straight to the
+        DMA.  The translations run inline in this stage (no process per
+        packet); they hold nothing a reset's interrupt could leak (the
+        station slot is booked, not granted).
         """
-        mmu = self._regions[packet.vfpga_id].mmu
-        pid = packet.descriptor.pid
-        location, paddr = yield from mmu.translate_any(pid, packet.vaddr, writable)
-        if location is MemLocation.CARD or (
-            location is MemLocation.GPU and self.gpu is None
-        ):
-            paddr = yield from mmu.translate(
-                pid, packet.vaddr, MemLocation.HOST, writable
-            )
-            location = MemLocation.HOST
-        return location, paddr
-
-    def _rd_translate(self) -> Generator:
+        arbiter = self.wr_arbiter if writable else self.rd_arbiter
+        staged = self._wr_staged if writable else self._rd_staged
+        regions = self._regions
         while True:
-            packet = yield from self.rd_arbiter.get()
-            location, paddr = yield from self._locate(packet, writable=False)
-            yield self._rd_staged.put((packet, location, paddr))
-
-    def _wr_translate(self) -> Generator:
-        while True:
-            packet, flit = yield from self.wr_arbiter.get()
-            location, paddr = yield from self._locate(packet, writable=True)
-            yield self._wr_staged.put((packet, flit, location, paddr))
+            yield arbiter.token()
+            item = arbiter.get()
+            packet = item[0] if writable else item
+            desc = packet.descriptor
+            region = regions[desc.vfpga_id]
+            mmu = region.mmu
+            location, paddr = yield from mmu.translate_any(desc.pid, packet.vaddr, writable)
+            if location is _CARD or (location is _GPU and self.gpu is None):
+                paddr = yield from mmu.translate(desc.pid, packet.vaddr, _HOST, writable)
+                location = _HOST
+            yield staged.put((item, region, location, paddr))
 
 
 class CardDataMover(_DataMover):
@@ -536,20 +535,13 @@ class CardDataMover(_DataMover):
             for packet in self.packetizer.split(desc, page_size):
                 # repro: allow[RES001] split-phase: VFpga.recv releases this credit when the deposited flit is consumed
                 yield from credits.acquire()
-                paddr = yield from mmu.translate(
-                    desc.pid, packet.vaddr, MemLocation.CARD
-                )
+                paddr = yield from mmu.translate(desc.pid, packet.vaddr, _CARD)
                 data = yield from self.hbm.read(paddr, packet.length)
                 self.bytes_read += packet.length
-                flit = Flit(
-                    length=packet.length,
-                    data=data if carry_data else None,
-                    tid=packet.dest,
-                    last=packet.last,
-                )
+                flit = Flit(packet.length, data if carry_data else None, dest, 0, packet.last)
                 yield from stream.hand_over(flit)
                 if packet.last:
-                    self._complete(vfpga, packet, write=False)
+                    self._complete(region, packet, write=False)
 
     def _wr_unit(self, region: _Region, dest: int, queue: Store) -> Generator:
         vfpga, mmu = region.vfpga, region.mmu
@@ -563,12 +555,9 @@ class CardDataMover(_DataMover):
                 yield from guard.acquire()
                 try:
                     while staged.available < packet.length:
-                        flit = yield from source.recv()
-                        staged.push(flit)
+                        staged.push((yield source.recv()))
                     payload = staged.take(packet.length)
-                    paddr = yield from mmu.translate(
-                        desc.pid, packet.vaddr, MemLocation.CARD, writable=True
-                    )
+                    paddr = yield from mmu.translate(desc.pid, packet.vaddr, _CARD, True)
                     data = payload if payload is not None else bytes(packet.length)
                     yield from self.hbm.write(paddr, data)
                     self.bytes_written += packet.length
@@ -578,4 +567,4 @@ class CardDataMover(_DataMover):
                     # class app.wedge_credit chaos probes dynamically.
                     guard.release()
                 if packet.last:
-                    self._complete(vfpga, packet, write=True)
+                    self._complete(region, packet, write=True)

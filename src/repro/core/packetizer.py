@@ -22,14 +22,14 @@ on a packet boundary of a page never needs that cut.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List
+from typing import Iterator
 
 from .interfaces import Descriptor
 
 __all__ = ["Packet", "Packetizer"]
 
 
-@dataclass
+@dataclass(slots=True)
 class Packet:
     """A packet-sized slice of a descriptor."""
 
@@ -64,7 +64,7 @@ class Packetizer:
         ):
             # Single-packet fast path: most control-plane transfers fit in
             # one packet (of one page), so skip the offset loop entirely.
-            yield Packet(descriptor=descriptor, vaddr=vaddr, length=length, last=True)
+            yield Packet(descriptor, vaddr, length, True)
             return
         offset = 0
         while offset < length:
@@ -72,17 +72,9 @@ class Packetizer:
             if page_bytes:
                 take = min(take, page_bytes - (vaddr + offset) % page_bytes)
             offset += take
-            yield Packet(
-                descriptor=descriptor,
-                vaddr=vaddr + offset - take,
-                length=take,
-                last=offset >= length,
-            )
+            yield Packet(descriptor, vaddr + offset - take, take, offset >= length)
 
     def count(self, length: int) -> int:
         """Number of packets a request of ``length`` bytes produces when
         no page boundary cuts one."""
         return -(-length // self.packet_bytes)
-
-    def split_all(self, descriptor: Descriptor) -> List[Packet]:
-        return list(self.split(descriptor))

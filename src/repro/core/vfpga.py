@@ -264,7 +264,7 @@ class VFpga:
         (until recovery wipes the region).  Both are invisible unless a
         :class:`repro.faults.FaultInjector` is armed.
         """
-        flit = yield from self.streams(stream, False)[dest].recv()
+        flit = yield self._by_kind[stream][False][dest].recv()
         faults = self.faults
         if faults is not None and faults.fires(APP_WEDGE_CREDIT, self):
             self.credits_wedged += 1

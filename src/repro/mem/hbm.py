@@ -95,8 +95,14 @@ class HbmController:
         when the last of them finishes."""
         config = self.config
         faults = self.faults
+        stripe = config.stripe_bytes
+        if 0 < length <= stripe - addr % stripe:
+            # Inside one stripe (every stripe-aligned card packet).
+            stripes = (((addr // stripe) % config.num_channels, addr, length),)
+        else:
+            stripes = self._stripes(addr, length)
         done = self.env.now
-        for channel, _addr, nbytes in self._stripes(addr, length):
+        for channel, _addr, nbytes in stripes:
             self.channel_accesses[channel] += 1
             cycles = -(-nbytes // config.port_width_bytes)
             delay = config.access_latency_ns + config.clock.cycles_to_ns(cycles)

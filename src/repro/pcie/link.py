@@ -60,14 +60,6 @@ class PcieLink:
         """Transfers currently holding or queued for one direction."""
         return self._in_flight[direction]
 
-    def _replay_penalty_ns(self, direction: str) -> float:
-        """Link-layer fault check: a replayed TLP costs extra latency but
-        the transfer still delivers intact data (LCRC catches the error)."""
-        if self.faults is not None and self.faults.fires(PCIE_REPLAY, direction):
-            self.replays += 1
-            return self.config.replay_latency_ns
-        return 0.0
-
     def book(self, direction: str, nbytes: int, overhead: bool = True) -> float:
         """Book one transfer of ``nbytes`` on ``direction`` (``"h2c"`` or
         ``"c2h"``) now, behind every transfer booked before it; returns
@@ -79,7 +71,12 @@ class PcieLink:
             duration = nbytes / config.c2h_bandwidth
         if overhead:
             duration += config.descriptor_overhead_ns
-        duration += self._replay_penalty_ns(direction)
+        faults = self.faults
+        if faults is not None and faults.fires(PCIE_REPLAY, direction):
+            # A TLP failed its LCRC and is replayed: extra latency, but
+            # the transfer still delivers intact data.
+            self.replays += 1
+            duration += config.replay_latency_ns
         finish = self._directions[direction].book(duration)
         self._in_flight[direction] = depth = self._in_flight[direction] + 1
         if depth > self.in_flight_high_water[direction]:
@@ -110,9 +107,11 @@ class PcieLink:
         self.land(direction, nbytes)
 
     def h2c(self, nbytes: int, overhead: bool = True) -> Generator:
-        """Move ``nbytes`` from host memory to the card."""
-        yield from self._transfer("h2c", nbytes, overhead)
+        """Move ``nbytes`` from host memory to the card: the transfer's
+        generator, handed back rather than wrapped
+        (``yield from link.h2c(n)``)."""
+        return self._transfer("h2c", nbytes, overhead)
 
     def c2h(self, nbytes: int, overhead: bool = True) -> Generator:
-        """Move ``nbytes`` from the card to host memory."""
-        yield from self._transfer("c2h", nbytes, overhead)
+        """Move ``nbytes`` from the card to host memory, as :meth:`h2c`."""
+        return self._transfer("c2h", nbytes, overhead)

@@ -32,7 +32,7 @@ def test_stream_send_recv_roundtrip():
         yield from stream.send(Flit(length=128, data=b"x" * 128, tid=3))
 
     def consumer():
-        flit = yield from stream.recv()
+        flit = yield stream.recv()
         got.append(flit)
 
     env.process(producer())
@@ -69,7 +69,7 @@ def test_stream_backpressure_blocks_producer():
     def consumer():
         yield env.timeout(1000)
         for _ in range(4):
-            yield from stream.recv()
+            yield stream.recv()
 
     env.process(producer())
     env.process(consumer())

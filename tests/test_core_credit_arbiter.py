@@ -62,12 +62,13 @@ def test_round_robin_fair_interleaving():
 
     def producer(port, tag):
         for i in range(3):
-            yield from port.put((tag, i))
+            yield port.slot()
+            port.put((tag, i))
 
     def consumer():
         for _ in range(9):
-            item = yield from arb.get()
-            order.append(item[0])
+            yield arb.token()
+            order.append(arb.get()[0])
 
     for tag, port in enumerate(ports):
         env.process(producer(port, tag))
@@ -85,13 +86,14 @@ def test_arbiter_skips_idle_ports():
     got = []
 
     def producer():
-        yield from busy.put("x")
-        yield from busy.put("y")
+        for item in ("x", "y"):
+            yield busy.slot()
+            busy.put(item)
 
     def consumer():
         for _ in range(2):
-            item = yield from arb.get()
-            got.append(item)
+            yield arb.token()
+            got.append(arb.get())
 
     env.process(producer())
     done = env.process(consumer())
@@ -106,15 +108,18 @@ def test_arbiter_port_depth_backpressure():
     times = []
 
     def producer():
-        yield from port.put(1)
+        yield port.slot()
+        port.put(1)
         times.append(env.now)
-        yield from port.put(2)  # blocks until consumer drains
+        yield port.slot()  # blocks until consumer drains
+        port.put(2)
         times.append(env.now)
 
     def consumer():
         yield env.timeout(100)
-        yield from arb.get()
-        yield from arb.get()
+        for _ in range(2):
+            yield arb.token()
+            arb.get()
 
     env.process(producer())
     env.process(consumer())
@@ -130,25 +135,15 @@ def test_arbiter_get_blocks_until_work():
     got = []
 
     def consumer():
-        item = yield from arb.get()
-        got.append((item, env.now))
+        yield arb.token()
+        got.append((arb.get(), env.now))
 
     def producer():
         yield env.timeout(42)
-        yield from port.put("late")
+        yield port.slot()
+        port.put("late")
 
     env.process(consumer())
     env.process(producer())
     env.run()
     assert got == [("late", 42)]
-
-
-def test_arbiter_try_get():
-    env = Environment()
-    arb = RoundRobinArbiter(env)
-    port = arb.add_port()
-    assert arb.try_get() is None
-    env.process(port.put("a"))
-    env.run()
-    assert arb.try_get() == "a"
-    assert arb.backlog == 0

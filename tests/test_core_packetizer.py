@@ -19,32 +19,32 @@ def test_packet_size_is_told_not_defaulted():
 
 
 def test_single_packet_request():
-    packets = Packetizer(4096).split_all(desc(100))
+    packets = list(Packetizer(4096).split(desc(100)))
     assert len(packets) == 1
     assert packets[0].length == 100
     assert packets[0].last
 
 
 def test_exact_multiple_split():
-    packets = Packetizer(4096).split_all(desc(3 * 4096))
+    packets = list(Packetizer(4096).split(desc(3 * 4096)))
     assert [p.length for p in packets] == [4096, 4096, 4096]
     assert [p.last for p in packets] == [False, False, True]
 
 
 def test_remainder_packet():
-    packets = Packetizer(4096).split_all(desc(4096 + 100))
+    packets = list(Packetizer(4096).split(desc(4096 + 100)))
     assert [p.length for p in packets] == [4096, 100]
 
 
 def test_addresses_are_contiguous():
-    packets = Packetizer(4096).split_all(desc(10_000, vaddr=0x5000))
+    packets = list(Packetizer(4096).split(desc(10_000, vaddr=0x5000)))
     assert packets[0].vaddr == 0x5000
     assert packets[1].vaddr == 0x5000 + 4096
     assert packets[2].vaddr == 0x5000 + 8192
 
 
 def test_configurable_chunk():
-    packets = Packetizer(packet_bytes=512).split_all(desc(2048))
+    packets = list(Packetizer(packet_bytes=512).split(desc(2048)))
     assert len(packets) == 4
 
 
@@ -74,7 +74,7 @@ def test_descriptor_validation():
 )
 def test_split_covers_exactly_once(length, chunk):
     """Packets tile the request exactly: no gaps, no overlap, one last."""
-    packets = Packetizer(chunk).split_all(desc(length, vaddr=0))
+    packets = list(Packetizer(chunk).split(desc(length, vaddr=0)))
     assert sum(p.length for p in packets) == length
     expected_vaddr = 0
     for p in packets:
@@ -88,7 +88,7 @@ def test_split_covers_exactly_once(length, chunk):
 def test_length_exactly_packet_bytes_is_single_last_packet():
     """Boundary: a request of exactly one packet takes the fast path and
     still carries last=True (the completion trigger)."""
-    packets = Packetizer(4096).split_all(desc(4096))
+    packets = list(Packetizer(4096).split(desc(4096)))
     assert len(packets) == 1
     assert packets[0].length == 4096
     assert packets[0].last
@@ -101,7 +101,7 @@ def test_zero_length_descriptor_yields_no_packets():
     this pins the underlying hazard those guards exist for."""
     d = desc(1)
     d.length = 0  # bypass construction-time validation
-    assert Packetizer(4096).split_all(d) == []
+    assert list(Packetizer(4096).split(d)) == []
     assert Packetizer(4096).count(0) == 0
 
 
@@ -116,13 +116,13 @@ def test_zero_length_descriptor_yields_no_packets():
 @example(packets=3, short_by=0, chunk=512)  # an exact multiple
 @example(packets=512, short_by=0, chunk=8192)  # 1 << 22, the largest request
 def test_count_matches_split(packets, short_by, chunk):
-    """count() is the closed form of len(split_all()) for every length,
+    """count() is the closed form of len(list(split())) for every length,
     including exact multiples and the single-packet boundary.  The packet
     count is drawn, not the length: a 4 MiB request at ``chunk=1`` is four
     million ``Packet`` objects and covers no boundary 4096 do not."""
     length = packets * chunk - short_by % chunk
     p = Packetizer(chunk)
-    assert p.count(length) == len(p.split_all(desc(length))) == packets
+    assert p.count(length) == len(list(p.split(desc(length)))) == packets
 
 
 @settings(max_examples=200, deadline=None)
@@ -154,7 +154,7 @@ def test_page_aligned_requests_split_as_without_pages():
     """A request that starts on a page splits exactly as with no page
     size: every benchmark buffer is page-aligned, so none moves."""
     request = desc(3 * 4096 + 100, vaddr=0x4000)
-    plain = Packetizer(2048).split_all(request)
+    plain = list(Packetizer(2048).split(request))
     paged = list(Packetizer(2048).split(request, 4096))
     assert [(p.vaddr, p.length, p.last) for p in paged] == [
         (p.vaddr, p.length, p.last) for p in plain

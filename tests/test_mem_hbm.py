@@ -205,3 +205,62 @@ def test_ecc_is_drawn_at_booking_in_issue_order():
     assert short < long
     assert done == {"A": long, "B": long + 2.0 * long}
     assert hbm.ecc_uncorrected == 1
+
+
+# ------------------------------------- edges of the one-stripe fast path
+
+
+def test_zero_length_access_completes_now_and_books_no_channel():
+    env = Environment()
+    hbm = HbmController(env, small_config())
+
+    def proc():
+        yield env.timeout(100)
+        data = yield from hbm.read(4096, 0)
+        read_at = env.now
+        yield from hbm.write(4096, b"")
+        return data, read_at, env.now
+
+    assert env.run(env.process(proc())) == (b"", 100, 100)
+    assert hbm.channel_accesses == [0, 0, 0, 0]
+    assert hbm.channel_utilization() == [0, 0, 0, 0]
+
+
+def test_access_straddling_two_stripes_books_both_and_ends_at_the_later():
+    """The straddle's 96 bytes on channel 0 are free at once; its 104 on
+    channel 1 queue behind a whole stripe booked there first."""
+    env = Environment()
+    hbm = HbmController(env, small_config())
+    done = {}
+
+    def access(tag, addr, length):
+        yield from hbm.read(addr, length)
+        done[tag] = env.now
+
+    env.process(access("stripe", 4096, 4096))
+    env.process(access("straddle", 4000, 200))
+    env.run()
+    assert done == {
+        "stripe": _stripe_ns(hbm, 4096),
+        "straddle": _stripe_ns(hbm, 4096) + _stripe_ns(hbm, 104),
+    }
+    assert _stripe_ns(hbm, 96) < done["straddle"]
+    assert hbm.channel_accesses == [1, 2, 0, 0]
+
+
+def test_single_stripe_access_with_double_bit_ecc_armed_doubles_its_delay():
+    env = Environment()
+    hbm = HbmController(env, small_config())
+    _armed(hbm, FaultRule(site=HBM_ECC_DOUBLE, at_events=(0,)))
+
+    def proc():
+        yield from hbm.read(2 * 4096, 4096)
+        first = env.now
+        yield from hbm.read(2 * 4096, 4096)
+        return first, env.now
+
+    first, second = env.run(env.process(proc()))
+    assert first == 2.0 * _stripe_ns(hbm, 4096)
+    assert second == first + _stripe_ns(hbm, 4096)
+    assert hbm.ecc_uncorrected == 1
+    assert hbm.channel_accesses == [0, 0, 2, 0]

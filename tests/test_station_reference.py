@@ -156,10 +156,7 @@ def _queued_bus(env, depth):
         finally:
             bus.release(grant)
 
-    def recv():
-        return (yield fifo.get())
-
-    return send, lambda flit: env.process(send(flit)), recv
+    return send, lambda flit: env.process(send(flit)), fifo.get
 
 
 def _booked_bus(env, depth):
@@ -203,7 +200,7 @@ def _landings(bus, senders, depth=None, deposit=False, consume_at=0.0):
         if consume_at:
             yield env.timeout(consume_at)
         for _ in range(total):
-            flit = yield from recv()
+            flit = yield recv()
             landed.append((flit.tid, flit.tdest, env.now))
 
     for tag, flits in enumerate(senders):
@@ -318,7 +315,7 @@ def _steps(hand_over, senders, relays, sinks):
 
     def relay(tag, count):
         for _ in range(count):
-            flit = yield from streams[0].recv()
+            flit = yield streams[0].recv()
             steps.append((env.now, "relay-in", tag, flit.tid, flit.tdest))
             yield from put[1](flit)
             steps.append((env.now, "relay-out", tag, flit.tid, flit.tdest))
@@ -330,7 +327,7 @@ def _steps(hand_over, senders, relays, sinks):
 
     def sink(tag, reactions):
         for reaction in reactions:
-            flit = yield from streams[1].recv()
+            flit = yield streams[1].recv()
             steps.append((env.now, "sink", tag, flit.tid, flit.tdest))
             if reaction == "spawn":
                 env.process(child(tag))
