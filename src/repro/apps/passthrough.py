@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from typing import Generator
 
-from ..axi.types import Flit
 from ..core.interfaces import StreamType
 from ..core.vfpga import UserApp, VFpga
 
@@ -39,9 +38,10 @@ class PassThroughApp(UserApp):
         yield vfpga.env.event()  # persist until reconfigured
 
     def _lane(self, vfpga: VFpga, dest: int) -> Generator:
+        # Each flit goes back out as it came: nothing downstream mutates
+        # a flit, and the movers make every flit with ``tdest`` 0.
         while True:
             flit = yield from vfpga.recv(self.stream, dest)
             self.flits_moved += 1
             self.bytes_moved += flit.length
-            out = Flit(length=flit.length, data=flit.data, tid=flit.tid, last=flit.last)
-            yield from vfpga.send(out, self.stream, dest)
+            yield from vfpga.send(flit, self.stream, dest)

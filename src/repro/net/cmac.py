@@ -198,8 +198,7 @@ class Cmac:
             # The pause may have landed while we queued for the port.
             if env.now < pause.until:
                 yield from pause.wait()
-            wire_bytes = packet.wire_length + FRAME_OVERHEAD_BYTES
-            yield env.timeout(wire_bytes / CMAC_BANDWIDTH)
+            yield env.sleep((packet.wire_length + FRAME_OVERHEAD_BYTES) / CMAC_BANDWIDTH)
         finally:
             port.release(grant)
         self.tx_frames += 1
@@ -214,7 +213,9 @@ class Cmac:
         self.rx_bytes += packet.wire_length
         for tap in self.rx_taps:
             tap(self.env.now, packet)
-        self.rx_queue.put(packet)
+        # Nobody waits on a delivery: the receive loop is parked on the
+        # queue's get, or the frame queues (the queue is unbounded).
+        self.rx_queue.put_nowait(packet)
         if (
             self.rx_xoff_frames is not None
             and self.link_partner is not None

@@ -257,7 +257,7 @@ class RoceOpcode:
         return opcode in (RoceOpcode.COMPARE_SWAP, RoceOpcode.FETCH_ADD)
 
 
-@dataclass
+@dataclass(slots=True)
 class BthHeader:
     """12-byte InfiniBand Base Transport Header."""
 
@@ -296,7 +296,7 @@ class BthHeader:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class RethHeader:
     """16-byte RDMA Extended Transport Header: target address + length."""
 
@@ -317,7 +317,7 @@ class RethHeader:
         return cls(vaddr=vaddr, rkey=rkey, dma_length=length)
 
 
-@dataclass
+@dataclass(slots=True)
 class AethHeader:
     """4-byte ACK Extended Transport Header."""
 

@@ -52,9 +52,13 @@ ReadLocal = Callable[[int, int], Generator]
 WriteLocal = Callable[[int, Optional[bytes], int], Generator]
 
 
+#: ``a`` precedes ``b`` when ``b`` is less than half the PSN space ahead.
+_HALF_PSN_SPACE = PSN_MOD // 2
+
+
 def psn_leq(a: int, b: int) -> bool:
     """True if PSN ``a`` <= ``b`` under 24-bit wraparound."""
-    return (b - a) % PSN_MOD < PSN_MOD // 2
+    return (b - a) % PSN_MOD < _HALF_PSN_SPACE
 
 
 @dataclass(frozen=True)
@@ -108,6 +112,8 @@ _WRITE_OPS = (
     RoceOpcode.RDMA_WRITE_LAST, RoceOpcode.RDMA_WRITE_ONLY,
 )
 _SEND_OPS = (RoceOpcode.SEND_MIDDLE, RoceOpcode.SEND_FIRST, RoceOpcode.SEND_LAST, RoceOpcode.SEND_ONLY)
+#: The WRITE segments that carry the RETH: a message's first or only one.
+_WRITE_STARTS = (RoceOpcode.RDMA_WRITE_FIRST, RoceOpcode.RDMA_WRITE_ONLY)
 #: Opcodes carrying an AtomicETH (``RoceOpcode.has_atomic_eth``, without
 #: a call per received frame).
 _ATOMIC_OPS = (RoceOpcode.COMPARE_SWAP, RoceOpcode.FETCH_ADD)

@@ -10,7 +10,9 @@ from ...sim.resources import Container
 from ..headers import RethHeader, RoceOpcode
 from ..packet import RocePacket
 from ..qp import PSN_MOD
-from .context import WrFlushError, _PendingMessage, _QpContext, psn_leq
+from .context import (
+    _HALF_PSN_SPACE, _WRITE_STARTS, WrFlushError, _PendingMessage, _QpContext, psn_leq,
+)
 
 
 class Reliability:
@@ -24,12 +26,11 @@ class Reliability:
         self.window = Container(self.env, capacity=config.max_outstanding, init=config.max_outstanding)
         self.timer_parked: Optional[Event] = None
 
-    def credit(self, ctx: _QpContext, wr_id: int, verb: str) -> Generator:
-        """Take one window credit for ``ctx``'s next packet.  A flush that
-        landed while the requester was parked on it refunds the fresh
-        credit and raises for the verb — that beats transmitting into
-        the void."""
-        yield self.window.get(1)
+    def credited(self, ctx: _QpContext, wr_id: int, verb: str) -> None:
+        """Called on the grant of ``yield window.get(1)``, the window
+        credit of ``ctx``'s next packet.  A flush that landed while the
+        requester was parked on it refunds the fresh credit and raises
+        for the verb — that beats transmitting into the void."""
         if ctx.qp.in_error:
             self.window.put(1)
             raise WrFlushError(ctx.qpn, wr_id, verb, ctx.qp.error_reason)
@@ -62,7 +63,8 @@ class Reliability:
                 if not isinstance(payload, (bytes, bytearray)):
                     payload = None
             try:
-                yield from self.credit(ctx, wr_id, verb)
+                yield self.window.get(1)
+                self.credited(ctx, wr_id, verb)
             except WrFlushError:
                 for lane in lanes or ():
                     lane.clear()  # a fetch parked on a full lane sees the flush
@@ -72,8 +74,8 @@ class Reliability:
             # continuously; real responders coalesce these replies.
             packet = stack._build(
                 ctx, opcode, psn, ack_request=True, data=True,
-                reth=RethHeader(vaddr=remote_vaddr, rkey=qp.remote.rkey, dma_length=length)
-                if RoceOpcode.has_reth(opcode)
+                reth=RethHeader(remote_vaddr, qp.remote.rkey, length)
+                if opcode in _WRITE_STARTS
                 else None,
                 payload=payload,
                 payload_length=seg_len,
@@ -96,7 +98,8 @@ class Reliability:
         responses ack cumulatively, so a READ stays retransmittable until
         its last response arrived — a responder that stops answering ends
         in "retry exhausted", not a hang."""
-        yield from self.credit(ctx, wr_id, verb)
+        yield self.window.get(1)
+        self.credited(ctx, wr_id, verb)
         qp = ctx.qp
         psn = qp.sq_psn
         qp.sq_psn = (psn + span) % PSN_MOD
@@ -147,10 +150,10 @@ class Reliability:
         # so what this ACK covers is a prefix of each.
         buffered = ctx.unacked
         released = []
-        for p in buffered:
-            if not psn_leq(p, psn):
-                break
-            if p != psn and buffered[p].bth.opcode == RoceOpcode.RDMA_READ_REQUEST:
+        for p, packet in buffered.items():
+            if (psn - p) % PSN_MOD >= _HALF_PSN_SPACE:
+                break  # past ``psn`` (``psn_leq``, inline: once a PSN)
+            if p != psn and packet.bth.opcode == RoceOpcode.RDMA_READ_REQUEST:
                 # Only its last response acknowledges a READ (it is buffered
                 # under that PSN).  Acked past it, it lost a response: it and
                 # what follows stay for the retransmit timer to ask again.
@@ -164,14 +167,15 @@ class Reliability:
         for p in released:
             del buffered[p]
         if released:
-            self.window.put(len(released))
+            # Eventless: the window only ever gets back what it lent.
+            self.window.put_nowait(len(released))
         qp = ctx.qp
         if psn_leq(qp.acked_psn % PSN_MOD, psn):
             qp.acked_psn = psn
         pending = ctx.pending
         finished = []
         for msg in pending:
-            if not psn_leq(msg.last_psn, psn):
+            if (psn - msg.last_psn) % PSN_MOD >= _HALF_PSN_SPACE:
                 break
             finished.append(msg)
         del pending[: len(finished)]

@@ -8,13 +8,19 @@ from collections import deque
 from functools import partial
 from typing import Deque, Generator, Optional, Tuple
 
+from ...sim.engine import Event
 from ..headers import ECN_CE, AethHeader, AtomicAckEthHeader, RoceOpcode
 from ..packet import RocePacket
 from ..qp import PSN_MOD, QpState
 from .context import (
-    _ATOMIC_OPS, _READ_RESPONSE_OPS, _SEND_OPS, _WRITE_OPS, WriteLocal, _QpContext, _ReadOp, psn_leq,
+    _ATOMIC_OPS, _READ_RESPONSE_OPS, _SEND_OPS, _WRITE_OPS, _WRITE_STARTS, WriteLocal, _QpContext,
+    _ReadOp, psn_leq,
 )
 
+#: What the receive loop tells apart on every frame, as module constants.
+_ERROR = QpState.ERROR
+_CNP = RoceOpcode.CNP
+_ACK_OPS = (RoceOpcode.ACKNOWLEDGE, RoceOpcode.ATOMIC_ACKNOWLEDGE)
 #: Request opcodes that end a message, and so take an MSN when admitted.
 _MESSAGE_ENDS = _WRITE_OPS[2:] + _SEND_OPS[2:] + (
     RoceOpcode.RDMA_READ_REQUEST, RoceOpcode.FETCH_ADD, RoceOpcode.COMPARE_SWAP,
@@ -36,6 +42,7 @@ class Responder:
         # entries; ``drop`` takes a dead connection's out.
         self.owed: Deque[Tuple[_QpContext, RocePacket, int]] = deque()
         self.responding = False
+        self._land_name = f"{stack.name}-land"
 
     def drop(self, ctx: _QpContext) -> None:
         """What a dead connection's peer was still owed goes with it."""
@@ -47,14 +54,20 @@ class Responder:
     def loop(self) -> Generator:
         """The receive loop (the ``{name}-rx`` process)."""
         stack = self.stack
+        env = self.env
+        get = self.rx_queue.get
+        stats = stack.stats
+        contexts = stack._contexts
+        processing_ns = stack.config.per_packet_processing_ns
         while True:
-            packet = yield self.rx_queue.get()
+            packet = yield get()
             if not isinstance(packet, RocePacket):
                 continue  # another protocol on the shared fabric
-            stack.stats["rx_packets"] += 1
-            yield self.env.sleep(stack.config.per_packet_processing_ns)
-            ctx = stack._contexts.get(packet.bth.dest_qp)
-            opcode = packet.bth.opcode
+            stats["rx_packets"] += 1
+            yield env.sleep(processing_ns)
+            bth = packet.bth
+            ctx = contexts.get(bth.dest_qp)
+            opcode = bth.opcode
             if ctx is not None and ctx.flushed is not None:
                 # The QP's first frame after a flush: the flushed
                 # connection's payloads land before anything else.
@@ -63,7 +76,7 @@ class Responder:
                     yield flushed
             elif ctx is not None and ctx.landings and not (
                 opcode in _READ_RESPONSE_OPS
-                or (opcode in _WRITE_OPS and packet.bth.psn == ctx.qp.epsn)
+                or (opcode in _WRITE_OPS and bth.psn == ctx.qp.epsn)
             ):
                 # PayloadCon's fence: only the next in-sequence payload
                 # overtakes a landing of its QP.  A READ or an atomic
@@ -75,18 +88,18 @@ class Responder:
                 continue  # a crashed node processes nothing
             if ctx is None or ctx.qp.remote is None:
                 continue  # drop traffic for unknown QPs
-            if ctx.qp.state is QpState.ERROR:
+            if ctx.qp.state is _ERROR:
                 continue  # ERROR silently discards inbound work (IB)
             if packet.ip.ecn == ECN_CE:
                 # Congestion point marked this frame: we are the DCQCN
                 # notification point — answer with a (rate-limited) CNP.
-                stack.stats["ecn_ce_received"] += 1
+                stats["ecn_ce_received"] += 1
                 self._maybe_send_cnp(ctx)
-            if opcode == RoceOpcode.CNP:
-                stack.stats["cnps_received"] += 1
+            if opcode == _CNP:
+                stats["cnps_received"] += 1
                 if ctx.rate is not None:
-                    ctx.rate.on_cnp(self.env.now)
-            elif opcode in (RoceOpcode.ACKNOWLEDGE, RoceOpcode.ATOMIC_ACKNOWLEDGE):
+                    ctx.rate.on_cnp(env.now)
+            elif opcode in _ACK_OPS:
                 stack._reliability.on_ack(ctx, packet)
             elif opcode in _READ_RESPONSE_OPS:
                 self._read_response(ctx, packet)
@@ -99,11 +112,13 @@ class Responder:
                 if not self.responding:
                     self.responding = True
                     # Spawned on purpose: responses go out beside the receive loop.
-                    self.env.process(self._respond(), name=f"{stack.name}-rd-resp")
+                    env.process(self._respond(), name=f"{stack.name}-rd-resp")
+            elif opcode in _WRITE_OPS:
+                self._write(ctx, packet)
             elif opcode in _ATOMIC_OPS:
                 yield from self._atomic(ctx, packet)
             else:
-                yield from self._data(ctx, packet)
+                yield from self._send(ctx, packet)
 
     def _maybe_send_cnp(self, ctx: _QpContext) -> None:
         """Generate a CNP toward the marked flow's sender, at most one
@@ -158,13 +173,13 @@ class Responder:
         ``atomic_ack``, the response of an atomic.  It carries ``msn``,
         the MSN when ``psn`` arrived, else the QP's current one."""
         qp = ctx.qp
-        if qp.remote is None or qp.state is QpState.ERROR:
+        if qp.remote is None or qp.state is _ERROR:
             return  # the connection ended while the handler was in memory
         stack = self.stack
         packet = stack._build(
             ctx,
             RoceOpcode.ACKNOWLEDGE if atomic_ack is None else RoceOpcode.ATOMIC_ACKNOWLEDGE,
-            psn, aeth=AethHeader(syndrome=syndrome, msn=qp.msn if msn is None else msn),
+            psn, aeth=AethHeader(syndrome, qp.msn if msn is None else msn),
             atomic_ack=atomic_ack,
         )
         stack.stats["naks_sent" if syndrome else "acks_sent"] += 1
@@ -178,25 +193,30 @@ class Responder:
         else:
             yield from stack._send_packet(packet)
 
-    def _data(self, ctx: _QpContext, packet: RocePacket) -> Generator:
-        """An admitted WRITE_* or SEND_* packet."""
-        qp = ctx.qp
+    def _write(self, ctx: _QpContext, packet: RocePacket) -> None:
+        """An admitted WRITE_* packet: its payload lands beside the
+        receive loop."""
+        bth = packet.bth
+        payload = packet.payload
+        if ctx.rx_offload is not None and payload is not None:
+            payload = ctx.rx_offload(payload)
+        if bth.opcode in _WRITE_STARTS:  # it carries the RETH
+            ctx.write_cursor = packet.reth.vaddr
+        vaddr = ctx.write_cursor
+        length = packet.payload_length
+        ctx.write_cursor = vaddr + length
+        # The ACK leaves when the payload has landed, with this MSN.
+        self.land(
+            ctx, self.stack._mem(ctx)[1], vaddr, payload, length,
+            bth.psn if bth.ack_request else None, ctx.qp.msn,
+        )
+
+    def _send(self, ctx: _QpContext, packet: RocePacket) -> Generator:
+        """An admitted SEND_* packet."""
         opcode = packet.bth.opcode
         payload = packet.payload
         if ctx.rx_offload is not None and payload is not None:
             payload = ctx.rx_offload(payload)
-        if opcode in _WRITE_OPS:
-            if opcode in (RoceOpcode.RDMA_WRITE_FIRST, RoceOpcode.RDMA_WRITE_ONLY):
-                ctx.write_cursor = packet.reth.vaddr
-            vaddr = ctx.write_cursor
-            ctx.write_cursor = vaddr + packet.payload_length
-            # The ACK leaves when the payload has landed, with this MSN.
-            self.land(
-                ctx, self.stack._mem(ctx)[1], vaddr, payload, packet.payload_length,
-                packet.bth.psn if packet.bth.ack_request else None, qp.msn,
-            )
-            return
-        # SEND family
         ctx.send_parts.append(payload or bytes(packet.payload_length))
         if opcode in (RoceOpcode.SEND_LAST, RoceOpcode.SEND_ONLY):
             ctx.recv_queue.put(b"".join(ctx.send_parts))
@@ -253,7 +273,8 @@ class Responder:
                     opcode = _READ_RESPONSE_OPS[(index == 0) + 2 * (index == last)]
                     response = stack._build(
                         ctx, opcode, (psn + index) % PSN_MOD, data=True,
-                        aeth=AethHeader(syndrome=0, msn=msn) if RoceOpcode.has_aeth(opcode) else None,
+                        # Every response but a middle one carries the AETH.
+                        aeth=AethHeader(0, msn) if opcode != _READ_RESPONSE_OPS[0] else None,
                         payload=payload if isinstance(payload, (bytes, bytearray)) else None,
                         payload_length=seg_len,
                     )
@@ -295,23 +316,30 @@ class Responder:
         (and completes the READ if it was the last), and a WRITE segment
         is answered with an ACK of ``psn`` carrying ``msn``, if it asked."""
         lane = ctx.landings
-        before = lane[-1] if lane else None
-
-        def landing() -> Generator:
-            yield from write_fn(vaddr, payload, length)
-            if before is not None and before.callbacks is not None:
-                yield before  # still landing: finish in arrival order
-            if ctx.landings is not lane:
-                return  # flushed meanwhile: nothing to acknowledge or complete
-            if read is not None:
-                # Responses double as acks for the consumed PSNs.
-                self.stack._reliability.progress(ctx, psn)
-                if vaddr + length == read.local_vaddr + read.length:
-                    ctx.reads.popleft()  # its last response
-                    read.event.succeed()
-            elif psn is not None:
-                yield from self.ack(ctx, psn, msn=msn)
-            lane.popleft()
-
+        landing = self._landing(
+            ctx, lane, lane[-1] if lane else None, write_fn, vaddr, payload, length, psn, msn, read
+        )
         # Spawned on purpose: a landing runs beside the receive loop.
-        lane.append(self.env.process(landing(), name=f"{self.stack.name}-land"))
+        lane.append(self.env.process(landing, name=self._land_name))
+
+    def _landing(
+        self, ctx: _QpContext, lane: Deque, before: Optional[Event], write_fn: WriteLocal,
+        vaddr: int, payload: Optional[bytes], length: int, psn: Optional[int], msn: int,
+        read: Optional[_ReadOp],
+    ) -> Generator:
+        """The ``{name}-land`` process of :meth:`land`; ``before`` is the
+        landing of ``lane`` it must finish behind, if any."""
+        yield from write_fn(vaddr, payload, length)
+        if before is not None and before.callbacks is not None:
+            yield before  # still landing: finish in arrival order
+        if ctx.landings is not lane:
+            return  # flushed meanwhile: nothing to acknowledge or complete
+        if read is not None:
+            # Responses double as acks for the consumed PSNs.
+            self.stack._reliability.progress(ctx, psn)
+            if vaddr + length == read.local_vaddr + read.length:
+                ctx.reads.popleft()  # its last response
+                read.event.succeed()
+        elif psn is not None:
+            yield from self.ack(ctx, psn, msn=msn)
+        lane.popleft()

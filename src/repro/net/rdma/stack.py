@@ -12,7 +12,8 @@ from ...sim.engine import Environment
 from ...sim.resources import Store
 from ..cmac import FRAME_OVERHEAD_BYTES, Cmac
 from ..headers import (
-    ECN_ECT0, ECN_NOT_ECT, AtomicEthHeader, BthHeader, MacAddress, RethHeader, RoceOpcode,
+    ECN_ECT0, ECN_NOT_ECT, AethHeader, AtomicAckEthHeader, AtomicEthHeader, BthHeader,
+    MacAddress, RethHeader, RoceOpcode,
 )
 from ..packet import RocePacket
 from ..qp import DcqcnState, QpEndpoint, QpState, QueuePair
@@ -211,7 +212,11 @@ class RdmaStack:
 
     def _build(
         self, ctx: _QpContext, opcode: int, psn: int,
-        ack_request: bool = False, data: bool = False, **extension,
+        ack_request: bool = False, data: bool = False,
+        reth: Optional[RethHeader] = None, aeth: Optional[AethHeader] = None,
+        atomic_eth: Optional[AtomicEthHeader] = None,
+        atomic_ack: Optional[AtomicAckEthHeader] = None,
+        payload: Optional[bytes] = None, payload_length: int = 0,
     ) -> RocePacket:
         """Every frame of a QP is addressed here: this stack to the QP's
         peer on the QP's flow port, ECT(0) on data packets to announce
@@ -221,15 +226,18 @@ class RdmaStack:
         ``_FRAME_HEADER_SETS`` lengths): nothing writes a header after
         ``RocePacket.build``, and the switch's CE mark copies."""
         remote = ctx.qp.remote
-        bth = BthHeader(opcode=opcode, dest_qp=remote.qpn, psn=psn, ack_request=ack_request)
+        bth = BthHeader(opcode, remote.qpn, psn, ack_request)
         ecn = ECN_ECT0 if data and self.config.dcqcn.enabled else ECN_NOT_ECT
-        packet = RocePacket(None, None, None, bth, **extension)
+        packet = RocePacket(
+            None, None, None, bth, reth, aeth, atomic_eth, atomic_ack, payload, payload_length
+        )
         key = (ecn, packet.transport_length)
         headers = ctx.frames.get(key)
         if headers is None:
             first = RocePacket.build(
                 src_mac=self.mac, dst_mac=remote.mac, src_ip=self.ip, dst_ip=remote.ip,
-                bth=bth, src_port=ctx.flow_port, ecn=ecn, **extension,
+                bth=bth, reth=reth, aeth=aeth, atomic_eth=atomic_eth, atomic_ack=atomic_ack,
+                payload=payload, payload_length=payload_length, src_port=ctx.flow_port, ecn=ecn,
             )
             headers = (first.eth, first.ip, first.udp)
             if len(ctx.frames) < _FRAME_HEADER_SETS:

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import zlib
 from collections import deque
-from copy import copy
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
@@ -97,6 +96,14 @@ class SwitchConfig:
     pause_quanta_ns: float = PAUSE_QUANTA_NS
     #: Continuous pause beyond this is a storm: typed error + PFC mute.
     storm_threshold_ns: float = 1_000_000.0
+
+
+def _twin(obj):
+    """``copy.copy`` of a frame or a header, which keep their fields in
+    ``__dict__``, without ``copy``'s dispatch (a quarter of its time)."""
+    twin = object.__new__(obj.__class__)
+    twin.__dict__.update(obj.__dict__)
+    return twin
 
 
 class _Ingress:
@@ -228,8 +235,8 @@ class _EgressPort:
                 # retransmit buffer, and a retransmission must not
                 # inherit a stale CE mark from a congested first try.
                 # (The headers are shared with the frame's connection.)
-                packet = copy(packet)
-                packet.ip = ip = copy(packet.ip)
+                packet = _twin(packet)
+                packet.ip = ip = _twin(packet.ip)
                 ip.ecn = ECN_CE
                 switch.ecn_marks += 1
         self.queue.append((packet, counted, wire_len, source, extra_delay))
@@ -259,11 +266,9 @@ class _EgressPort:
         # forwarding latency (plus any fault detour), while the queue
         # stays occupied for the frame's full serialisation time.
         # Nothing waits on a delivery and it cannot block, so the frame
-        # in flight is just this timer.
-        env.timeout(
-            self.switch.latency_ns + extra_delay, (packet, counted)
-        ).callbacks.append(self._deliver)
-        env.timeout(wire_len / self.line_rate, entry).callbacks.append(self._serialised)
+        # in flight is just this timer (pooled, as is the serialisation's).
+        env.sleep(self.switch.latency_ns + extra_delay, self._deliver, (packet, counted))
+        env.sleep(wire_len / self.line_rate, self._serialised, entry)
 
     def _serialised(self, event: Event) -> None:
         """The frame is off the wire: free its bytes, start the next."""

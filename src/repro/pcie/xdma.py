@@ -55,7 +55,7 @@ class Writeback:
 
 
 class _PostedWrites:
-    """Where posted counter updates land.  One in flight is a bare
+    """Where posted counter updates land.  One in flight is a pooled
     timer, which the profilers book by its callback owner's ``name``
     (DESIGN.md "Names the benchmark depends on").  Stateless."""
 
@@ -124,7 +124,7 @@ class Xdma:
         wb = self.writebacks.get(name)
         if wb is None:
             wb = self.writebacks[name] = Writeback(name)
-        self.env.timeout(WRITEBACK_LATENCY_NS, wb).callbacks.append(_POSTED.land)
+        self.env.sleep(WRITEBACK_LATENCY_NS, _POSTED.land, wb)
 
     # -- interrupts ------------------------------------------------------------
 

@@ -302,7 +302,18 @@ class Process(Event):
     __slots__ = ("_generator", "name", "_target")
 
     def __init__(self, env: "Environment", generator: Generator, name: str = ""):
-        super().__init__(env)
+        # Flat: the slots ``Event.__init__`` writes (a process per landed
+        # RDMA payload).
+        self.env = env
+        self.callbacks = []
+        self._value = None
+        self._ok = None
+        self._scheduled = False
+        if env.sanitizer is not None:
+            env.sanitizer.on_event_created(self)
+        self._abandoned = False
+        self._defused = False
+        self._recycle = False
         if not hasattr(generator, "send"):
             raise SimulationError("Process() needs a generator")
         self._generator = generator
@@ -694,7 +705,10 @@ class Environment:
             self.queue_high_water = pending
         return event
 
-    def sleep(self, delay: float) -> Event:
+    def sleep(
+        self, delay: float, callback: Optional[Callable[[Event], None]] = None,
+        value: Any = None,
+    ) -> Event:
         """A pooled, recyclable delay for the plain ``yield env.sleep(d)``
         idiom in hot loops (movers, packetizer feeds, retransmit timers).
 
@@ -703,12 +717,20 @@ class Environment:
         or read it after resuming — the event is recycled the moment its
         dispatch completes.  Use :meth:`timeout` anywhere those rules
         cannot be guaranteed.
+
+        With ``callback``, nobody yields it: it is ``timeout(delay,
+        value)`` with ``callback`` appended, pooled — a delayed call that
+        nothing waits on.  ``callback`` reads ``event.value`` and must
+        not keep the event.
         """
         if not delay >= 0:  # also rejects NaN
             raise SimulationError(f"delay must be >= 0, got {delay!r}")
         pool = self._relay_pool
         event = pool.pop() if pool else Event(self)
         event._recycle = True
+        if callback is not None:
+            event._value = value
+            event.callbacks.append(callback)
         # _ok stays None: like a Timeout, it triggers at dispatch.
         if self.sanitizer is not None:
             self._schedule(event, delay, NORMAL)
@@ -802,8 +824,10 @@ class Environment:
                 # An unhandled failure propagates out of the simulation.
                 raise event._value
             if event._recycle:
-                # Reset the dispatched relay and return it to the free list.
-                event.callbacks = []
+                # Reset the dispatched relay and return it to the free list,
+                # with its emptied callback list (nothing else holds it).
+                callbacks.clear()
+                event.callbacks = callbacks
                 event._value = None
                 event._ok = None
                 event._scheduled = False

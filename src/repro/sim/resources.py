@@ -52,6 +52,8 @@ class Resource:
         self.capacity = capacity
         self.users: list = []
         self._waiting: Deque[_Request] = deque()
+        #: The grant :meth:`take` hands out, made on its first use.
+        self._taken: Optional[_Request] = None
 
     @property
     def count(self) -> int:
@@ -73,17 +75,21 @@ class Resource:
         nothing else is due at this instant (both lanes empty, the
         heap's top later than now).  Then the holder is recorded and its
         request returned, granted and processed; otherwise None, doing
-        nothing — :meth:`request` it.  Release it as any grant."""
+        nothing — :meth:`request` it.  Release it as any grant.  Every
+        take returns the same request (nothing waits on it, so nothing
+        tells two apart): each holder releases it once."""
         env = self.env
         if len(self.users) >= self.capacity or self._waiting or env._urgent or env._normal:
             return None
         queue = env._queue
         if queue and queue[0][0] <= env.now:
             return None
-        req = _Request(self)
-        req._ok = True
-        req._value = req
-        req.callbacks = None
+        req = self._taken
+        if req is None:
+            req = self._taken = _Request(self)
+            req._ok = True
+            req._value = req
+            req.callbacks = None
         self.users.append(req)
         return req
 
@@ -152,10 +158,15 @@ class Store:
 
     def put_nowait(self, item: Any) -> None:
         """:meth:`put` for a producer that never waits on it — one whose
-        credit guarantees room — with no event of its own.  Should the
-        store be full after all, the item queues as a blocked put would."""
-        if self.hand_off(item) is not None:
-            return
+        credit guarantees room, or one feeding an unbounded store — with
+        no event of its own.  Should the store be full after all, the
+        item queues as a blocked put would."""
+        getters = self._getters
+        while getters:  # :meth:`hand_off`, inline (once per received frame)
+            getter = getters.popleft()
+            if not getter._abandoned:
+                getter.succeed(item)
+                return
         if len(self.items) < self.capacity:
             self.items.append(item)
         else:
@@ -248,6 +259,20 @@ class Container:
         if queued:
             self._settle()
         return event
+
+    def put_nowait(self, amount: float) -> None:
+        """:meth:`put` for a producer that never waits on it — one that
+        returns what it took, so the level cannot pass the capacity —
+        with no event of its own: the amount is added and the waiting
+        getters it covers are served, in the order :meth:`put` would
+        serve them.  With a putter queued or no room after all, it is a
+        :meth:`put`."""
+        if amount <= 0 or self._putters or self.level + amount > self.capacity:
+            self.put(amount)
+            return
+        self.level += amount
+        if self._getters:
+            self._settle()
 
     def get(self, amount: float) -> Event:
         if amount <= 0:

@@ -1,6 +1,10 @@
 """Unit tests for Resource, Store and Container primitives."""
 
+from functools import partial
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.sim import Container, Environment, Resource, SimulationError, Store
 
@@ -208,3 +212,68 @@ def test_container_invalid_amounts():
         tank.put(-1)
     with pytest.raises(SimulationError):
         tank.get(11)
+
+
+# ------------------------------------- eventless puts against the put
+
+_STEP = st.one_of(
+    st.tuples(st.just("get"), st.integers(1, 3)),
+    st.tuples(st.just("put"), st.integers(1, 3)),
+    st.tuples(st.just("wait"), st.sampled_from([0, 0, 1, 2, 5])),
+)
+#: (start delay, steps) per process: same-instant starts and zero waits
+#: make ties, and a get larger than the level makes a getter wait.
+_SCHEDULE = st.lists(
+    st.tuples(st.sampled_from([0, 0, 1, 3]), st.lists(_STEP, max_size=6)),
+    min_size=1, max_size=6,
+)
+#: A Store, bounded or not, or a Container big enough for any one get.
+_POOL = st.one_of(
+    st.sampled_from([1, 2, float("inf")]).map(lambda cap: partial(Store, capacity=cap)),
+    st.integers(3, 6).flatmap(
+        lambda cap: st.integers(0, cap).map(
+            lambda init: partial(Container, capacity=cap, init=init)
+        )
+    ),
+)
+
+
+def _resumes(pool_of, schedule, eventless):
+    """Run ``schedule`` against the pool ``pool_of(env)`` makes, putting
+    with ``put_nowait`` if ``eventless`` else with a ``put`` nobody
+    yields.  Returns every resume as ``(time, process, value)``, in
+    order, and the pool's final contents."""
+    env = Environment()
+    pool = pool_of(env)
+    store = isinstance(pool, Store)
+    put = pool.put_nowait if eventless else pool.put
+    log = []
+
+    def proc(name, start, steps):
+        yield env.timeout(start)
+        for index, (op, arg) in enumerate(steps):
+            if op == "put":
+                put((name, index) if store else arg)
+                continue
+            if op == "get":
+                value = yield pool.get() if store else pool.get(arg)
+            else:
+                value = yield env.timeout(arg, arg)
+            log.append((env.now, name, value))
+
+    for name, (start, steps) in enumerate(schedule):
+        env.process(proc(name, start, steps))
+    env.run()
+    return log, (list(pool.items) if store else pool.level)
+
+
+@given(pool_of=_POOL, schedule=_SCHEDULE)
+def test_an_eventless_put_resumes_what_a_put_nobody_waits_on_resumes(pool_of, schedule):
+    """``Store.put_nowait`` (a received frame) and ``Container.put_nowait``
+    (the RDMA window's refund) only drop the event a put nobody waits on
+    makes: every getter and timer resumes at the same time, in the same
+    order, with the same value, and the pool ends with the same
+    contents — a full store, where the item queues as a blocked put's
+    would, and a container without room or behind a queued putter,
+    where the refund is a put, included."""
+    assert _resumes(pool_of, schedule, True) == _resumes(pool_of, schedule, False)

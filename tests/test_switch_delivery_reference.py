@@ -4,14 +4,15 @@ A forwarded frame used to be a whole ``Process`` — ``_deliver_later``: a
 generator, a start relay, a ``Timeout``, a process-end event nobody
 joined — only to call ``deliver_fn`` after a fixed delay; and each port
 drained its queue in a ``_drain`` process of its own, started with the
-port and woken per idle-to-busy frame.  The frame in flight is now the
-``Timeout`` alone, with ``_EgressPort._deliver`` appended as a callback,
-and the drain is a station on its serialisation timer: a relay starts an
+port and woken per idle-to-busy frame.  The frame in flight is now a
+pooled timer alone, with ``_EgressPort._deliver`` as its callback, and
+the drain is a station on its serialisation timer: a relay starts an
 idle port where the process was woken, and ``_serialised`` starts the
 next frame.  The process forms stay here as the oracle: under generated
 frame schedules both must hand over the identical ``(time, port, frame)``
 sequence with **bit-equal** floats, for two events fewer per frame and
-one per port.  Two end-to-end pins hold the RDMA stacks above the switch
+one per port, and one fewer per MAC grant ``Resource.take`` makes with
+no event only in the timer run.  Two end-to-end pins hold the RDMA stacks above the switch
 to the completion times the per-frame processes gave (recorded at
 1042d48, the last commit with them).
 """
@@ -43,7 +44,7 @@ from repro.net import switch as switch_module
 from repro.net.cmac import CMAC_BANDWIDTH, FRAME_OVERHEAD_BYTES
 from repro.net.headers import ECN_ECT0
 from repro.net.switch import SWITCH_LATENCY_NS, _EgressPort
-from repro.sim import Event
+from repro.sim import Event, Resource
 
 #: The CI ``engine-conformance`` job runs this file under the long profile.
 MAX_EXAMPLES = 500 if os.environ.get("HYPOTHESIS_PROFILE") == "long" else 60
@@ -117,8 +118,9 @@ def _deliveries(port_class, senders, latency_ns=SWITCH_LATENCY_NS, tight=False,
     ``senders[i]`` is port *i*'s ``(gap, hops to the destination port,
     payload size)`` list, sent back to back through its CMAC.  Returns
     every hand-over an egress port made — ``(time, port label, frame
-    serial, ECN bits, carries the count)`` — with the switch counters
-    and how many events the run took.
+    serial, ECN bits, carries the count)`` — with the switch counters,
+    how many events the run took and how many MAC grants ``take`` made
+    with no event.
     """
     with mock.patch.object(switch_module, "_EgressPort", port_class):
         env = Environment()
@@ -159,22 +161,40 @@ def _deliveries(port_class, senders, latency_ns=SWITCH_LATENCY_NS, tight=False,
     if detach is not None:
         when, index = detach
         env.process(at(when, lambda: switch.detach(_mac(index % len(cmacs)))))
-    env.run()
+    taken = []
+    take = Resource.take
+
+    def counted_take(resource):
+        grant = take(resource)
+        if grant is not None:
+            taken.append(env.now)
+        return grant
+
+    with mock.patch.object(Resource, "take", counted_take):
+        env.run()
     assert switch.forwarded >= 0
-    return log, switch.counters(), env.events_processed
+    return log, switch.counters(), env.events_processed, len(taken)
 
 
 def _assert_timer_matches_process(**scenario):
-    timer_log, timer_counters, timer_events = _deliveries(_EgressPort, **scenario)
-    process_log, process_counters, process_events = _deliveries(
+    timer_log, timer_counters, timer_events, timer_taken = _deliveries(
+        _EgressPort, **scenario
+    )
+    process_log, process_counters, process_events, process_taken = _deliveries(
         _ProcessEgressPort, **scenario
     )
     assert timer_log == process_log
     assert timer_counters == process_counters
     # The start relay and the process-end event of every frame handed
-    # over, and each port's drain process's start.
+    # over, and each port's drain process's start.  A received frame
+    # makes no event of its own, so where a delivery meets a transmit
+    # at one instant the process run's end event may be all that stands
+    # in ``take``'s way: each grant only the timer run takes with no
+    # event is one event fewer.
     ports = len(scenario["senders"])
-    assert process_events - timer_events == 2 * len(process_log) + ports
+    assert process_events - timer_events == (
+        2 * len(process_log) + ports + timer_taken - process_taken
+    )
     return timer_log, timer_counters
 
 
@@ -206,6 +226,11 @@ _indices = st.sets(st.integers(0, 23), max_size=4)
     senders=[[(0.0, 2, 1024)] * 3, [(0.0, 1, 1024)] * 3, [(0.0, 0, 1024)] * 3, []],
     latency_ns=SWITCH_LATENCY_NS, tight=True, reorder={1, 4}, duplicate={2},
     pause=(700.0, 3, 5_000.0), detach=None,
+)
+@example(  # a delivery and a transmit meet at one instant: only the timer run takes
+    senders=[[], [(0.0, 1, 1024)], [(0.0, 0, 0), (0.0, 0, 1024), (0.0, 0, 0)]],
+    latency_ns=_wire_ns(1024), tight=False, reorder=set(), duplicate=set(),
+    pause=None, detach=None,
 )
 @example(  # the destination unplugged with frames queued and in flight
     senders=[[(0.0, 0, _MTU)] * 4, [(0.0, 0, 64)] * 2],
