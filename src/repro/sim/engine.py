@@ -302,18 +302,7 @@ class Process(Event):
     __slots__ = ("_generator", "name", "_target")
 
     def __init__(self, env: "Environment", generator: Generator, name: str = ""):
-        # Flat: the slots ``Event.__init__`` writes (a process per landed
-        # RDMA payload).
-        self.env = env
-        self.callbacks = []
-        self._value = None
-        self._ok = None
-        self._scheduled = False
-        if env.sanitizer is not None:
-            env.sanitizer.on_event_created(self)
-        self._abandoned = False
-        self._defused = False
-        self._recycle = False
+        super().__init__(env)
         if not hasattr(generator, "send"):
             raise SimulationError("Process() needs a generator")
         self._generator = generator

@@ -52,8 +52,6 @@ class Resource:
         self.capacity = capacity
         self.users: list = []
         self._waiting: Deque[_Request] = deque()
-        #: The grant :meth:`take` hands out, made on its first use.
-        self._taken: Optional[_Request] = None
 
     @property
     def count(self) -> int:
@@ -75,21 +73,17 @@ class Resource:
         nothing else is due at this instant (both lanes empty, the
         heap's top later than now).  Then the holder is recorded and its
         request returned, granted and processed; otherwise None, doing
-        nothing — :meth:`request` it.  Release it as any grant.  Every
-        take returns the same request (nothing waits on it, so nothing
-        tells two apart): each holder releases it once."""
+        nothing — :meth:`request` it.  Release it as any grant."""
         env = self.env
         if len(self.users) >= self.capacity or self._waiting or env._urgent or env._normal:
             return None
         queue = env._queue
         if queue and queue[0][0] <= env.now:
             return None
-        req = self._taken
-        if req is None:
-            req = self._taken = _Request(self)
-            req._ok = True
-            req._value = req
-            req.callbacks = None
+        req = _Request(self)
+        req._ok = True
+        req._value = req
+        req.callbacks = None
         self.users.append(req)
         return req
 
@@ -161,12 +155,8 @@ class Store:
         credit guarantees room, or one feeding an unbounded store — with
         no event of its own.  Should the store be full after all, the
         item queues as a blocked put would."""
-        getters = self._getters
-        while getters:  # :meth:`hand_off`, inline (once per received frame)
-            getter = getters.popleft()
-            if not getter._abandoned:
-                getter.succeed(item)
-                return
+        if self.hand_off(item) is not None:
+            return
         if len(self.items) < self.capacity:
             self.items.append(item)
         else:

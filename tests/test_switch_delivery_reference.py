@@ -11,10 +11,10 @@ idle port where the process was woken, and ``_serialised`` starts the
 next frame.  The process forms stay here as the oracle: under generated
 frame schedules both must hand over the identical ``(time, port, frame)``
 sequence with **bit-equal** floats, for two events fewer per frame and
-one per port, and one fewer per MAC grant ``Resource.take`` makes with
-no event only in the timer run.  Two end-to-end pins hold the RDMA stacks above the switch
-to the completion times the per-frame processes gave (recorded at
-1042d48, the last commit with them).
+one per port.  Both runs take every MAC grant by ``request()``, so that
+count is the egress's alone.  Two end-to-end pins hold the RDMA stacks
+above the switch to the completion times the per-frame processes gave
+(recorded at 1042d48, the last commit with them).
 """
 
 import hashlib
@@ -118,9 +118,11 @@ def _deliveries(port_class, senders, latency_ns=SWITCH_LATENCY_NS, tight=False,
     ``senders[i]`` is port *i*'s ``(gap, hops to the destination port,
     payload size)`` list, sent back to back through its CMAC.  Returns
     every hand-over an egress port made — ``(time, port label, frame
-    serial, ECN bits, carries the count)`` — with the switch counters,
-    how many events the run took and how many MAC grants ``take`` made
-    with no event.
+    serial, ECN bits, carries the count)`` — with the switch counters
+    and how many events the run took.  Every MAC grant is queued
+    (``Resource.take`` declines): a grant taken with no event where one
+    run's lanes are empty and the other's hold a process-end event would
+    move the event count by one without touching the egress.
     """
     with mock.patch.object(switch_module, "_EgressPort", port_class):
         env = Environment()
@@ -161,40 +163,23 @@ def _deliveries(port_class, senders, latency_ns=SWITCH_LATENCY_NS, tight=False,
     if detach is not None:
         when, index = detach
         env.process(at(when, lambda: switch.detach(_mac(index % len(cmacs)))))
-    taken = []
-    take = Resource.take
-
-    def counted_take(resource):
-        grant = take(resource)
-        if grant is not None:
-            taken.append(env.now)
-        return grant
-
-    with mock.patch.object(Resource, "take", counted_take):
+    with mock.patch.object(Resource, "take", lambda resource: None):
         env.run()
     assert switch.forwarded >= 0
-    return log, switch.counters(), env.events_processed, len(taken)
+    return log, switch.counters(), env.events_processed
 
 
 def _assert_timer_matches_process(**scenario):
-    timer_log, timer_counters, timer_events, timer_taken = _deliveries(
-        _EgressPort, **scenario
-    )
-    process_log, process_counters, process_events, process_taken = _deliveries(
+    timer_log, timer_counters, timer_events = _deliveries(_EgressPort, **scenario)
+    process_log, process_counters, process_events = _deliveries(
         _ProcessEgressPort, **scenario
     )
     assert timer_log == process_log
     assert timer_counters == process_counters
     # The start relay and the process-end event of every frame handed
-    # over, and each port's drain process's start.  A received frame
-    # makes no event of its own, so where a delivery meets a transmit
-    # at one instant the process run's end event may be all that stands
-    # in ``take``'s way: each grant only the timer run takes with no
-    # event is one event fewer.
+    # over, and each port's drain process's start.
     ports = len(scenario["senders"])
-    assert process_events - timer_events == (
-        2 * len(process_log) + ports + timer_taken - process_taken
-    )
+    assert process_events - timer_events == 2 * len(process_log) + ports
     return timer_log, timer_counters
 
 
@@ -227,7 +212,7 @@ _indices = st.sets(st.integers(0, 23), max_size=4)
     latency_ns=SWITCH_LATENCY_NS, tight=True, reorder={1, 4}, duplicate={2},
     pause=(700.0, 3, 5_000.0), detach=None,
 )
-@example(  # a delivery and a transmit meet at one instant: only the timer run takes
+@example(  # a delivery and a transmit meet at one instant
     senders=[[], [(0.0, 1, 1024)], [(0.0, 0, 0), (0.0, 0, 1024), (0.0, 0, 0)]],
     latency_ns=_wire_ns(1024), tight=False, reorder=set(), duplicate=set(),
     pause=None, detach=None,
